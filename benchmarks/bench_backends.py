@@ -1,22 +1,25 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Benchmark the compiled batch kernels against the pure-Python reference.
 
-Runs each hot kernel on a representative workload through both backends and
-prints wall-clock times plus the speedup.  Usage:
+Runs the two compiled kernels (the exact law and the Monte Carlo batch) on a
+representative workload through both backends, prints wall-clock times plus
+the speedup, and exits with status 1 if the backends disagree on any result.
+The compiled library is the one built next to the package
+(``pip install -e .``); when there is none, the script compiles
+``src/seatlot/_kernels_native.c`` with ``cc`` (or ``gcc``) into a temporary
+directory.  Usage:
 
-    python benchmarks/bench_backends.py [--repeat N]
+    PYTHONPATH=src python benchmarks/bench_backends.py [--repeat N]
 """
 
 import argparse
+import sys
+import tempfile
 import time
 
 import seatlot._kernels_py as kpy
+from seatlot import _backend, _kernels_c
 from seatlot.rng import SeededSource
-
-try:
-    import seatlot._kernels_c as kc
-except ImportError:
-    kc = None
 
 
 def _fracs(src, s, den):
@@ -34,10 +37,6 @@ def workloads():
     ceils = [f + 1 for f in floors]
     house = sum(floors) + sum(nums) // den
 
-    yield ("systematic_round x 20000", lambda k: [
-        k.systematic_round_ints(nums, den, (17 * i) % den)
-        for i in range(20_000)])
-
     den8 = 9973
     nums8 = _fracs(SeededSource(5), 8, den8)
     yield ("exact law, 8 states (5040 orderings)",
@@ -46,15 +45,6 @@ def workloads():
     yield ("simulate_batch n=100000, 12 states",
            lambda k: k.simulate_batch(floors, nums, den, floors, ceils,
                                       [0] * s, 7, 100_000, house))
-
-    weights = [9, 9, 2]
-    yield ("conditional_batch n=100000",
-           lambda k: k.conditional_batch(weights, 2, 11, 100_000, 10 ** 6))
-
-    rnums = [4, 1]
-    yield ("resample_batch n=100000",
-           lambda k: k.resample_batch([2, 2], rnums, 5, [3, 2], [4, 3],
-                                      13, 100_000, 10 ** 4))
 
 
 def timed(fn, repeat):
@@ -67,25 +57,40 @@ def timed(fn, repeat):
     return min(best), result
 
 
+def compiled_kernels(workdir):
+    """seatlot._kernels_c bound to a built library, or None without one."""
+    library = _backend._built_library() or _kernels_c.build(workdir)
+    if library is None:
+        return None
+    _kernels_c.load(library)
+    return _kernels_c
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
-    print(f"{'workload':<42} {'pure':>10} {'compiled':>10} {'speedup':>8}")
-    print("-" * 74)
-    for name, runner in workloads():
-        t_py, out_py = timed(lambda: runner(kpy), args.repeat)
-        if kc is None:
-            print(f"{name:<42} {t_py:>9.3f}s {'n/a':>10} {'n/a':>8}")
-            continue
-        t_c, out_c = timed(lambda: runner(kc), args.repeat)
-        match = "" if out_py == out_c else "  !! MISMATCH"
-        print(f"{name:<42} {t_py:>9.3f}s {t_c:>9.3f}s "
-              f"{t_py / t_c:>7.1f}x{match}")
+    mismatches = 0
+    with tempfile.TemporaryDirectory() as workdir:
+        kc = compiled_kernels(workdir)
+        print(f"{'workload':<42} {'pure':>10} {'compiled':>10} {'speedup':>8}")
+        print("-" * 74)
+        for name, runner in workloads():
+            t_py, out_py = timed(lambda: runner(kpy), args.repeat)
+            if kc is None:
+                print(f"{name:<42} {t_py:>9.3f}s {'n/a':>10} {'n/a':>8}")
+                continue
+            t_c, out_c = timed(lambda: runner(kc), args.repeat)
+            match = "" if out_py == out_c else "  !! MISMATCH"
+            mismatches += bool(match)
+            print(f"{name:<42} {t_py:>9.3f}s {t_c:>9.3f}s "
+                  f"{t_py / t_c:>7.1f}x{match}")
     if kc is None:
-        print("\ncompiled kernels unavailable; install with Cython to compare")
+        print("\nno compiled library: build it with `pip install -e .` "
+              "or put a C compiler on PATH as `cc` or `gcc`")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

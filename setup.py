@@ -1,26 +1,7 @@
 from setuptools import Extension, setup
 
-extensions = []
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [
-            Extension(
-                "seatlot._kernels_c",
-                ["src/seatlot/_kernels_c.pyx"],
-                optional=True,
-            )
-        ],
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-except ImportError:
-    # No Cython: install with the pure-Python kernels only.
-    extensions = []
-
-setup(ext_modules=extensions)
+# A plain C library, not a CPython extension: seatlot._kernels_c loads it
+# with ctypes.  Optional, so a failed build installs the pure-Python kernels.
+setup(ext_modules=[Extension("seatlot._kernels_native",
+                             ["src/seatlot/_kernels_native.c"],
+                             optional=True)])

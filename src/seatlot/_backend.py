@@ -1,99 +1,85 @@
-"""Kernel backend selection.
+"""Kernel backend selection for the two compiled batch kernels.
 
-The compiled extension (``seatlot._kernels_c``) is used when it imported
-successfully, the environment variable ``SEATLOT_PURE_PYTHON`` is unset (or
-``0``), and the integer magnitudes of a given call fit comfortably inside
-the extension's 64-bit arithmetic.  Otherwise the call falls through to the
-pure-Python kernels, which handle arbitrary precision.
+``averaged_mask_lengths`` (the exact law) and ``simulate_batch`` (the Monte
+Carlo batch) have a compiled twin in ``_kernels_native.c``, a plain C
+library that :mod:`seatlot._kernels_c` loads with ctypes.  A call goes to
+it when setuptools built the library next to this file, the environment
+variable ``SEATLOT_PURE_PYTHON`` is unset (or ``0``), and the kernel's int64
+predicate below holds for the call.  Otherwise it goes to
+:mod:`seatlot._kernels_py`, the reference implementation, which handles
+arbitrary precision.  Without a built library ctypes is never imported.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from importlib.machinery import EXTENSION_SUFFIXES
 
 from . import _kernels_py
 
-try:  # pragma: no cover - exercised implicitly by the chosen backend
-    from . import _kernels_c
-except ImportError:  # pragma: no cover
-    _kernels_c = None
 
-if os.environ.get("SEATLOT_PURE_PYTHON", "0") not in ("", "0"):
-    _kernels_c = None
+def _built_library():
+    """Path of the kernel library built next to this file, or None."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(here, "_kernels_native" + suffix)
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+def _load(library):
+    """seatlot._kernels_c bound to ``library``, or None if it cannot be."""
+    try:
+        from . import _kernels_c
+        _kernels_c.load(library)
+    except (OSError, AttributeError):
+        # OSError: a library built for another platform.  AttributeError: a
+        # library lacking a kernel, or a stale ``_kernels_c`` extension
+        # module of an older build, which Python imports ahead of
+        # ``_kernels_c.py`` and which has no ``load``.
+        return None
+    return _kernels_c
+
+
+_kernels_c = None
+if os.environ.get("SEATLOT_PURE_PYTHON", "0") in ("", "0"):
+    _library = _built_library()
+    if _library is not None:
+        _kernels_c = _load(_library)
 
 ACTIVE = "compiled" if _kernels_c is not None else "pure-python"
 
-# Compiled kernels compute cell positions up to den * (residual + 2) and
-# accumulate cell lengths up to den * (number of orderings); keep a wide
-# margin below 2**63.
+# Compiled kernels compute cell positions up to den * (residual + 2),
+# accumulate cell lengths up to den * (number of orderings) and seat squares
+# up to n * (house + 1)**2; keep a wide margin below 2**63.
 _CAP = 1 << 62
-
-
-def _residual(frac_nums, den):
-    return sum(frac_nums) // den
-
-
-def systematic_round_ints(frac_nums, den, u_num):
-    if _kernels_c is not None and den * (_residual(frac_nums, den) + 2) < _CAP:
-        return _kernels_c.systematic_round_ints(frac_nums, den, u_num)
-    return _kernels_py.systematic_round_ints(frac_nums, den, u_num)
-
-
-def position_from_bits53(u53, den):
-    # Single big-int multiply; never worth dispatching.
-    return _kernels_py.position_from_bits53(u53, den)
-
-
-def fixed_order_cells(frac_nums, den):
-    if _kernels_c is not None and den * (_residual(frac_nums, den) + 2) < _CAP:
-        return _kernels_c.fixed_order_cells(frac_nums, den)
-    return _kernels_py.fixed_order_cells(frac_nums, den)
 
 
 def averaged_mask_lengths(frac_nums, den, fix_last):
     s = len(frac_nums)
-    if _kernels_c is not None and s <= 16:
-        orders = math.factorial(s - 1 if (fix_last and s > 1) else s)
-        if (den * (_residual(frac_nums, den) + 2) < _CAP
-                and den * orders < _CAP):
-            return _kernels_c.averaged_mask_lengths(frac_nums, den, fix_last)
+    if (_kernels_c is not None and s <= _kernels_c.MAX_MASK_STATES
+            and den * max(sum(frac_nums) // den + 2,
+                          math.factorial(s - 1 if fix_last and s > 1 else s))
+            < _CAP):
+        return _kernels_c.averaged_mask_lengths(frac_nums, den, fix_last)
     return _kernels_py.averaged_mask_lengths(frac_nums, den, fix_last)
+
+
+def _scheme_fits(scheme_floors, frac_nums, den, n):
+    residual = sum(frac_nums) // den
+    house = sum(scheme_floors) + residual
+    return den * (residual + 2) < _CAP and n * (house + 1) ** 2 < _CAP
 
 
 def simulate_batch(scheme_floors, frac_nums, den, quota_floors, quota_ceils,
                    lower_bounds, master_seed, n, house_size):
-    if _kernels_c is not None:
-        r_max = max((f + 1 for f in scheme_floors), default=1)
-        r_top = sum(scheme_floors) + _residual(frac_nums, den)
-        if (den * (_residual(frac_nums, den) + 2) < _CAP
-                and n * (r_top + 1) * (r_top + 1) < _CAP
-                and r_max < _CAP):
-            return _kernels_c.simulate_batch(
-                scheme_floors, frac_nums, den, quota_floors, quota_ceils,
-                lower_bounds, master_seed, n, house_size)
+    if (_kernels_c is not None
+            and _scheme_fits(scheme_floors, frac_nums, den, n)):
+        return _kernels_c.simulate_batch(
+            scheme_floors, frac_nums, den, quota_floors, quota_ceils,
+            lower_bounds, master_seed, n, house_size)
     return _kernels_py.simulate_batch(
         scheme_floors, frac_nums, den, quota_floors, quota_ceils,
         lower_bounds, master_seed, n, house_size)
-
-
-def conditional_batch(weight_nums, r_sel, master_seed, n, cap):
-    if _kernels_c is not None and sum(weight_nums) < _CAP:
-        return _kernels_c.conditional_batch(weight_nums, r_sel, master_seed,
-                                            n, cap)
-    return _kernels_py.conditional_batch(weight_nums, r_sel, master_seed,
-                                         n, cap)
-
-
-def resample_batch(scheme_floors, frac_nums, den, target_floors, target_ceils,
-                   master_seed, n, cap):
-    if _kernels_c is not None:
-        r_top = sum(scheme_floors) + _residual(frac_nums, den)
-        if (den * (_residual(frac_nums, den) + 2) < _CAP
-                and n * (r_top + 1) * (r_top + 1) < _CAP):
-            return _kernels_c.resample_batch(
-                scheme_floors, frac_nums, den, target_floors, target_ceils,
-                master_seed, n, cap)
-    return _kernels_py.resample_batch(
-        scheme_floors, frac_nums, den, target_floors, target_ceils,
-        master_seed, n, cap)

@@ -1,10 +1,11 @@
 """Pure-Python kernels for the hot inner loops.
 
-The compiled module ``seatlot._kernels_c`` implements the same functions
-with int64/int128 arithmetic; this module is the reference implementation
-and the fallback for interpreters without the extension or for inputs whose
-integer magnitudes exceed the compiled ranges.  Both backends must produce
-bit-identical results; ``tests/test_kernels.py`` enforces that.
+This module is the reference implementation.  ``averaged_mask_lengths``
+and ``simulate_batch`` also have a compiled twin in ``_kernels_native.c``,
+reached through ``seatlot._backend``; this module is their fallback when no
+library is built or a call's integer magnitudes exceed int64.  Both
+backends must produce bit-identical results; ``tests/test_kernels.py``
+enforces that.  The other kernels exist only here and are called directly.
 
 Conventions shared by both backends:
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
-from . import _backend
+from . import _backend, _kernels_py
 from .core import Allocation, Problem, as_fractions, compute_quota
 from .errors import CapacityError, ConvergenceError, InputError
 from .rng import SeededSource, U53_DENOMINATOR
@@ -105,7 +105,7 @@ def systematic_round(fracs: Sequence, u) -> list[int]:
     den = math.lcm(u.denominator,
                    *(f.denominator for f in fracs)) if fracs else 1
     nums = [int(f * den) for f in fracs]
-    return _backend.systematic_round_ints(nums, den, int(u * den))
+    return _kernels_py.systematic_round_ints(nums, den, int(u * den))
 
 
 def stochastic_apportion(prob: Problem, src: SeededSource) -> Allocation:
@@ -136,9 +136,9 @@ def _scheme_draw(floors: Sequence[int], fracs: Sequence[Fraction],
     order = random_permutation(s, src)
     u53 = src.bits53()
     nums, den = _common_numerators(list(fracs))
-    pos = _backend.position_from_bits53(u53, den)
+    pos = _kernels_py.position_from_bits53(u53, den)
     ordered = [nums[i] for i in order]
-    inds = _backend.systematic_round_ints(ordered, den, pos)
+    inds = _kernels_py.systematic_round_ints(ordered, den, pos)
     seats = list(floors)
     for k, i in enumerate(order):
         seats[i] += inds[k]
@@ -205,7 +205,7 @@ def _indicator_law(fracs: Sequence[Fraction],
                 law[key] = Fraction(length, total)
         return law
     law = {}
-    for mask, length in _backend.fixed_order_cells(nums, den):
+    for mask, length in _kernels_py.fixed_order_cells(nums, den):
         key = tuple((mask >> i) & 1 for i in range(s))
         law[key] = law.get(key, Fraction(0)) + Fraction(length, den)
     return law

@@ -26,7 +26,7 @@ from seatlot.montecarlo import (SimulationReport, fairness_test,
                                 population_move_pair, simulate)
 from seatlot.stochastic import (_common_numerators, conditional_selection_law,
                                 exact_distribution, residual_distribution)
-from seatlot import _backend
+from seatlot import _kernels_py
 from seatlot.core import Problem
 
 from fixtures import (CONDITIONAL_UNFAIR, HAMILTON_ALABAMA,
@@ -261,7 +261,7 @@ def test_criterion_8_unfairness_counterexamples():
         exact_gap = max(abs(a - b) for a, b in zip(law, fracs))
         assert exact_gap > F(1, 1000)
         nums, _den = _common_numerators([F(f) for f in fracs])
-        counts, failures = _backend.conditional_batch(
+        counts, failures = _kernels_py.conditional_batch(
             nums, fix["residual"], 8080, n, 10 ** 6)
         assert failures == 0
         report = SimulationReport(
@@ -288,7 +288,7 @@ def test_criterion_8_unfairness_counterexamples():
         floors = [int(v) for v in adj.values]
         fracs_r = [v - f for v, f in zip(adj.values, floors)]
         nums_r, den_r = _common_numerators(fracs_r)
-        sums, sumsqs, _rounds, fail = _backend.resample_batch(
+        sums, sumsqs, _rounds, fail = _kernels_py.resample_batch(
             floors, nums_r, den_r, list(adj.original_floors),
             list(adj.original_ceilings), 9090, n, 10 ** 4)
         assert fail == 0

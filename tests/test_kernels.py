@@ -1,18 +1,52 @@
 """Backend contract: compiled and pure kernels must agree bit-for-bit,
 and the dispatcher must fall back cleanly when magnitudes exceed int64."""
 
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
 import seatlot._backend as backend
 import seatlot._kernels_py as kpy
 from seatlot.rng import SeededSource
 
-try:
-    import seatlot._kernels_c as kc
-except ImportError:
-    kc = None
+COMPILED = ("averaged_mask_lengths", "simulate_batch")
 
-needs_compiled = pytest.mark.skipif(kc is None, reason="compiled kernels unavailable")
+
+@pytest.fixture(scope="session")
+def kc(tmp_path_factory):
+    """seatlot._kernels_c bound to a library compiled into a temporary
+    directory, so the parity tests run wherever a C compiler exists."""
+    from seatlot import _kernels_c
+    library = _kernels_c.build(str(tmp_path_factory.mktemp("kernels")))
+    if library is None:
+        pytest.skip("no C compiler to build the compiled kernels")
+    previous = _kernels_c._lib
+    _kernels_c.load(library)
+    yield _kernels_c
+    _kernels_c._lib = previous
+
+
+@pytest.fixture
+def compiled_calls(kc, monkeypatch):
+    """Routes the dispatcher to the fixture library; lists the kernel calls
+    it makes there."""
+    calls = []
+
+    def recorded(name):
+        def call(*args):
+            calls.append(name)
+            return getattr(kc, name)(*args)
+        return call
+
+    monkeypatch.setattr(backend, "_kernels_c", SimpleNamespace(
+        MAX_MASK_STATES=kc.MAX_MASK_STATES,
+        **{name: recorded(name) for name in COMPILED}))
+    return calls
 
 
 def random_fracs(src, s, den):
@@ -25,42 +59,18 @@ def random_fracs(src, s, den):
     return nums
 
 
-@needs_compiled
-def test_systematic_round_agreement():
-    src = SeededSource(1)
-    for trial in range(300):
-        s = 1 + src.randbelow(12)
-        den = 1 + src.randbelow(5000)
-        nums = random_fracs(src, s, den)
-        for u in (0, den, src.randbelow(den + 1)):
-            assert (kpy.systematic_round_ints(nums, den, u)
-                    == kc.systematic_round_ints(nums, den, u))
-
-
-@needs_compiled
-def test_fixed_order_cells_agreement():
-    src = SeededSource(2)
-    for trial in range(300):
-        s = 1 + src.randbelow(10)
-        den = 1 + src.randbelow(3000)
-        nums = random_fracs(src, s, den)
-        assert kpy.fixed_order_cells(nums, den) == kc.fixed_order_cells(nums, den)
-
-
-@needs_compiled
 @pytest.mark.parametrize("fix_last", [True, False])
-def test_averaged_mask_lengths_agreement(fix_last):
+def test_averaged_mask_lengths_agreement(kc, fix_last):
     src = SeededSource(3)
     for trial in range(60):
-        s = 1 + src.randbelow(6)
+        s = src.randbelow(7)
         den = 1 + src.randbelow(500)
-        nums = random_fracs(src, s, den)
+        nums = random_fracs(src, s, den) if s else []
         assert (kpy.averaged_mask_lengths(nums, den, fix_last)
                 == kc.averaged_mask_lengths(nums, den, fix_last))
 
 
-@needs_compiled
-def test_simulate_batch_agreement():
+def test_simulate_batch_agreement(kc):
     src = SeededSource(4)
     for trial in range(20):
         s = 1 + src.randbelow(8)
@@ -74,53 +84,61 @@ def test_simulate_batch_agreement():
         args = (floors, nums, den, floors, ceils, bounds,
                 src.randbelow(2 ** 32), 500, house)
         assert kpy.simulate_batch(*args) == kc.simulate_batch(*args)
+    # Beyond 16 states no mask counts are kept.
+    nums = random_fracs(src, 20, 997)
+    args = ([3] * 20, nums, 997, [3] * 20, [4] * 20, [0] * 20, -5, 50,
+            60 + sum(nums) // 997)
+    assert kpy.simulate_batch(*args) == kc.simulate_batch(*args)
 
 
-@needs_compiled
-def test_conditional_batch_agreement():
-    src = SeededSource(5)
-    for trial in range(20):
-        s = 2 + src.randbelow(5)
-        weights = [1 + src.randbelow(50) for _ in range(s)]
-        r_sel = 1 + src.randbelow(s)
-        args = (weights, r_sel, src.randbelow(2 ** 32), 400, 10 ** 4)
-        assert kpy.conditional_batch(*args) == kc.conditional_batch(*args)
-
-
-@needs_compiled
-def test_resample_batch_agreement():
-    src = SeededSource(6)
-    for trial in range(20):
-        s = 1 + src.randbelow(5)
-        den = 1 + src.randbelow(400)
-        nums = random_fracs(src, s, den)
-        floors = [src.randbelow(4) for _ in range(s)]
-        tfloors = list(floors)
-        tceils = [f + 1 for f in floors]
-        args = (floors, nums, den, tfloors, tceils,
-                src.randbelow(2 ** 32), 300, 50)
-        assert kpy.resample_batch(*args) == kc.resample_batch(*args)
-
-
-def test_dispatcher_falls_back_on_big_integers():
-    # Denominator beyond int64: the wrapper must route to the pure kernels
-    # and still give exact results.
-    den = (1 << 70) + 3
+def test_dispatcher_falls_back_on_big_integers(compiled_calls):
+    # A denominator at 2**62 or beyond: the dispatcher must route to the
+    # pure kernels, which stay exact.
+    den = (1 << 62) + 3
     nums = [den // 3, den - den // 3]
-    out = backend.systematic_round_ints(nums, den, 0)
-    assert out == kpy.systematic_round_ints(nums, den, 0)
-    assert sum(out) == 1
-    cells = backend.fixed_order_cells(nums, den)
-    assert cells == kpy.fixed_order_cells(nums, den)
-    assert sum(length for _m, length in cells) == den
+    args = ([1, 2], nums, den, [1, 2], [2, 3], [0, 0], 99, 40, 4)
+    out = backend.simulate_batch(*args)
+    assert out == kpy.simulate_batch(*args)
+    assert sum(out[0]) == 40 * 4
+    lengths = backend.averaged_mask_lengths(nums, den, False)
+    assert lengths == kpy.averaged_mask_lengths(nums, den, False)
+    assert sum(lengths) == 2 * den
+    assert compiled_calls == []
+    # Small magnitudes do reach the compiled library.
+    small = [1, 2]
+    assert (backend.averaged_mask_lengths(small, 3, False)
+            == kpy.averaged_mask_lengths(small, 3, False))
+    args = ([1, 2], small, 3, [1, 2], [2, 3], [0, 0], 99, 40, 4)
+    assert backend.simulate_batch(*args) == kpy.simulate_batch(*args)
+    assert compiled_calls == list(COMPILED)
 
 
 def test_backend_name_reported():
     assert backend.ACTIVE in ("compiled", "pure-python")
 
 
-@needs_compiled
-def test_batch_matches_single_draw_path():
+@pytest.mark.parametrize("stale", [False, True])
+def test_built_library_selects_backend(kc, tmp_path, stale):
+    # A copy of the package with the library built next to it imports the
+    # compiled backend.  A _kernels_c module without load(), such as the
+    # extension module an older build left behind (Python imports it ahead
+    # of _kernels_c.py), must leave the pure kernels active instead of
+    # breaking the import.
+    package = tmp_path / "seatlot"
+    shutil.copytree(Path(backend.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    kc.build(str(package))
+    if stale:
+        (package / "_kernels_c.py").write_text("")
+    env = {**os.environ, "PYTHONPATH": str(tmp_path),
+           "SEATLOT_PURE_PYTHON": "0"}
+    out = subprocess.run(
+        [sys.executable, "-c", "import seatlot; print(seatlot.kernel_backend)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ("pure-python" if stale else "compiled")
+
+
+def test_batch_matches_single_draw_path(kc):
     # One replicate of simulate_batch must equal the library's own
     # shuffle+draw+round at the derived child stream.
     from seatlot.rng import child_seed

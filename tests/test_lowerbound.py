@@ -387,12 +387,12 @@ def test_resample_acceptance_probability_single_small_gap():
                              adj.original_ceilings))), F(0))
     assert accept == F("0.962")
     # mean rounds over a large seeded batch agrees with 1/0.962
-    from seatlot import _backend
+    from seatlot import _kernels_py
     from seatlot.stochastic import _common_numerators
 
     nums, den = _common_numerators(fracs)
     n = 50_000
-    _s, _sq, rounds_total, failures = _backend.resample_batch(
+    _s, _sq, rounds_total, failures = _kernels_py.resample_batch(
         floors, nums, den, list(adj.original_floors),
         list(adj.original_ceilings), 17, n, 10 ** 4)
     assert failures == 0

@@ -62,12 +62,12 @@ def test_round_sums_to_residual_and_matches_definition(fracs, data):
 def test_grid_fast_path_equals_exact_offset(fracs, u53):
     # The sampling path maps a dyadic offset onto the common-denominator
     # grid; the result must equal rounding at the exact rational offset.
-    from seatlot import _backend
+    from seatlot import _kernels_py
     from seatlot.stochastic import _common_numerators
 
     nums, den = _common_numerators(fracs)
-    pos = _backend.position_from_bits53(u53, den)
-    fast = _backend.systematic_round_ints(nums, den, pos)
+    pos = _kernels_py.position_from_bits53(u53, den)
+    fast = _kernels_py.systematic_round_ints(nums, den, pos)
     exact = systematic_round(fracs, F(u53, U53_DENOMINATOR))
     assert fast == exact
 
