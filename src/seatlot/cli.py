@@ -28,7 +28,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .core import Problem, broadcast_lower_bound, compute_quota, quota_vector
+from .core import (Problem, _integer_quotas, broadcast_lower_bound,
+                   compute_quota, quota_vector)
 from .divisor import (RULES, divisor_apportion, divisor_with_bounds,
                       hamilton_apportion, resolve_method)
 from .errors import (ApportionmentError, CapacityError, InfeasibleError,
@@ -94,7 +95,7 @@ def parse_census(source) -> list[tuple[str, int]]:
                 raise InputError(f"line {lineno}: expected 'label,population'")
             label = row[0].strip()
             pop_text = row[1].strip()
-            if not pop_text.isdigit():
+            if not (pop_text.isascii() and pop_text.isdigit()):
                 if lineno == 1 and not rows:
                     continue  # header row
                 raise InputError(
@@ -166,7 +167,8 @@ def read_lower_bound(value: str, labels) -> tuple[int, ...]:
         for lineno, row in enumerate(csv.reader(stream), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) < 2 or not row[1].strip().lstrip("-").isdigit():
+            digits = row[1].strip().removeprefix("-") if len(row) > 1 else ""
+            if not (digits.isascii() and digits.isdigit()):
                 if lineno == 1 and not by_label:
                     continue
                 raise InputError(f"line {lineno}: expected 'label,bound'")
@@ -492,7 +494,7 @@ def cmd_table1(args, out) -> int:
         prob = _problem_from_args(path, args.seats)
         bounds = read_lower_bound(str(args.lower_bound), prob.labels)
         quota = compute_quota(prob)
-        cls_ = classify(quota, bounds, args.seats)
+        cls_ = classify(_integer_quotas(prob), bounds, args.seats)
         year = path.stem
         if not cls_.surplus:
             rows.append((year, len(cls_.small), "none", "", ""))
@@ -541,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seats", required=True, type=int)
     p.add_argument("--lower-bound", default=None)
     p.add_argument("--limit", type=int, default=8,
-                   help="maximum number of states to enumerate exactly")
+                   help="maximum number of states to enumerate exactly "
+                        "(at most 10)")
     add_format(p)
     p.set_defaults(func=cmd_distribution)
 

@@ -2,9 +2,13 @@
 
 A *problem* is a list of states with positive integer populations and a
 non-negative house size.  Each state's quota is its exactly proportional
-share of the house, kept as a rational number throughout: quota ties and
-integrality (a fractional part of exactly zero) are decided exactly, never
-through floating point.  Floats appear only in rendered reports.
+share of the house.  Internally the quotas are carried as integers: a floor
+and a numerator per state over one common denominator, from the census
+through the lower-bound iteration to the kernels.  ``Fraction``s are built
+only at the public API (:class:`QuotaVector`, traces, exact laws) and in
+rendering.  Quota ties and integrality (a fractional part of exactly zero)
+are decided exactly, never through floating point; floats appear only in
+rendered reports.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InputError
 
@@ -119,13 +123,34 @@ def quota_vector(values: Sequence) -> QuotaVector:
     )
 
 
+class _Quotas(NamedTuple):
+    """Quotas ``floors[i] + nums[i] / den``, 0 <= nums[i] < den, den least."""
+
+    floors: tuple[int, ...]
+    nums: tuple[int, ...]
+    den: int
+
+
+def _integer_quotas(prob: Problem) -> _Quotas:
+    """The quotas seats * population / total of a problem, in integers."""
+    total = prob.total_population
+    g = math.gcd(prob.seats, total)
+    seats, den = prob.seats // g, total // g
+    floors, nums = zip(*(divmod(seats * p, den) for p in prob.populations))
+    g = math.gcd(den, *nums)
+    return _Quotas(floors, tuple(n // g for n in nums), den // g)
+
+
 def compute_quota(prob: Problem) -> QuotaVector:
     """Exact quotas seats * population / total for every state."""
-    total = prob.total_population
-    quotas = tuple(Fraction(prob.seats * p, total) for p in prob.populations)
-    qv = quota_vector(quotas)
-    assert sum(qv.quotas, Fraction(0)) == prob.seats
-    return qv
+    floors, nums, den = _integer_quotas(prob)
+    return QuotaVector(
+        quotas=tuple(Fraction(f * den + n, den) for f, n in zip(floors, nums)),
+        floors=floors,
+        fractional=tuple(Fraction(n, den) for n in nums),
+        residual_seats=sum(nums) // den,
+        unsatisfied_count=sum(1 for n in nums if n),
+    )
 
 
 @dataclass(frozen=True)

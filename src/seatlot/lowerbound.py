@@ -24,18 +24,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import (Allocation, Problem, QuotaVector, as_fractions,
-                   compute_quota, validate_lower_bound)
-from .errors import InfeasibleError, InputError
+from .core import (Allocation, Problem, QuotaVector, _integer_quotas,
+                   _Quotas, as_fractions, broadcast_lower_bound,
+                   validate_lower_bound)
+from .errors import ConvergenceError, InfeasibleError, InputError
 from .rng import SeededSource, U53_DENOMINATOR
-from .stochastic import (AllocationDistribution, _scheme_draw,
-                         residual_distribution)
+from .stochastic import (AllocationDistribution, _allocation_law,
+                         _check_fractional, _common_numerators, _scheme_draw)
 
 
 def _quota_values(quota) -> tuple[Fraction, ...]:
     if isinstance(quota, QuotaVector):
         return quota.quotas
     return as_fractions(quota)
+
+
+def _full_numerators(quota) -> tuple[list[int], int]:
+    """Quotas as integer numerators over one denominator: (N, D)."""
+    if isinstance(quota, _Quotas):
+        den = quota.den
+        return [f * den + n for f, n in zip(quota.floors, quota.nums)], den
+    return _common_numerators(_quota_values(quota))
 
 
 @dataclass(frozen=True)
@@ -54,10 +63,10 @@ def classify(quota, bounds: Sequence[int], seats: int) -> StateClassification:
     Raises :class:`InfeasibleError` when a bound exceeds its state's upper
     quota or the bounds alone overflow the house, naming the condition.
     """
-    quotas = _quota_values(quota)
-    bounds = validate_lower_bound(bounds, len(quotas))
-    over = [i for i, (q, b) in enumerate(zip(quotas, bounds))
-            if b > math.ceil(q)]
+    nums, den = _full_numerators(quota)
+    bounds = validate_lower_bound(bounds, len(nums))
+    over = [i for i, (n, b) in enumerate(zip(nums, bounds))
+            if (b - 1) * den >= n]      # b > ceil(n / den)
     if over:
         raise InfeasibleError(
             f"lower bound exceeds upper quota for states {over}",
@@ -68,10 +77,10 @@ def classify(quota, bounds: Sequence[int], seats: int) -> StateClassification:
             diagnostics={"condition": "bounds_exceed_house",
                          "total_bound": sum(bounds), "seats": seats})
     small, exact, surplus = [], [], []
-    for i, (q, b) in enumerate(zip(quotas, bounds)):
-        if q < b:
+    for i, (n, b) in enumerate(zip(nums, bounds)):
+        if n < b * den:
             small.append(i)
-        elif q == b:
+        elif n == b * den:
             exact.append(i)
         else:
             surplus.append(i)
@@ -208,9 +217,16 @@ class IterationTrace:
     rounds: tuple[IterationRound, ...]
     final_active: tuple[int, ...]
     fixed_at_floor: tuple[int, ...]
-    final_quota: Optional[tuple[Fraction, ...]]
+    _composite: Optional[_Quotas]
     feasible: bool
     diagnostics: Optional[str] = None
+
+    @property
+    def final_quota(self) -> Optional[tuple[Fraction, ...]]:
+        if self._composite is None:
+            return None
+        floors, nums, den = self._composite
+        return tuple(Fraction(f * den + n, den) for f, n in zip(floors, nums))
 
 
 def iterate_lower_bound(quota, bounds: Sequence[int],
@@ -220,70 +236,67 @@ def iterate_lower_bound(quota, bounds: Sequence[int],
     All offenders of a round are pinned simultaneously before the ratio is
     recomputed, which keeps the outcome independent of state order.  The
     trace reports infeasibility instead of raising.
+
+    For quotas ``N[i] / D``, an active state's rescaled value is
+    ``remaining * N[i] / sum(N[active])``: every comparison is in integers.
     """
-    quotas = _quota_values(quota)
+    nums, den = _full_numerators(quota)
     try:
-        bounds = validate_lower_bound(bounds, len(quotas))
-        cls_ = classify(quotas, bounds, seats)
+        cls_ = classify(quota, bounds, seats)
     except (InfeasibleError, InputError) as exc:
         return IterationTrace(
             classification=None, rounds=(), final_active=(),
-            fixed_at_floor=(), final_quota=None, feasible=False,
+            fixed_at_floor=(), _composite=None, feasible=False,
             diagnostics=str(exc))
-    floors = [math.floor(q) for q in quotas]
-    ceils = [math.ceil(q) for q in quotas]
+    floors = [n // den for n in nums]
     active = list(cls_.surplus)
     fixed: list[int] = []
     rounds: list[IterationRound] = []
-    values: dict[int, Fraction] = {}
+    remaining = cls_.remaining_seats
     while active:
-        numerator = cls_.remaining_seats - sum(floors[i] for i in fixed)
-        total = sum((quotas[i] for i in active), Fraction(0))
-        scale = Fraction(numerator) / total
-        values = {i: scale * quotas[i] for i in active}
-        offenders = tuple(i for i in active if values[i] < floors[i])
+        total = sum(nums[i] for i in active)
+        scale = Fraction(remaining * den, total)
+        offenders = tuple(i for i in active
+                          if remaining * nums[i] < floors[i] * total)
         rounds.append(IterationRound(tuple(active), scale, offenders))
         if not offenders:
             break
         fixed.extend(offenders)
+        remaining -= sum(floors[i] for i in offenders)
         active = [i for i in active if i not in offenders]
 
-    def _trace(final_quota, feasible, diagnostics=None):
+    def _trace(composite, diagnostics=None):
         return IterationTrace(
             classification=cls_, rounds=tuple(rounds),
             final_active=tuple(active), fixed_at_floor=tuple(fixed),
-            final_quota=final_quota, feasible=feasible,
+            _composite=composite, feasible=composite is not None,
             diagnostics=diagnostics)
 
-    leftover = cls_.remaining_seats - sum(floors[i] for i in fixed)
+    composite = list(bounds)
+    for i in fixed:
+        composite[i] = floors[i]
     if not active:
-        if leftover < 0:
-            return _trace(None, False,
-                          f"quota and the bounds force {seats - leftover} "
-                          f"seats but the house has {seats}")
-        if leftover > 0:
-            return _trace(None, False,
-                          f"{leftover} seat(s) cannot be granted without "
+        if remaining < 0:
+            return _trace(None, f"quota and the bounds force {seats - remaining}"
+                          f" seats but the house has {seats}")
+        if remaining > 0:
+            return _trace(None, f"{remaining} seat(s) cannot be granted without "
                           "pushing some state above its upper quota")
-        composite = [Fraction(bounds[i]) for i in range(len(quotas))]
-        for i in fixed:
-            composite[i] = Fraction(floors[i])
-        return _trace(tuple(composite), True)
-    bad_upper = [i for i in active if values[i] > ceils[i]]
+        return _trace(_Quotas(tuple(composite), (0,) * len(nums), 1))
+    bad_upper = [i for i in active
+                 if remaining * nums[i] > -(-nums[i] // den) * total]
     if bad_upper:
         # Unreachable for quota vectors derived from a problem (the scale
         # never exceeds 1 once small states exist); kept as a guard for raw
         # quota inputs.
-        return _trace(None, False,
-                      f"rescaled quota exceeds upper quota for states {bad_upper}")
-    composite = [Fraction(0)] * len(quotas)
-    for i in cls_.small + cls_.exact:
-        composite[i] = Fraction(bounds[i])
-    for i in fixed:
-        composite[i] = Fraction(floors[i])
+        return _trace(None, "rescaled quota exceeds upper quota for states "
+                      f"{bad_upper}")
+    fracs = [0] * len(nums)
     for i in active:
-        composite[i] = values[i]
-    return _trace(tuple(composite), True)
+        composite[i], fracs[i] = divmod(remaining * nums[i], total)
+    g = math.gcd(total, *fracs)
+    return _trace(_Quotas(tuple(composite), tuple(n // g for n in fracs),
+                          total // g))
 
 
 def trace_audit(trace: IterationTrace) -> dict:
@@ -304,11 +317,20 @@ def trace_audit(trace: IterationTrace) -> dict:
     }
 
 
-def _composite_parts(trace: IterationTrace):
-    final = trace.final_quota
-    floors = [math.floor(v) for v in final]
-    fracs = [v - f for v, f in zip(final, floors)]
-    return floors, fracs
+def _prepare(prob: Problem, bounds):
+    """(floors, nums, den, trace): the scheme's input for ``prob``; the
+    quotas and no trace without bounds (None), else the composite quota
+    vector of the rescaling iteration and its trace."""
+    quotas = _integer_quotas(prob)
+    if bounds is None:
+        return (*quotas, None)
+    bounds = broadcast_lower_bound(bounds, prob.size)
+    trace = iterate_lower_bound(quotas, bounds, prob.seats)
+    if not trace.feasible:
+        raise InfeasibleError(
+            f"no allocation satisfies quota with the given bounds: {trace.diagnostics}",
+            diagnostics=trace.diagnostics, trace=trace)
+    return (*trace._composite, trace)
 
 
 def lower_bound_apportion(prob: Problem, bounds: Sequence[int],
@@ -319,15 +341,8 @@ def lower_bound_apportion(prob: Problem, bounds: Sequence[int],
     the composite quota vector.  The result satisfies quota and the bounds
     with probability one; expected seats equal the composite quota vector.
     """
-    quota = compute_quota(prob)
-    bounds = validate_lower_bound(bounds, prob.size)
-    trace = iterate_lower_bound(quota, bounds, prob.seats)
-    if not trace.feasible:
-        raise InfeasibleError(
-            f"no allocation satisfies quota with the given bounds: {trace.diagnostics}",
-            diagnostics=trace.diagnostics, trace=trace)
-    floors, fracs = _composite_parts(trace)
-    seats, order, u53 = _scheme_draw(floors, fracs, src)
+    floors, nums, den, trace = _prepare(prob, bounds)
+    seats, order, u53 = _scheme_draw(floors, nums, den, src)
     audit = {
         "permutation": order,
         "u_numerator": u53,
@@ -341,20 +356,16 @@ def lower_bound_apportion(prob: Problem, bounds: Sequence[int],
 def lower_bound_distribution(prob: Problem, bounds: Sequence[int],
                              *, limit: int = 8) -> AllocationDistribution:
     """Exact law of the bounded scheme (small state counts only)."""
-    quota = compute_quota(prob)
-    bounds = validate_lower_bound(bounds, prob.size)
-    trace = iterate_lower_bound(quota, bounds, prob.seats)
-    if not trace.feasible:
-        raise InfeasibleError(
-            f"no allocation satisfies quota with the given bounds: {trace.diagnostics}",
-            diagnostics=trace.diagnostics, trace=trace)
-    floors, fracs = _composite_parts(trace)
-    law = residual_distribution(fracs, average_orders=True, limit=limit)
-    shifted = {
-        tuple(f + b for f, b in zip(floors, bits)): p
-        for bits, p in law.items()
-    }
-    return AllocationDistribution(shifted)
+    floors, nums, den, _trace = _prepare(prob, bounds)
+    return _allocation_law(floors, nums, den, limit=limit)
+
+
+def _split(values) -> tuple[list[int], list[int], int]:
+    """(floors, nums, den) of values whose fractions total an integer."""
+    floors = [math.floor(v) for v in values]
+    fracs = [v - f for v, f in zip(values, floors)]
+    _check_fractional(fracs)
+    return (floors, *_common_numerators(fracs))
 
 
 def resample_until_quota(adjusted: AdjustedQuota, src: SeededSource,
@@ -365,10 +376,9 @@ def resample_until_quota(adjusted: AdjustedQuota, src: SeededSource,
     shifts the expectations away from the values, so the accepted law is
     not fair.  Seats are indexed by ``adjusted.indices``.
     """
-    floors = [math.floor(v) for v in adjusted.values]
-    fracs = [v - f for v, f in zip(adjusted.values, floors)]
+    floors, nums, den = _split(adjusted.values)
     for attempt in range(1, cap + 1):
-        seats, order, u53 = _scheme_draw(floors, fracs, src)
+        seats, order, u53 = _scheme_draw(floors, nums, den, src)
         if all(f <= a <= c for a, f, c in
                zip(seats, adjusted.original_floors,
                    adjusted.original_ceilings)):
@@ -376,7 +386,6 @@ def resample_until_quota(adjusted: AdjustedQuota, src: SeededSource,
                 seats=tuple(seats), method="resample-until-quota",
                 seed=src.seed,
                 audit={"rounds": attempt, "indices": list(adjusted.indices)})
-    from .errors import ConvergenceError
     raise ConvergenceError(f"no quota-satisfying outcome in {cap} runs")
 
 
@@ -385,20 +394,14 @@ def resample_conditional_law(adjusted: AdjustedQuota,
     """Exact law of ``resample_until_quota``: the scheme's law on the
     adjusted values, restricted to quota-satisfying outcomes and
     renormalized."""
-    floors = [math.floor(v) for v in adjusted.values]
-    fracs = [v - f for v, f in zip(adjusted.values, floors)]
-    law = residual_distribution(fracs, average_orders=True, limit=limit)
-    kept: dict[tuple[int, ...], Fraction] = {}
-    total = Fraction(0)
-    for bits, p in law.items():
-        seats = tuple(f + b for f, b in zip(floors, bits))
-        if all(f <= a <= c for a, f, c in
-               zip(seats, adjusted.original_floors,
-                   adjusted.original_ceilings)):
-            kept[seats] = kept.get(seats, Fraction(0)) + p
-            total += p
+    law = _allocation_law(*_split(adjusted.values), limit=limit)
+    kept = {seats: p for seats, p in law.items()
+            if all(f <= a <= c for a, f, c in
+                   zip(seats, adjusted.original_floors,
+                       adjusted.original_ceilings))}
     if not kept:
         raise InfeasibleError("no quota-satisfying outcome has positive probability")
+    total = sum(kept.values(), Fraction(0))
     return AllocationDistribution({k: p / total for k, p in kept.items()})
 
 

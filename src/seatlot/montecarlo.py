@@ -19,10 +19,9 @@ from .core import (Problem, QuotaVector, broadcast_lower_bound,
                    compute_quota)
 from .divisor import resolve_method
 from .errors import CapacityError, InputError
-from .lowerbound import _composite_parts, iterate_lower_bound
+from .lowerbound import _prepare
 from .rng import SeededSource, child_seed
-from .stochastic import _common_numerators, exact_distribution
-from .errors import InfeasibleError
+from .stochastic import _seats_from_mask, exact_distribution
 
 
 @dataclass(frozen=True)
@@ -57,25 +56,6 @@ class SimulationReport:
         return math.sqrt(self.variance(i) / self.replicates)
 
 
-def _stochastic_inputs(prob: Problem, lower_bounds):
-    quota = compute_quota(prob)
-    if lower_bounds is None:
-        bounds = (0,) * prob.size
-        floors, fracs = list(quota.floors), list(quota.fractional)
-        method = "stochastic"
-    else:
-        bounds = broadcast_lower_bound(lower_bounds, prob.size)
-        trace = iterate_lower_bound(quota, bounds, prob.seats)
-        if not trace.feasible:
-            raise InfeasibleError(
-                f"no allocation satisfies quota with the given bounds: "
-                f"{trace.diagnostics}", diagnostics=trace.diagnostics,
-                trace=trace)
-        floors, fracs = _composite_parts(trace)
-        method = "stochastic-lower-bound"
-    return quota, bounds, floors, fracs, method
-
-
 def simulate(method, prob: Problem, master_seed: int, n: int,
              lower_bounds=None) -> SimulationReport:
     """Run n independent replicates of a method and tally exactly.
@@ -87,21 +67,20 @@ def simulate(method, prob: Problem, master_seed: int, n: int,
     """
     if n < 1:
         raise InputError("replicate count must be at least 1")
+    quota = compute_quota(prob)
+    bounds = ((0,) * prob.size if lower_bounds is None
+              else broadcast_lower_bound(lower_bounds, prob.size))
     if method == "stochastic":
-        quota, bounds, floors, fracs, name = _stochastic_inputs(
-            prob, lower_bounds)
-        nums, den = _common_numerators(fracs)
+        floors, nums, den, trace = _prepare(prob, lower_bounds)
         sums, sumsqs, qviol, bviol, mismatches, _masks = _backend.simulate_batch(
             floors, nums, den, list(quota.floors), list(quota.ceilings),
             list(bounds), master_seed, n, prob.seats)
         return SimulationReport(
-            method=name, master_seed=master_seed, replicates=n,
+            method="stochastic" if trace is None else "stochastic-lower-bound",
+            master_seed=master_seed, replicates=n,
             labels=prob.labels, seat_sums=tuple(sums),
             seat_sumsqs=tuple(sumsqs), quota_violations=qviol,
             bound_violations=bviol, sum_mismatches=mismatches)
-    quota = compute_quota(prob)
-    bounds = ((0,) * prob.size if lower_bounds is None
-              else broadcast_lower_bound(lower_bounds, prob.size))
     if callable(method):
         name = getattr(method, "__name__", "custom")
         sums = [0] * prob.size
@@ -148,17 +127,17 @@ def empirical_distribution(prob: Problem, master_seed: int, n: int,
     """Allocation -> count over n seeded replicates of the scheme."""
     if prob.size > 16:
         raise CapacityError("empirical distribution tracking supports at most 16 states")
-    quota, bounds, floors, fracs, _name = _stochastic_inputs(
-        prob, lower_bounds)
-    nums, den = _common_numerators(fracs)
+    quota = compute_quota(prob)
+    bounds = ((0,) * prob.size if lower_bounds is None
+              else broadcast_lower_bound(lower_bounds, prob.size))
+    floors, nums, den, _trace = _prepare(prob, lower_bounds)
     _sums, _sumsqs, _qv, _bv, _mm, masks = _backend.simulate_batch(
         floors, nums, den, list(quota.floors), list(quota.ceilings),
         list(bounds), master_seed, n, prob.seats)
     out = {}
     for mask, count in enumerate(masks):
         if count:
-            seats = tuple(f + ((mask >> i) & 1)
-                          for i, f in enumerate(floors))
+            seats = _seats_from_mask(floors, mask)
             out[seats] = out.get(seats, 0) + count
     return dict(sorted(out.items()))
 

@@ -29,11 +29,14 @@ from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from . import _backend, _kernels_py
-from .core import Allocation, Problem, as_fractions, compute_quota
+from .core import Allocation, Problem, _integer_quotas, as_fractions
 from .errors import CapacityError, ConvergenceError, InputError
 from .rng import SeededSource, U53_DENOMINATOR
 
 ENUMERATION_LIMIT = 8
+# Enumerating s states costs (s-1)! orderings and 2**s mask cells; no limit
+# may raise the state count past this.
+_ENUMERATION_CEILING = 10
 
 
 def random_permutation(n: int, src: SeededSource) -> tuple[int, ...]:
@@ -102,10 +105,8 @@ def systematic_round(fracs: Sequence, u) -> list[int]:
     if not 0 <= u < 1:
         raise InputError(f"offset must lie in [0, 1), got {u}")
     _check_fractional(fracs)
-    den = math.lcm(u.denominator,
-                   *(f.denominator for f in fracs)) if fracs else 1
-    nums = [int(f * den) for f in fracs]
-    return _kernels_py.systematic_round_ints(nums, den, int(u * den))
+    nums, den = _common_numerators([*fracs, u])
+    return _kernels_py.systematic_round_ints(nums[:-1], den, nums[-1])
 
 
 def stochastic_apportion(prob: Problem, src: SeededSource) -> Allocation:
@@ -115,8 +116,7 @@ def stochastic_apportion(prob: Problem, src: SeededSource) -> Allocation:
     the state ordering used and the uniform offset (as a dyadic rational),
     which replay the draw exactly.
     """
-    quota = compute_quota(prob)
-    seats, order, u53 = _scheme_draw(quota.floors, quota.fractional, src)
+    seats, order, u53 = _scheme_draw(*_integer_quotas(prob), src)
     return Allocation(
         seats=tuple(seats),
         method="stochastic",
@@ -129,20 +129,21 @@ def stochastic_apportion(prob: Problem, src: SeededSource) -> Allocation:
     )
 
 
-def _scheme_draw(floors: Sequence[int], fracs: Sequence[Fraction],
-                 src: SeededSource) -> tuple[list[int], tuple[int, ...], int]:
+def _scheme_draw(floors: Sequence[int], nums: Sequence[int], den: int,
+                 src: SeededSource) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Shuffle, draw, round; returns (seats, ordering, offset numerator)."""
-    s = len(floors)
-    order = random_permutation(s, src)
+    order = random_permutation(len(floors), src)
     u53 = src.bits53()
-    nums, den = _common_numerators(list(fracs))
     pos = _kernels_py.position_from_bits53(u53, den)
-    ordered = [nums[i] for i in order]
-    inds = _kernels_py.systematic_round_ints(ordered, den, pos)
-    seats = list(floors)
-    for k, i in enumerate(order):
-        seats[i] += inds[k]
-    return seats, order, u53
+    inds = _kernels_py.systematic_round_ints([nums[i] for i in order], den,
+                                             pos)
+    mask = sum(bit << i for bit, i in zip(inds, order))
+    return _seats_from_mask(floors, mask), order, u53
+
+
+def _seats_from_mask(floors: Sequence[int], mask: int) -> tuple[int, ...]:
+    """``floors`` plus one seat for every state whose bit is set in mask."""
+    return tuple(f + ((mask >> i) & 1) for i, f in enumerate(floors))
 
 
 class AllocationDistribution:
@@ -190,25 +191,35 @@ class AllocationDistribution:
         return dict(sorted(law.items()))
 
 
-def _indicator_law(fracs: Sequence[Fraction],
-                   average_orders: bool) -> dict[tuple[int, ...], Fraction]:
-    nums, den = _common_numerators(list(fracs))
-    s = len(fracs)
+def _allocation_law(floors: Sequence[int], nums: Sequence[int], den: int, *,
+                    average_orders: bool = True,
+                    limit: int = ENUMERATION_LIMIT) -> AllocationDistribution:
+    """Exact law of ``floors`` plus the residual seats drawn on ``nums / den``.
+
+    Every exact law is computed here, so the state-count checks run before
+    any kernel is called.
+    """
+    s = len(nums)
+    if s > limit:
+        raise CapacityError(
+            f"exact enumeration supports at most {limit} states, got {s}")
+    if s > _ENUMERATION_CEILING:
+        raise CapacityError(
+            f"exact enumeration is capped at {_ENUMERATION_CEILING} states "
+            f"whatever the limit, got {s}")
     if average_orders:
-        lengths = _backend.averaged_mask_lengths(nums, den, True)
-        orders = math.factorial(s - 1) if s > 1 else 1
-        total = den * orders
-        law: dict[tuple[int, ...], Fraction] = {}
-        for mask, length in enumerate(lengths):
-            if length:
-                key = tuple((mask >> i) & 1 for i in range(s))
-                law[key] = Fraction(length, total)
-        return law
-    law = {}
-    for mask, length in _kernels_py.fixed_order_cells(nums, den):
-        key = tuple((mask >> i) & 1 for i in range(s))
-        law[key] = law.get(key, Fraction(0)) + Fraction(length, den)
-    return law
+        cells = enumerate(_backend.averaged_mask_lengths(nums, den, True))
+        total = den * (math.factorial(s - 1) if s > 1 else 1)
+    else:
+        cells = _kernels_py.fixed_order_cells(nums, den)
+        total = den
+    lengths: dict[tuple[int, ...], int] = {}
+    for mask, length in cells:
+        if length:
+            seats = _seats_from_mask(floors, mask)
+            lengths[seats] = lengths.get(seats, 0) + length
+    return AllocationDistribution(
+        {seats: Fraction(n, total) for seats, n in lengths.items()})
 
 
 def residual_distribution(fracs: Sequence, *, average_orders: bool = True,
@@ -221,10 +232,8 @@ def residual_distribution(fracs: Sequence, *, average_orders: bool = True,
     """
     fracs = as_fractions(fracs)
     _check_fractional(fracs)
-    if len(fracs) > limit:
-        raise CapacityError(
-            f"exact enumeration supports at most {limit} states, got {len(fracs)}")
-    return AllocationDistribution(_indicator_law(fracs, average_orders))
+    return _allocation_law((0,) * len(fracs), *_common_numerators(fracs),
+                           average_orders=average_orders, limit=limit)
 
 
 def exact_distribution(prob: Problem, *,
@@ -235,16 +244,7 @@ def exact_distribution(prob: Problem, *,
     every support vector satisfies quota; this is the sampling-free oracle
     against which the scheme is verified.
     """
-    if prob.size > limit:
-        raise CapacityError(
-            f"exact enumeration supports at most {limit} states, got {prob.size}")
-    quota = compute_quota(prob)
-    law = _indicator_law(list(quota.fractional), True)
-    shifted = {
-        tuple(f + b for f, b in zip(quota.floors, bits)): p
-        for bits, p in law.items()
-    }
-    return AllocationDistribution(shifted)
+    return _allocation_law(*_integer_quotas(prob), limit=limit)
 
 
 def conditional_sampling_allocate(fracs: Sequence, residual: int,

@@ -12,8 +12,6 @@ import itertools
 import math
 from fractions import Fraction
 
-from seatlot.core import compute_quota
-
 
 def interval_contains_integer(left: Fraction, right: Fraction) -> bool:
     """Direct definition: does [left, right) contain an integer?"""
@@ -108,10 +106,48 @@ def exists_allocation_product(lows, highs, total) -> bool:
 
 def quota_bound_feasible(prob, bounds) -> bool:
     """Does any allocation satisfy quota and the lower bounds?  Brute force."""
-    quota = compute_quota(prob)
-    lows = [max(b, f) for b, f in zip(bounds, quota.floors)]
-    highs = list(quota.ceilings)
+    total = sum(prob.populations)
+    quotas = [Fraction(prob.seats * p, total) for p in prob.populations]
+    lows = [max(b, math.floor(q)) for b, q in zip(bounds, quotas)]
+    highs = [math.ceil(q) for q in quotas]
     return exists_allocation(lows, highs, prob.seats)
+
+
+def rescale_and_pin(quotas, bounds, seats):
+    """The lower-bound iteration in Fraction arithmetic.
+
+    States whose quota is at most their bound get the bound; the others
+    share the remaining seats in proportion to their quotas, and every
+    state pushed below its lower quota is pinned there before the next
+    round.  Returns (feasible, rounds, final quota), each round an
+    (active, scale, pinned) triple; the final quota is None when infeasible.
+    """
+    quotas = [Fraction(q) for q in quotas]
+    floors = [math.floor(q) for q in quotas]
+    ceils = [math.ceil(q) for q in quotas]
+    if any(b > c for b, c in zip(bounds, ceils)) or sum(bounds) > seats:
+        return False, [], None
+    active = [i for i, (q, b) in enumerate(zip(quotas, bounds)) if q > b]
+    left = seats - sum(b for q, b in zip(quotas, bounds) if q <= b)
+    pinned, rounds, values = [], [], {}
+    while active:
+        scale = Fraction(left) / sum(quotas[i] for i in active)
+        values = {i: scale * quotas[i] for i in active}
+        below = tuple(i for i in active if values[i] < floors[i])
+        rounds.append((tuple(active), scale, below))
+        if not below:
+            break
+        pinned.extend(below)
+        left -= sum(floors[i] for i in below)
+        active = [i for i in active if i not in below]
+    if (not active and left != 0) or any(values[i] > ceils[i] for i in active):
+        return False, rounds, None
+    final = [Fraction(b) for b in bounds]
+    for i in pinned:
+        final[i] = Fraction(floors[i])
+    for i in active:
+        final[i] = values[i]
+    return True, rounds, tuple(final)
 
 
 def oracle_priority(rule_name: str, pop: int, seats_so_far: int):

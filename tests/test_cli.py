@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from seatlot import _backend
 from seatlot.cli import (decimal_str, fraction_str, main, parse_census,
                          parse_fraction, parse_quota_file)
 from seatlot.errors import InputError
@@ -56,6 +57,16 @@ def test_parse_census_bad_population_with_line():
         parse_census(io.StringIO("A,0\n"))
     with pytest.raises(InputError):
         parse_census(io.StringIO("A,-3\n"))
+
+
+def test_census_non_ascii_digit_is_an_input_error(tmp_path, capsys):
+    # "\u00b2".isdigit() holds but int() rejects it.
+    path = tmp_path / "states.csv"
+    path.write_text("A,2\nB,\u00b2\n", encoding="utf-8")
+    code, _ = run_cli(["apportion", "--data", str(path), "--seats", "3",
+                       "--method", "hamilton"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: line 2: ")
 
 
 def test_parse_census_empty_file():
@@ -186,6 +197,19 @@ def test_apportion_lower_bound_file(tmp_path, census):
     assert code == 2
 
 
+@pytest.mark.parametrize("bound", ["\u00b2", "--1"])
+def test_lower_bound_file_bad_number_is_an_input_error(tmp_path, census,
+                                                       capsys, bound):
+    # Both pass a str.isdigit() test (after stripping every "-") that int()
+    # then fails.
+    bounds = tmp_path / "bounds.csv"
+    bounds.write_text(f"B,1\nA,{bound}\n", encoding="utf-8")
+    code, _ = run_cli(["apportion", "--data", census, "--seats", "7",
+                       "--method", "stochastic", "--lower-bound", str(bounds)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
 def test_apportion_hamilton_rejects_bounds(census):
     code, _ = run_cli(["apportion", "--data", census, "--seats", "7",
                        "--method", "hamilton", "--lower-bound", "1"])
@@ -240,10 +264,21 @@ def test_distribution_lower_bound(tmp_path):
     assert masses[0]["allocation"] == "1 2 5"
 
 
-def test_distribution_capacity_exit(tmp_path):
+def test_distribution_capacity_exit(tmp_path, monkeypatch):
     path = tmp_path / "big.csv"
     path.write_text("".join(f"S{i},{i + 1}\n" for i in range(9)))
     code, _ = run_cli(["distribution", "--data", str(path), "--seats", "4"])
+    assert code == 2
+
+    # --limit cannot lift the state count past the ceiling; the refusal
+    # comes before the kernel would allocate 2**30 cells.
+    def kernel(*args):
+        raise AssertionError("kernel called past the ceiling")
+
+    monkeypatch.setattr(_backend, "averaged_mask_lengths", kernel)
+    path.write_text("".join(f"S{i},{i + 1}\n" for i in range(30)))
+    code, _ = run_cli(["distribution", "--data", str(path), "--seats", "4",
+                       "--limit", "30"])
     assert code == 2
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from seatlot import (InputError, Problem, compute_quota,
                      feasible_with_lower_bound, problem, quota_vector,
                      satisfies_quota)
-from seatlot.core import Allocation, broadcast_lower_bound
+from seatlot.core import Allocation, _integer_quotas, broadcast_lower_bound
 
 from oracles import quota_bound_feasible
 
@@ -49,7 +50,15 @@ populations = st.lists(st.integers(min_value=1, max_value=10 ** 6),
 @given(populations, st.integers(min_value=0, max_value=2000))
 @settings(max_examples=200, deadline=None)
 def test_quota_invariants(pops, seats):
-    q = compute_quota(problem(pops, seats))
+    prob = problem(pops, seats)
+    q = compute_quota(prob)
+    # The integer form: floors plus numerators over the least common
+    # denominator of the fractional parts.
+    floors, nums, den = _integer_quotas(prob)
+    assert q.quotas == tuple(F(seats * p, sum(pops)) for p in pops)
+    assert q.quotas == tuple(f + F(n, den) for f, n in zip(floors, nums))
+    assert all(0 <= n < den for n in nums)
+    assert math.gcd(den, *nums) == 1
     assert sum(q.quotas) == seats
     assert all(0 <= f < 1 for f in q.fractional)
     assert sum(q.fractional) == q.residual_seats

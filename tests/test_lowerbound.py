@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seatlot import (InfeasibleError, InputError, SeededSource, compute_quota,
                      feasible_with_lower_bound, problem, quota_vector,
@@ -12,10 +14,11 @@ from seatlot.lowerbound import (adjusted_quota_from_values, classify,
                                 resample_conditional_law,
                                 resample_until_quota, scaled_fractional_quota,
                                 trace_audit, violation_probability_bound)
-from seatlot.stochastic import exact_distribution
+from seatlot.core import _integer_quotas
+from seatlot.stochastic import _common_numerators, exact_distribution
 
 from fixtures import RESAMPLE_UNFAIR, TABLE_OFFENDER_PAIRS
-from oracles import quota_bound_feasible
+from oracles import quota_bound_feasible, rescale_and_pin
 
 HALF_CASE = quota_vector([F(1, 2), F(5, 2), F(5)])     # sums to 8
 TINY_CASE = quota_vector([F(1, 3), F(1, 3), F(7, 3)])  # sums to 3
@@ -144,7 +147,6 @@ def test_bound_validity_against_simulation():
     # frequency never exceeds the verbatim bound and, with exactly one
     # offender, sits within 4 standard errors of the attainable union bound.
     from seatlot import _backend
-    from seatlot.stochastic import _common_numerators
 
     cls_ = classify(HALF_CASE, (1, 1, 1), 8)
     adj = equal_representation_quota(cls_, HALF_CASE)
@@ -263,6 +265,49 @@ def test_iterate_seat_conservation_and_bounds():
             mass = rnd.scale * sum(quota.quotas[i] for i in rnd.active)
             assert mass + sum(quota.floors[i] for i in pinned) \
                 == cls_.remaining_seats
+
+
+def _assert_matches_rescale_and_pin(quota, bounds, seats):
+    trace = iterate_lower_bound(quota, bounds, seats)
+    feasible, rounds, final = rescale_and_pin(
+        getattr(quota, "quotas", quota), bounds, seats)
+    assert trace.feasible == feasible
+    assert [(r.active, r.scale, r.fixed) for r in trace.rounds] == rounds
+    assert trace.final_quota == final
+    if feasible:
+        # The integer composite is what the kernels receive: floors and
+        # numerators over the least common denominator of the fractions.
+        floors = tuple(v.numerator // v.denominator for v in final)
+        nums, den = _common_numerators([v - f for v, f in zip(final, floors)])
+        assert trace._composite == (floors, tuple(nums), den)
+    return trace
+
+
+@given(st.lists(st.integers(min_value=1, max_value=400), min_size=1,
+                max_size=8), st.integers(min_value=0, max_value=60),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_iteration_matches_fraction_reference_on_problems(pops, seats, data):
+    bounds = data.draw(st.lists(st.integers(min_value=0, max_value=3),
+                                min_size=len(pops), max_size=len(pops)))
+    prob = problem(pops, seats)
+    trace = _assert_matches_rescale_and_pin(compute_quota(prob), bounds,
+                                            seats)
+    assert iterate_lower_bound(_integer_quotas(prob), bounds, seats) == trace
+
+
+@given(st.lists(st.fractions(min_value=0, max_value=30, max_denominator=12),
+                min_size=1, max_size=8), st.integers(min_value=-1, max_value=1),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_iteration_matches_fraction_reference_on_raw_tables(quotas, slack,
+                                                            data):
+    # The bound-check CLI passes quota tables that need not sum to the
+    # house; a house near their total keeps most of them feasible.
+    seats = max(0, int(sum(quotas)) + slack)
+    bounds = data.draw(st.lists(st.integers(min_value=0, max_value=3),
+                                min_size=len(quotas), max_size=len(quotas)))
+    _assert_matches_rescale_and_pin(quota_vector(quotas), bounds, seats)
 
 
 def test_trace_audit_json_ready():
@@ -388,7 +433,6 @@ def test_resample_acceptance_probability_single_small_gap():
     assert accept == F("0.962")
     # mean rounds over a large seeded batch agrees with 1/0.962
     from seatlot import _kernels_py
-    from seatlot.stochastic import _common_numerators
 
     nums, den = _common_numerators(fracs)
     n = 50_000

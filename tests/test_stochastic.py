@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seatlot import (CapacityError, InputError, SeededSource, compute_quota,
-                     problem, satisfies_quota)
+from seatlot import (CapacityError, InputError, SeededSource, _backend,
+                     compute_quota, problem, satisfies_quota)
+from seatlot.lowerbound import lower_bound_distribution
 from seatlot.rng import U53_DENOMINATOR
 from seatlot.stochastic import (AllocationDistribution, SystematicDraw,
                                 conditional_sampling_allocate,
@@ -153,10 +154,24 @@ def test_residual_distribution_half_half():
     assert law.probabilities == {(1, 0): F(1, 2), (0, 1): F(1, 2)}
 
 
-def test_exact_distribution_capacity():
+def test_exact_distribution_capacity(monkeypatch):
     with pytest.raises(CapacityError):
         exact_distribution(problem((1,) * 9, 3))
     exact_distribution(problem((1,) * 9, 3), limit=9)
+
+    # No limit lifts the state count past the ceiling, and the refusal
+    # comes before any kernel runs.
+    def kernel(*args):
+        raise AssertionError("kernel called past the ceiling")
+
+    monkeypatch.setattr(_backend, "averaged_mask_lengths", kernel)
+    for s in (11, 30):
+        with pytest.raises(CapacityError):
+            exact_distribution(problem((1,) * s, 3), limit=s)
+        with pytest.raises(CapacityError):
+            lower_bound_distribution(problem((1,) * s, s), (1,) * s, limit=s)
+        with pytest.raises(CapacityError):
+            residual_distribution([F(1, 2)] * 2 + [F(0)] * (s - 2), limit=s)
 
 
 def test_distribution_validates():
