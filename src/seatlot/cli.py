@@ -154,10 +154,8 @@ def read_lower_bound(value: str, labels) -> tuple[int, ...]:
     """Scalar broadcast ('1') or per-state bound file matched by label."""
     if value is None:
         return (0,) * len(labels)
-    try:
+    if value.isascii() and value.removeprefix("-").isdigit():
         return broadcast_lower_bound(int(value), len(labels))
-    except ValueError:
-        pass
     try:
         stream = open(value, "r", encoding="utf-8", newline="")
     except OSError as exc:

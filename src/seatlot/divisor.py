@@ -4,11 +4,17 @@ quota-staying audits, and paradox detectors.
 A divisor method fixes a rounding threshold between consecutive seat counts
 and divides every population by a common price per seat, rounding at the
 threshold; the price is tuned until the seats sum to the house size.  The
-tuning is exact: it amounts to granting the house's seats to the largest
-priority values population/threshold(seats so far), so no floating-point
-search is involved.  Huntington-Hill's irrational threshold sqrt(b*(b+1))
-is compared through squares, which is exact for the non-negative quantities
-involved.
+tuning is exact: the result holds the house's largest priority values
+population/threshold(seats so far), found by jump-and-step.  The jump
+rounds every state at one exact starting price near the final one, which
+grants every seat whose priority is above the price and none whose
+priority is below it; the step then grants the best withheld seats, or
+withdraws the worst granted ones, until the seats sum to the house size.
+The jump misses the house size by fewer seats than there are states, so
+the cost grows with the number of states, not with the house size, and no
+floating-point search is involved.  Huntington-Hill's irrational threshold
+sqrt(b*(b+1)) is compared through squares, which is exact for the
+non-negative quantities involved.
 
 Ties between equal priorities are broken by larger population first, then
 by input position; the rule is arbitrary but fixed, so results are
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import Allocation, Problem, compute_quota
+from .core import Allocation, Problem, _integer_quotas, broadcast_lower_bound
 from .errors import InfeasibleError, InputError
 
 
@@ -114,7 +120,7 @@ def lambda_allocation(prob: Problem, rule: DivisorRule,
         raise InputError(f"price per seat must be positive, got {divisor}")
     out = []
     for pop in prob.populations:
-        x = Fraction(pop) / divisor
+        x = Fraction(pop * divisor.denominator, divisor.numerator)
         b = math.floor(x)
         out.append(b + 1 if rule.rounds_up(x, b) else b)
     return tuple(out)
@@ -123,10 +129,13 @@ def lambda_allocation(prob: Problem, rule: DivisorRule,
 def divisor_apportion(prob: Problem, rule: DivisorRule) -> Allocation:
     """Tune the price per seat so the rounded seats sum to the house size.
 
-    Implemented as exact selection of the house's largest priority values;
-    the audit records the priority at the cut and the next one below it
-    (any price strictly between them reproduces the allocation), squared
-    for rules compared through squares.
+    Implemented as exact selection of the house's largest priority values
+    by jump-and-step: one allocation at a starting price misses the house
+    size by fewer seats than there are states, and those seats are granted
+    or withdrawn one at a time in priority order, so the cost does not grow
+    with the house size.  The audit records the priority at the cut and
+    the next one below it (any price strictly between them reproduces the
+    allocation), squared for rules compared through squares.
     """
     s = prob.size
     r = prob.seats
@@ -134,23 +143,12 @@ def divisor_apportion(prob: Problem, rule: DivisorRule) -> Allocation:
         raise InfeasibleError(
             f"{rule.name} grants every state a seat, impossible with "
             f"{r} seats for {s} states")
-    seats = [0] * s
     if r == 0:
-        return Allocation(seats=tuple(seats), method=rule.name,
+        return Allocation(seats=(0,) * s, method=rule.name,
                           audit={"cut_priority": None, "next_priority": None,
                                  "squared": rule.squared_priority})
-    heap = []
-    for i, pop in enumerate(prob.populations):
-        heap.append(_priority_key(rule, pop, 0, i))
-    heapq.heapify(heap)
-    cut_key = None
-    for _ in range(r):
-        cut_key = heapq.heappop(heap)
-        i = cut_key[3]
-        seats[i] += 1
-        heapq.heappush(
-            heap, _priority_key(rule, prob.populations[i], seats[i], i))
-    next_key = heap[0]
+    seats, cut_key, next_key = _jump_and_step(prob, rule, (0,) * s,
+                                              range(s), r)
     audit = {
         "cut_priority": _key_priority(cut_key),
         "next_priority": _key_priority(next_key),
@@ -172,6 +170,103 @@ def _key_priority(key) -> Optional[Fraction]:
     return None if key[0] == 0 else -key[1]
 
 
+def _worst_first(key):
+    # The key with its order reversed, for a min-heap of granted seats.
+    # Applied twice it gives the key back.
+    return tuple(-x for x in key)
+
+
+# Twice the rule's split minus one, where the split is the position of the
+# rounding threshold between b and b + 1 for large b: Adams 0, Dean, Hill
+# and Webster 1/2, Jefferson 1.  It only centres the starting price.
+_SPLIT_OFFSET = {"adams": -1, "dean": 0, "hill": 0, "webster": 0,
+                 "jefferson": 1}
+
+
+def _jump_price(prob: Problem, rule: DivisorRule, floors: Sequence[int],
+                states: Sequence[int], target: int) -> Fraction:
+    """A starting price at which the seats of ``states``, rounded at the
+    price and raised to their floors, miss ``target`` by fewer seats than
+    there are states.
+
+    With zero floors this is P / (target + s * (split - 1/2)) for the
+    population P and number s of ``states``.  A state whose floor lies
+    above its share at the price is held at its floor, and the price is
+    recomputed over the others.  The price only rises from round to round,
+    so a held state stays at its floor.
+    """
+    pops = prob.populations
+    offset = _SPLIT_OFFSET.get(rule.name, 0)
+    active = list(states)
+    left = target
+    price = Fraction(0)
+    while True:
+        denom = 2 * left + offset * len(active)
+        price = max(price, Fraction(2 * sum(pops[i] for i in active),
+                                    max(denom, 1)))
+        if denom <= 0:
+            # Only Adams gets here, with at most half a seat per state left
+            # to grant.  Every active share is now under half a seat, so no
+            # state gets more than one seat above its floor.
+            return price
+        # A state with a zero floor is never held: its floor clips nothing.
+        num, den = price.numerator, price.denominator
+        held = {i for i in active if floors[i] and 2 * pops[i] * den
+                < (2 * floors[i] + offset) * num}
+        if not held:
+            return price
+        left -= sum(floors[i] for i in held)
+        active = [i for i in active if i not in held]
+
+
+def _jump_and_step(prob: Problem, rule: DivisorRule, floors: Sequence[int],
+                   states: Sequence[int], target: int):
+    """Grant ``states`` the seats above their ``floors`` with the best
+    priority keys, so that their seats total ``target``.
+
+    Returns the seat list with the worst granted key and the best withheld
+    key.  The jump gives every state the onward seats whose priority is
+    above the starting price (for Jefferson: not below it), which is a
+    prefix of the priority order.  So the step grants the best withheld
+    seats from a heap of next seats, or withdraws the worst granted ones
+    from a heap of last granted seats, one step per seat the jump missed
+    by; and the last seat moved, if any, is the other end of the audit.
+    """
+    pops = prob.populations
+    jump = lambda_allocation(
+        prob, rule, _jump_price(prob, rule, floors, states, target))
+    seats = list(floors)
+    for i in states:
+        seats[i] = max(floors[i], jump[i])
+    total = sum(seats[i] for i in states)
+    if total > target:
+        granted = [_worst_first(_priority_key(rule, pops[i], seats[i] - 1, i))
+                   for i in states if seats[i] > floors[i]]
+        heapq.heapify(granted)
+        while total > target:
+            best_withheld = _worst_first(heapq.heappop(granted))
+            i = best_withheld[3]
+            seats[i] -= 1
+            total -= 1
+            if seats[i] > floors[i]:
+                heapq.heappush(granted, _worst_first(
+                    _priority_key(rule, pops[i], seats[i] - 1, i)))
+        return seats, _worst_first(granted[0]), best_withheld
+    withheld = [_priority_key(rule, pops[i], seats[i], i) for i in states]
+    heapq.heapify(withheld)
+    worst_granted = None
+    while total < target:
+        worst_granted = heapq.heappop(withheld)
+        i = worst_granted[3]
+        seats[i] += 1
+        total += 1
+        heapq.heappush(withheld, _priority_key(rule, pops[i], seats[i], i))
+    if worst_granted is None:
+        worst_granted = max(_priority_key(rule, pops[i], seats[i] - 1, i)
+                            for i in states if seats[i] > floors[i])
+    return seats, worst_granted, withheld[0]
+
+
 def divisor_with_bounds(prob: Problem, rule: DivisorRule,
                         bounds: Sequence[int]) -> Allocation:
     """Current-practice variant: grant each state its minimum, then let the
@@ -183,33 +278,23 @@ def divisor_with_bounds(prob: Problem, rule: DivisorRule,
     With a minimum of one seat and the equal-proportions rule this is the
     method used for the US House today.
     """
-    from .core import broadcast_lower_bound
-
     bounds = broadcast_lower_bound(bounds, prob.size)
     granted = sum(bounds)
     if granted > prob.seats:
         raise InfeasibleError(
             f"minimum seats sum to {granted} > {prob.seats} seats")
-    quota = compute_quota(prob)
-    seats = list(bounds)
     residual = prob.seats - granted
-    competitors = [i for i in range(prob.size)
-                   if quota.quotas[i] > bounds[i]]
+    total = prob.total_population
+    competitors = [i for i, (p, b) in enumerate(zip(prob.populations, bounds))
+                   if prob.seats * p > b * total]
     if residual == 0:
-        return Allocation(seats=tuple(seats), method=f"{rule.name}+bounds")
+        return Allocation(seats=bounds, method=f"{rule.name}+bounds")
     if not competitors:
         raise InfeasibleError(
             "seats remain but every state already meets or exceeds its quota")
-    heap = []
-    for i in competitors:
-        heap.append(_priority_key(rule, prob.populations[i], seats[i], i))
-    heapq.heapify(heap)
-    for _ in range(residual):
-        key = heapq.heappop(heap)
-        i = key[3]
-        seats[i] += 1
-        heapq.heappush(
-            heap, _priority_key(rule, prob.populations[i], seats[i], i))
+    seats, _, _ = _jump_and_step(
+        prob, rule, bounds, competitors,
+        residual + sum(bounds[i] for i in competitors))
     return Allocation(seats=tuple(seats), method=f"{rule.name}+bounds")
 
 
@@ -218,12 +303,11 @@ def hamilton_apportion(prob: Problem) -> Allocation:
 
     Remainder ties go to the larger population, then to the earlier state.
     """
-    quota = compute_quota(prob)
-    seats = list(quota.floors)
-    order = sorted(
-        range(prob.size),
-        key=lambda i: (-quota.fractional[i], -prob.populations[i], i))
-    for i in order[:quota.residual_seats]:
+    floors, nums, den = _integer_quotas(prob)
+    seats = list(floors)
+    order = sorted(range(prob.size),
+                   key=lambda i: (-nums[i], -prob.populations[i], i))
+    for i in order[:sum(nums) // den]:
         seats[i] += 1
     return Allocation(seats=tuple(seats), method="hamilton")
 
@@ -390,15 +474,15 @@ def quota_staying_check(method, corpus: Sequence[Problem]) -> QuotaStayingSummar
     lower = upper = 0
     lower_witness = upper_witness = None
     for prob in corpus:
-        quota = compute_quota(prob)
+        floors, nums, _ = _integer_quotas(prob)
         seats = fn(prob).seats
         for i in range(prob.size):
-            if seats[i] < quota.floors[i]:
+            if seats[i] < floors[i]:
                 lower += 1
                 if lower_witness is None:
                     lower_witness = {"populations": list(prob.populations),
                                      "seats": prob.seats, "state": i}
-            if seats[i] > quota.ceilings[i]:
+            if seats[i] > floors[i] + (1 if nums[i] else 0):
                 upper += 1
                 if upper_witness is None:
                     upper_witness = {"populations": list(prob.populations),

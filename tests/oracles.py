@@ -170,22 +170,56 @@ def oracle_priority(rule_name: str, pop: int, seats_so_far: int):
     raise ValueError(rule_name)
 
 
-def priority_list_apportion(prob, rule_name: str) -> tuple:
-    """Apportion by sorting the complete priority list and taking the top
-    seats (ties: larger population first, then earlier state)."""
-    r = prob.seats
-    s = prob.size
+def _priority_list(pops, rule_name: str, starts, count: int) -> list:
+    """The next ``count`` seats of every state after its ``starts`` seats,
+    best first: (priority, state) pairs sorted by priority, then larger
+    population, then earlier state.  A priority of None is infinite."""
     entries = []
-    for i, pop in enumerate(prob.populations):
-        for b in range(r):
+    for i, (pop, start) in enumerate(zip(pops, starts)):
+        for b in range(start, start + count):
             value = oracle_priority(rule_name, pop, b)
             if value is None:
                 key = (0, Fraction(0), -pop, i)
             else:
                 key = (1, -value, -pop, i)
-            entries.append((key, i))
+            entries.append((key, value, i))
     entries.sort(key=lambda e: e[0])
-    seats = [0] * s
-    for _key, i in entries[:r]:
+    return [(value, i) for _key, value, i in entries]
+
+
+def priority_list_apportion(prob, rule_name: str) -> tuple:
+    """Apportion by sorting the complete priority list and taking the top
+    seats (ties: larger population first, then earlier state)."""
+    seats = [0] * prob.size
+    for _value, i in _priority_list(prob.populations, rule_name,
+                                    [0] * prob.size, prob.seats)[:prob.seats]:
+        seats[i] += 1
+    return tuple(seats)
+
+
+def priority_list_cut(prob, rule_name: str) -> tuple:
+    """(last taken, first left) priorities of the complete priority list of
+    a house of at least one seat."""
+    entries = _priority_list(prob.populations, rule_name,
+                             [0] * prob.size, prob.seats + 1)
+    return entries[prob.seats - 1][0], entries[prob.seats][0]
+
+
+def bounded_priority_list_apportion(prob, rule_name: str, bounds):
+    """Every state starts at its bound; the seats left go down the sorted
+    list of onward priorities of the states whose quota exceeds their bound.
+    None when the bounds overfill the house, or seats are left but no
+    state's quota exceeds its bound."""
+    left = prob.seats - sum(bounds)
+    total = sum(prob.populations)
+    if left < 0:
+        return None
+    competing = [Fraction(prob.seats * p, total) > b
+                 for p, b in zip(prob.populations, bounds)]
+    if left and not any(competing):
+        return None
+    entries = _priority_list(prob.populations, rule_name, bounds, left)
+    seats = list(bounds)
+    for _value, i in [e for e in entries if competing[e[1]]][:left]:
         seats[i] += 1
     return tuple(seats)

@@ -210,6 +210,34 @@ def test_lower_bound_file_bad_number_is_an_input_error(tmp_path, census,
     assert capsys.readouterr().err.startswith("error: line 2: ")
 
 
+@pytest.mark.parametrize("bound", ["\uff11", "1_0"])
+def test_scalar_lower_bound_needs_ascii_digits(tmp_path, monkeypatch, census,
+                                               capsys, bound):
+    # int() reads a fullwidth one as 1 and "1_0" as 10; as a scalar bound
+    # only ASCII digits count, so both are taken as a bound-file path.
+    monkeypatch.chdir(tmp_path)
+    code, _ = run_cli(["apportion", "--data", census, "--seats", "7",
+                       "--method", "stochastic", "--lower-bound", bound])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: cannot read lower-bound file")
+
+
+def test_apportion_billion_seat_house(tmp_path):
+    path = tmp_path / "states.csv"
+    path.write_text("".join(f"S{i},{500_000 + 797_003 * i}\n"
+                            for i in range(50)))
+    code, out = run_cli(["apportion", "--data", str(path), "--method",
+                         "hill", "--seats", "1000000000", "--format",
+                         "json-lines"])
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert sum(r["seats"] for r in records if r["type"] == "seat") \
+        == 1_000_000_000
+    assert [r["total_seats"] for r in records if r["type"] == "audit"] \
+        == [1_000_000_000]
+
+
 def test_apportion_hamilton_rejects_bounds(census):
     code, _ = run_cli(["apportion", "--data", census, "--seats", "7",
                        "--method", "hamilton", "--lower-bound", "1"])

@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seatlot import (InfeasibleError, InputError, Problem, SeededSource,
-                     compute_quota, problem, satisfies_quota)
+                     compute_quota, divisor, problem, satisfies_quota)
 from seatlot.divisor import (RULES, detect_alabama, detect_new_state_paradox,
                              detect_population_paradox, divisor_apportion,
                              divisor_with_bounds, fair_share_seats,
@@ -14,9 +16,14 @@ from seatlot.divisor import (RULES, detect_alabama, detect_new_state_paradox,
 
 from fixtures import (HAMILTON_ALABAMA, HAMILTON_NEW_STATE,
                       HAMILTON_POPULATION, JEFFERSON_UPPER_QUOTA)
-from oracles import priority_list_apportion
+from oracles import (bounded_priority_list_apportion, oracle_priority,
+                     priority_list_apportion, priority_list_cut)
 
 ALL_RULES = list(RULES.values())
+
+# Few distinct populations with many common ratios, so priorities tie often
+# across states.
+TIE_POPULATIONS = (1, 2, 3, 4, 6, 8, 12)
 
 
 # --- rule definitions -------------------------------------------------------
@@ -170,6 +177,147 @@ def test_matches_priority_list_oracle(rule):
             == priority_list_apportion(prob, rule.name)
 
 
+@given(st.lists(st.sampled_from(TIE_POPULATIONS), min_size=1, max_size=6),
+       st.integers(min_value=1, max_value=40), st.sampled_from(ALL_RULES))
+@settings(max_examples=400, deadline=None)
+def test_tie_heavy_seats_and_audit_match_oracle(pops, seats, rule):
+    prob = problem(pops, seats)
+    if rule.first_seat_guaranteed and seats < len(pops):
+        with pytest.raises(InfeasibleError):
+            divisor_apportion(prob, rule)
+        return
+    alloc = divisor_apportion(prob, rule)
+    assert alloc.seats == priority_list_apportion(prob, rule.name)
+    assert (alloc.audit["cut_priority"], alloc.audit["next_priority"]) \
+        == priority_list_cut(prob, rule.name)
+
+
+@given(st.lists(st.sampled_from(TIE_POPULATIONS), min_size=1, max_size=6),
+       st.integers(min_value=0, max_value=40), st.sampled_from(ALL_RULES),
+       st.data())
+@settings(max_examples=400, deadline=None)
+def test_tie_heavy_bounded_matches_oracle(pops, seats, rule, data):
+    bounds = data.draw(st.lists(st.integers(min_value=0, max_value=4),
+                                min_size=len(pops), max_size=len(pops)))
+    prob = problem(pops, seats)
+    want = bounded_priority_list_apportion(prob, rule.name, bounds)
+    if want is None:
+        with pytest.raises(InfeasibleError):
+            divisor_with_bounds(prob, rule, bounds)
+    else:
+        assert divisor_with_bounds(prob, rule, bounds).seats == want
+
+
+@pytest.fixture
+def jump_misses(monkeypatch):
+    """Records, for every jump-and-step call, whether bounds were set and
+    how many seats the jump allocated beyond its target (negative: short)."""
+    misses = []
+    jump_and_step = divisor._jump_and_step
+
+    def spy(prob, rule, floors, states, target):
+        price = divisor._jump_price(prob, rule, floors, states, target)
+        jump = lambda_allocation(prob, rule, price)
+        miss = sum(max(floors[i], jump[i]) for i in states) - target
+        assert abs(miss) < len(states)
+        misses.append((any(floors), miss))
+        return jump_and_step(prob, rule, floors, states, target)
+
+    monkeypatch.setattr(divisor, "_jump_and_step", spy)
+    return misses
+
+
+@pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.name)
+def test_jump_short_and_over_both_match_oracles(rule, jump_misses):
+    # The step grants seats after a short jump and withdraws them after an
+    # overshoot; both happen here, with and without bounds.
+    src = SeededSource(59)
+    for _ in range(200):
+        s = 1 + src.randbelow(6)
+        pops = [TIE_POPULATIONS[src.randbelow(len(TIE_POPULATIONS))]
+                for _ in range(s)]
+        prob = problem(pops, s + src.randbelow(30))
+        assert divisor_apportion(prob, rule).seats \
+            == priority_list_apportion(prob, rule.name)
+        bounds = [src.randbelow(3) for _ in range(s)]
+        want = bounded_priority_list_apportion(prob, rule.name, bounds)
+        if want is not None:
+            assert divisor_with_bounds(prob, rule, bounds).seats == want
+    for bounded in (False, True):
+        signs = {(m > 0) - (m < 0) for b, m in jump_misses if b == bounded}
+        assert {-1, 1} <= signs
+
+
+@pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.name)
+def test_large_bounds_keep_the_step_short(rule, jump_misses):
+    # Minimums far above some states' shares, in a house too large for the
+    # oracle; the spy checks the jump's miss, and every seat above a
+    # minimum must outrank every withheld seat of a competing state.
+    src = SeededSource(67)
+    house = 10 ** 6
+    for k in range(30):
+        pops = _census(states=8, seed=k)
+        weights = [src.randbelow(1000) for _ in pops]
+        scale = src.randbelow(house) / max(sum(weights), 1)
+        bounds = [int(w * scale) for w in weights]
+        alloc = divisor_with_bounds(problem(pops, house), rule, bounds)
+        assert sum(alloc.seats) == house
+        granted, withheld = [], []
+        for p, a, b in zip(pops, alloc.seats, bounds):
+            if house * p <= b * sum(pops):
+                assert a == b
+                continue
+            if a > b:
+                granted.append(oracle_priority(rule.name, p, a - 1))
+            withheld.append(oracle_priority(rule.name, p, a))
+        assert min(map(_rank, granted)) >= max(map(_rank, withheld))
+    assert len(jump_misses) == 30
+
+
+def test_adams_price_never_falls_after_a_state_is_held(jump_misses):
+    # The large state is held at its minimum of 10, leaving 2 seats for
+    # nine small states, under half a seat each.  Pricing those alone would
+    # give the large state tens of thousands of seats to withdraw.
+    pops = (10 ** 6,) + (1,) * 9
+    bounds = (10,) + (0,) * 9
+    prob = problem(pops, 12)
+    assert divisor_with_bounds(prob, RULES["adams"], bounds).seats \
+        == bounded_priority_list_apportion(prob, "adams", bounds) \
+        == (10, 1, 1) + (0,) * 7
+    assert len(jump_misses) == 1
+
+
+def _census(states=50, seed=61):
+    src = SeededSource(seed)
+    return [500_000 + src.randbelow(40_000_000) for _ in range(states)]
+
+
+def _rank(value):
+    # Orders priorities with None (a guaranteed seat) above every value.
+    return (1, 0) if value is None else (0, value)
+
+
+@pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.name)
+def test_billion_seat_house_passes_exact_price_test(rule):
+    pops = _census()
+    house = 10 ** 9
+    alloc = divisor_apportion(problem(pops, house), rule)
+    assert sum(alloc.seats) == house
+    # Every granted seat outranks every withheld one, and the audit names
+    # the worst granted and the best withheld priority.
+    granted = [oracle_priority(rule.name, p, a - 1)
+               for p, a in zip(pops, alloc.seats) if a]
+    withheld = [oracle_priority(rule.name, p, a)
+                for p, a in zip(pops, alloc.seats)]
+    cut = min(granted, key=_rank)
+    best = max(withheld, key=_rank)
+    assert _rank(cut) >= _rank(best)
+    assert alloc.audit["cut_priority"] == cut
+    assert alloc.audit["next_priority"] == best
+    bounded = divisor_with_bounds(problem(pops, house), rule, 1)
+    assert bounded.seats == alloc.seats
+
+
 def test_tie_break_population_then_index():
     # Equal priorities: 4/2 = 2/1 under greatest divisors; the larger
     # population wins the contested seat.
@@ -186,6 +334,15 @@ def test_bounded_divisor_grants_minimums():
     assert all(a >= 1 for a in alloc.seats)
     with pytest.raises(InfeasibleError):
         divisor_with_bounds(problem((2, 2), 1), RULES["hill"], (1, 1))
+
+
+def test_bounded_divisor_state_at_its_quota_stops_competing():
+    # Quotas (1/2, 1/2, 1): the third state's quota equals its minimum, so
+    # the seat left goes to the first state, not to the third, although
+    # their greatest-divisors priorities tie and the third is larger.
+    alloc = divisor_with_bounds(problem((1, 1, 2), 2), RULES["jefferson"],
+                                (0, 0, 1))
+    assert alloc.seats == (1, 0, 1)
 
 
 def test_bounded_divisor_reduces_to_plain_with_zero_bounds():
