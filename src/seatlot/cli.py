@@ -28,8 +28,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .core import (Problem, _integer_quotas, broadcast_lower_bound,
-                   compute_quota, quota_vector)
+from .core import Problem, broadcast_lower_bound, compute_quota, quota_vector
 from .divisor import (RULES, divisor_apportion, divisor_with_bounds,
                       hamilton_apportion, resolve_method)
 from .errors import (ApportionmentError, CapacityError, InfeasibleError,
@@ -138,10 +137,14 @@ def parse_quota_file(path) -> tuple[list[str], list[Fraction], list]:
                 if lineno == 1 and not labels:
                     continue  # header row
                 raise InputError(f"line {lineno}: bad quota value {row[1]!r}")
+            try:
+                a = (parse_fraction(row[2]) if len(row) > 2
+                     and row[2].strip() else None)
+            except InputError:
+                raise InputError(f"line {lineno}: bad adjusted value {row[2]!r}")
             labels.append(label)
             quotas.append(q)
-            adjusted.append(parse_fraction(row[2]) if len(row) > 2
-                            and row[2].strip() else None)
+            adjusted.append(a)
     if not labels:
         raise InputError("quota file contains no states")
     has_adj = [a is not None for a in adjusted]
@@ -492,7 +495,7 @@ def cmd_table1(args, out) -> int:
         prob = _problem_from_args(path, args.seats)
         bounds = read_lower_bound(str(args.lower_bound), prob.labels)
         quota = compute_quota(prob)
-        cls_ = classify(_integer_quotas(prob), bounds, args.seats)
+        cls_ = classify(quota, bounds, args.seats)
         year = path.stem
         if not cls_.surplus:
             rows.append((year, len(cls_.small), "none", "", ""))

@@ -2,11 +2,12 @@
 
 A *problem* is a list of states with positive integer populations and a
 non-negative house size.  Each state's quota is its exactly proportional
-share of the house.  Internally the quotas are carried as integers: a floor
-and a numerator per state over one common denominator, from the census
-through the lower-bound iteration to the kernels.  ``Fraction``s are built
-only at the public API (:class:`QuotaVector`, traces, exact laws) and in
-rendering.  Quota ties and integrality (a fractional part of exactly zero)
+share of the house.  A :class:`QuotaVector` holds the quotas as integers,
+a floor and a numerator per state over one common denominator, and this one
+type carries them from the census through the lower-bound iteration to the
+kernels.  Its ``Fraction`` views (``quotas``, ``fractional``) are built on
+first read, for callers that want rationals (traces, exact laws,
+rendering).  Quota ties and integrality (a fractional part of exactly zero)
 are decided exactly, never through floating point; floats appear only in
 rendered reports.
 """
@@ -16,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Sequence
+from functools import cached_property
+from typing import Mapping, Optional, Sequence
 
 from .errors import InputError
 
@@ -73,29 +75,48 @@ def problem(populations: Sequence[int], seats: int,
 
 @dataclass(frozen=True)
 class QuotaVector:
-    """Exact quotas with their derived integer structure.
+    """Exact quotas ``floors[i] + nums[i] / den``, in integers.
 
-    ``quotas[i]`` is the exact entitlement of state i; ``floors`` and
-    ``fractional`` split it into whole seats and the residual entitlement.
-    ``residual_seats`` is the number of seats left after every floor is
-    granted, and ``unsatisfied_count`` the number of states still competing
-    for them.
+    ``0 <= nums[i] < den`` and ``den`` is the least common denominator of
+    the fractional parts.  ``quotas[i]`` is the exact entitlement of state i
+    and ``fractional[i]`` its residual entitlement, both as ``Fraction``s
+    built on first read.  ``residual_seats`` is the number of seats left
+    after every floor is granted (-1 when the fractional parts do not total
+    an integer), and ``unsatisfied_count`` the number of states still
+    competing for them.
     """
 
-    quotas: tuple[Fraction, ...]
     floors: tuple[int, ...]
-    fractional: tuple[Fraction, ...]
-    residual_seats: int
-    unsatisfied_count: int
+    nums: tuple[int, ...]
+    den: int
+
+    @cached_property
+    def quotas(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(f * den + n, den)
+                     for f, n in zip(self.floors, self.nums))
+
+    @cached_property
+    def fractional(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @property
     def size(self) -> int:
-        return len(self.quotas)
+        return len(self.floors)
 
     @property
     def ceilings(self) -> tuple[int, ...]:
-        return tuple(f + (1 if q else 0)
-                     for f, q in zip(self.floors, self.fractional))
+        return tuple(f + (1 if n else 0)
+                     for f, n in zip(self.floors, self.nums))
+
+    @property
+    def residual_seats(self) -> int:
+        seats, rest = divmod(sum(self.nums), self.den)
+        return -1 if rest else seats
+
+    @property
+    def unsatisfied_count(self) -> int:
+        return sum(1 for n in self.nums if n)
 
 
 def quota_vector(values: Sequence) -> QuotaVector:
@@ -110,47 +131,20 @@ def quota_vector(values: Sequence) -> QuotaVector:
     for q in quotas:
         if q < 0:
             raise InputError(f"quota values must be non-negative, got {q}")
-    floors = tuple(math.floor(q) for q in quotas)
-    fractional = tuple(q - f for q, f in zip(quotas, floors))
-    total_frac = sum(fractional, Fraction(0))
-    residual = int(total_frac) if total_frac.denominator == 1 else -1
-    return QuotaVector(
-        quotas=quotas,
-        floors=floors,
-        fractional=fractional,
-        residual_seats=residual,
-        unsatisfied_count=sum(1 for f in fractional if f > 0),
-    )
+    den = math.lcm(*(q.denominator for q in quotas))
+    split = [divmod(q.numerator * (den // q.denominator), den) for q in quotas]
+    return QuotaVector(tuple(f for f, _ in split), tuple(n for _, n in split),
+                       den)
 
 
-class _Quotas(NamedTuple):
-    """Quotas ``floors[i] + nums[i] / den``, 0 <= nums[i] < den, den least."""
-
-    floors: tuple[int, ...]
-    nums: tuple[int, ...]
-    den: int
-
-
-def _integer_quotas(prob: Problem) -> _Quotas:
-    """The quotas seats * population / total of a problem, in integers."""
+def compute_quota(prob: Problem) -> QuotaVector:
+    """Exact quotas seats * population / total for every state."""
     total = prob.total_population
     g = math.gcd(prob.seats, total)
     seats, den = prob.seats // g, total // g
     floors, nums = zip(*(divmod(seats * p, den) for p in prob.populations))
     g = math.gcd(den, *nums)
-    return _Quotas(floors, tuple(n // g for n in nums), den // g)
-
-
-def compute_quota(prob: Problem) -> QuotaVector:
-    """Exact quotas seats * population / total for every state."""
-    floors, nums, den = _integer_quotas(prob)
-    return QuotaVector(
-        quotas=tuple(Fraction(f * den + n, den) for f, n in zip(floors, nums)),
-        floors=floors,
-        fractional=tuple(Fraction(n, den) for n in nums),
-        residual_seats=sum(nums) // den,
-        unsatisfied_count=sum(1 for n in nums if n),
-    )
+    return QuotaVector(floors, tuple(n // g for n in nums), den // g)
 
 
 @dataclass(frozen=True)

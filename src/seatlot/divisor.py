@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import Allocation, Problem, _integer_quotas, broadcast_lower_bound
+from .core import Allocation, Problem, broadcast_lower_bound, compute_quota
 from .errors import InfeasibleError, InputError
 
 
@@ -303,11 +303,12 @@ def hamilton_apportion(prob: Problem) -> Allocation:
 
     Remainder ties go to the larger population, then to the earlier state.
     """
-    floors, nums, den = _integer_quotas(prob)
-    seats = list(floors)
+    quota = compute_quota(prob)
+    nums = quota.nums
+    seats = list(quota.floors)
     order = sorted(range(prob.size),
                    key=lambda i: (-nums[i], -prob.populations[i], i))
-    for i in order[:sum(nums) // den]:
+    for i in order[:quota.residual_seats]:
         seats[i] += 1
     return Allocation(seats=tuple(seats), method="hamilton")
 
@@ -474,7 +475,8 @@ def quota_staying_check(method, corpus: Sequence[Problem]) -> QuotaStayingSummar
     lower = upper = 0
     lower_witness = upper_witness = None
     for prob in corpus:
-        floors, nums, _ = _integer_quotas(prob)
+        quota = compute_quota(prob)
+        floors, ceilings = quota.floors, quota.ceilings
         seats = fn(prob).seats
         for i in range(prob.size):
             if seats[i] < floors[i]:
@@ -482,7 +484,7 @@ def quota_staying_check(method, corpus: Sequence[Problem]) -> QuotaStayingSummar
                 if lower_witness is None:
                     lower_witness = {"populations": list(prob.populations),
                                      "seats": prob.seats, "state": i}
-            if seats[i] > floors[i] + (1 if nums[i] else 0):
+            if seats[i] > ceilings[i]:
                 upper += 1
                 if upper_witness is None:
                     upper_witness = {"populations": list(prob.populations),

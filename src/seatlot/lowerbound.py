@@ -24,27 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import (Allocation, Problem, QuotaVector, _integer_quotas,
-                   _Quotas, as_fractions, broadcast_lower_bound,
+from .core import (Allocation, Problem, QuotaVector, as_fractions,
+                   broadcast_lower_bound, compute_quota, quota_vector,
                    validate_lower_bound)
 from .errors import ConvergenceError, InfeasibleError, InputError
 from .rng import SeededSource, U53_DENOMINATOR
 from .stochastic import (AllocationDistribution, _allocation_law,
-                         _check_fractional, _common_numerators, _scheme_draw)
-
-
-def _quota_values(quota) -> tuple[Fraction, ...]:
-    if isinstance(quota, QuotaVector):
-        return quota.quotas
-    return as_fractions(quota)
-
-
-def _full_numerators(quota) -> tuple[list[int], int]:
-    """Quotas as integer numerators over one denominator: (N, D)."""
-    if isinstance(quota, _Quotas):
-        den = quota.den
-        return [f * den + n for f, n in zip(quota.floors, quota.nums)], den
-    return _common_numerators(_quota_values(quota))
+                         _check_fractional, _scheme_draw)
 
 
 @dataclass(frozen=True)
@@ -60,13 +46,15 @@ class StateClassification:
 def classify(quota, bounds: Sequence[int], seats: int) -> StateClassification:
     """Split states into small / exact / surplus against their bounds.
 
-    Raises :class:`InfeasibleError` when a bound exceeds its state's upper
-    quota or the bounds alone overflow the house, naming the condition.
+    ``quota`` is a QuotaVector or a sequence of raw rationals.  Raises
+    :class:`InfeasibleError` when a bound exceeds its state's upper quota or
+    the bounds alone overflow the house, naming the condition.
     """
-    nums, den = _full_numerators(quota)
-    bounds = validate_lower_bound(bounds, len(nums))
-    over = [i for i, (n, b) in enumerate(zip(nums, bounds))
-            if (b - 1) * den >= n]      # b > ceil(n / den)
+    if not isinstance(quota, QuotaVector):
+        quota = quota_vector(quota)
+    bounds = validate_lower_bound(bounds, quota.size)
+    over = [i for i, (c, b) in enumerate(zip(quota.ceilings, bounds))
+            if b > c]
     if over:
         raise InfeasibleError(
             f"lower bound exceeds upper quota for states {over}",
@@ -77,10 +65,10 @@ def classify(quota, bounds: Sequence[int], seats: int) -> StateClassification:
             diagnostics={"condition": "bounds_exceed_house",
                          "total_bound": sum(bounds), "seats": seats})
     small, exact, surplus = [], [], []
-    for i, (n, b) in enumerate(zip(nums, bounds)):
-        if n < b * den:
+    for i, (f, n, b) in enumerate(zip(quota.floors, quota.nums, bounds)):
+        if (f, n) < (b, 0):
             small.append(i)
-        elif n == b * den:
+        elif (f, n) == (b, 0):
             exact.append(i)
         else:
             surplus.append(i)
@@ -139,14 +127,16 @@ def adjusted_quota_from_values(original, values,
 
 def equal_representation_quota(cls_: StateClassification,
                                quota) -> AdjustedQuota:
-    quotas = _quota_values(quota)
+    if not isinstance(quota, QuotaVector):
+        quota = quota_vector(quota)
     if not cls_.surplus:
         raise InputError("no surplus states to rescale")
-    total = sum((quotas[i] for i in cls_.surplus), Fraction(0))
-    scale = Fraction(cls_.remaining_seats) / total
+    quotas, ceilings = quota.quotas, quota.ceilings
+    total = sum(quotas[i] for i in cls_.surplus)
+    scale = cls_.remaining_seats / total
     values = tuple(scale * quotas[i] for i in cls_.surplus)
-    floors = tuple(math.floor(quotas[i]) for i in cls_.surplus)
-    ceils = tuple(math.ceil(quotas[i]) for i in cls_.surplus)
+    floors = tuple(quota.floors[i] for i in cls_.surplus)
+    ceils = tuple(ceilings[i] for i in cls_.surplus)
     offenders = tuple(i for i, v, f in zip(cls_.surplus, values, floors)
                       if v < f)
     return AdjustedQuota(
@@ -217,7 +207,7 @@ class IterationTrace:
     rounds: tuple[IterationRound, ...]
     final_active: tuple[int, ...]
     fixed_at_floor: tuple[int, ...]
-    _composite: Optional[_Quotas]
+    _composite: Optional[QuotaVector]
     feasible: bool
     diagnostics: Optional[str] = None
 
@@ -225,8 +215,7 @@ class IterationTrace:
     def final_quota(self) -> Optional[tuple[Fraction, ...]]:
         if self._composite is None:
             return None
-        floors, nums, den = self._composite
-        return tuple(Fraction(f * den + n, den) for f, n in zip(floors, nums))
+        return self._composite.quotas
 
 
 def iterate_lower_bound(quota, bounds: Sequence[int],
@@ -237,10 +226,12 @@ def iterate_lower_bound(quota, bounds: Sequence[int],
     recomputed, which keeps the outcome independent of state order.  The
     trace reports infeasibility instead of raising.
 
-    For quotas ``N[i] / D``, an active state's rescaled value is
+    ``quota`` is a QuotaVector or a sequence of raw rationals.  For quotas
+    ``N[i] / D``, an active state's rescaled value is
     ``remaining * N[i] / sum(N[active])``: every comparison is in integers.
     """
-    nums, den = _full_numerators(quota)
+    if not isinstance(quota, QuotaVector):
+        quota = quota_vector(quota)
     try:
         cls_ = classify(quota, bounds, seats)
     except (InfeasibleError, InputError) as exc:
@@ -248,7 +239,8 @@ def iterate_lower_bound(quota, bounds: Sequence[int],
             classification=None, rounds=(), final_active=(),
             fixed_at_floor=(), _composite=None, feasible=False,
             diagnostics=str(exc))
-    floors = [n // den for n in nums]
+    floors, den = quota.floors, quota.den
+    nums = [f * den + n for f, n in zip(floors, quota.nums)]
     active = list(cls_.surplus)
     fixed: list[int] = []
     rounds: list[IterationRound] = []
@@ -282,7 +274,7 @@ def iterate_lower_bound(quota, bounds: Sequence[int],
         if remaining > 0:
             return _trace(None, f"{remaining} seat(s) cannot be granted without "
                           "pushing some state above its upper quota")
-        return _trace(_Quotas(tuple(composite), (0,) * len(nums), 1))
+        return _trace(QuotaVector(tuple(composite), (0,) * len(nums), 1))
     bad_upper = [i for i in active
                  if remaining * nums[i] > -(-nums[i] // den) * total]
     if bad_upper:
@@ -295,8 +287,8 @@ def iterate_lower_bound(quota, bounds: Sequence[int],
     for i in active:
         composite[i], fracs[i] = divmod(remaining * nums[i], total)
     g = math.gcd(total, *fracs)
-    return _trace(_Quotas(tuple(composite), tuple(n // g for n in fracs),
-                          total // g))
+    return _trace(QuotaVector(tuple(composite), tuple(n // g for n in fracs),
+                              total // g))
 
 
 def trace_audit(trace: IterationTrace) -> dict:
@@ -317,20 +309,20 @@ def trace_audit(trace: IterationTrace) -> dict:
     }
 
 
-def _prepare(prob: Problem, bounds):
-    """(floors, nums, den, trace): the scheme's input for ``prob``; the
-    quotas and no trace without bounds (None), else the composite quota
-    vector of the rescaling iteration and its trace."""
-    quotas = _integer_quotas(prob)
+def _prepare(quota: QuotaVector, bounds, seats: int):
+    """(scheme quota, trace): the scheme's input for the problem quotas
+    ``quota`` of a house of ``seats``; the quotas themselves and no trace
+    without bounds (None), else the composite quota vector of the rescaling
+    iteration and its trace."""
     if bounds is None:
-        return (*quotas, None)
-    bounds = broadcast_lower_bound(bounds, prob.size)
-    trace = iterate_lower_bound(quotas, bounds, prob.seats)
+        return quota, None
+    bounds = broadcast_lower_bound(bounds, quota.size)
+    trace = iterate_lower_bound(quota, bounds, seats)
     if not trace.feasible:
         raise InfeasibleError(
             f"no allocation satisfies quota with the given bounds: {trace.diagnostics}",
             diagnostics=trace.diagnostics, trace=trace)
-    return (*trace._composite, trace)
+    return trace._composite, trace
 
 
 def lower_bound_apportion(prob: Problem, bounds: Sequence[int],
@@ -341,8 +333,8 @@ def lower_bound_apportion(prob: Problem, bounds: Sequence[int],
     the composite quota vector.  The result satisfies quota and the bounds
     with probability one; expected seats equal the composite quota vector.
     """
-    floors, nums, den, trace = _prepare(prob, bounds)
-    seats, order, u53 = _scheme_draw(floors, nums, den, src)
+    quota, trace = _prepare(compute_quota(prob), bounds, prob.seats)
+    seats, order, u53 = _scheme_draw(quota, src)
     audit = {
         "permutation": order,
         "u_numerator": u53,
@@ -356,16 +348,8 @@ def lower_bound_apportion(prob: Problem, bounds: Sequence[int],
 def lower_bound_distribution(prob: Problem, bounds: Sequence[int],
                              *, limit: int = 8) -> AllocationDistribution:
     """Exact law of the bounded scheme (small state counts only)."""
-    floors, nums, den, _trace = _prepare(prob, bounds)
-    return _allocation_law(floors, nums, den, limit=limit)
-
-
-def _split(values) -> tuple[list[int], list[int], int]:
-    """(floors, nums, den) of values whose fractions total an integer."""
-    floors = [math.floor(v) for v in values]
-    fracs = [v - f for v, f in zip(values, floors)]
-    _check_fractional(fracs)
-    return (floors, *_common_numerators(fracs))
+    quota, _trace = _prepare(compute_quota(prob), bounds, prob.seats)
+    return _allocation_law(quota, limit=limit)
 
 
 def resample_until_quota(adjusted: AdjustedQuota, src: SeededSource,
@@ -376,9 +360,10 @@ def resample_until_quota(adjusted: AdjustedQuota, src: SeededSource,
     shifts the expectations away from the values, so the accepted law is
     not fair.  Seats are indexed by ``adjusted.indices``.
     """
-    floors, nums, den = _split(adjusted.values)
+    quota = quota_vector(adjusted.values)
+    _check_fractional(quota.fractional)
     for attempt in range(1, cap + 1):
-        seats, order, u53 = _scheme_draw(floors, nums, den, src)
+        seats, order, u53 = _scheme_draw(quota, src)
         if all(f <= a <= c for a, f, c in
                zip(seats, adjusted.original_floors,
                    adjusted.original_ceilings)):
@@ -394,7 +379,9 @@ def resample_conditional_law(adjusted: AdjustedQuota,
     """Exact law of ``resample_until_quota``: the scheme's law on the
     adjusted values, restricted to quota-satisfying outcomes and
     renormalized."""
-    law = _allocation_law(*_split(adjusted.values), limit=limit)
+    quota = quota_vector(adjusted.values)
+    _check_fractional(quota.fractional)
+    law = _allocation_law(quota, limit=limit)
     kept = {seats: p for seats, p in law.items()
             if all(f <= a <= c for a, f, c in
                    zip(seats, adjusted.original_floors,
@@ -421,10 +408,11 @@ def scaled_fractional_quota(quota, cls_: StateClassification) -> ScaledQuota:
     seats.  Simpler than the rescaling iteration but breaks proportional
     expectations; provided for comparison only.
     """
-    quotas = _quota_values(quota)
-    fracs = [quotas[i] - math.floor(quotas[i]) for i in cls_.surplus]
-    floor_total = sum(math.floor(quotas[i]) for i in cls_.surplus)
-    numerator = cls_.remaining_seats - floor_total
+    if not isinstance(quota, QuotaVector):
+        quota = quota_vector(quota)
+    fracs = [quota.fractional[i] for i in cls_.surplus]
+    numerator = cls_.remaining_seats - sum(quota.floors[i]
+                                           for i in cls_.surplus)
     frac_total = sum(fracs, Fraction(0))
     if frac_total == 0:
         if numerator == 0:

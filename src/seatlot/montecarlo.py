@@ -56,6 +56,22 @@ class SimulationReport:
         return math.sqrt(self.variance(i) / self.replicates)
 
 
+def _bounds(prob: Problem, lower_bounds) -> tuple[int, ...]:
+    return ((0,) * prob.size if lower_bounds is None
+            else broadcast_lower_bound(lower_bounds, prob.size))
+
+
+def _scheme_batch(prob: Problem, lower_bounds, master_seed: int, n: int):
+    """n seeded replicates of the scheme on ``prob`` in one kernel call:
+    (scheme quota, trace, kernel result)."""
+    quota = compute_quota(prob)
+    bounds = _bounds(prob, lower_bounds)
+    scheme, trace = _prepare(quota, lower_bounds, prob.seats)
+    return scheme, trace, _backend.simulate_batch(
+        scheme.floors, scheme.nums, scheme.den, list(quota.floors),
+        list(quota.ceilings), list(bounds), master_seed, n, prob.seats)
+
+
 def simulate(method, prob: Problem, master_seed: int, n: int,
              lower_bounds=None) -> SimulationReport:
     """Run n independent replicates of a method and tally exactly.
@@ -67,20 +83,19 @@ def simulate(method, prob: Problem, master_seed: int, n: int,
     """
     if n < 1:
         raise InputError("replicate count must be at least 1")
-    quota = compute_quota(prob)
-    bounds = ((0,) * prob.size if lower_bounds is None
-              else broadcast_lower_bound(lower_bounds, prob.size))
     if method == "stochastic":
-        floors, nums, den, trace = _prepare(prob, lower_bounds)
-        sums, sumsqs, qviol, bviol, mismatches, _masks = _backend.simulate_batch(
-            floors, nums, den, list(quota.floors), list(quota.ceilings),
-            list(bounds), master_seed, n, prob.seats)
+        _scheme, trace, tallies = _scheme_batch(prob, lower_bounds,
+                                                master_seed, n)
+        sums, sumsqs, qviol, bviol, mismatches, _masks = tallies
         return SimulationReport(
             method="stochastic" if trace is None else "stochastic-lower-bound",
             master_seed=master_seed, replicates=n,
             labels=prob.labels, seat_sums=tuple(sums),
             seat_sumsqs=tuple(sumsqs), quota_violations=qviol,
             bound_violations=bviol, sum_mismatches=mismatches)
+    quota = compute_quota(prob)
+    bounds = _bounds(prob, lower_bounds)
+    floors, ceilings = quota.floors, quota.ceilings
     if callable(method):
         name = getattr(method, "__name__", "custom")
         sums = [0] * prob.size
@@ -93,7 +108,7 @@ def simulate(method, prob: Problem, master_seed: int, n: int,
             for i, a in enumerate(seats):
                 sums[i] += a
                 sumsqs[i] += a * a
-                if not quota.floors[i] <= a <= quota.ceilings[i]:
+                if not floors[i] <= a <= ceilings[i]:
                     bad_quota = True
                 if a < bounds[i]:
                     bad_bound = True
@@ -109,7 +124,7 @@ def simulate(method, prob: Problem, master_seed: int, n: int,
     # replicate loop since every replicate ignores its stream).
     name, fn = resolve_method(method)
     seats = fn(prob).seats
-    bad_quota = any(not quota.floors[i] <= seats[i] <= quota.ceilings[i]
+    bad_quota = any(not floors[i] <= seats[i] <= ceilings[i]
                     for i in range(prob.size))
     bad_bound = any(seats[i] < bounds[i] for i in range(prob.size))
     return SimulationReport(
@@ -127,17 +142,12 @@ def empirical_distribution(prob: Problem, master_seed: int, n: int,
     """Allocation -> count over n seeded replicates of the scheme."""
     if prob.size > 16:
         raise CapacityError("empirical distribution tracking supports at most 16 states")
-    quota = compute_quota(prob)
-    bounds = ((0,) * prob.size if lower_bounds is None
-              else broadcast_lower_bound(lower_bounds, prob.size))
-    floors, nums, den, _trace = _prepare(prob, lower_bounds)
-    _sums, _sumsqs, _qv, _bv, _mm, masks = _backend.simulate_batch(
-        floors, nums, den, list(quota.floors), list(quota.ceilings),
-        list(bounds), master_seed, n, prob.seats)
+    scheme, _trace, (*_tallies, masks) = _scheme_batch(
+        prob, lower_bounds, master_seed, n)
     out = {}
     for mask, count in enumerate(masks):
         if count:
-            seats = _seats_from_mask(floors, mask)
+            seats = _seats_from_mask(scheme.floors, mask)
             out[seats] = out.get(seats, 0) + count
     return dict(sorted(out.items()))
 

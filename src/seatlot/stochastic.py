@@ -29,7 +29,8 @@ from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from . import _backend, _kernels_py
-from .core import Allocation, Problem, _integer_quotas, as_fractions
+from .core import (Allocation, Problem, QuotaVector, as_fractions,
+                   compute_quota, quota_vector)
 from .errors import CapacityError, ConvergenceError, InputError
 from .rng import SeededSource, U53_DENOMINATOR
 
@@ -44,11 +45,6 @@ def random_permutation(n: int, src: SeededSource) -> tuple[int, ...]:
     if n < 1:
         raise InputError("permutation length must be at least 1")
     return tuple(src.shuffled_range(n))
-
-
-def _common_numerators(fracs: Sequence[Fraction]) -> tuple[list[int], int]:
-    den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return [int(f * den) for f in fracs], den
 
 
 def _check_fractional(fracs: Sequence[Fraction]) -> None:
@@ -105,8 +101,9 @@ def systematic_round(fracs: Sequence, u) -> list[int]:
     if not 0 <= u < 1:
         raise InputError(f"offset must lie in [0, 1), got {u}")
     _check_fractional(fracs)
-    nums, den = _common_numerators([*fracs, u])
-    return _kernels_py.systematic_round_ints(nums[:-1], den, nums[-1])
+    quota = quota_vector([*fracs, u])
+    return _kernels_py.systematic_round_ints(quota.nums[:-1], quota.den,
+                                             quota.nums[-1])
 
 
 def stochastic_apportion(prob: Problem, src: SeededSource) -> Allocation:
@@ -116,7 +113,7 @@ def stochastic_apportion(prob: Problem, src: SeededSource) -> Allocation:
     the state ordering used and the uniform offset (as a dyadic rational),
     which replay the draw exactly.
     """
-    seats, order, u53 = _scheme_draw(*_integer_quotas(prob), src)
+    seats, order, u53 = _scheme_draw(compute_quota(prob), src)
     return Allocation(
         seats=tuple(seats),
         method="stochastic",
@@ -129,16 +126,17 @@ def stochastic_apportion(prob: Problem, src: SeededSource) -> Allocation:
     )
 
 
-def _scheme_draw(floors: Sequence[int], nums: Sequence[int], den: int,
-                 src: SeededSource) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+def _scheme_draw(quota: QuotaVector, src: SeededSource
+                 ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Shuffle, draw, round; returns (seats, ordering, offset numerator)."""
-    order = random_permutation(len(floors), src)
+    nums, den = quota.nums, quota.den
+    order = random_permutation(len(nums), src)
     u53 = src.bits53()
     pos = _kernels_py.position_from_bits53(u53, den)
     inds = _kernels_py.systematic_round_ints([nums[i] for i in order], den,
                                              pos)
     mask = sum(bit << i for bit, i in zip(inds, order))
-    return _seats_from_mask(floors, mask), order, u53
+    return _seats_from_mask(quota.floors, mask), order, u53
 
 
 def _seats_from_mask(floors: Sequence[int], mask: int) -> tuple[int, ...]:
@@ -191,14 +189,15 @@ class AllocationDistribution:
         return dict(sorted(law.items()))
 
 
-def _allocation_law(floors: Sequence[int], nums: Sequence[int], den: int, *,
-                    average_orders: bool = True,
+def _allocation_law(quota: QuotaVector, *, average_orders: bool = True,
                     limit: int = ENUMERATION_LIMIT) -> AllocationDistribution:
-    """Exact law of ``floors`` plus the residual seats drawn on ``nums / den``.
+    """Exact law of the floors plus the residual seats drawn on the
+    fractional parts of ``quota``.
 
     Every exact law is computed here, so the state-count checks run before
     any kernel is called.
     """
+    nums, den = quota.nums, quota.den
     s = len(nums)
     if s > limit:
         raise CapacityError(
@@ -216,7 +215,7 @@ def _allocation_law(floors: Sequence[int], nums: Sequence[int], den: int, *,
     lengths: dict[tuple[int, ...], int] = {}
     for mask, length in cells:
         if length:
-            seats = _seats_from_mask(floors, mask)
+            seats = _seats_from_mask(quota.floors, mask)
             lengths[seats] = lengths.get(seats, 0) + length
     return AllocationDistribution(
         {seats: Fraction(n, total) for seats, n in lengths.items()})
@@ -232,8 +231,8 @@ def residual_distribution(fracs: Sequence, *, average_orders: bool = True,
     """
     fracs = as_fractions(fracs)
     _check_fractional(fracs)
-    return _allocation_law((0,) * len(fracs), *_common_numerators(fracs),
-                           average_orders=average_orders, limit=limit)
+    return _allocation_law(quota_vector(fracs), average_orders=average_orders,
+                           limit=limit)
 
 
 def exact_distribution(prob: Problem, *,
@@ -244,7 +243,7 @@ def exact_distribution(prob: Problem, *,
     every support vector satisfies quota; this is the sampling-free oracle
     against which the scheme is verified.
     """
-    return _allocation_law(*_integer_quotas(prob), limit=limit)
+    return _allocation_law(compute_quota(prob), limit=limit)
 
 
 def conditional_sampling_allocate(fracs: Sequence, residual: int,
@@ -266,7 +265,9 @@ def conditional_sampling_allocate(fracs: Sequence, residual: int,
     out = [0] * len(fracs)
     if residual == 0:
         return out
-    nums, _den = _common_numerators([fracs[i] for i in support])
+    # Whole numerators: the weights are not required to lie in [0, 1).
+    weights = quota_vector([fracs[i] for i in support])
+    nums = [f * weights.den + n for f, n in zip(weights.floors, weights.nums)]
     total = sum(nums)
     chosen = [0] * residual
     for _attempt in range(max_attempts):

@@ -1,6 +1,22 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 # Make the test-only oracle/fixture modules importable regardless of how
 # pytest was invoked.
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture(scope="session")
+def kc(tmp_path_factory):
+    """seatlot._kernels_c bound to a library compiled into a temporary
+    directory, so the parity tests run wherever a C compiler exists."""
+    from seatlot import _kernels_c
+    library = _kernels_c.build(str(tmp_path_factory.mktemp("kernels")))
+    if library is None:
+        pytest.skip("no C compiler to build the compiled kernels")
+    previous = _kernels_c._lib
+    _kernels_c.load(library)
+    yield _kernels_c
+    _kernels_c._lib = previous

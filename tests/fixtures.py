@@ -67,3 +67,62 @@ TABLE_OFFENDER_PAIRS = [
     ("NewYork", Fraction("43.038"), Fraction("42.962"), Fraction("0.038")),
     ("Pennsylvania", Fraction("19.013"), Fraction("18.999"), Fraction("0.001")),
 ]
+
+# Pinned inputs of the CLI output contract (``test_cli.py::test_cli_golden``):
+# a 50-state census with five states below one seat of quota, an 8-state
+# census, and two quota tables for ``bound-check``.
+CENSUS_50 = tuple((f"S{i + 1:02d}", p) for i, p in enumerate((
+    36109780, 9003064, 8058000, 5079288, 328811, 8619563, 4447650, 27304815,
+    3220839, 8156219, 1823367, 3467323, 6374636, 156524, 19677232, 2660434,
+    2255872, 6536794, 8296035, 1626227, 4700633, 30902494, 200778, 5557810,
+    8124405, 1452087, 5940095, 4735762, 11810693, 5454908, 5616801, 529794,
+    9306757, 7391441, 3303421, 28960486, 806946, 3372353, 4489596, 3971881,
+    191609, 3225821, 21181177, 8058522, 1037132, 2359317, 999723, 4264743,
+    1354737, 554611)))
+
+CENSUS_8 = tuple((f"S{i + 1}", p) for i, p in enumerate((
+    46391, 49469, 54972, 71334, 84395, 69742, 16722, 68305)))
+
+# label,quota rows summing to 20 seats; with bound 1 the last state falls
+# below its lower quota when the others are rescaled.
+QUOTAS_RESCALE = "state,quota\nA,1/4\nB,0.5\nC,9/4\nD,7.95\nE,9.05\n"
+
+# label,quota,adjusted rows of a published table.
+QUOTAS_AUDIT = ("state,quota,adjusted\nNewYork,43.038,42.962\n"
+                "Pennsylvania,19.013,18.999\nNevada,0.4,1\n")
+
+# (exit code, sha256 of stdout, sha256 of stderr) of each run in
+# ``test_cli.py::GOLDEN_RUNS``, recorded once and the same on both kernel
+# backends.  A change here is a change to the CLI output contract.
+CLI_GOLDEN = {
+    'apportion-csv': (0, '7930b764f8c3cac89e8a52113cfe5a9506a1d7d4319f592fd3f714cfcbd56d6f',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'apportion-csv-bound1': (0, '767e0f05e81d7da783381a6f8e131a79a827beaea023450f9a056cca07a4ba4d',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'apportion-json-lines': (0, 'dd6a6c0d2dc5f67d3930fc78837a2cc4f812962cd74e296ab3be83781f118db3',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'apportion-json-lines-bound1': (0, 'c3ebe42811b47d588f67b95ffd16d7af033cc4111fba2ebc2db26de5ed0f19a3',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'apportion-table': (0, 'ab927bf13bf7e3976db62c2477c68f7a862b44780b02b37cdeb5df7dde3ca272',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'apportion-table-bound1': (0, 'ce0fc8649f3c659055fc11a570ee55a2a5fd96ff05690f9176b8ef5a222f284b',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'apportion-webster-bound1': (0, 'a40a450ea3e2f18e1101e54abaedb04881e782284bd689969cae207f93245149',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'bound-check-audit': (0, 'db6378be1ae8721f59b30353c9ef8d8a77094c7986848c9120f9a5bd49d32850',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'bound-check-rescale': (0, '4bf80782f79c5d9e3083ffabe5279973d839d42b89135719c4ef1b0a436f30a7',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'distribution-50-refused': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        '0fc4cfba0971fa76ee7cac3983383c9d41fc9bbf723a909cf94c0e881fc19fe2'),
+    'distribution-8': (0, '54e16b9aaeca5b09287edc467d0fbab08aa4a3958464d65ca16e57ea6388e625',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'distribution-8-bound1': (0, 'edb793b70268736187b0fc1f003976a1fa7687811a756c883e64a4acc733f16f',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'simulate': (0, '0a19c26a31b45049fb6ed91cca5a83b7a74e80a8a5b0002e161db3f0ac37b22f',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'simulate-bound1': (0, '26bc36b879667ef58cd71f72236c00d9b9fce841b987b7e39b08fe1c1a6f9672',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'table1': (0, '925852ce3c053bf7c50ff1f094a528f67ac266fab63353b4108406178b23ec04',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+}

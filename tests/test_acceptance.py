@@ -24,8 +24,8 @@ from seatlot.lowerbound import (adjusted_quota_from_values,
 from seatlot.montecarlo import (SimulationReport, fairness_test,
                                 house_increase_pair, monotonicity_scan,
                                 population_move_pair, simulate)
-from seatlot.stochastic import (_common_numerators, conditional_selection_law,
-                                exact_distribution, residual_distribution)
+from seatlot.stochastic import (conditional_selection_law, exact_distribution,
+                                residual_distribution)
 from seatlot import _kernels_py
 from seatlot.core import Problem
 
@@ -260,7 +260,7 @@ def test_criterion_8_unfairness_counterexamples():
         assert law == fix["selection_law"]
         exact_gap = max(abs(a - b) for a, b in zip(law, fracs))
         assert exact_gap > F(1, 1000)
-        nums, _den = _common_numerators([F(f) for f in fracs])
+        nums = quota_vector(fracs).nums
         counts, failures = _kernels_py.conditional_batch(
             nums, fix["residual"], 8080, n, 10 ** 6)
         assert failures == 0
@@ -287,7 +287,8 @@ def test_criterion_8_unfairness_counterexamples():
             > F(1, 1000)
         floors = [int(v) for v in adj.values]
         fracs_r = [v - f for v, f in zip(adj.values, floors)]
-        nums_r, den_r = _common_numerators(fracs_r)
+        integer = quota_vector(fracs_r)
+        nums_r, den_r = integer.nums, integer.den
         sums, sumsqs, _rounds, fail = _kernels_py.resample_batch(
             floors, nums_r, den_r, list(adj.original_floors),
             list(adj.original_ceilings), 9090, n, 10 ** 4)

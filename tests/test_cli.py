@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction as F
 
 import pytest
 
+import fixtures
 from seatlot import _backend
 from seatlot.cli import (decimal_str, fraction_str, main, parse_census,
                          parse_fraction, parse_quota_file)
@@ -386,6 +388,14 @@ def test_bound_check_needs_seats_without_adjusted(tmp_path):
     assert code == 2
 
 
+def test_bound_check_bad_adjusted_value_names_its_line(tmp_path, capsys):
+    path = tmp_path / "q.csv"
+    path.write_text("A,1/2,x\nB,3/2,1\n")
+    code, _ = run_cli(["bound-check", "--quotas", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: line 1: ")
+
+
 # --- table1 -------------------------------------------------------------------------
 
 def test_table1_synthetic_directory(tmp_path):
@@ -407,3 +417,70 @@ def test_table1_synthetic_directory(tmp_path):
     assert by_year["1960"][0]["state"] == "none"
     code, _ = run_cli(["table1", "--data", str(tmp_path / "missing")])
     assert code == 2
+
+
+# --- output contract -------------------------------------------------------
+
+GOLDEN_RUNS = {
+    **{f"apportion-{fmt}{tag}": ["apportion", "--data", "c50.csv", "--seats",
+                                  "435", "--method", "stochastic", "--seed",
+                                  "7", "--format", fmt, *extra]
+       for fmt in ("table", "csv", "json-lines")
+       for tag, extra in (("", []), ("-bound1", ["--lower-bound", "1"]))},
+    "apportion-webster-bound1": ["apportion", "--data", "c50.csv", "--seats",
+                                 "435", "--method", "webster",
+                                 "--lower-bound", "1"],
+    "simulate": ["simulate", "--data", "c50.csv", "--seats", "435",
+                 "--method", "stochastic", "--n", "2000", "--seed", "11"],
+    "simulate-bound1": ["simulate", "--data", "c50.csv", "--seats", "435",
+                        "--method", "stochastic", "--n", "2000", "--seed",
+                        "11", "--lower-bound", "1"],
+    "distribution-8": ["distribution", "--data", "c8.csv", "--seats", "20"],
+    "distribution-8-bound1": ["distribution", "--data", "c8.csv", "--seats",
+                              "20", "--lower-bound", "1"],
+    "distribution-50-refused": ["distribution", "--data", "c50.csv",
+                                "--seats", "435"],
+    "bound-check-rescale": ["bound-check", "--quotas", "rescale.csv",
+                            "--seats", "20"],
+    "bound-check-audit": ["bound-check", "--quotas", "audit.csv"],
+    "table1": ["table1", "--data", "decades", "--seats", "435"],
+}
+
+
+@pytest.fixture
+def golden_inputs(tmp_path, monkeypatch):
+    def census(rows):
+        return "".join(f"{label},{pop}\n" for label, pop in rows)
+
+    (tmp_path / "c50.csv").write_text(census(fixtures.CENSUS_50))
+    (tmp_path / "c8.csv").write_text(census(fixtures.CENSUS_8))
+    (tmp_path / "rescale.csv").write_text(fixtures.QUOTAS_RESCALE)
+    (tmp_path / "audit.csv").write_text(fixtures.QUOTAS_AUDIT)
+    decades = tmp_path / "decades"
+    decades.mkdir()
+    (decades / "1990.csv").write_text(census(fixtures.CENSUS_50))
+    (decades / "2000.csv").write_text(census(
+        (label, pop + pop // (3 + i % 5))
+        for i, (label, pop) in enumerate(fixtures.CENSUS_50)))
+    monkeypatch.chdir(tmp_path)
+
+
+def golden_digest(args, capsys):
+    """(exit code, sha256 of stdout, sha256 of stderr) of one CLI run."""
+    capsys.readouterr()
+    code, stdout = run_cli(args)
+    stderr = capsys.readouterr().err
+    return (code, hashlib.sha256(stdout.encode()).hexdigest(),
+            hashlib.sha256(stderr.encode()).hexdigest())
+
+
+@pytest.mark.parametrize("backend", ["pure-python", "compiled"])
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_cli_golden(name, backend, golden_inputs, capsys, monkeypatch,
+                    request):
+    """Identical invocations print byte-identical output, release to
+    release and on either kernel backend: stdout, stderr and exit code
+    match the committed digests."""
+    monkeypatch.setattr(_backend, "_kernels_c", request.getfixturevalue("kc")
+                        if backend == "compiled" else None)
+    assert golden_digest(GOLDEN_RUNS[name], capsys) == fixtures.CLI_GOLDEN[name]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from seatlot import (InputError, Problem, compute_quota,
                      feasible_with_lower_bound, problem, quota_vector,
                      satisfies_quota)
-from seatlot.core import Allocation, _integer_quotas, broadcast_lower_bound
+from seatlot.core import Allocation, broadcast_lower_bound
 
 from oracles import quota_bound_feasible
 
@@ -54,7 +54,7 @@ def test_quota_invariants(pops, seats):
     q = compute_quota(prob)
     # The integer form: floors plus numerators over the least common
     # denominator of the fractional parts.
-    floors, nums, den = _integer_quotas(prob)
+    floors, nums, den = q.floors, q.nums, q.den
     assert q.quotas == tuple(F(seats * p, sum(pops)) for p in pops)
     assert q.quotas == tuple(f + F(n, den) for f, n in zip(floors, nums))
     assert all(0 <= n < den for n in nums)
@@ -63,6 +63,34 @@ def test_quota_invariants(pops, seats):
     assert all(0 <= f < 1 for f in q.fractional)
     assert sum(q.fractional) == q.residual_seats
     assert 0 <= q.residual_seats <= q.unsatisfied_count
+
+
+@given(st.lists(st.fractions(min_value=0, max_value=50, max_denominator=60),
+                min_size=1, max_size=10))
+@settings(max_examples=300, deadline=None)
+def test_quota_vector_matches_fraction_arithmetic(values):
+    # Raw tables, including ones whose total is not an integer.
+    q = quota_vector(values)
+    floors = tuple(math.floor(v) for v in values)
+    fractional = tuple(v - f for v, f in zip(values, floors))
+    total = sum(fractional, F(0))
+    assert q.quotas == tuple(values)
+    assert q.floors == floors
+    assert q.fractional == fractional
+    assert q.ceilings == tuple(math.ceil(v) for v in values)
+    assert q.residual_seats == (total.numerator if total.denominator == 1
+                                else -1)
+    assert q.unsatisfied_count == sum(1 for f in fractional if f)
+    assert all(0 <= n < q.den for n in q.nums)
+    assert q.den == math.lcm(*(f.denominator for f in fractional))
+    assert q.quotas is q.quotas     # built once, then cached
+
+
+@given(populations, st.integers(min_value=0, max_value=2000))
+@settings(max_examples=100, deadline=None)
+def test_quota_vector_round_trips_problem_quotas(pops, seats):
+    q = compute_quota(problem(pops, seats))
+    assert quota_vector(q.quotas) == q
 
 
 def test_problem_validation():

@@ -17,20 +17,6 @@ from seatlot.rng import SeededSource
 COMPILED = ("averaged_mask_lengths", "simulate_batch")
 
 
-@pytest.fixture(scope="session")
-def kc(tmp_path_factory):
-    """seatlot._kernels_c bound to a library compiled into a temporary
-    directory, so the parity tests run wherever a C compiler exists."""
-    from seatlot import _kernels_c
-    library = _kernels_c.build(str(tmp_path_factory.mktemp("kernels")))
-    if library is None:
-        pytest.skip("no C compiler to build the compiled kernels")
-    previous = _kernels_c._lib
-    _kernels_c.load(library)
-    yield _kernels_c
-    _kernels_c._lib = previous
-
-
 @pytest.fixture
 def compiled_calls(kc, monkeypatch):
     """Routes the dispatcher to the fixture library; lists the kernel calls

@@ -14,8 +14,7 @@ from seatlot.lowerbound import (adjusted_quota_from_values, classify,
                                 resample_conditional_law,
                                 resample_until_quota, scaled_fractional_quota,
                                 trace_audit, violation_probability_bound)
-from seatlot.core import _integer_quotas
-from seatlot.stochastic import _common_numerators, exact_distribution
+from seatlot.stochastic import exact_distribution
 
 from fixtures import RESAMPLE_UNFAIR, TABLE_OFFENDER_PAIRS
 from oracles import quota_bound_feasible, rescale_and_pin
@@ -154,7 +153,8 @@ def test_bound_validity_against_simulation():
     assert len(vb.gaps) == 1
     floors = [int(v) for v in adj.values]
     fracs = [v - f for v, f in zip(adj.values, floors)]
-    nums, den = _common_numerators(fracs)
+    integer = quota_vector(fracs)
+    nums, den = integer.nums, integer.den
     n = 100_000
     _s, _sq, qviol, _bv, _mm, _masks = _backend.simulate_batch(
         floors, nums, den, list(adj.original_floors),
@@ -278,8 +278,10 @@ def _assert_matches_rescale_and_pin(quota, bounds, seats):
         # The integer composite is what the kernels receive: floors and
         # numerators over the least common denominator of the fractions.
         floors = tuple(v.numerator // v.denominator for v in final)
-        nums, den = _common_numerators([v - f for v, f in zip(final, floors)])
-        assert trace._composite == (floors, tuple(nums), den)
+        fractions = quota_vector([v - f for v, f in zip(final, floors)])
+        composite = trace._composite
+        assert (composite.floors, composite.nums, composite.den) \
+            == (floors, fractions.nums, fractions.den)
     return trace
 
 
@@ -291,9 +293,7 @@ def test_iteration_matches_fraction_reference_on_problems(pops, seats, data):
     bounds = data.draw(st.lists(st.integers(min_value=0, max_value=3),
                                 min_size=len(pops), max_size=len(pops)))
     prob = problem(pops, seats)
-    trace = _assert_matches_rescale_and_pin(compute_quota(prob), bounds,
-                                            seats)
-    assert iterate_lower_bound(_integer_quotas(prob), bounds, seats) == trace
+    _assert_matches_rescale_and_pin(compute_quota(prob), bounds, seats)
 
 
 @given(st.lists(st.fractions(min_value=0, max_value=30, max_denominator=12),
@@ -434,7 +434,8 @@ def test_resample_acceptance_probability_single_small_gap():
     # mean rounds over a large seeded batch agrees with 1/0.962
     from seatlot import _kernels_py
 
-    nums, den = _common_numerators(fracs)
+    integer = quota_vector(fracs)
+    nums, den = integer.nums, integer.den
     n = 50_000
     _s, _sq, rounds_total, failures = _kernels_py.resample_batch(
         floors, nums, den, list(adj.original_floors),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seatlot import (InputError, SeededSource, compute_quota, problem,
-                     stochastic_apportion)
+                     quota_vector, stochastic_apportion)
 from seatlot.montecarlo import (ProblemPair, empirical_distribution,
                                 fairness_test, house_increase_pair,
                                 monotonicity_scan, population_move_pair,
@@ -92,12 +92,7 @@ def test_fairness_test_exact_comparison():
     quota = compute_quota(prob)
     assert all(fairness_test(report, quota))
     # shift the target: means are ~0.8/0.2 away, far beyond 4 sigma
-    wrong = compute_quota(problem((2, 3), 7))
-    shifted = type(wrong)(
-        quotas=(wrong.quotas[0] + 1, wrong.quotas[1] - 1),
-        floors=wrong.floors, fractional=wrong.fractional,
-        residual_seats=wrong.residual_seats,
-        unsatisfied_count=wrong.unsatisfied_count)
+    shifted = quota_vector((quota.quotas[0] + 1, quota.quotas[1] - 1))
     assert not any(fairness_test(report, shifted))
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seatlot import (CapacityError, InputError, SeededSource, _backend,
-                     compute_quota, problem, satisfies_quota)
+                     compute_quota, problem, quota_vector, satisfies_quota)
 from seatlot.lowerbound import lower_bound_distribution
 from seatlot.rng import U53_DENOMINATOR
 from seatlot.stochastic import (AllocationDistribution, SystematicDraw,
@@ -64,9 +64,8 @@ def test_grid_fast_path_equals_exact_offset(fracs, u53):
     # The sampling path maps a dyadic offset onto the common-denominator
     # grid; the result must equal rounding at the exact rational offset.
     from seatlot import _kernels_py
-    from seatlot.stochastic import _common_numerators
-
-    nums, den = _common_numerators(fracs)
+    integer = quota_vector(fracs)
+    nums, den = integer.nums, integer.den
     pos = _kernels_py.position_from_bits53(u53, den)
     fast = _kernels_py.systematic_round_ints(nums, den, pos)
     exact = systematic_round(fracs, F(u53, U53_DENOMINATOR))
