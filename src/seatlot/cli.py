@@ -138,13 +138,12 @@ def parse_quota_file(path) -> tuple[list[str], list[Fraction], list]:
                     continue  # header row
                 raise InputError(f"line {lineno}: bad quota value {row[1]!r}")
             try:
-                a = (parse_fraction(row[2]) if len(row) > 2
-                     and row[2].strip() else None)
+                adjusted.append(parse_fraction(row[2]) if len(row) > 2
+                                and row[2].strip() else None)
             except InputError:
                 raise InputError(f"line {lineno}: bad adjusted value {row[2]!r}")
             labels.append(label)
             quotas.append(q)
-            adjusted.append(a)
     if not labels:
         raise InputError("quota file contains no states")
     has_adj = [a is not None for a in adjusted]

@@ -57,6 +57,7 @@ class SimulationReport:
 
 
 def _bounds(prob: Problem, lower_bounds) -> tuple[int, ...]:
+    """Per-state minimums: ``lower_bounds`` broadcast, or zeros for None."""
     return ((0,) * prob.size if lower_bounds is None
             else broadcast_lower_bound(lower_bounds, prob.size))
 
@@ -84,9 +85,8 @@ def simulate(method, prob: Problem, master_seed: int, n: int,
     if n < 1:
         raise InputError("replicate count must be at least 1")
     if method == "stochastic":
-        _scheme, trace, tallies = _scheme_batch(prob, lower_bounds,
-                                                master_seed, n)
-        sums, sumsqs, qviol, bviol, mismatches, _masks = tallies
+        _scheme, trace, (sums, sumsqs, qviol, bviol, mismatches, _masks) = (
+            _scheme_batch(prob, lower_bounds, master_seed, n))
         return SimulationReport(
             method="stochastic" if trace is None else "stochastic-lower-bound",
             master_seed=master_seed, replicates=n,

@@ -101,9 +101,9 @@ def systematic_round(fracs: Sequence, u) -> list[int]:
     if not 0 <= u < 1:
         raise InputError(f"offset must lie in [0, 1), got {u}")
     _check_fractional(fracs)
-    quota = quota_vector([*fracs, u])
-    return _kernels_py.systematic_round_ints(quota.nums[:-1], quota.den,
-                                             quota.nums[-1])
+    grid = quota_vector([*fracs, u])
+    return _kernels_py.systematic_round_ints(grid.nums[:-1], grid.den,
+                                             grid.nums[-1])
 
 
 def stochastic_apportion(prob: Problem, src: SeededSource) -> Allocation:
