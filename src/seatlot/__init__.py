@@ -32,7 +32,7 @@ from .montecarlo import (MonotonicityReport, ProblemPair, SimulationReport,
                          population_move_pair, random_problem, simulate,
                          stochastic_dominance)
 from .rng import SeededSource, child_seed
-from .stochastic import (AllocationDistribution, SystematicDraw,
+from .stochastic import (AllocationDistribution,
                          conditional_sampling_allocate,
                          conditional_selection_law, exact_distribution,
                          random_permutation, residual_distribution,

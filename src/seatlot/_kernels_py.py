@@ -128,8 +128,9 @@ def averaged_mask_lengths(frac_nums, den, fix_last):
     return acc
 
 
-def _permuted_indicators(src, frac_nums, den, s, seats_out, scheme_floors):
-    """One scheme replicate: shuffle, draw, round; fills seats_out."""
+def scheme_replicate(src, frac_nums, den, s, seats_out, scheme_floors):
+    """One scheme replicate: shuffle, draw, round; fills seats_out and
+    returns ``(order, u53)``, the ordering and the offset draw."""
     order = src.shuffled_range(s)
     u53 = src.bits53()
     u = position_from_bits53(u53, den)
@@ -141,6 +142,7 @@ def _permuted_indicators(src, frac_nums, den, s, seats_out, scheme_floors):
         cur_ceil = (c + den - 1) // den
         seats_out[i] = scheme_floors[i] + (cur_ceil - prev_ceil)
         prev_ceil = cur_ceil
+    return order, u53
 
 
 def simulate_batch(scheme_floors, frac_nums, den, quota_floors, quota_ceils,
@@ -163,7 +165,7 @@ def simulate_batch(scheme_floors, frac_nums, den, quota_floors, quota_ceils,
     seats = [0] * s
     for k in range(n):
         src = SeededSource(child_seed(master_seed, k))
-        _permuted_indicators(src, frac_nums, den, s, seats, scheme_floors)
+        scheme_replicate(src, frac_nums, den, s, seats, scheme_floors)
         bad_quota = False
         bad_bound = False
         mask = 0
@@ -189,89 +191,3 @@ def simulate_batch(scheme_floors, frac_nums, den, quota_floors, quota_ceils,
             mask_counts[mask] += 1
     return (sums, sumsqs, quota_violations, bound_violations,
             sum_mismatches, mask_counts)
-
-
-def conditional_batch(weight_nums, r_sel, master_seed, n, cap):
-    """n replicates of rejection-sampled distinct-index selection.
-
-    Each replicate draws r_sel categorical indices (weight proportional to
-    weight_nums) and resamples the whole tuple on any collision, up to
-    ``cap`` attempts.  Returns (per-index selection counts, failed replicate
-    count).
-    """
-    s = len(weight_nums)
-    total = sum(weight_nums)
-    counts = [0] * s
-    failures = 0
-    chosen = [0] * r_sel
-    for k in range(n):
-        src = SeededSource(child_seed(master_seed, k))
-        ok = False
-        for _attempt in range(cap):
-            # Draw the whole tuple before the collision check so that every
-            # attempt consumes exactly r_sel draws (stream-replay contract).
-            for t in range(r_sel):
-                v = src.randbelow(total)
-                acc = 0
-                idx = s - 1
-                for i in range(s):
-                    acc += weight_nums[i]
-                    if v < acc:
-                        idx = i
-                        break
-                chosen[t] = idx
-            distinct = True
-            for a in range(r_sel):
-                for b in range(a + 1, r_sel):
-                    if chosen[a] == chosen[b]:
-                        distinct = False
-                        break
-                if not distinct:
-                    break
-            if distinct:
-                ok = True
-                break
-        if ok:
-            for t in range(r_sel):
-                counts[chosen[t]] += 1
-        else:
-            failures += 1
-    return counts, failures
-
-
-def resample_batch(scheme_floors, frac_nums, den, target_floors, target_ceils,
-                   master_seed, n, cap):
-    """n replicates of run-until-within-target rounding.
-
-    Each replicate reruns the scheme (fresh shuffle and draw from its own
-    stream) until every state's seats fall within [target_floors,
-    target_ceils], up to ``cap`` rounds.  Returns (seat_sums, seat_sumsqs,
-    total accepted-round count, failed replicate count).
-    """
-    s = len(frac_nums)
-    sums = [0] * s
-    sumsqs = [0] * s
-    rounds_total = 0
-    failures = 0
-    seats = [0] * s
-    for k in range(n):
-        src = SeededSource(child_seed(master_seed, k))
-        ok = False
-        for attempt in range(1, cap + 1):
-            _permuted_indicators(src, frac_nums, den, s, seats, scheme_floors)
-            good = True
-            for i in range(s):
-                if seats[i] < target_floors[i] or seats[i] > target_ceils[i]:
-                    good = False
-                    break
-            if good:
-                ok = True
-                rounds_total += attempt
-                break
-        if ok:
-            for i in range(s):
-                sums[i] += seats[i]
-                sumsqs[i] += seats[i] * seats[i]
-        else:
-            failures += 1
-    return sums, sumsqs, rounds_total, failures

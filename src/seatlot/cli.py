@@ -39,7 +39,8 @@ from .lowerbound import (adjusted_quota_from_values, classify,
                          trace_audit, violation_probability_bound)
 from .montecarlo import simulate
 from .rng import SeededSource
-from .stochastic import exact_distribution, stochastic_apportion
+from .stochastic import (ENUMERATION_LIMIT, exact_distribution,
+                         stochastic_apportion)
 
 METHOD_CHOICES = ("stochastic", "hamilton") + tuple(RULES)
 FORMAT_CHOICES = ("table", "csv", "json-lines")
@@ -542,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--seats", required=True, type=int)
     p.add_argument("--lower-bound", default=None)
-    p.add_argument("--limit", type=int, default=8,
+    p.add_argument("--limit", type=int, default=ENUMERATION_LIMIT,
                    help="maximum number of states to enumerate exactly "
                         "(at most 10)")
     add_format(p)

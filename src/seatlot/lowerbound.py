@@ -29,8 +29,8 @@ from .core import (Allocation, Problem, QuotaVector, as_fractions,
                    validate_lower_bound)
 from .errors import ConvergenceError, InfeasibleError, InputError
 from .rng import SeededSource, U53_DENOMINATOR
-from .stochastic import (AllocationDistribution, _allocation_law,
-                         _check_fractional, _scheme_draw)
+from .stochastic import (ENUMERATION_LIMIT, AllocationDistribution,
+                         _allocation_law, _scheme_draw)
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,8 @@ def iterate_lower_bound(quota, bounds: Sequence[int],
             break
         fixed.extend(offenders)
         remaining -= sum(floors[i] for i in offenders)
-        active = [i for i in active if i not in offenders]
+        pinned = set(offenders)
+        active = [i for i in active if i not in pinned]
 
     def _trace(composite, diagnostics=None):
         return IterationTrace(
@@ -346,10 +347,22 @@ def lower_bound_apportion(prob: Problem, bounds: Sequence[int],
 
 
 def lower_bound_distribution(prob: Problem, bounds: Sequence[int],
-                             *, limit: int = 8) -> AllocationDistribution:
+                             *, limit: int = ENUMERATION_LIMIT
+                             ) -> AllocationDistribution:
     """Exact law of the bounded scheme (small state counts only)."""
     quota, _trace = _prepare(compute_quota(prob), bounds, prob.seats)
     return _allocation_law(quota, limit=limit)
+
+
+def _values_quota(adjusted: AdjustedQuota) -> QuotaVector:
+    """The adjusted values as scheme input; their fractional parts must
+    total an integer."""
+    quota = quota_vector(adjusted.values)
+    if quota.residual_seats < 0:
+        total = Fraction(sum(quota.nums), quota.den)
+        raise InputError(
+            f"fractional quotas must sum to an integer, got {total}")
+    return quota
 
 
 def resample_until_quota(adjusted: AdjustedQuota, src: SeededSource,
@@ -360,8 +373,7 @@ def resample_until_quota(adjusted: AdjustedQuota, src: SeededSource,
     shifts the expectations away from the values, so the accepted law is
     not fair.  Seats are indexed by ``adjusted.indices``.
     """
-    quota = quota_vector(adjusted.values)
-    _check_fractional(quota.fractional)
+    quota = _values_quota(adjusted)
     for attempt in range(1, cap + 1):
         seats, order, u53 = _scheme_draw(quota, src)
         if all(f <= a <= c for a, f, c in
@@ -375,12 +387,12 @@ def resample_until_quota(adjusted: AdjustedQuota, src: SeededSource,
 
 
 def resample_conditional_law(adjusted: AdjustedQuota,
-                             *, limit: int = 8) -> AllocationDistribution:
+                             *, limit: int = ENUMERATION_LIMIT
+                             ) -> AllocationDistribution:
     """Exact law of ``resample_until_quota``: the scheme's law on the
     adjusted values, restricted to quota-satisfying outcomes and
     renormalized."""
-    quota = quota_vector(adjusted.values)
-    _check_fractional(quota.fractional)
+    quota = _values_quota(adjusted)
     law = _allocation_law(quota, limit=limit)
     kept = {seats: p for seats, p in law.items()
             if all(f <= a <= c for a, f, c in

@@ -21,7 +21,8 @@ from .divisor import resolve_method
 from .errors import CapacityError, InputError
 from .lowerbound import _prepare
 from .rng import SeededSource, child_seed
-from .stochastic import _seats_from_mask, exact_distribution
+from .stochastic import (ENUMERATION_LIMIT, _seats_from_mask,
+                         exact_distribution)
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,8 @@ class MonotonicityReport:
 
 
 def monotonicity_scan(pairs: Sequence[ProblemPair], kind: str,
-                      *, limit: int = 8) -> MonotonicityReport:
+                      *, limit: int = ENUMERATION_LIMIT
+                      ) -> MonotonicityReport:
     """Exact-marginal dominance verdicts over a corpus of problem pairs.
 
     ``population_move`` checks that the losing state's seat law does not

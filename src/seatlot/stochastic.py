@@ -24,7 +24,6 @@ from the fractional quotas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
@@ -54,39 +53,6 @@ def _check_fractional(fracs: Sequence[Fraction]) -> None:
     total = sum(fracs, Fraction(0))
     if total.denominator != 1:
         raise InputError(f"fractional quotas must sum to an integer, got {total}")
-
-
-@dataclass(frozen=True)
-class SystematicDraw:
-    """A uniform offset together with the cumulative entitlement grid."""
-
-    u: Fraction
-    cumulative: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not 0 <= self.u < 1:
-            raise InputError(f"offset must lie in [0, 1), got {self.u}")
-        if not self.cumulative or self.cumulative[0] != self.u:
-            raise InputError("cumulative grid must start at the offset")
-        for a, b in zip(self.cumulative, self.cumulative[1:]):
-            if b < a:
-                raise InputError("cumulative grid must be non-decreasing")
-
-    @classmethod
-    def from_fractional(cls, u: Fraction,
-                        fracs: Sequence[Fraction]) -> "SystematicDraw":
-        fracs = as_fractions(fracs)
-        grid = [Fraction(u)]
-        for f in fracs:
-            grid.append(grid[-1] + f)
-        return cls(u=Fraction(u), cumulative=tuple(grid))
-
-    def indicators(self) -> list[int]:
-        """Residual-seat indicator per segment of the grid."""
-        out = []
-        for a, b in zip(self.cumulative, self.cumulative[1:]):
-            out.append(1 if math.ceil(a) < b else 0)
-        return out
 
 
 def systematic_round(fracs: Sequence, u) -> list[int]:
@@ -129,14 +95,13 @@ def stochastic_apportion(prob: Problem, src: SeededSource) -> Allocation:
 def _scheme_draw(quota: QuotaVector, src: SeededSource
                  ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Shuffle, draw, round; returns (seats, ordering, offset numerator)."""
-    nums, den = quota.nums, quota.den
-    order = random_permutation(len(nums), src)
-    u53 = src.bits53()
-    pos = _kernels_py.position_from_bits53(u53, den)
-    inds = _kernels_py.systematic_round_ints([nums[i] for i in order], den,
-                                             pos)
-    mask = sum(bit << i for bit, i in zip(inds, order))
-    return _seats_from_mask(quota.floors, mask), order, u53
+    s = quota.size
+    if s < 1:
+        raise InputError("permutation length must be at least 1")
+    seats = [0] * s
+    order, u53 = _kernels_py.scheme_replicate(src, quota.nums, quota.den, s,
+                                              seats, quota.floors)
+    return tuple(seats), tuple(order), u53
 
 
 def _seats_from_mask(floors: Sequence[int], mask: int) -> tuple[int, ...]:

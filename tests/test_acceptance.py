@@ -13,20 +13,22 @@ from fractions import Fraction as F
 
 import pytest
 
-from seatlot import (SeededSource, compute_quota, feasible_with_lower_bound,
-                     problem, quota_vector, satisfies_quota)
+from seatlot import (ConvergenceError, SeededSource, child_seed,
+                     compute_quota, feasible_with_lower_bound, problem,
+                     quota_vector, satisfies_quota)
 from seatlot.cli import main as cli_main
 from seatlot.divisor import (RULES, detect_alabama, detect_population_paradox,
                              divisor_apportion, hamilton_apportion)
 from seatlot.lowerbound import (adjusted_quota_from_values,
                                 iterate_lower_bound, resample_conditional_law,
+                                resample_until_quota,
                                 violation_probability_bound)
 from seatlot.montecarlo import (SimulationReport, fairness_test,
                                 house_increase_pair, monotonicity_scan,
                                 population_move_pair, simulate)
-from seatlot.stochastic import (conditional_selection_law, exact_distribution,
+from seatlot.stochastic import (conditional_sampling_allocate,
+                                conditional_selection_law, exact_distribution,
                                 residual_distribution)
-from seatlot import _kernels_py
 from seatlot.core import Problem
 
 from fixtures import (CONDITIONAL_UNFAIR, HAMILTON_ALABAMA,
@@ -260,9 +262,17 @@ def test_criterion_8_unfairness_counterexamples():
         assert law == fix["selection_law"]
         exact_gap = max(abs(a - b) for a, b in zip(law, fracs))
         assert exact_gap > F(1, 1000)
-        nums = quota_vector(fracs).nums
-        counts, failures = _kernels_py.conditional_batch(
-            nums, fix["residual"], 8080, n, 10 ** 6)
+        counts, failures = [0] * len(fracs), 0
+        for k in range(n):
+            try:
+                picked = conditional_sampling_allocate(
+                    fracs, fix["residual"],
+                    SeededSource(child_seed(8080, k)), 10 ** 6)
+            except ConvergenceError:
+                failures += 1
+                continue
+            for i, bit in enumerate(picked):
+                counts[i] += bit
         assert failures == 0
         report = SimulationReport(
             method="conditional-sampling", master_seed=8080, replicates=n,
@@ -285,13 +295,17 @@ def test_criterion_8_unfairness_counterexamples():
         assert cond_means == rfix["conditional_means"]
         assert max(abs(m - v) for m, v in zip(cond_means, adj.values)) \
             > F(1, 1000)
-        floors = [int(v) for v in adj.values]
-        fracs_r = [v - f for v, f in zip(adj.values, floors)]
-        integer = quota_vector(fracs_r)
-        nums_r, den_r = integer.nums, integer.den
-        sums, sumsqs, _rounds, fail = _kernels_py.resample_batch(
-            floors, nums_r, den_r, list(adj.original_floors),
-            list(adj.original_ceilings), 9090, n, 10 ** 4)
+        sums, sumsqs, fail = [0, 0], [0, 0], 0
+        for k in range(n):
+            try:
+                alloc = resample_until_quota(
+                    adj, SeededSource(child_seed(9090, k)), 10 ** 4)
+            except ConvergenceError:
+                fail += 1
+                continue
+            for i, a in enumerate(alloc.seats):
+                sums[i] += a
+                sumsqs[i] += a * a
         assert fail == 0
         report = SimulationReport(
             method="resample-until-quota", master_seed=9090, replicates=n,

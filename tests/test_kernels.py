@@ -125,9 +125,12 @@ def test_built_library_selects_backend(kc, tmp_path, stale):
 
 
 def test_batch_matches_single_draw_path(kc):
-    # One replicate of simulate_batch must equal the library's own
-    # shuffle+draw+round at the derived child stream.
+    # One replicate of simulate_batch, on either backend, must equal the
+    # single draw that stochastic_apportion makes on the derived child
+    # stream.
+    from seatlot.core import QuotaVector
     from seatlot.rng import child_seed
+    from seatlot.stochastic import _scheme_draw
 
     src = SeededSource(12345)
     for trial in range(40):
@@ -136,15 +139,11 @@ def test_batch_matches_single_draw_path(kc):
         nums = random_fracs(src, s, den)
         floors = [src.randbelow(4) for _ in range(s)]
         master = src.randbelow(2 ** 40)
-        sums, _sq, _qv, _bv, _mm, _masks = kc.simulate_batch(
-            floors, nums, den, floors, [f + 1 for f in floors],
-            [0] * s, master, 1, sum(floors) + sum(nums) // den)
-        rep = SeededSource(child_seed(master, 0))
-        order = rep.shuffled_range(s)
-        u53 = rep.bits53()
-        pos = kpy.position_from_bits53(u53, den)
-        inds = kpy.systematic_round_ints([nums[i] for i in order], den, pos)
-        expected = list(floors)
-        for k, i in enumerate(order):
-            expected[i] += inds[k]
-        assert sums == expected
+        seats, _order, _u53 = _scheme_draw(
+            QuotaVector(tuple(floors), tuple(nums), den),
+            SeededSource(child_seed(master, 0)))
+        for kernels in (kpy, kc):
+            sums, _sq, _qv, _bv, _mm, _masks = kernels.simulate_batch(
+                floors, nums, den, floors, [f + 1 for f in floors],
+                [0] * s, master, 1, sum(floors) + sum(nums) // den)
+            assert tuple(sums) == seats

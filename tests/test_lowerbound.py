@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seatlot import (InfeasibleError, InputError, SeededSource, compute_quota,
+from seatlot import (ConvergenceError, InfeasibleError, InputError,
+                     SeededSource, child_seed, compute_quota,
                      feasible_with_lower_bound, problem, quota_vector,
                      satisfies_quota)
 from seatlot.lowerbound import (adjusted_quota_from_values, classify,
@@ -432,14 +433,16 @@ def test_resample_acceptance_probability_single_small_gap():
                              adj.original_ceilings))), F(0))
     assert accept == F("0.962")
     # mean rounds over a large seeded batch agrees with 1/0.962
-    from seatlot import _kernels_py
-
-    integer = quota_vector(fracs)
-    nums, den = integer.nums, integer.den
     n = 50_000
-    _s, _sq, rounds_total, failures = _kernels_py.resample_batch(
-        floors, nums, den, list(adj.original_floors),
-        list(adj.original_ceilings), 17, n, 10 ** 4)
+    rounds_total, failures = 0, 0
+    for k in range(n):
+        try:
+            alloc = resample_until_quota(
+                adj, SeededSource(child_seed(17, k)), 10 ** 4)
+        except ConvergenceError:
+            failures += 1
+            continue
+        rounds_total += alloc.audit["rounds"]
     assert failures == 0
     import math
 
@@ -454,6 +457,19 @@ def test_resample_without_offenders_accepts_first_round():
     adj = adjusted_quota_from_values([F(5, 2), F(5, 2)], [F(5, 2), F(5, 2)])
     alloc = resample_until_quota(adj, SeededSource(3))
     assert alloc.audit["rounds"] == 1
+
+
+def test_resample_rejects_empty_and_non_integral_values():
+    with pytest.raises(InputError, match="permutation length"):
+        resample_until_quota(adjusted_quota_from_values([], []),
+                             SeededSource(3))
+    adj = adjusted_quota_from_values([F(5, 2), F(5, 2)], [F(5, 2), F(9, 4)])
+    with pytest.raises(InputError,
+                       match=r"must sum to an integer, got 3/4"):
+        resample_until_quota(adj, SeededSource(3))
+    with pytest.raises(InputError,
+                       match=r"must sum to an integer, got 3/4"):
+        resample_conditional_law(adj)
 
 
 # --- uniform fractional shrink (documented non-solution) ---------------------

@@ -9,7 +9,7 @@ from seatlot import (CapacityError, InputError, SeededSource, _backend,
                      compute_quota, problem, quota_vector, satisfies_quota)
 from seatlot.lowerbound import lower_bound_distribution
 from seatlot.rng import U53_DENOMINATOR
-from seatlot.stochastic import (AllocationDistribution, SystematicDraw,
+from seatlot.stochastic import (AllocationDistribution,
                                 conditional_sampling_allocate,
                                 conditional_selection_law, exact_distribution,
                                 random_permutation, residual_distribution,
@@ -70,14 +70,6 @@ def test_grid_fast_path_equals_exact_offset(fracs, u53):
     fast = _kernels_py.systematic_round_ints(nums, den, pos)
     exact = systematic_round(fracs, F(u53, U53_DENOMINATOR))
     assert fast == exact
-
-
-def test_systematic_draw_invariants():
-    draw = SystematicDraw.from_fractional(F(1, 4), [F(1, 2), F(1, 2)])
-    assert draw.cumulative == (F(1, 4), F(3, 4), F(5, 4))
-    assert draw.indicators() == [0, 1]
-    with pytest.raises(InputError):
-        SystematicDraw(u=F(3, 2), cumulative=(F(3, 2),))
 
 
 # --- permutations ---------------------------------------------------------
