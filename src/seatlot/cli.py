@@ -21,6 +21,7 @@ source of truth.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -29,8 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import Problem, broadcast_lower_bound, compute_quota, quota_vector
-from .divisor import (RULES, divisor_apportion, divisor_with_bounds,
-                      hamilton_apportion, resolve_method)
+from .divisor import RULES, divisor_with_bounds, resolve_method
 from .errors import (ApportionmentError, CapacityError, InfeasibleError,
                      InputError)
 from .lowerbound import (adjusted_quota_from_values, classify,
@@ -69,6 +69,33 @@ def parse_fraction(text: str) -> Fraction:
         raise InputError(f"not a rational number: {text!r}") from exc
 
 
+def _csv_rows(source, what: str):
+    """Yield (line number, row) for the non-blank rows of a CSV path or
+    stream; a path that cannot be opened is an input error."""
+    if isinstance(source, (str, Path)):
+        try:
+            stream = open(source, "r", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise InputError(f"cannot read {what} file: {exc}") from exc
+    else:
+        stream = contextlib.nullcontext(source)
+    with stream as lines:
+        for lineno, row in enumerate(csv.reader(lines), start=1):
+            if row and (len(row) > 1 or row[0].strip()):
+                yield lineno, row
+
+
+def _new_label(seen: set, text: str, lineno: int) -> str:
+    """The stripped label, refused when empty or already in ``seen``."""
+    label = text.strip()
+    if not label:
+        raise InputError(f"line {lineno}: empty state label")
+    if label in seen:
+        raise InputError(f"line {lineno}: duplicate state label {label!r}")
+    seen.add(label)
+    return label
+
+
 def parse_census(source) -> list[tuple[str, int]]:
     """Read (label, population) rows from a CSV path or stream.
 
@@ -76,75 +103,49 @@ def parse_census(source) -> list[tuple[str, int]]:
     labels and non-positive populations are rejected with their line number.
     File order is preserved.
     """
-    close = False
-    if isinstance(source, (str, Path)):
-        try:
-            stream = open(source, "r", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise InputError(f"cannot read census file: {exc}") from exc
-        close = True
-    else:
-        stream = source
-    try:
-        rows = []
-        seen = set()
-        for lineno, row in enumerate(csv.reader(stream), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise InputError(f"line {lineno}: expected 'label,population'")
-            label = row[0].strip()
-            pop_text = row[1].strip()
-            if not (pop_text.isascii() and pop_text.isdigit()):
-                if lineno == 1 and not rows:
-                    continue  # header row
-                raise InputError(
-                    f"line {lineno}: population must be a positive integer, "
-                    f"got {pop_text!r}")
-            population = int(pop_text)
-            if population < 1:
-                raise InputError(f"line {lineno}: population must be >= 1")
-            if not label:
-                raise InputError(f"line {lineno}: empty state label")
-            if label in seen:
-                raise InputError(f"line {lineno}: duplicate state label {label!r}")
-            seen.add(label)
-            rows.append((label, population))
-        if not rows:
-            raise InputError("census file contains no states")
-        return rows
-    finally:
-        if close:
-            stream.close()
+    rows = []
+    seen = set()
+    for lineno, row in _csv_rows(source, "census"):
+        if len(row) < 2:
+            raise InputError(f"line {lineno}: expected 'label,population'")
+        pop_text = row[1].strip()
+        if not (pop_text.isascii() and pop_text.isdigit()):
+            if lineno == 1 and not rows:
+                continue  # header row
+            raise InputError(
+                f"line {lineno}: population must be a positive integer, "
+                f"got {pop_text!r}")
+        population = int(pop_text)
+        if population < 1:
+            raise InputError(f"line {lineno}: population must be >= 1")
+        rows.append((_new_label(seen, row[0], lineno), population))
+    if not rows:
+        raise InputError("census file contains no states")
+    return rows
 
 
-def parse_quota_file(path) -> tuple[list[str], list[Fraction], list]:
-    """Read label,quota[,adjusted] rows; adjusted column all-or-none."""
-    try:
-        stream = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read quota file: {exc}") from exc
+def parse_quota_file(source) -> tuple[list[str], list[Fraction], list]:
+    """Read label,quota[,adjusted] rows from a CSV path or stream; adjusted
+    column all-or-none.  Empty and duplicate labels are rejected with their
+    line number."""
     labels, quotas, adjusted = [], [], []
-    with stream:
-        for lineno, row in enumerate(csv.reader(stream), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) < 2:
-                raise InputError(f"line {lineno}: expected 'label,quota[,adjusted]'")
-            label = row[0].strip()
-            try:
-                q = parse_fraction(row[1])
-            except InputError:
-                if lineno == 1 and not labels:
-                    continue  # header row
-                raise InputError(f"line {lineno}: bad quota value {row[1]!r}")
-            try:
-                adjusted.append(parse_fraction(row[2]) if len(row) > 2
-                                and row[2].strip() else None)
-            except InputError:
-                raise InputError(f"line {lineno}: bad adjusted value {row[2]!r}")
-            labels.append(label)
-            quotas.append(q)
+    seen = set()
+    for lineno, row in _csv_rows(source, "quota"):
+        if len(row) < 2:
+            raise InputError(f"line {lineno}: expected 'label,quota[,adjusted]'")
+        try:
+            q = parse_fraction(row[1])
+        except InputError:
+            if lineno == 1 and not labels:
+                continue  # header row
+            raise InputError(f"line {lineno}: bad quota value {row[1]!r}")
+        try:
+            adjusted.append(parse_fraction(row[2]) if len(row) > 2
+                            and row[2].strip() else None)
+        except InputError:
+            raise InputError(f"line {lineno}: bad adjusted value {row[2]!r}")
+        labels.append(_new_label(seen, row[0], lineno))
+        quotas.append(q)
     if not labels:
         raise InputError("quota file contains no states")
     has_adj = [a is not None for a in adjusted]
@@ -153,30 +154,25 @@ def parse_quota_file(path) -> tuple[list[str], list[Fraction], list]:
     return labels, quotas, (adjusted if all(has_adj) else None)
 
 
-def read_lower_bound(value: str, labels) -> tuple[int, ...]:
-    """Scalar broadcast ('1') or per-state bound file matched by label."""
+def read_lower_bound(value, labels) -> tuple[int, ...]:
+    """Scalar broadcast ('1') or per-state bound file (a path or stream)
+    matched by label."""
     if value is None:
         return (0,) * len(labels)
-    if value.isascii() and value.removeprefix("-").isdigit():
+    if (isinstance(value, str) and value.isascii()
+            and value.removeprefix("-").isdigit()):
         return broadcast_lower_bound(int(value), len(labels))
-    try:
-        stream = open(value, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read lower-bound file: {exc}") from exc
     by_label = {}
-    with stream:
-        for lineno, row in enumerate(csv.reader(stream), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
+    for lineno, row in _csv_rows(value, "lower-bound"):
+        digits = row[1].strip().removeprefix("-") if len(row) > 1 else ""
+        if not (digits.isascii() and digits.isdigit()):
+            if lineno == 1 and not by_label:
                 continue
-            digits = row[1].strip().removeprefix("-") if len(row) > 1 else ""
-            if not (digits.isascii() and digits.isdigit()):
-                if lineno == 1 and not by_label:
-                    continue
-                raise InputError(f"line {lineno}: expected 'label,bound'")
-            label = row[0].strip()
-            if label in by_label:
-                raise InputError(f"line {lineno}: duplicate label {label!r}")
-            by_label[label] = int(row[1])
+            raise InputError(f"line {lineno}: expected 'label,bound'")
+        label = row[0].strip()
+        if label in by_label:
+            raise InputError(f"line {lineno}: duplicate label {label!r}")
+        by_label[label] = int(row[1])
     missing = [lab for lab in labels if lab not in by_label]
     extra = [lab for lab in by_label if lab not in labels]
     if missing or extra:
@@ -243,16 +239,13 @@ def _apportion_once(prob, method, bounds, src):
         if any(bounds):
             return lower_bound_apportion(prob, bounds, src)
         return stochastic_apportion(prob, src)
+    if not any(bounds):
+        return resolve_method(method)[1](prob)
     if method == "hamilton":
-        if any(bounds):
-            raise InputError(
-                "lower bounds are supported for the stochastic scheme and "
-                "the divisor methods, not for hamilton")
-        return hamilton_apportion(prob)
-    rule = RULES[method]
-    if any(bounds):
-        return divisor_with_bounds(prob, rule, bounds)
-    return divisor_apportion(prob, rule)
+        raise InputError(
+            "lower bounds are supported for the stochastic scheme and "
+            "the divisor methods, not for hamilton")
+    return divisor_with_bounds(prob, RULES[method], bounds)
 
 
 def cmd_apportion(args, out) -> int:
@@ -355,6 +348,8 @@ def cmd_paradox_scan(args, out) -> int:
                           detect_population_paradox, fair_share_seats)
     from .montecarlo import random_problem
 
+    if args.max_growth < 0:
+        raise InputError(f"--max-growth must be >= 0, got {args.max_growth}")
     emitter = Emitter(args.format, out)
     src = SeededSource(args.seed)
     reports = []

@@ -22,8 +22,6 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import InputError
 
-Rational = Fraction
-
 
 def as_fractions(values: Sequence) -> tuple[Fraction, ...]:
     """Coerce a sequence of ints/Fractions/strings to exact Fractions."""

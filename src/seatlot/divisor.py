@@ -12,9 +12,11 @@ priority is below it; the step then grants the best withheld seats, or
 withdraws the worst granted ones, until the seats sum to the house size.
 The jump misses the house size by fewer seats than there are states, so
 the cost grows with the number of states, not with the house size, and no
-floating-point search is involved.  Huntington-Hill's irrational threshold
-sqrt(b*(b+1)) is compared through squares, which is exact for the
-non-negative quantities involved.
+floating-point search is involved.  Each rule is one exact integer
+threshold (see ``DivisorRule``), from which rounding, the priorities and the
+first-seat guarantee are all read; Huntington-Hill's irrational threshold
+sqrt(b*(b+1)) is given squared and compared through squares, which is exact
+for the non-negative quantities involved.
 
 Ties between equal priorities are broken by larger population first, then
 by input position; the rule is arbitrary but fixed, so results are
@@ -24,7 +26,6 @@ reproducible.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -35,74 +36,59 @@ from .errors import InfeasibleError, InputError
 
 @dataclass(frozen=True)
 class DivisorRule:
-    """A rounding rule for seat thresholds.
+    """A divisor method, defined by its rounding threshold d(b) between
+    ``b`` and ``b + 1`` seats.
 
-    ``rounds_up(x, b)`` decides exactly whether entitlement ``x`` with ``b``
-    whole seats rounds to ``b + 1`` (strict: equality keeps the floor).
-    ``priority(pop, b)`` is the comparable priority of a state's next seat
-    after ``b``; ``None`` means infinite (a guaranteed first seat).  For
-    rules compared through squares, priorities are the squared values, which
-    preserves order.
+    ``threshold(b)`` gives d(b) as integers ``(num, den)`` with den > 0, or
+    d(b)**2 for ``squared_priority`` rules (Hill's d(b) is irrational).  An
+    entitlement strictly above d(b) rounds up; equality keeps the floor.
+    ``rounds_up``, ``priority`` and ``first_seat_guaranteed`` (d(0) = 0) are
+    read from the threshold.  ``split``, d(b) - b for large b, only centres
+    the jump's starting price: a wrong value costs time, not seats.
     """
 
     name: str
-    first_seat_guaranteed: bool
+    split: Fraction
     squared_priority: bool
-    rounds_up: Callable[[Fraction, int], bool] = field(compare=False)
-    priority: Callable[[int, int], Optional[Fraction]] = field(compare=False)
+    threshold: Callable[[int], tuple[int, int]] = field(compare=False)
+
+    @property
+    def first_seat_guaranteed(self) -> bool:
+        return self.threshold(0)[0] == 0
+
+    def rounds_up(self, x, b: int) -> bool:
+        """Whether entitlement ``x`` with ``b`` whole seats rounds to b + 1."""
+        x = Fraction(x)
+        return self._exceeds(x.numerator, x.denominator, b)
+
+    def priority(self, pop: int, b: int) -> Optional[Fraction]:
+        """Priority pop/d(b) of a state's next seat after ``b``, squared for
+        rules compared through squares; ``None`` (infinite) when d(b) = 0."""
+        num, den = self.threshold(b)
+        if self.squared_priority:
+            pop *= pop
+        return Fraction(pop * den, num) if num else None
+
+    def _exceeds(self, a: int, c: int, b: int) -> bool:
+        # a/c > d(b) in integers: a**k * den > num * c**k, k = 2 for rules
+        # compared through squares (exact, as both sides are >= 0).
+        num, den = self.threshold(b)
+        if self.squared_priority:
+            a, c = a * a, c * c
+        return a * den > num * c
 
 
-def _smallest_divisors() -> DivisorRule:
-    return DivisorRule(
-        name="adams", first_seat_guaranteed=True, squared_priority=False,
-        rounds_up=lambda x, b: x > b,
-        priority=lambda pop, b: None if b == 0 else Fraction(pop, b),
-    )
-
-
-def _harmonic_means() -> DivisorRule:
-    # Threshold 2*b*(b+1)/(2*b+1), the harmonic mean of b and b+1; its
-    # b = 0 value is taken as 0, forcing a first seat.
-    return DivisorRule(
-        name="dean", first_seat_guaranteed=True, squared_priority=False,
-        rounds_up=lambda x, b: x * (2 * b + 1) > 2 * b * (b + 1),
-        priority=lambda pop, b: None if b == 0 else Fraction(
-            pop * (2 * b + 1), 2 * b * (b + 1)),
-    )
-
-
-def _equal_proportions() -> DivisorRule:
-    # Threshold sqrt(b*(b+1)); compared via squares.
-    return DivisorRule(
-        name="hill", first_seat_guaranteed=True, squared_priority=True,
-        rounds_up=lambda x, b: x * x > b * (b + 1),
-        priority=lambda pop, b: None if b == 0 else Fraction(
-            pop * pop, b * (b + 1)),
-    )
-
-
-def _major_fractions() -> DivisorRule:
-    return DivisorRule(
-        name="webster", first_seat_guaranteed=False, squared_priority=False,
-        rounds_up=lambda x, b: 2 * x > 2 * b + 1,
-        priority=lambda pop, b: Fraction(2 * pop, 2 * b + 1),
-    )
-
-
-def _greatest_divisors() -> DivisorRule:
-    return DivisorRule(
-        name="jefferson", first_seat_guaranteed=False, squared_priority=False,
-        rounds_up=lambda x, b: x > b + 1,
-        priority=lambda pop, b: Fraction(pop, b + 1),
-    )
-
-
-RULES: dict[str, DivisorRule] = {
-    rule.name: rule
-    for rule in (_smallest_divisors(), _harmonic_means(),
-                 _equal_proportions(), _major_fractions(),
-                 _greatest_divisors())
-}
+# One line per rule, its threshold d(b) as (num, den): smallest divisors
+# d(b) = b, harmonic mean of b and b + 1, geometric mean sqrt(b * (b + 1))
+# given squared, major fractions b + 1/2, greatest divisors b + 1.
+_HALF = Fraction(1, 2)
+RULES: dict[str, DivisorRule] = {rule.name: rule for rule in (
+    DivisorRule("adams", Fraction(0), False, lambda b: (b, 1)),
+    DivisorRule("dean", _HALF, False, lambda b: (2 * b * (b + 1), 2 * b + 1)),
+    DivisorRule("hill", _HALF, True, lambda b: (b * (b + 1), 1)),
+    DivisorRule("webster", _HALF, False, lambda b: (2 * b + 1, 2)),
+    DivisorRule("jefferson", Fraction(1), False, lambda b: (b + 1, 1)),
+)}
 
 DETERMINISTIC_METHODS = ("hamilton",) + tuple(RULES)
 
@@ -118,11 +104,12 @@ def lambda_allocation(prob: Problem, rule: DivisorRule,
     divisor = Fraction(divisor)
     if divisor <= 0:
         raise InputError(f"price per seat must be positive, got {divisor}")
+    p, q = divisor.numerator, divisor.denominator
+    exceeds = rule._exceeds
     out = []
     for pop in prob.populations:
-        x = Fraction(pop * divisor.denominator, divisor.numerator)
-        b = math.floor(x)
-        out.append(b + 1 if rule.rounds_up(x, b) else b)
+        b = pop * q // p
+        out.append(b + 1 if exceeds(pop * q, p, b) else b)
     return tuple(out)
 
 
@@ -161,9 +148,7 @@ def _priority_key(rule: DivisorRule, pop: int, b: int, index: int):
     # Min-heap key ordering: higher priority first, then larger population,
     # then lower index.  Infinite priorities sort before all finite ones.
     value = rule.priority(pop, b)
-    if value is None:
-        return (0, Fraction(0), -pop, index)
-    return (1, -value, -pop, index)
+    return (0, 0, -pop, index) if value is None else (1, -value, -pop, index)
 
 
 def _key_priority(key) -> Optional[Fraction]:
@@ -174,13 +159,6 @@ def _worst_first(key):
     # The key with its order reversed, for a min-heap of granted seats.
     # Applied twice it gives the key back.
     return tuple(-x for x in key)
-
-
-# Twice the rule's split minus one, where the split is the position of the
-# rounding threshold between b and b + 1 for large b: Adams 0, Dean, Hill
-# and Webster 1/2, Jefferson 1.  It only centres the starting price.
-_SPLIT_OFFSET = {"adams": -1, "dean": 0, "hill": 0, "webster": 0,
-                 "jefferson": 1}
 
 
 def _jump_price(prob: Problem, rule: DivisorRule, floors: Sequence[int],
@@ -196,23 +174,26 @@ def _jump_price(prob: Problem, rule: DivisorRule, floors: Sequence[int],
     so a held state stays at its floor.
     """
     pops = prob.populations
-    offset = _SPLIT_OFFSET.get(rule.name, 0)
+    # Twice the split minus one, as on/od: Adams -1, Dean, Hill and Webster
+    # 0, Jefferson 1.  Scaling by od keeps every comparison in integers.
+    offset = 2 * Fraction(rule.split) - 1
+    on, od = offset.numerator, offset.denominator
     active = list(states)
     left = target
     price = Fraction(0)
     while True:
-        denom = 2 * left + offset * len(active)
-        price = max(price, Fraction(2 * sum(pops[i] for i in active),
+        denom = 2 * od * left + on * len(active)
+        price = max(price, Fraction(2 * od * sum(pops[i] for i in active),
                                     max(denom, 1)))
         if denom <= 0:
-            # Only Adams gets here, with at most half a seat per state left
-            # to grant.  Every active share is now under half a seat, so no
-            # state gets more than one seat above its floor.
+            # Only a split below one half (Adams) gets here, with at most half
+            # a seat per state left to grant.  Every active share is now under
+            # half a seat, so no state gets one seat more than its floor.
             return price
         # A state with a zero floor is never held: its floor clips nothing.
         num, den = price.numerator, price.denominator
-        held = {i for i in active if floors[i] and 2 * pops[i] * den
-                < (2 * floors[i] + offset) * num}
+        held = {i for i in active if floors[i] and 2 * od * pops[i] * den
+                < (2 * od * floors[i] + on) * num}
         if not held:
             return price
         left -= sum(floors[i] for i in held)
@@ -347,9 +328,8 @@ def detect_alabama(prob: Problem, method,
     rs = sorted(set(r_values))
     if not rs:
         raise InputError("empty house-size range")
-    allocs = {}
-    for r in rs:
-        allocs[r] = fn(Problem(prob.labels, prob.populations, r)).seats
+    allocs = {r: fn(Problem(prob.labels, prob.populations, r)).seats
+              for r in rs}
     reports = []
     for r in rs:
         if r + 1 not in allocs:
@@ -415,8 +395,8 @@ def detect_population_paradox(before: Problem, after: Problem,
 def fair_share_seats(population: int, base: Problem) -> int:
     """Seats a joining state deserves at the base problem's price per seat,
     rounded to the nearest integer (halves up)."""
-    exact = Fraction(population * base.seats, base.total_population)
-    return math.floor(exact + Fraction(1, 2))
+    total = base.total_population
+    return (2 * population * base.seats + total) // (2 * total)
 
 
 def detect_new_state_paradox(base: Problem, extended: Problem,

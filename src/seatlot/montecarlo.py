@@ -265,6 +265,11 @@ def random_problem(src: SeededSource, *, min_states: int = 1,
                    max_states: int = 6, max_population: int = 60,
                    max_seats: int = 30, min_seats: int = 0) -> Problem:
     """Uniform-ish random instance for scan corpora; deterministic in src."""
+    for what, low, high in (("state count", min_states, max_states),
+                            ("population", 1, max_population),
+                            ("house size", min_seats, max_seats)):
+        if low > high:
+            raise InputError(f"empty {what} range: {low}..{high}")
     s = min_states + src.randbelow(max_states - min_states + 1)
     pops = tuple(1 + src.randbelow(max_population) for _ in range(s))
     seats = min_seats + src.randbelow(max_seats - min_seats + 1)

@@ -351,6 +351,19 @@ def test_paradox_scan_webster_clean():
     assert summary["reports"] == 0
 
 
+@pytest.mark.parametrize("extra", [
+    ["--max-states", "1"],
+    ["--max-population", "0"],
+    ["--kind", "new-state", "--max-seats", "1"],
+    ["--max-growth", "-1"],
+])
+def test_paradox_scan_out_of_range_sizes_are_usage_errors(extra, capsys):
+    code, _ = run_cli(["paradox-scan", "--kind", "population", "--method",
+                       "hamilton", "--trials", "5", *extra])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # --- bound-check --------------------------------------------------------------------
 
 def test_bound_check_published_pairs(tmp_path):
@@ -394,6 +407,19 @@ def test_bound_check_bad_adjusted_value_names_its_line(tmp_path, capsys):
     code, _ = run_cli(["bound-check", "--quotas", str(path)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: line 1: ")
+
+
+@pytest.mark.parametrize("text", ["A,1/2\nA,3/2\n", "A,1/2\n,3/2\n"],
+                         ids=["duplicate", "empty"])
+def test_bound_check_refuses_empty_and_duplicate_labels(tmp_path, capsys,
+                                                         text):
+    path = tmp_path / "q.csv"
+    path.write_text(text)
+    code, _ = run_cli(["bound-check", "--quotas", str(path), "--seats", "2"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+    with pytest.raises(InputError, match="line 2: "):
+        parse_quota_file(io.StringIO(text))
 
 
 # --- table1 -------------------------------------------------------------------------

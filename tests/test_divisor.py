@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -36,6 +37,15 @@ RATIONAL_THRESHOLDS = {
 }
 
 
+def _random_prices(src, count=300):
+    """(problem, price, entitlements) at random rational prices; small
+    prices and populations put many entitlements on a threshold."""
+    for _ in range(count):
+        pops = [1 + src.randbelow(400) for _ in range(5)]
+        price = F(1 + src.randbelow(60), 1 + src.randbelow(12))
+        yield problem(pops, 10), price, [p / price for p in pops]
+
+
 @pytest.mark.parametrize("name", ["adams", "dean", "webster", "jefferson"])
 def test_rounds_up_matches_rational_threshold(name):
     rule = RULES[name]
@@ -45,6 +55,10 @@ def test_rounds_up_matches_rational_threshold(name):
         b = src.randbelow(30)
         x = F(src.randbelow(400), 1 + src.randbelow(12))
         assert rule.rounds_up(x, b) == (x > threshold(b))
+    for prob, price, xs in _random_prices(src):
+        floors = [math.floor(x) for x in xs]
+        assert lambda_allocation(prob, rule, price) == tuple(
+            b + (x > threshold(b)) for x, b in zip(xs, floors))
 
 
 def test_hill_rounds_up_matches_high_precision_sqrt():
@@ -57,6 +71,13 @@ def test_hill_rounds_up_matches_high_precision_sqrt():
             numeric = mpmath.mpf(x.numerator) / x.denominator \
                 > mpmath.sqrt(mpmath.mpf(b) * (b + 1))
             assert rule.rounds_up(x, b) == numeric
+        for prob, price, xs in _random_prices(src):
+            want = []
+            for x in xs:
+                b = math.floor(x)
+                want.append(b + (mpmath.mpf(x.numerator) / x.denominator
+                                 > mpmath.sqrt(mpmath.mpf(b) * (b + 1))))
+            assert lambda_allocation(prob, rule, price) == tuple(want)
 
 
 @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.name)
@@ -109,6 +130,23 @@ def test_lambda_allocation_monotone_in_price(rule):
         allocs = [lambda_allocation(prob, rule, price) for price in prices]
         for a, b in zip(allocs, allocs[1:]):
             assert all(x >= y for x, y in zip(a, b))
+
+
+def test_rule_copy_under_another_name_behaves_the_same():
+    # A rule is its threshold and split, not its name: a copy jumps from
+    # the same price and gives the same seats and audit.
+    adams = RULES["adams"]
+    copy = dataclasses.replace(adams, name="adams-copy")
+    pops = _census()
+    s = len(pops)
+    for house in (s, 435, 10 ** 6):
+        prob = problem(pops, house)
+        assert divisor._jump_price(prob, copy, (0,) * s, range(s), house) \
+            == divisor._jump_price(prob, adams, (0,) * s, range(s), house)
+        want, got = divisor_apportion(prob, adams), divisor_apportion(prob, copy)
+        assert (got.seats, got.audit) == (want.seats, want.audit)
+        assert divisor_with_bounds(prob, copy, 1).seats \
+            == divisor_with_bounds(prob, adams, 1).seats
 
 
 # --- tuned apportionment -------------------------------------------------------
