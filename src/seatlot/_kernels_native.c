@@ -78,57 +78,79 @@ static void scheme_replicate(u64 *state, i64 s, const i64 *floors,
     }
 }
 
-/* Adds each cell length of one state ordering to acc[winner mask]. */
-static void accumulate_order(i64 s, const i64 *fr, const i64 *order, i64 den,
-                             i64 *acc)
+/* Adds each cell length of one ordering of the t states in `order` to
+   acc[winner mask] by a sweep over its breakpoints; see
+   averaged_mask_lengths in _kernels_py.py.  The mask on the first cell
+   (0, b1] comes from the running sums: position k wins iff the running sum
+   wraps past a multiple of den there.  Passing the breakpoint
+   den - (c_k mod den), k < t - 1, moves a seat from position k+1 to
+   position k, so the mask XORs both bits.  Equal breakpoints compose their
+   toggles and leave zero-length cells between them. */
+static void sweep_order(i64 t, const i64 *fr, const i64 *order, i64 den,
+                        i64 *acc)
 {
-    i64 bps[MAX_MASK_STATES];
-    i64 i, j, key, c = 0, left, right, prev, cur;
-    u64 mask;
-    for (i = 0; i < s; i++) {
-        c += fr[order[i]];
-        bps[i] = (den - c % den) % den;
-    }
-    for (i = 1; i < s; i++) {
-        key = bps[i];
-        for (j = i - 1; j >= 0 && bps[j] > key; j--)
-            bps[j + 1] = bps[j];
-        bps[j + 1] = key;
-    }
-    for (j = 0; j < s; j++) {
-        left = bps[j];
-        right = j + 1 < s ? bps[j + 1] : den;
-        if (right == left)
-            continue;
-        mask = 0;
-        c = right;
-        prev = ceil_div(c, den);
-        for (i = 0; i < s; i++) {
-            c += fr[order[i]];
-            cur = ceil_div(c, den);
-            if (cur != prev)
-                mask |= 1ULL << order[i];
-            prev = cur;
+    i64 bps[MAX_MASK_STATES], key, r = 0, prev = 0;
+    u64 toggles[MAX_MASK_STATES], mask = 0, toggle;
+    i64 i, j, n = 0;
+    for (i = 0; i < t; i++) {
+        r += fr[order[i]];
+        if (r >= den) {
+            r -= den;
+            mask |= 1ULL << order[i];
         }
-        acc[mask] += right - left;
+        if (r != 0 && i + 1 < t) {
+            key = den - r;
+            toggle = 1ULL << order[i] | 1ULL << order[i + 1];
+            for (j = n - 1; j >= 0 && bps[j] > key; j--) {
+                bps[j + 1] = bps[j];
+                toggles[j + 1] = toggles[j];
+            }
+            bps[j + 1] = key;
+            toggles[j + 1] = toggle;
+            n++;
+        }
     }
+    for (j = 0; j < n; j++) {
+        acc[mask] += bps[j] - prev;
+        mask ^= toggles[j];
+        prev = bps[j];
+    }
+    acc[mask] += den - prev;
 }
 
-/* s <= MAX_MASK_STATES; acc has 2**s entries.  Heap's algorithm over the
-   first `head` slots enumerates the orderings. */
+/* s <= MAX_MASK_STATES; acc has 2**s entries.  States with a zero
+   fraction never win, so only the t states with a positive fraction are
+   ordered: the last of them stays pinned and Heap's algorithm enumerates
+   the head.  Reversing the head maps the offset u to -u, which turns each
+   segment [a, b) into (a, b]; they differ only at finitely many offsets,
+   so a head and its mirror have the same length per mask, and only the
+   one with head[0] < head[t-2] is swept (the first, ascending head is one;
+   a one-state head is its own mirror).  A final scale restores the
+   (s-1)! orderings with the last state pinned: (s-1)!/(t-1)!, twice that
+   for t >= 3, times s without fix_last. */
 void averaged_mask_lengths(i64 s, const i64 *fr, i64 den, int fix_last,
                            i64 *acc)
 {
     i64 order[MAX_MASK_STATES] = {0}, counters[MAX_MASK_STATES] = {0};
-    i64 head = fix_last && s > 1 ? s - 1 : s;
+    i64 t = 0, head, scale = fix_last ? 1 : s;
     i64 i, k, tmp;
     if (s == 0) {
         acc[0] = den;
         return;
     }
     for (i = 0; i < s; i++)
-        order[i] = i;
-    accumulate_order(s, fr, order, den, acc);
+        if (fr[i] != 0)
+            order[t++] = i;
+    for (i = t > 0 ? t : 1; i < s; i++)
+        scale *= i; /* (s-1)! / (t-1)! */
+    if (t == 0) {
+        acc[0] = den * scale;
+        return;
+    }
+    if (t >= 3)
+        scale *= 2;
+    head = t - 1;
+    sweep_order(t, fr, order, den, acc);
     i = 0;
     while (i < head) {
         if (counters[i] < i) {
@@ -136,7 +158,8 @@ void averaged_mask_lengths(i64 s, const i64 *fr, i64 den, int fix_last,
             tmp = order[k];
             order[k] = order[i];
             order[i] = tmp;
-            accumulate_order(s, fr, order, den, acc);
+            if (order[0] < order[head - 1])
+                sweep_order(t, fr, order, den, acc);
             counters[i]++;
             i = 0;
         } else {
@@ -144,6 +167,9 @@ void averaged_mask_lengths(i64 s, const i64 *fr, i64 den, int fix_last,
             i++;
         }
     }
+    if (scale != 1)
+        for (i = 0; i < (i64)1 << s; i++)
+            acc[i] *= scale;
 }
 
 /* totals = {quota violations, bound violations, seat-sum mismatches};

@@ -25,6 +25,7 @@ Conventions shared by both backends:
 from __future__ import annotations
 
 import itertools
+import math
 
 from .rng import SeededSource, child_seed
 
@@ -88,43 +89,84 @@ def fixed_order_cells(frac_nums, den):
 def averaged_mask_lengths(frac_nums, den, fix_last):
     """Total cell length per winner mask, summed over state orderings.
 
-    With ``fix_last`` the last state stays in the final slot and only the
-    (s-1)! orderings of the remaining states are enumerated; cyclic rotations
-    of an ordering induce the same allocation law, so these representatives
-    average to the same distribution as all s! orderings.  Masks are in the
-    input-index basis.  Divide by ``den * (number of orderings)`` to get
-    probabilities.
+    With ``fix_last`` the sum runs over the (s-1)! orderings that keep the
+    last state in the final slot, otherwise over all s! orderings; cyclic
+    rotations of an ordering induce the same allocation law (shifting the
+    offset absorbs the rotation), so the second sum is s times the first.
+    Masks are in the input-index basis.  Divide by ``den * (number of
+    orderings)`` to get probabilities.
+
+    Three exact shortcuts give the same integers as evaluating every cell
+    of every ordering:
+
+    * Sweep.  In one ordering the mask on the first cell (0, b1] follows
+      from the running sums c_k: position k wins iff floor(c_k / den)
+      exceeds floor(c_(k-1) / den).  As the offset passes the breakpoint
+      den - (c_k mod den), k < s - 1, the point u + c_k crosses an integer,
+      so position k gains the seat position k+1 held: the mask XORs both
+      bits.  One sort of the breakpoints then yields every cell in order.
+      Equal breakpoints need no grouping; their toggles compose, and the
+      masks between them get cells of length zero.
+    * Mirror pairs.  Reversing the head of an ordering (last state pinned)
+      and rotating maps the offset u to -u, which turns every segment
+      [a, b) into (a, b].  The two differ only when an endpoint is an
+      integer, which happens at finitely many offsets, so the mirror has
+      the same length per mask.  Only heads with head[0] < head[-1] are
+      swept, each counted twice (for three or more states; a one-state
+      head is its own mirror).
+    * Zero fractions.  A state with a zero fractional part has an empty
+      segment and never wins, so only the s' states with a positive part
+      are ordered; each of their orderings stands for (s-1)!/(s'-1)!
+      orderings with the last state pinned, and with s' = 0 every offset
+      gives the empty mask.
     """
     s = len(frac_nums)
     if s == 0:
         return [den]
     acc = [0] * (1 << s)
-    if fix_last and s > 1:
-        head, tail = list(range(s - 1)), [s - 1]
-    else:
-        head, tail = list(range(s)), []
+    scale = math.factorial(s - 1) * (1 if fix_last else s)
+    live = [i for i, f in enumerate(frac_nums) if f]
+    if not live:
+        acc[0] = den * scale
+        return acc
+    scale //= math.factorial(len(live) - 1)
+    if len(live) >= 3:
+        scale *= 2
+    *head, last = live
+    last_bit = 1 << last
+    toggles = (1 << s) - 1
     for perm in itertools.permutations(head):
-        order = list(perm) + tail
-        cums = []
-        c = 0
-        for i in order:
-            c += frac_nums[i]
-            cums.append(c)
-        bps = sorted({(-c) % den for c in cums})
-        nb = len(bps)
-        for j in range(nb):
-            left = bps[j]
-            right = bps[j + 1] if j + 1 < nb else den
-            mask = 0
-            prev_ceil = (right + den - 1) // den
-            c = right
-            for k in order:
-                c += frac_nums[k]
-                cur_ceil = (c + den - 1) // den
-                if cur_ceil != prev_ceil:
-                    mask |= 1 << k
-                prev_ceil = cur_ceil
-            acc[mask] += right - left
+        if perm[0] > perm[-1]:
+            continue
+        # r is the running sum mod den; a key is breakpoint << s | toggle,
+        # so keys sort by breakpoint.
+        r = 0
+        mask = last_bit
+        keys = []
+        pending = 0
+        for i in perm:
+            r += frac_nums[i]
+            bit = 1 << i
+            if r >= den:
+                r -= den
+                mask |= bit
+            if pending:
+                keys.append(pending | bit)
+            pending = (den - r) << s | bit if r else 0
+        # The running sum before the last state is den - frac_nums[last]:
+        # the last state wins on the first cell, and its breakpoint is
+        # always interior.
+        keys.append(pending | last_bit)
+        keys.sort()
+        prev = 0
+        for key in keys:
+            b = key >> s
+            acc[mask] += b - prev
+            mask ^= key & toggles
+            prev = b
+        acc[mask] += den - prev
+    if scale != 1:
+        acc = [length * scale for length in acc]
     return acc
 
 

@@ -156,23 +156,22 @@ def parse_quota_file(source) -> tuple[list[str], list[Fraction], list]:
 
 def read_lower_bound(value, labels) -> tuple[int, ...]:
     """Scalar broadcast ('1') or per-state bound file (a path or stream)
-    matched by label."""
+    matched by label; empty and duplicate labels in the file are rejected
+    with their line number."""
     if value is None:
         return (0,) * len(labels)
     if (isinstance(value, str) and value.isascii()
             and value.removeprefix("-").isdigit()):
         return broadcast_lower_bound(int(value), len(labels))
     by_label = {}
+    seen = set()
     for lineno, row in _csv_rows(value, "lower-bound"):
         digits = row[1].strip().removeprefix("-") if len(row) > 1 else ""
         if not (digits.isascii() and digits.isdigit()):
             if lineno == 1 and not by_label:
                 continue
             raise InputError(f"line {lineno}: expected 'label,bound'")
-        label = row[0].strip()
-        if label in by_label:
-            raise InputError(f"line {lineno}: duplicate label {label!r}")
-        by_label[label] = int(row[1])
+        by_label[_new_label(seen, row[0], lineno)] = int(row[1])
     missing = [lab for lab in labels if lab not in by_label]
     extra = [lab for lab in by_label if lab not in labels]
     if missing or extra:
@@ -348,6 +347,8 @@ def cmd_paradox_scan(args, out) -> int:
                           detect_population_paradox, fair_share_seats)
     from .montecarlo import random_problem
 
+    if args.trials < 0:
+        raise InputError(f"--trials must be >= 0, got {args.trials}")
     if args.max_growth < 0:
         raise InputError(f"--max-growth must be >= 0, got {args.max_growth}")
     emitter = Emitter(args.format, out)

@@ -11,8 +11,17 @@ law of the scheme by enumerating state orderings and, for each ordering,
 partitioning the offset space into the finitely many cells on which the
 allocation is constant.  Cyclic rotations of an ordering induce the same
 law (shifting the offset absorbs the rotation), so only orderings with the
-last state pinned are enumerated; equality with the all-orderings average
-is covered by tests.
+last state pinned are enumerated.  Within one ordering the kernel sweeps
+the offset once: the allocation changes only where u plus a running sum
+crosses an integer, and there exactly two adjacent states trade a seat, so
+after one sort of these breakpoints each cell follows from the previous
+one.  Reversing the head of an ordering maps u to -u, turning every
+segment [a, b) into (a, b]; the two differ only at finitely many offsets,
+so an ordering and its mirror have the same law and only one of each pair
+is swept, counted twice.  States with a zero fractional part never win and
+are left out of the enumeration, whose total is scaled back up to the
+(s-1)! orderings.  Equality with the all-orderings average and with a
+direct evaluation of every cell of every ordering is covered by tests.
 
 ``conditional_sampling_allocate`` implements a tempting but biased
 alternative - draw residual-seat winners independently with probability
@@ -53,6 +62,22 @@ def _check_fractional(fracs: Sequence[Fraction]) -> None:
     total = sum(fracs, Fraction(0))
     if total.denominator != 1:
         raise InputError(f"fractional quotas must sum to an integer, got {total}")
+
+
+def _fractional_quota(fracs: Sequence[Fraction]) -> QuotaVector:
+    """The quota vector of fractional quotas, refused as
+    ``_check_fractional`` refuses them: every floor must be 0 and the
+    parts must total an integer."""
+    try:
+        quota = quota_vector(fracs)
+    except InputError:  # a negative entry
+        quota = None
+    if quota is None or any(quota.floors):
+        _check_fractional(fracs)  # raises: a part lies outside [0, 1)
+    if quota.residual_seats < 0:
+        raise InputError("fractional quotas must sum to an integer, got "
+                         f"{Fraction(sum(quota.nums), quota.den)}")
+    return quota
 
 
 def systematic_round(fracs: Sequence, u) -> list[int]:
@@ -194,10 +219,8 @@ def residual_distribution(fracs: Sequence, *, average_orders: bool = True,
     (the full scheme); otherwise the states are processed in the given
     fixed order, skipping the shuffle step.
     """
-    fracs = as_fractions(fracs)
-    _check_fractional(fracs)
-    return _allocation_law(quota_vector(fracs), average_orders=average_orders,
-                           limit=limit)
+    return _allocation_law(_fractional_quota(as_fractions(fracs)),
+                           average_orders=average_orders, limit=limit)
 
 
 def exact_distribution(prob: Problem, *,

@@ -2,7 +2,8 @@
 
 Everything here recomputes results through a different route than the
 library: full-permutation enumeration with midpoint evaluation for the
-scheme's law, backtracking enumeration for allocation existence, and a
+scheme's law and with right-endpoint evaluation for its integer cell
+lengths, backtracking enumeration for allocation existence, and a
 sort-the-whole-priority-list apportionment with its own threshold formulas.
 Keeping these separate from the package is the point - a bug would have to
 be made twice, in two different shapes, to go unnoticed.
@@ -75,6 +76,35 @@ def fixed_order_distribution(fracs) -> dict:
         key = indicators_at(mid, fracs)
         law[key] = law.get(key, Fraction(0)) + (right - left)
     return law
+
+
+def mask_lengths(nums, den) -> list:
+    """Cell lengths per winner mask over all s! orderings, in integers.
+
+    ``nums`` are numerators over ``den`` in [0, den) whose total is a
+    multiple of ``den``.  For each ordering the offsets 0..den (over den)
+    are cut at every point where a running sum meets a multiple of den;
+    each cell (left, right] is evaluated at its right endpoint straight
+    from the definition: a state wins when its segment [u + c_prev, u + c)
+    contains a multiple of den.  Entry m is the total length of the cells
+    whose winners, as input-index bits, form m.
+    """
+    s = len(nums)
+    acc = [0] * (1 << s)
+    for order in itertools.permutations(range(s)):
+        cums = list(itertools.accumulate(nums[i] for i in order))
+        cuts = sorted({0, den} | {(-c) % den for c in cums})
+        for left, right in zip(cuts, cuts[1:]):
+            mask = 0
+            lo = right
+            for i, c in zip(order, cums):
+                hi = right + c
+                first_multiple = -(-lo // den) * den
+                if first_multiple < hi:
+                    mask |= 1 << i
+                lo = hi
+            acc[mask] += right - left
+    return acc
 
 
 def exists_allocation(lows, highs, total) -> bool:

@@ -212,6 +212,20 @@ def test_lower_bound_file_bad_number_is_an_input_error(tmp_path, census,
     assert capsys.readouterr().err.startswith("error: line 2: ")
 
 
+@pytest.mark.parametrize("text, error", [
+    ("A,1\n,2\n", "error: line 2: empty state label\n"),
+    ("A,1\nA,2\n", "error: line 2: duplicate state label 'A'\n"),
+], ids=["empty", "duplicate"])
+def test_lower_bound_file_refuses_empty_and_duplicate_labels(
+        tmp_path, census, capsys, text, error):
+    bounds = tmp_path / "bounds.csv"
+    bounds.write_text(text)
+    code, _ = run_cli(["apportion", "--data", census, "--seats", "7",
+                       "--method", "stochastic", "--lower-bound", str(bounds)])
+    assert code == 2
+    assert capsys.readouterr().err == error
+
+
 @pytest.mark.parametrize("bound", ["\uff11", "1_0"])
 def test_scalar_lower_bound_needs_ascii_digits(tmp_path, monkeypatch, census,
                                                capsys, bound):
@@ -356,6 +370,7 @@ def test_paradox_scan_webster_clean():
     ["--max-population", "0"],
     ["--kind", "new-state", "--max-seats", "1"],
     ["--max-growth", "-1"],
+    ["--kind", "alabama", "--trials", "-5"],
 ])
 def test_paradox_scan_out_of_range_sizes_are_usage_errors(extra, capsys):
     code, _ = run_cli(["paradox-scan", "--kind", "population", "--method",

@@ -9,10 +9,14 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seatlot._backend as backend
 import seatlot._kernels_py as kpy
 from seatlot.rng import SeededSource
+
+from oracles import mask_lengths
 
 COMPILED = ("averaged_mask_lengths", "simulate_batch")
 
@@ -47,13 +51,39 @@ def random_fracs(src, s, den):
 
 @pytest.mark.parametrize("fix_last", [True, False])
 def test_averaged_mask_lengths_agreement(kc, fix_last):
+    # Odd trials draw denominators up to 12, where breakpoints tie and
+    # fractions vanish often.
     src = SeededSource(3)
     for trial in range(60):
-        s = src.randbelow(7)
-        den = 1 + src.randbelow(500)
+        s = src.randbelow(10)
+        den = 1 + src.randbelow(12 if trial % 2 else 500)
         nums = random_fracs(src, s, den) if s else []
         assert (kpy.averaged_mask_lengths(nums, den, fix_last)
                 == kc.averaged_mask_lengths(nums, den, fix_last))
+
+
+@st.composite
+def tied_fracs(draw):
+    """(nums, den): up to 6 numerators over a small den, about half zero."""
+    s = draw(st.integers(min_value=1, max_value=6))
+    den = draw(st.integers(min_value=1, max_value=12))
+    nums = [draw(st.one_of(st.just(0), st.integers(0, den - 1)))
+            for _ in range(s - 1)]
+    nums.append((-sum(nums)) % den)
+    return nums, den
+
+
+@given(tied_fracs())
+@settings(max_examples=150, deadline=None)
+def test_averaged_mask_lengths_match_oracle(kc, case):
+    # All s! orderings, every cell evaluated at its right endpoint: the
+    # pinned sum is 1/s of it, the unpinned sum all of it, on both tiers.
+    nums, den = case
+    expected = mask_lengths(nums, den)
+    for kernels in (kpy, kc):
+        pinned = kernels.averaged_mask_lengths(nums, den, True)
+        assert [length * len(nums) for length in pinned] == expected
+        assert kernels.averaged_mask_lengths(nums, den, False) == expected
 
 
 def test_simulate_batch_agreement(kc):

@@ -145,6 +145,24 @@ def test_residual_distribution_half_half():
     assert law.probabilities == {(1, 0): F(1, 2), (0, 1): F(1, 2)}
 
 
+@pytest.mark.parametrize("fracs, error", [
+    ([F(1, 2)], "fractional quotas must sum to an integer, got 1/2"),
+    ([F(1, 2), F(1, 4)], "fractional quotas must sum to an integer, got 3/4"),
+    ([F(3, 2), F(-1, 2)], "fractional quotas must lie in [0, 1), got 3/2"),
+    ([F(1, 2), F(-1, 2), F(3, 2)],
+     "fractional quotas must lie in [0, 1), got -1/2"),
+    ([F(1), F(0)], "fractional quotas must lie in [0, 1), got 1"),
+])
+def test_residual_distribution_refuses_as_systematic_round(fracs, error):
+    # The law reads its checks off the quota vector; the texts are those
+    # of systematic_round's own check, first offending entry first.
+    for call in (lambda: residual_distribution(fracs),
+                 lambda: systematic_round(fracs, F(0))):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == error
+
+
 def test_exact_distribution_capacity(monkeypatch):
     with pytest.raises(CapacityError):
         exact_distribution(problem((1,) * 9, 3))
