@@ -24,7 +24,6 @@ import argparse
 import contextlib
 import csv
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -54,10 +53,11 @@ def fraction_str(f: Fraction) -> str:
 def decimal_str(f: Fraction, places: int = 6) -> str:
     """Fixed-precision decimal rendering (round half away from zero)."""
     f = Fraction(f)
-    sign = "-" if f < 0 else ""
-    scaled = abs(f) * 10 ** places
-    n = math.floor(scaled + Fraction(1, 2))
-    whole, frac = divmod(n, 10 ** places)
+    num, den = f.numerator, f.denominator
+    scale = 10 ** places
+    # floor(|f| * scale + 1/2), in integers
+    whole, frac = divmod((2 * abs(num) * scale + den) // (2 * den), scale)
+    sign = "-" if num < 0 else ""
     return f"{sign}{whole}.{str(frac).zfill(places)}"
 
 

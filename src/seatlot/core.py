@@ -78,7 +78,8 @@ class QuotaVector:
     ``0 <= nums[i] < den`` and ``den`` is the least common denominator of
     the fractional parts.  ``quotas[i]`` is the exact entitlement of state i
     and ``fractional[i]`` its residual entitlement, both as ``Fraction``s
-    built on first read.  ``residual_seats`` is the number of seats left
+    built on first read; ``ceilings`` (the upper quotas) is likewise kept
+    after its first read.  ``residual_seats`` is the number of seats left
     after every floor is granted (-1 when the fractional parts do not total
     an integer), and ``unsatisfied_count`` the number of states still
     competing for them.
@@ -102,7 +103,7 @@ class QuotaVector:
     def size(self) -> int:
         return len(self.floors)
 
-    @property
+    @cached_property
     def ceilings(self) -> tuple[int, ...]:
         return tuple(f + (1 if n else 0)
                      for f, n in zip(self.floors, self.nums))
@@ -185,7 +186,7 @@ def validate_lower_bound(bounds: Sequence[int], size: int) -> tuple[int, ...]:
     if len(bounds) != size:
         raise InputError("lower-bound vector and state list differ in length")
     for b in bounds:
-        if not isinstance(b, int) or b < 0:
+        if not isinstance(b, int) or isinstance(b, bool) or b < 0:
             raise InputError(f"lower bounds must be non-negative integers, got {b!r}")
     return bounds
 

@@ -19,6 +19,7 @@ simpler, but the resulting expectations are no longer proportional).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -310,20 +311,36 @@ def trace_audit(trace: IterationTrace) -> dict:
     }
 
 
-def _prepare(quota: QuotaVector, bounds, seats: int):
-    """(scheme quota, trace): the scheme's input for the problem quotas
-    ``quota`` of a house of ``seats``; the quotas themselves and no trace
-    without bounds (None), else the composite quota vector of the rescaling
-    iteration and its trace."""
+def _prepare(prob: Problem, bounds):
+    """(problem quota, scheme quota, trace) for ``prob`` under ``bounds``.
+
+    Without bounds (None) the scheme runs on the problem quotas and there
+    is no trace; otherwise it runs on the composite quota vector of the
+    rescaling iteration, and infeasible bounds raise
+    :class:`InfeasibleError` with the trace.  The bounds are broadcast and
+    validated before the memo is consulted, so a bad bound is refused on
+    every call.
+    """
+    if bounds is not None:
+        bounds = broadcast_lower_bound(bounds, prob.size)
+    return _prepared(prob, bounds)
+
+
+@functools.lru_cache(maxsize=1)
+def _prepared(prob: Problem, bounds: Optional[tuple[int, ...]]):
+    """``_prepare`` on validated bounds, kept for the last problem: repeated
+    draws on one problem pay only for the shuffle and the offset.  Every
+    value returned is immutable; an exception is not kept, so infeasible
+    bounds raise again on the next call."""
+    quota = compute_quota(prob)
     if bounds is None:
-        return quota, None
-    bounds = broadcast_lower_bound(bounds, quota.size)
-    trace = iterate_lower_bound(quota, bounds, seats)
+        return quota, quota, None
+    trace = iterate_lower_bound(quota, bounds, prob.seats)
     if not trace.feasible:
         raise InfeasibleError(
             f"no allocation satisfies quota with the given bounds: {trace.diagnostics}",
             diagnostics=trace.diagnostics, trace=trace)
-    return trace._composite, trace
+    return quota, trace._composite, trace
 
 
 def lower_bound_apportion(prob: Problem, bounds: Sequence[int],
@@ -334,8 +351,8 @@ def lower_bound_apportion(prob: Problem, bounds: Sequence[int],
     the composite quota vector.  The result satisfies quota and the bounds
     with probability one; expected seats equal the composite quota vector.
     """
-    quota, trace = _prepare(compute_quota(prob), bounds, prob.seats)
-    seats, order, u53 = _scheme_draw(quota, src)
+    _quota, scheme, trace = _prepare(prob, bounds)
+    seats, order, u53 = _scheme_draw(scheme, src)
     audit = {
         "permutation": order,
         "u_numerator": u53,
@@ -350,14 +367,16 @@ def lower_bound_distribution(prob: Problem, bounds: Sequence[int],
                              *, limit: int = ENUMERATION_LIMIT
                              ) -> AllocationDistribution:
     """Exact law of the bounded scheme (small state counts only)."""
-    quota, _trace = _prepare(compute_quota(prob), bounds, prob.seats)
-    return _allocation_law(quota, limit=limit)
+    _quota, scheme, _trace = _prepare(prob, bounds)
+    return _allocation_law(scheme, limit=limit)
 
 
-def _values_quota(adjusted: AdjustedQuota) -> QuotaVector:
-    """The adjusted values as scheme input; their fractional parts must
-    total an integer."""
-    quota = quota_vector(adjusted.values)
+@functools.lru_cache(maxsize=1)
+def _values_quota(values: tuple[Fraction, ...]) -> QuotaVector:
+    """The validated adjusted values ``values`` as scheme input; their
+    fractional parts must total an integer.  Kept for the last vector, as
+    repeated reruns share it."""
+    quota = quota_vector(values)
     if quota.residual_seats < 0:
         total = Fraction(sum(quota.nums), quota.den)
         raise InputError(
@@ -373,7 +392,7 @@ def resample_until_quota(adjusted: AdjustedQuota, src: SeededSource,
     shifts the expectations away from the values, so the accepted law is
     not fair.  Seats are indexed by ``adjusted.indices``.
     """
-    quota = _values_quota(adjusted)
+    quota = _values_quota(as_fractions(adjusted.values))
     for attempt in range(1, cap + 1):
         seats, order, u53 = _scheme_draw(quota, src)
         if all(f <= a <= c for a, f, c in
@@ -392,7 +411,7 @@ def resample_conditional_law(adjusted: AdjustedQuota,
     """Exact law of ``resample_until_quota``: the scheme's law on the
     adjusted values, restricted to quota-satisfying outcomes and
     renormalized."""
-    quota = _values_quota(adjusted)
+    quota = _values_quota(as_fractions(adjusted.values))
     law = _allocation_law(quota, limit=limit)
     kept = {seats: p for seats, p in law.items()
             if all(f <= a <= c for a, f, c in

@@ -66,9 +66,8 @@ def _bounds(prob: Problem, lower_bounds) -> tuple[int, ...]:
 def _scheme_batch(prob: Problem, lower_bounds, master_seed: int, n: int):
     """n seeded replicates of the scheme on ``prob`` in one kernel call:
     (scheme quota, trace, kernel result)."""
-    quota = compute_quota(prob)
+    quota, scheme, trace = _prepare(prob, lower_bounds)
     bounds = _bounds(prob, lower_bounds)
-    scheme, trace = _prepare(quota, lower_bounds, prob.seats)
     return scheme, trace, _backend.simulate_batch(
         scheme.floors, scheme.nums, scheme.den, list(quota.floors),
         list(quota.ceilings), list(bounds), master_seed, n, prob.seats)

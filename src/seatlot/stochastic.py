@@ -32,6 +32,7 @@ from the fractional quotas.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
@@ -246,17 +247,13 @@ def conditional_sampling_allocate(fracs: Sequence, residual: int,
     see ``conditional_selection_law``.
     """
     fracs = as_fractions(fracs)
-    support = [i for i, f in enumerate(fracs) if f > 0]
+    support, nums, total = _conditional_weights(fracs)
     if residual < 0 or residual > len(support):
         raise InputError(
             f"cannot pick {residual} distinct states from {len(support)} with positive fraction")
     out = [0] * len(fracs)
     if residual == 0:
         return out
-    # Whole numerators: the weights are not required to lie in [0, 1).
-    weights = quota_vector([fracs[i] for i in support])
-    nums = [f * weights.den + n for f, n in zip(weights.floors, weights.nums)]
-    total = sum(nums)
     chosen = [0] * residual
     for _attempt in range(max_attempts):
         for t in range(residual):
@@ -275,6 +272,20 @@ def conditional_sampling_allocate(fracs: Sequence, residual: int,
             return out
     raise ConvergenceError(
         f"no collision-free tuple found in {max_attempts} attempts")
+
+
+@functools.lru_cache(maxsize=1)
+def _conditional_weights(fracs: tuple[Fraction, ...]):
+    """(support, weights, total weight) of ``conditional_sampling_allocate``
+    on the validated fractions ``fracs``: the states with positive
+    fraction and their fractions as whole numerators over one denominator
+    (the weights are not required to lie in [0, 1)).  Kept for the last
+    vector, as repeated draws share it."""
+    support = tuple(i for i, f in enumerate(fracs) if f > 0)
+    weights = quota_vector([fracs[i] for i in support])
+    nums = tuple(f * weights.den + n
+                 for f, n in zip(weights.floors, weights.nums))
+    return support, nums, sum(nums)
 
 
 def conditional_selection_law(fracs: Sequence, residual: int,

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import json
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -96,6 +98,25 @@ def test_rendering_helpers():
     assert decimal_str(F(1, 1000), 3) == "0.001"
     assert decimal_str(F(14, 5)) == "2.800000"
     assert decimal_str(F(-1, 2), 2) == "-0.50"
+
+
+def _decimal_reference(f, places):
+    """Round half away from zero through Fraction arithmetic."""
+    f = F(f)
+    n = math.floor(abs(f) * 10 ** places + F(1, 2))
+    whole, frac = divmod(n, 10 ** places)
+    return f"{'-' if f < 0 else ''}{whole}.{str(frac).zfill(places)}"
+
+
+def test_decimal_str_matches_fraction_rounding():
+    rng = random.Random(2026)
+    cases = [(F(k, 2 * 10 ** p), p) for p in range(9) for k in (-3, -1, 1, 3)]
+    for _ in range(5000):
+        f = F(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 9))
+        cases.append((f, rng.randint(0, 8)))
+    for f, places in cases:
+        assert decimal_str(f, places) == _decimal_reference(f, places), (f, places)
+    assert decimal_str(3) == decimal_str("3") == "3.000000"
 
 
 def test_parse_quota_file_modes(tmp_path):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from seatlot import (InputError, Problem, compute_quota,
                      feasible_with_lower_bound, problem, quota_vector,
                      satisfies_quota)
-from seatlot.core import Allocation, broadcast_lower_bound
+from seatlot.core import (Allocation, QuotaVector, broadcast_lower_bound,
+                          validate_lower_bound)
 
 from oracles import quota_bound_feasible
 
@@ -177,3 +178,23 @@ def test_broadcast_lower_bound():
         broadcast_lower_bound([1, 2], 3)
     with pytest.raises(InputError):
         broadcast_lower_bound(-1, 3)
+
+
+def test_lower_bounds_refuse_bools():
+    # Problem refuses bool populations; True would otherwise pass as 1.
+    with pytest.raises(InputError, match="True"):
+        broadcast_lower_bound(True, 3)
+    with pytest.raises(InputError, match="False"):
+        broadcast_lower_bound([1, False, 0], 3)
+    with pytest.raises(InputError, match="True"):
+        validate_lower_bound((0, True), 2)
+
+
+def test_ceilings_kept_outside_equality():
+    q = compute_quota(problem((3, 5, 9, 2), 11))
+    assert q.ceilings is q.ceilings
+    assert q.ceilings == tuple(f + (n > 0) for f, n in zip(q.floors, q.nums))
+    fresh = QuotaVector(q.floors, q.nums, q.den)
+    assert q == fresh and hash(q) == hash(fresh)
+    with pytest.raises(AttributeError):
+        q.den = 1

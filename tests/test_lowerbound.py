@@ -8,6 +8,7 @@ from seatlot import (ConvergenceError, InfeasibleError, InputError,
                      SeededSource, child_seed, compute_quota,
                      feasible_with_lower_bound, problem, quota_vector,
                      satisfies_quota)
+from seatlot import lowerbound
 from seatlot.lowerbound import (adjusted_quota_from_values, classify,
                                 equal_representation_quota,
                                 iterate_lower_bound, lower_bound_apportion,
@@ -15,6 +16,7 @@ from seatlot.lowerbound import (adjusted_quota_from_values, classify,
                                 resample_conditional_law,
                                 resample_until_quota, scaled_fractional_quota,
                                 trace_audit, violation_probability_bound)
+from seatlot.montecarlo import simulate
 from seatlot.stochastic import exact_distribution
 
 from fixtures import RESAMPLE_UNFAIR, TABLE_OFFENDER_PAIRS
@@ -374,6 +376,73 @@ def test_bounded_apportion_random_instances_respect_quota_and_bounds():
         assert sum(alloc.seats) == seats
         assert satisfies_quota(alloc, quota)
         assert all(a >= b for a, b in zip(alloc.seats, bounds))
+
+
+# --- one prepared problem across draws ---------------------------------------
+
+def test_prepared_problem_alternating_matches_unkept(monkeypatch):
+    a = problem((2, 11, 13, 24), 20)
+    b = problem((7, 3, 19, 5, 11), 17)
+    cases = [(a, (1, 1, 1, 1)), (b, 1), (a, (1, 1, 1, 1)), (a, 1),
+             (a, (0, 5, 1, 1)), (b, 1)]
+
+    def draws():
+        return [(alloc.seats, alloc.audit) for alloc in (
+            lower_bound_apportion(prob, bounds, SeededSource(k))
+            for k, (prob, bounds) in enumerate(cases))]
+
+    kept = draws()
+    monkeypatch.setattr(lowerbound, "_prepared",
+                        lowerbound._prepared.__wrapped__)
+    assert kept == draws()
+
+
+def test_prepared_problem_audit_is_fresh_per_draw():
+    prob = problem((2, 11, 13, 24), 20)
+    first = lower_bound_apportion(prob, 1, SeededSource(1))
+    expected = trace_audit(iterate_lower_bound(compute_quota(prob),
+                                               (1, 1, 1, 1), 20))
+    assert first.audit["trace"] == expected
+    first.audit["trace"]["rounds"].clear()
+    first.audit["trace"]["feasible"] = False
+    assert lower_bound_apportion(prob, 1, SeededSource(2)).audit["trace"] \
+        == expected
+
+
+def test_prepared_problem_infeasible_raises_every_time():
+    prob = problem((1, 1, 7), 3)
+    for _ in range(3):
+        with pytest.raises(InfeasibleError) as exc:
+            lower_bound_apportion(prob, 1, SeededSource(0))
+        assert not exc.value.trace.feasible
+        assert lower_bound_apportion(prob, 0, SeededSource(0)).total == 3
+
+
+def test_prepared_problem_bad_bound_after_valid_call():
+    prob = problem((2, 11, 13, 24), 20)
+    for bad in (-1, (1, 1, 1), (1, 1, 1, -1), (1, 1, 1, True), True):
+        lower_bound_apportion(prob, (1, 1, 1, 1), SeededSource(0))
+        with pytest.raises(InputError):
+            lower_bound_apportion(prob, bad, SeededSource(0))
+        with pytest.raises(InputError):
+            lower_bound_distribution(prob, bad)
+
+
+def test_simulate_prepares_bounded_problem_once(monkeypatch):
+    calls = []
+    original = lowerbound.iterate_lower_bound
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lowerbound, "iterate_lower_bound", counting)
+    lowerbound._prepared.cache_clear()
+    prob = problem(tuple(100 + 37 * i for i in range(50)), 435)
+    report = simulate(lambda p, src: lower_bound_apportion(p, 1, src),
+                      prob, 5, 50, lower_bounds=1)
+    assert report.bound_violations == report.quota_violations == 0
+    assert len(calls) == 1
 
 
 # --- resample-until-quota (documented non-solution) --------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seatlot import (CapacityError, InputError, SeededSource, _backend,
+                     stochastic,
                      compute_quota, problem, quota_vector, satisfies_quota)
 from seatlot.lowerbound import lower_bound_distribution
 from seatlot.rng import U53_DENOMINATOR
@@ -256,6 +257,24 @@ def test_conditional_skips_zero_fraction_states():
     with pytest.raises(InputError):
         conditional_sampling_allocate([F(0), F(1, 2), F(1, 2)], 3,
                                       SeededSource(10))
+
+
+def test_conditional_weights_keyed_on_validated_fractions():
+    # 0.5+0j hashes and compares equal to 1/2 but is no rational; a valid
+    # call on [1/2, 1/2] just before must not let it through.
+    half = [F(1, 2), F(1, 2)]
+    assert conditional_sampling_allocate(half, 2, SeededSource(9)) == [1, 1]
+    with pytest.raises(InputError, match="exact rational"):
+        conditional_sampling_allocate([0.5 + 0j, 0.5], 2, SeededSource(9))
+    # alternating vectors draw as they do with nothing kept
+    vectors = [list(CONDITIONAL_UNFAIR["fractional"]), [F(0), F(1, 2), F(1, 2)]]
+    fresh = []
+    for k in range(8):
+        stochastic._conditional_weights.cache_clear()
+        fresh.append(conditional_sampling_allocate(vectors[k % 2], 1,
+                                                   SeededSource(k)))
+    assert [conditional_sampling_allocate(vectors[k % 2], 1, SeededSource(k))
+            for k in range(8)] == fresh
 
 
 def test_conditional_law_fixture():
