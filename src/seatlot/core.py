@@ -31,6 +31,12 @@ def as_fractions(values: Sequence) -> tuple[Fraction, ...]:
         raise InputError(f"not an exact rational vector: {values!r}") from exc
 
 
+def _check_seats(seats) -> None:
+    """Refuse a house size that is not a non-negative integer."""
+    if not isinstance(seats, int) or seats < 0:
+        raise InputError(f"seats must be a non-negative integer, got {seats!r}")
+
+
 @dataclass(frozen=True)
 class Problem:
     """A set of labelled states with populations, and a house size."""
@@ -51,8 +57,7 @@ class Problem:
         for p in self.populations:
             if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise InputError(f"populations must be positive integers, got {p!r}")
-        if not isinstance(self.seats, int) or self.seats < 0:
-            raise InputError(f"seats must be a non-negative integer, got {self.seats!r}")
+        _check_seats(self.seats)
 
     @property
     def size(self) -> int:

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import Allocation, Problem, broadcast_lower_bound, compute_quota
+from .core import (Allocation, Problem, _check_seats, broadcast_lower_bound,
+                   compute_quota)
 from .errors import InfeasibleError, InputError
 
 
@@ -284,14 +285,34 @@ def hamilton_apportion(prob: Problem) -> Allocation:
 
     Remainder ties go to the larger population, then to the earlier state.
     """
-    quota = compute_quota(prob)
-    nums = quota.nums
-    seats = list(quota.floors)
-    order = sorted(range(prob.size),
-                   key=lambda i: (-nums[i], -prob.populations[i], i))
-    for i in order[:quota.residual_seats]:
-        seats[i] += 1
+    pops = prob.populations
+    seats = _largest_remainders(pops, prob.total_population, prob.seats,
+                                _tie_order(pops))
     return Allocation(seats=tuple(seats), method="hamilton")
+
+
+def _tie_order(pops: Sequence[int]) -> list[int]:
+    # States by larger population, then earlier index (the sort is stable,
+    # also in reverse).
+    return sorted(range(len(pops)), key=pops.__getitem__, reverse=True)
+
+
+def _largest_remainders(pops: Sequence[int], total: int, seats: int,
+                        tie_order: Sequence[int]) -> list[int]:
+    """Hamilton's seats for ``seats`` seats, in integers.
+
+    State i's quota is seats * pops[i] / total; its floor and the raw
+    remainder seats * pops[i] % total rank exactly as the reduced
+    fractional quotas do, as they share one denominator.  The seats left
+    after the floors go to the largest remainders, equal remainders in
+    ``tie_order``.
+    """
+    floors = [seats * p // total for p in pops]
+    rems = [seats * p % total for p in pops]
+    extra = sorted(tie_order, key=rems.__getitem__, reverse=True)
+    for i in extra[:seats - sum(floors)]:
+        floors[i] += 1
+    return floors
 
 
 def resolve_method(method) -> tuple[str, Callable[[Problem], Allocation]]:
@@ -322,32 +343,50 @@ def detect_alabama(prob: Problem, method,
     """Find states losing a seat when the house grows by one.
 
     Checks every pair (r, r+1) within ``r_values``; each losing state yields
-    one report.
+    one report, in increasing order of r, then of state.  The houses are
+    apportioned once each, in increasing order, and only the last house's
+    seats are kept, so a scan holds O(states) beyond its reports.  A
+    ``range`` with a positive step is walked as it stands; any other
+    iterable is first sorted without duplicates.  Hamilton's houses share
+    one tie order and one total population and build no ``Problem``.
     """
     name, fn = resolve_method(method)
-    rs = sorted(set(r_values))
+    if isinstance(r_values, range) and r_values.step > 0:
+        rs = r_values
+    else:
+        rs = sorted(set(r_values))
     if not rs:
         raise InputError("empty house-size range")
-    allocs = {r: fn(Problem(prob.labels, prob.populations, r)).seats
-              for r in rs}
+    labels, pops = prob.labels, prob.populations
+    if fn is hamilton_apportion:
+        total, tie_order = prob.total_population, _tie_order(pops)
+
+        def apportion(r):
+            _check_seats(r)
+            return _largest_remainders(pops, total, r, tie_order)
+    else:
+        def apportion(r):
+            return fn(Problem(labels, pops, r)).seats
     reports = []
+    last_r = last = None
     for r in rs:
-        if r + 1 not in allocs:
-            continue
-        for i in range(prob.size):
-            if allocs[r + 1][i] < allocs[r][i]:
-                reports.append(ParadoxReport(
-                    kind="alabama", method=name,
-                    witness={
-                        "labels": list(prob.labels),
-                        "populations": list(prob.populations),
-                        "house_before": r,
-                        "house_after": r + 1,
-                        "state": i,
-                        "label": prob.labels[i],
-                        "seats_before": allocs[r][i],
-                        "seats_after": allocs[r + 1][i],
-                    }))
+        seats = apportion(r)
+        if last_r == r - 1:
+            for i, (before, after) in enumerate(zip(last, seats)):
+                if after < before:
+                    reports.append(ParadoxReport(
+                        kind="alabama", method=name,
+                        witness={
+                            "labels": list(labels),
+                            "populations": list(pops),
+                            "house_before": last_r,
+                            "house_after": r,
+                            "state": i,
+                            "label": labels[i],
+                            "seats_before": before,
+                            "seats_after": after,
+                        }))
+        last_r, last = r, seats
     return reports
 
 

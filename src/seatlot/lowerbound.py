@@ -343,6 +343,15 @@ def _prepared(prob: Problem, bounds: Optional[tuple[int, ...]]):
     return quota, trace._composite, trace
 
 
+def _required(bounds):
+    # The bounded entry points need bounds; the unbounded scheme is
+    # ``stochastic_apportion`` / ``exact_distribution``.
+    if bounds is None:
+        raise InputError("lower bounds are required (got None); use 0 for "
+                         "no minimum")
+    return bounds
+
+
 def lower_bound_apportion(prob: Problem, bounds: Sequence[int],
                           src: SeededSource) -> Allocation:
     """Randomized apportionment honouring per-state minimums.
@@ -351,7 +360,7 @@ def lower_bound_apportion(prob: Problem, bounds: Sequence[int],
     the composite quota vector.  The result satisfies quota and the bounds
     with probability one; expected seats equal the composite quota vector.
     """
-    _quota, scheme, trace = _prepare(prob, bounds)
+    _quota, scheme, trace = _prepare(prob, _required(bounds))
     seats, order, u53 = _scheme_draw(scheme, src)
     audit = {
         "permutation": order,
@@ -367,7 +376,7 @@ def lower_bound_distribution(prob: Problem, bounds: Sequence[int],
                              *, limit: int = ENUMERATION_LIMIT
                              ) -> AllocationDistribution:
     """Exact law of the bounded scheme (small state counts only)."""
-    _quota, scheme, _trace = _prepare(prob, bounds)
+    _quota, scheme, _trace = _prepare(prob, _required(bounds))
     return _allocation_law(scheme, limit=limit)
 
 

@@ -3,8 +3,9 @@
 Everything here recomputes results through a different route than the
 library: full-permutation enumeration with midpoint evaluation for the
 scheme's law and with right-endpoint evaluation for its integer cell
-lengths, backtracking enumeration for allocation existence, and a
-sort-the-whole-priority-list apportionment with its own threshold formulas.
+lengths, backtracking enumeration for allocation existence, a
+sort-the-whole-priority-list apportionment with its own threshold formulas,
+and largest remainders on Fraction quotas, compared house by house.
 Keeping these separate from the package is the point - a bug would have to
 be made twice, in two different shapes, to go unnoticed.
 """
@@ -253,3 +254,33 @@ def bounded_priority_list_apportion(prob, rule_name: str, bounds):
     for _value, i in [e for e in entries if competing[e[1]]][:left]:
         seats[i] += 1
     return tuple(seats)
+
+
+def largest_remainders(pops, seats) -> tuple:
+    """Hamilton's method from its definition: each state gets the floor of
+    its Fraction quota, then the seats left go one each to the largest
+    fractional parts (ties: larger population first, then earlier state)."""
+    total = sum(pops)
+    quotas = [Fraction(seats * p, total) for p in pops]
+    out = [math.floor(q) for q in quotas]
+    ranked = sorted(range(len(pops)),
+                    key=lambda i: (-(quotas[i] - out[i]), -pops[i], i))
+    for i in ranked[:seats - sum(out)]:
+        out[i] += 1
+    return tuple(out)
+
+
+def alabama_witnesses(pops, houses) -> list:
+    """(house, state, seats at house, seats at house + 1) for every state
+    that loses a seat from a house to the next one, both in ``houses``;
+    by house, then state."""
+    houses = set(houses)
+    out = []
+    for r in sorted(houses):
+        if r + 1 not in houses:
+            continue
+        before = largest_remainders(pops, r)
+        after = largest_remainders(pops, r + 1)
+        out.extend((r, i, before[i], after[i]) for i in range(len(pops))
+                   if after[i] < before[i])
+    return out

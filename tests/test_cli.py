@@ -506,6 +506,16 @@ GOLDEN_RUNS = {
                             "--seats", "20"],
     "bound-check-audit": ["bound-check", "--quotas", "audit.csv"],
     "table1": ["table1", "--data", "decades", "--seats", "435"],
+    **{f"paradox-alabama-{method}": ["paradox-scan", "--kind", "alabama",
+                                     "--method", method, "--seed", "5",
+                                     "--trials", "200", "--max-seats", "40",
+                                     "--format", "json-lines"]
+       for method in ("hamilton", "webster")},
+    "paradox-population": ["paradox-scan", "--kind", "population",
+                           "--method", "hamilton", "--seed", "5", "--trials",
+                           "400", "--max-growth", "20", "--format", "csv"],
+    "paradox-new-state": ["paradox-scan", "--kind", "new-state", "--method",
+                          "hamilton", "--seed", "5", "--trials", "200"],
 }
 
 

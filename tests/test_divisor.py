@@ -1,14 +1,16 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seatlot import (InfeasibleError, InputError, Problem, SeededSource,
-                     compute_quota, divisor, problem, satisfies_quota)
+from seatlot import (Allocation, InfeasibleError, InputError, Problem,
+                     SeededSource, compute_quota, divisor, problem,
+                     satisfies_quota)
 from seatlot.divisor import (RULES, detect_alabama, detect_new_state_paradox,
                              detect_population_paradox, divisor_apportion,
                              divisor_with_bounds, fair_share_seats,
@@ -17,7 +19,8 @@ from seatlot.divisor import (RULES, detect_alabama, detect_new_state_paradox,
 
 from fixtures import (HAMILTON_ALABAMA, HAMILTON_NEW_STATE,
                       HAMILTON_POPULATION, JEFFERSON_UPPER_QUOTA)
-from oracles import (bounded_priority_list_apportion, oracle_priority,
+from oracles import (alabama_witnesses, bounded_priority_list_apportion,
+                     largest_remainders, oracle_priority,
                      priority_list_apportion, priority_list_cut)
 
 ALL_RULES = list(RULES.values())
@@ -420,6 +423,25 @@ def test_hamilton_always_satisfies_quota():
         assert satisfies_quota(alloc, quota)
 
 
+# Tie-heavy populations (repeated values, small totals, so remainders tie
+# across different populations too) or arbitrary ones.
+HAMILTON_POPULATIONS = st.lists(
+    st.one_of(st.sampled_from(TIE_POPULATIONS), st.integers(1, 10 ** 9)),
+    min_size=1, max_size=7)
+
+
+@given(HAMILTON_POPULATIONS, st.integers(0, 60))
+@example([7], 0)
+@example([7], 5)
+@example([4, 4, 4], 2)
+@example([3, 1], 2)
+@example([1, 2, 3], 0)
+@settings(max_examples=500, deadline=None)
+def test_hamilton_matches_largest_remainder_oracle(pops, seats):
+    assert hamilton_apportion(problem(pops, seats)).seats \
+        == largest_remainders(pops, seats)
+
+
 # --- quota staying ---------------------------------------------------------------
 
 def _staying_corpus(count=400, seed=43):
@@ -488,6 +510,86 @@ def test_alabama_single_state_trivial():
     assert detect_alabama(problem((7,), 3), "hamilton", range(1, 10)) == []
     with pytest.raises(InputError):
         detect_alabama(problem((7,), 3), "hamilton", [])
+    with pytest.raises(InputError):
+        detect_alabama(problem((7,), 3), "hamilton", (r for r in ()))
+
+
+def _house_set(data):
+    """(houses as passed to the scan, the same houses as a list): ranges of
+    either sign of step, unsorted lists with duplicates and gaps, and
+    one-shot generators; any of them may be empty."""
+    kind = data.draw(st.sampled_from(["range", "reversed", "list",
+                                      "generator"]))
+    if kind in ("range", "reversed"):
+        lo, hi = data.draw(st.integers(0, 30)), data.draw(st.integers(0, 45))
+        step = data.draw(st.integers(1, 3))
+        houses = (range(lo, hi, step) if kind == "range"
+                  else range(hi, lo - 1, -step))
+        return houses, list(houses)
+    values = data.draw(st.lists(st.integers(0, 45), max_size=30))
+    return (values if kind == "list" else (r for r in values)), values
+
+
+@given(HAMILTON_POPULATIONS, st.data())
+@settings(max_examples=400, deadline=None)
+def test_alabama_matches_oracle(pops, data):
+    prob = problem(pops, 1)
+    houses, values = _house_set(data)
+    if not values:
+        with pytest.raises(InputError):
+            detect_alabama(prob, "hamilton", houses)
+        return
+    reports = detect_alabama(prob, "hamilton", houses)
+    assert [(rep.witness["house_before"], rep.witness["state"],
+             rep.witness["seats_before"], rep.witness["seats_after"])
+            for rep in reports] == alabama_witnesses(pops, values)
+    for rep in reports:
+        w = rep.witness
+        assert (rep.kind, rep.method) == ("alabama", "hamilton")
+        assert w["house_after"] == w["house_before"] + 1
+        assert w["labels"] == list(prob.labels)
+        assert w["populations"] == list(pops)
+        assert w["label"] == prob.labels[w["state"]]
+
+
+def test_alabama_runs_a_user_callable_named_hamilton():
+    # Not the library's Hamilton: the whole house goes to state r % 2, so
+    # every step moves it.  The scan must call it once per house, in order.
+    calls = []
+
+    def hamilton(prob):
+        calls.append(prob.seats)
+        seats = [0, 0]
+        seats[prob.seats % 2] = prob.seats
+        return Allocation(seats=tuple(seats), method="hamilton")
+
+    reports = detect_alabama(problem((5, 5), 1), hamilton, [4, 2, 3, 2, 6])
+    assert calls == [2, 3, 4, 6]
+    assert [(rep.method, rep.witness["house_before"], rep.witness["state"],
+             rep.witness["seats_before"], rep.witness["seats_after"])
+            for rep in reports] == [("hamilton", 2, 0, 2, 0),
+                                    ("hamilton", 3, 1, 3, 0)]
+
+
+@pytest.mark.parametrize("houses", [range(-1, 3), [2, -1], [1, 2.5]])
+@pytest.mark.parametrize("method", ["hamilton", "webster"])
+def test_alabama_refuses_bad_house_sizes(houses, method):
+    with pytest.raises(InputError, match="seats must be a non-negative"):
+        detect_alabama(problem((3, 5), 1), method, houses)
+
+
+def test_alabama_scan_keeps_only_the_last_house():
+    # Three equal states never lose a seat, so no report is kept: the scan's
+    # peak memory must not grow with its 20,000 houses.
+    prob = problem((1, 1, 1), 1)
+    detect_alabama(prob, "hamilton", range(1, 100))
+    tracemalloc.start()
+    try:
+        assert detect_alabama(prob, "hamilton", range(1, 20_001)) == []
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_population_paradox_witness():

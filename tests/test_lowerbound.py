@@ -339,6 +339,14 @@ def test_bounded_apportion_infeasible_raises_with_trace():
     assert not exc.value.trace.feasible
 
 
+def test_bounded_entry_points_refuse_missing_bounds():
+    prob = problem((1, 5, 10), 8)
+    with pytest.raises(InputError, match="lower bounds are required"):
+        lower_bound_apportion(prob, None, SeededSource(0))
+    with pytest.raises(InputError, match="lower bounds are required"):
+        lower_bound_distribution(prob, None)
+
+
 def test_zero_bounds_reduce_to_plain_scheme():
     prob = problem((3, 5, 9, 2), 11)
     assert (lower_bound_distribution(prob, (0, 0, 0, 0)).probabilities
