@@ -79,13 +79,13 @@ static void scheme_replicate(u64 *state, i64 s, const i64 *floors,
 }
 
 /* Adds each cell length of one ordering of the t states in `order` to
-   acc[winner mask] by a sweep over its breakpoints; see
-   averaged_mask_lengths in _kernels_py.py.  The mask on the first cell
-   (0, b1] comes from the running sums: position k wins iff the running sum
-   wraps past a multiple of den there.  Passing the breakpoint
-   den - (c_k mod den), k < t - 1, moves a seat from position k+1 to
-   position k, so the mask XORs both bits.  Equal breakpoints compose their
-   toggles and leave zero-length cells between them. */
+   acc[winner mask] by a sweep over its breakpoints; see sweep_orders in
+   _kernels_py.py.  The mask on the first cell (0, b1] comes from the
+   running sums: position k wins iff the running sum wraps past a multiple
+   of den there.  Passing the breakpoint den - (c_k mod den), k < t - 1,
+   moves a seat from position k+1 to position k, so the mask XORs both
+   bits.  Equal breakpoints compose their toggles and leave zero-length
+   cells between them. */
 static void sweep_order(i64 t, const i64 *fr, const i64 *order, i64 den,
                         i64 *acc)
 {

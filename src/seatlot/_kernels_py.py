@@ -56,34 +56,50 @@ def position_from_bits53(u53, den):
     return (u53 * den + _M53 - 1) >> 53
 
 
-def fixed_order_cells(frac_nums, den):
-    """Partition of offsets [0, 1) into cells of constant allocation.
+def sweep_orders(frac_nums, den, orders, acc):
+    """Add every cell length of each ordering to ``acc[winner mask]``.
 
-    Returns ``[(mask, length)]``: for each cell, the winner mask (bit k =
-    position k of the given order) and the integer cell length over ``den``.
-    Lengths sum to ``den``; cell j is the offset interval (b_j, b_{j+1}]
-    between consecutive breakpoints, evaluated at its right endpoint.
+    Each ordering lists the input indices of all t states with a positive
+    fraction, so its running sums end on a multiple of ``den``.  Masks
+    are in the input-index basis; the cell lengths of one ordering sum to
+    ``den``.  ``acc`` is anything that supports ``acc[mask] += length``: a
+    list of 2**s entries or a ``collections.defaultdict(int)``.
+
+    Sweep.  In one ordering the mask on the first cell (0, b1] follows from
+    the running sums c_k: position k wins iff floor(c_k / den) exceeds
+    floor(c_(k-1) / den).  As the offset passes the breakpoint
+    den - (c_k mod den), k < t - 1, the point u + c_k crosses an integer, so
+    position k gains the seat position k+1 held: the mask XORs both bits.
+    One sort of the breakpoints then yields every cell in order.  Equal
+    breakpoints need no grouping; their toggles compose, and the masks
+    between them get cells of length zero.
     """
-    cums = []
-    c = 0
-    for f in frac_nums:
-        c += f
-        cums.append(c)
-    bps = sorted({(-c) % den for c in cums})
-    cells = []
-    if not bps:
-        return [(0, den)]
-    nb = len(bps)
-    for j in range(nb):
-        left = bps[j]
-        right = bps[j + 1] if j + 1 < nb else den
-        inds = systematic_round_ints(frac_nums, den, right)
+    s = len(frac_nums)
+    toggles = (1 << s) - 1
+    for order in orders:
+        # r is the running sum mod den before state i; a key is
+        # breakpoint << s | toggle, so keys sort by breakpoint.
+        r = 0
         mask = 0
-        for k, bit in enumerate(inds):
-            if bit:
-                mask |= 1 << k
-        cells.append((mask, right - left))
-    return cells
+        keys = []
+        prev_bit = 0
+        for i in order:
+            bit = 1 << i
+            if r:
+                keys.append((den - r) << s | prev_bit | bit)
+            r += frac_nums[i]
+            if r >= den:
+                r -= den
+                mask |= bit
+            prev_bit = bit
+        keys.sort()
+        prev = 0
+        for key in keys:
+            b = key >> s
+            acc[mask] += b - prev
+            mask ^= key & toggles
+            prev = b
+        acc[mask] += den - prev
 
 
 def averaged_mask_lengths(frac_nums, den, fix_last):
@@ -96,17 +112,9 @@ def averaged_mask_lengths(frac_nums, den, fix_last):
     Masks are in the input-index basis.  Divide by ``den * (number of
     orderings)`` to get probabilities.
 
-    Three exact shortcuts give the same integers as evaluating every cell
-    of every ordering:
+    Each ordering is swept by ``sweep_orders``.  Two exact shortcuts give
+    the same integers as sweeping every ordering:
 
-    * Sweep.  In one ordering the mask on the first cell (0, b1] follows
-      from the running sums c_k: position k wins iff floor(c_k / den)
-      exceeds floor(c_(k-1) / den).  As the offset passes the breakpoint
-      den - (c_k mod den), k < s - 1, the point u + c_k crosses an integer,
-      so position k gains the seat position k+1 held: the mask XORs both
-      bits.  One sort of the breakpoints then yields every cell in order.
-      Equal breakpoints need no grouping; their toggles compose, and the
-      masks between them get cells of length zero.
     * Mirror pairs.  Reversing the head of an ordering (last state pinned)
       and rotating maps the offset u to -u, which turns every segment
       [a, b) into (a, b].  The two differ only when an endpoint is an
@@ -133,38 +141,9 @@ def averaged_mask_lengths(frac_nums, den, fix_last):
     if len(live) >= 3:
         scale *= 2
     *head, last = live
-    last_bit = 1 << last
-    toggles = (1 << s) - 1
-    for perm in itertools.permutations(head):
-        if perm[0] > perm[-1]:
-            continue
-        # r is the running sum mod den; a key is breakpoint << s | toggle,
-        # so keys sort by breakpoint.
-        r = 0
-        mask = last_bit
-        keys = []
-        pending = 0
-        for i in perm:
-            r += frac_nums[i]
-            bit = 1 << i
-            if r >= den:
-                r -= den
-                mask |= bit
-            if pending:
-                keys.append(pending | bit)
-            pending = (den - r) << s | bit if r else 0
-        # The running sum before the last state is den - frac_nums[last]:
-        # the last state wins on the first cell, and its breakpoint is
-        # always interior.
-        keys.append(pending | last_bit)
-        keys.sort()
-        prev = 0
-        for key in keys:
-            b = key >> s
-            acc[mask] += b - prev
-            mask ^= key & toggles
-            prev = b
-        acc[mask] += den - prev
+    sweep_orders(frac_nums, den,
+                 (perm + (last,) for perm in itertools.permutations(head)
+                  if perm[0] <= perm[-1]), acc)
     if scale != 1:
         acc = [length * scale for length in acc]
     return acc

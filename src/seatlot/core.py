@@ -33,7 +33,7 @@ def as_fractions(values: Sequence) -> tuple[Fraction, ...]:
 
 def _check_seats(seats) -> None:
     """Refuse a house size that is not a non-negative integer."""
-    if not isinstance(seats, int) or seats < 0:
+    if not isinstance(seats, int) or isinstance(seats, bool) or seats < 0:
         raise InputError(f"seats must be a non-negative integer, got {seats!r}")
 
 

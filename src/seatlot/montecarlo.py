@@ -140,6 +140,8 @@ def simulate(method, prob: Problem, master_seed: int, n: int,
 def empirical_distribution(prob: Problem, master_seed: int, n: int,
                            lower_bounds=None) -> dict[tuple[int, ...], int]:
     """Allocation -> count over n seeded replicates of the scheme."""
+    if n < 1:
+        raise InputError("replicate count must be at least 1")
     if prob.size > 16:
         raise CapacityError("empirical distribution tracking supports at most 16 states")
     scheme, _trace, (*_tallies, masks) = _scheme_batch(

@@ -15,12 +15,13 @@ last state pinned are enumerated.  Within one ordering the kernel sweeps
 the offset once: the allocation changes only where u plus a running sum
 crosses an integer, and there exactly two adjacent states trade a seat, so
 after one sort of these breakpoints each cell follows from the previous
-one.  Reversing the head of an ordering maps u to -u, turning every
-segment [a, b) into (a, b]; the two differ only at finitely many offsets,
-so an ordering and its mirror have the same law and only one of each pair
-is swept, counted twice.  States with a zero fractional part never win and
-are left out of the enumeration, whose total is scaled back up to the
-(s-1)! orderings.  Equality with the all-orderings average and with a
+one; the fixed-order law of ``residual_distribution`` is this sweep of
+the one given ordering.  Reversing the head of an ordering maps u to -u,
+turning every segment [a, b) into (a, b]; the two differ only at finitely
+many offsets, so an ordering and its mirror have the same law and only one
+of each pair is swept, counted twice.  States with a zero fractional part
+never win and are left out of the enumeration, whose total is scaled back
+up to the (s-1)! orderings.  Equality with the all-orderings average and with a
 direct evaluation of every cell of every ordering is covered by tests.
 
 ``conditional_sampling_allocate`` implements a tempting but biased
@@ -33,7 +34,9 @@ from the fractional quotas.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
@@ -56,25 +59,18 @@ def random_permutation(n: int, src: SeededSource) -> tuple[int, ...]:
     return tuple(src.shuffled_range(n))
 
 
-def _check_fractional(fracs: Sequence[Fraction]) -> None:
-    for f in fracs:
-        if not 0 <= f < 1:
-            raise InputError(f"fractional quotas must lie in [0, 1), got {f}")
-    total = sum(fracs, Fraction(0))
-    if total.denominator != 1:
-        raise InputError(f"fractional quotas must sum to an integer, got {total}")
-
-
 def _fractional_quota(fracs: Sequence[Fraction]) -> QuotaVector:
-    """The quota vector of fractional quotas, refused as
-    ``_check_fractional`` refuses them: every floor must be 0 and the
-    parts must total an integer."""
+    """The quota vector of fractional quotas, which must lie in [0, 1) and
+    total an integer.  The first entry outside [0, 1) is the one named."""
     try:
         quota = quota_vector(fracs)
     except InputError:  # a negative entry
         quota = None
     if quota is None or any(quota.floors):
-        _check_fractional(fracs)  # raises: a part lies outside [0, 1)
+        for f in fracs:
+            if not 0 <= f < 1:
+                raise InputError(
+                    f"fractional quotas must lie in [0, 1), got {f}")
     if quota.residual_seats < 0:
         raise InputError("fractional quotas must sum to an integer, got "
                          f"{Fraction(sum(quota.nums), quota.den)}")
@@ -92,7 +88,7 @@ def systematic_round(fracs: Sequence, u) -> list[int]:
     u = Fraction(u)
     if not 0 <= u < 1:
         raise InputError(f"offset must lie in [0, 1), got {u}")
-    _check_fractional(fracs)
+    _fractional_quota(fracs)
     grid = quota_vector([*fracs, u])
     return _kernels_py.systematic_round_ints(grid.nums[:-1], grid.den,
                                              grid.nums[-1])
@@ -185,23 +181,28 @@ def _allocation_law(quota: QuotaVector, *, average_orders: bool = True,
     """Exact law of the floors plus the residual seats drawn on the
     fractional parts of ``quota``.
 
-    Every exact law is computed here, so the state-count checks run before
-    any kernel is called.
+    Every exact law is computed here.  The ordering-averaged law enumerates
+    orderings, so ``limit`` and the ceiling guard it, checked before any
+    kernel is called.  The fixed-order law is one sweep of the states with
+    a positive fraction, in input order: at most s + 1 cells, for any s.
     """
     nums, den = quota.nums, quota.den
     s = len(nums)
-    if s > limit:
-        raise CapacityError(
-            f"exact enumeration supports at most {limit} states, got {s}")
-    if s > _ENUMERATION_CEILING:
-        raise CapacityError(
-            f"exact enumeration is capped at {_ENUMERATION_CEILING} states "
-            f"whatever the limit, got {s}")
     if average_orders:
+        if s > limit:
+            raise CapacityError(
+                f"exact enumeration supports at most {limit} states, got {s}")
+        if s > _ENUMERATION_CEILING:
+            raise CapacityError(
+                f"exact enumeration is capped at {_ENUMERATION_CEILING} "
+                f"states whatever the limit, got {s}")
         cells = enumerate(_backend.averaged_mask_lengths(nums, den, True))
         total = den * (math.factorial(s - 1) if s > 1 else 1)
     else:
-        cells = _kernels_py.fixed_order_cells(nums, den)
+        acc = defaultdict(int)
+        _kernels_py.sweep_orders(
+            nums, den, [[i for i, n in enumerate(nums) if n]], acc)
+        cells = acc.items()
         total = den
     lengths: dict[tuple[int, ...], int] = {}
     for mask, length in cells:
@@ -217,8 +218,9 @@ def residual_distribution(fracs: Sequence, *, average_orders: bool = True,
     """Exact law of the residual-seat indicator vector.
 
     With ``average_orders`` the law is averaged over all state orderings
-    (the full scheme); otherwise the states are processed in the given
-    fixed order, skipping the shuffle step.
+    (the full scheme) and ``limit`` caps the state count; otherwise the
+    states are processed in the given fixed order, skipping the shuffle
+    step, and any state count is served.
     """
     return _allocation_law(_fractional_quota(as_fractions(fracs)),
                            average_orders=average_orders, limit=limit)
@@ -276,15 +278,15 @@ def conditional_sampling_allocate(fracs: Sequence, residual: int,
 
 @functools.lru_cache(maxsize=1)
 def _conditional_weights(fracs: tuple[Fraction, ...]):
-    """(support, weights, total weight) of ``conditional_sampling_allocate``
-    on the validated fractions ``fracs``: the states with positive
-    fraction and their fractions as whole numerators over one denominator
-    (the weights are not required to lie in [0, 1)).  Kept for the last
-    vector, as repeated draws share it."""
-    support = tuple(i for i, f in enumerate(fracs) if f > 0)
-    weights = quota_vector([fracs[i] for i in support])
-    nums = tuple(f * weights.den + n
-                 for f, n in zip(weights.floors, weights.nums))
+    """(support, weights, total weight) of the conditioned sampler on the
+    exact fractions ``fracs``: the states with positive fraction and their
+    fractions as whole numerators over one denominator (the weights are not
+    required to lie in [0, 1), but a negative one is refused).  Kept for
+    the last vector, as repeated draws share it."""
+    quota = quota_vector(fracs)
+    weights = [f * quota.den + n for f, n in zip(quota.floors, quota.nums)]
+    support = tuple(i for i, w in enumerate(weights) if w)
+    nums = tuple(weights[i] for i in support)
     return support, nums, sum(nums)
 
 
@@ -293,13 +295,12 @@ def conditional_selection_law(fracs: Sequence, residual: int,
     """Exact per-state selection probability of the conditioned sampler.
 
     Enumerates every ordered tuple of distinct indices, weighting by the
-    product of categorical probabilities, and normalizes.  Small inputs
-    only; guarded by ``max_tuples``.
+    product of categorical probabilities, and normalizes.  The weights are
+    the sampler's integer numerators over one denominator, which cancels in
+    the normalization.  Small inputs only; guarded by ``max_tuples``.
     """
-    import itertools
-
     fracs = as_fractions(fracs)
-    support = [i for i, f in enumerate(fracs) if f > 0]
+    support, nums, _total = _conditional_weights(fracs)
     if residual < 0 or residual > len(support):
         raise InputError(
             f"cannot pick {residual} distinct states from {len(support)} with positive fraction")
@@ -307,15 +308,11 @@ def conditional_selection_law(fracs: Sequence, residual: int,
         return tuple(Fraction(0) for _ in fracs)
     if math.perm(len(support), residual) > max_tuples:
         raise CapacityError("too many ordered tuples to enumerate exactly")
-    weight_total = Fraction(0)
-    per_state = [Fraction(0)] * len(fracs)
-    for combo in itertools.permutations(support, residual):
-        w = Fraction(1)
-        for i in combo:
-            w *= fracs[i]
+    weight_total = 0
+    per_state = [0] * len(fracs)
+    for combo in itertools.permutations(range(len(support)), residual):
+        w = math.prod(nums[j] for j in combo)
         weight_total += w
-        for i in combo:
-            per_state[i] += w
-    if weight_total == 0:
-        raise InputError("all selection weights vanish")
-    return tuple(p / weight_total for p in per_state)
+        for j in combo:
+            per_state[support[j]] += w
+    return tuple(Fraction(p, weight_total) for p in per_state)

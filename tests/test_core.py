@@ -107,6 +107,14 @@ def test_problem_validation():
         Problem(("A", "B"), (1,), 3)            # length mismatch
 
 
+def test_seats_refuse_bools():
+    # Populations and bounds refuse bools; True would otherwise pass as 1.
+    with pytest.raises(InputError, match="True"):
+        Problem(("a", "b"), (1, 2), True)
+    with pytest.raises(InputError, match="False"):
+        problem((1, 2), False)
+
+
 def test_allocation_validation():
     with pytest.raises(InputError):
         Allocation(seats=(1, -1), method="x")

@@ -571,7 +571,8 @@ def test_alabama_runs_a_user_callable_named_hamilton():
                                     ("hamilton", 3, 1, 3, 0)]
 
 
-@pytest.mark.parametrize("houses", [range(-1, 3), [2, -1], [1, 2.5]])
+@pytest.mark.parametrize("houses", [range(-1, 3), [2, -1], [1, 2.5],
+                                    [True, 2]])
 @pytest.mark.parametrize("method", ["hamilton", "webster"])
 def test_alabama_refuses_bad_house_sizes(houses, method):
     with pytest.raises(InputError, match="seats must be a non-negative"):

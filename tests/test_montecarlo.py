@@ -86,6 +86,13 @@ def test_simulate_rejects_bad_n():
         simulate("stochastic", problem((1, 2), 1), 0, 0)
 
 
+@pytest.mark.parametrize("n", [0, -5])
+def test_empirical_distribution_rejects_bad_n(n):
+    # It used to return an empty tally.
+    with pytest.raises(InputError, match="replicate count"):
+        empirical_distribution(problem((1, 2), 1), 0, n)
+
+
 def test_fairness_test_exact_comparison():
     prob = problem((2, 3), 7)
     report = simulate("stochastic", prob, master_seed=11, n=20_000)

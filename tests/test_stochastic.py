@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from seatlot import (CapacityError, InputError, SeededSource, _backend,
                      stochastic,
                      compute_quota, problem, quota_vector, satisfies_quota)
-from seatlot.lowerbound import lower_bound_distribution
+from seatlot.lowerbound import iterate_lower_bound, lower_bound_distribution
 from seatlot.rng import U53_DENOMINATOR
 from seatlot.stochastic import (AllocationDistribution,
                                 conditional_sampling_allocate,
@@ -16,7 +16,7 @@ from seatlot.stochastic import (AllocationDistribution,
                                 random_permutation, residual_distribution,
                                 stochastic_apportion, systematic_round)
 
-from fixtures import CONDITIONAL_UNFAIR
+from fixtures import CENSUS_50, CONDITIONAL_UNFAIR
 from oracles import (fixed_order_distribution, full_permutation_distribution,
                      indicators_at)
 
@@ -201,13 +201,50 @@ def test_rotation_classes_equal_full_enumeration(fracs):
     assert law.probabilities == oracle
 
 
-@given(fractional_vectors(max_states=6, max_den=18))
-@settings(max_examples=60, deadline=None)
-def test_fixed_order_law_matches_oracle_and_is_fair(fracs):
+def census_orderings():
+    """(ordered fractional parts, floors, quota, bounds, order) of CENSUS_50
+    at 435 seats under three seeded orderings, unbounded and with the
+    composite quota of bound 1."""
+    prob = problem([p for _, p in CENSUS_50], 435)
+    quota = compute_quota(prob)
+    composite = quota_vector(
+        iterate_lower_bound(quota, (1,) * prob.size, 435).final_quota)
+    for bound, scheme in ((0, quota), (1, composite)):
+        for seed in (1, 2, 3):
+            order = random_permutation(prob.size, SeededSource(seed))
+            yield pytest.param(
+                [scheme.fractional[i] for i in order], scheme.floors, quota,
+                (bound,) * prob.size, order, id=f"bound{bound}-seed{seed}")
+
+
+def check_fixed_order_law(fracs):
     law = residual_distribution(fracs, average_orders=False)
     assert law.probabilities == fixed_order_distribution(fracs)
     # Fairness needs no shuffle: marginals equal the fractions exactly.
     assert law.marginal_means() == tuple(fracs)
+    return law
+
+
+@given(fractional_vectors(max_states=6, max_den=18))
+@settings(max_examples=60, deadline=None)
+def test_fixed_order_law_matches_oracle_and_is_fair(fracs):
+    check_fixed_order_law(fracs)
+
+
+@pytest.mark.parametrize("fracs, floors, quota, bounds, order",
+                         census_orderings())
+def test_fixed_order_law_matches_oracle_at_census_scale(fracs, floors, quota,
+                                                        bounds, order):
+    # The fixed-order law has at most s + 1 cells, so no state cap applies.
+    law = check_fixed_order_law(fracs)
+    assert 1 < len(law) <= len(fracs) + 1
+    for residual in law.support():
+        seats = list(floors)
+        for k, i in enumerate(order):
+            seats[i] += residual[k]
+        assert sum(seats) == 435
+        assert satisfies_quota(seats, quota)
+        assert all(a >= b for a, b in zip(seats, bounds))
 
 
 def test_exact_marginals_equal_quota_random_instances():
@@ -284,6 +321,15 @@ def test_conditional_law_fixture():
     # the drift away from the fractional quotas is macroscopic
     gaps = [abs(a - b) for a, b in zip(law, fix["fractional"])]
     assert max(gaps) > F(1, 1000)
+
+
+def test_conditional_samplers_refuse_negative_fractions():
+    # A negative fraction used to be dropped from the support silently.
+    fracs = ["-1/2", "3/2"]
+    with pytest.raises(InputError, match="-1/2"):
+        conditional_sampling_allocate(fracs, 1, SeededSource(1))
+    with pytest.raises(InputError, match="-1/2"):
+        conditional_selection_law(fracs, 1)
 
 
 def test_conditional_retry_cap_raises():

@@ -36,3 +36,43 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_functions(module: str, sources: dict) -> list[str]:
+    """Top-level functions of ``sources[module]`` that no source names
+    outside their own ``def``."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    defs = [node for node in trees[module].body
+            if isinstance(node, ast.FunctionDef)]
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.ImportFrom):
+                yield from (alias.name for alias in sub.names)
+
+    used = set()
+    for name, tree in trees.items():
+        for node in tree.body:
+            # a call from another function counts; recursion does not
+            own = node.name if node in defs else None
+            used.update(n for n in names(node) if n != own)
+    return [node.name for node in defs if node.name not in used]
+
+
+def test_unreferenced_function_is_found():
+    sources = {"k": "def a():\n    a()\n\ndef b():\n    pass\n\n"
+                    "def c():\n    b()\n",
+               "m": "from k import c\nimport k\nk.b\n"}
+    assert unreferenced_functions("k", sources) == ["a"]
+    assert unreferenced_functions("k", {"k": sources["k"]}) == ["a", "c"]
+
+
+def test_every_pure_kernel_is_used():
+    # A kernel only the tests call is dead code in the package.
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in PACKAGE.glob("*.py")}
+    assert unreferenced_functions("_kernels_py", sources) == []
