@@ -102,6 +102,21 @@ def sweep_orders(frac_nums, den, orders, acc):
         acc[mask] += den - prev
 
 
+def _mirror_representatives(head, last):
+    """Every ordering (*perm, last) over the permutations perm of the
+    increasing list ``head`` with perm[0] < perm[-1], built directly, not
+    filtered from all permutations; a head of fewer than two states is
+    its own mirror."""
+    if len(head) < 2:
+        yield (*head, last)
+        return
+    for a, b in itertools.combinations(range(len(head)), 2):
+        first, end = (head[a],), (head[b], last)
+        rest = head[:a] + head[a + 1:b] + head[b + 1:]
+        for middle in itertools.permutations(rest):
+            yield first + middle + end
+
+
 def averaged_mask_lengths(frac_nums, den, fix_last):
     """Total cell length per winner mask, summed over state orderings.
 
@@ -120,8 +135,8 @@ def averaged_mask_lengths(frac_nums, den, fix_last):
       [a, b) into (a, b].  The two differ only when an endpoint is an
       integer, which happens at finitely many offsets, so the mirror has
       the same length per mask.  Only heads with head[0] < head[-1] are
-      swept, each counted twice (for three or more states; a one-state
-      head is its own mirror).
+      generated and swept, each counted twice (for three or more states;
+      a one-state head is its own mirror).
     * Zero fractions.  A state with a zero fractional part has an empty
       segment and never wins, so only the s' states with a positive part
       are ordered; each of their orderings stands for (s-1)!/(s'-1)!
@@ -141,29 +156,44 @@ def averaged_mask_lengths(frac_nums, den, fix_last):
     if len(live) >= 3:
         scale *= 2
     *head, last = live
-    sweep_orders(frac_nums, den,
-                 (perm + (last,) for perm in itertools.permutations(head)
-                  if perm[0] <= perm[-1]), acc)
+    sweep_orders(frac_nums, den, _mirror_representatives(head, last), acc)
     if scale != 1:
         acc = [length * scale for length in acc]
     return acc
 
 
-def scheme_replicate(src, frac_nums, den, s, seats_out, scheme_floors):
-    """One scheme replicate: shuffle, draw, round; fills seats_out and
-    returns ``(order, u53)``, the ordering and the offset draw."""
-    order = src.shuffled_range(s)
+def scheme_replicate(src, frac_nums, den):
+    """One scheme replicate: shuffle, draw, round.
+
+    Returns ``(order, u53, mask)``: the ordering, the offset draw and the
+    winner mask (bit i = state i wins a residual seat).  The rounding keeps
+    r = u + c(k) - den * ceil((u + c(k)) / den), which lies in (-den, 0];
+    adding the next fraction lifts it above 0 exactly when the ceiling
+    grows, so each state costs one add and one compare.
+    """
+    order = src.shuffled_range(len(frac_nums))
     u53 = src.bits53()
     u = position_from_bits53(u53, den)
-    prev_ceil = (u + den - 1) // den
-    c = u
-    for k in range(s):
-        i = order[k]
-        c += frac_nums[i]
-        cur_ceil = (c + den - 1) // den
-        seats_out[i] = scheme_floors[i] + (cur_ceil - prev_ceil)
-        prev_ceil = cur_ceil
-    return order, u53
+    r = u - den if u else 0
+    mask = 0
+    for i in order:
+        r += frac_nums[i]
+        if r > 0:
+            r -= den
+            mask |= 1 << i
+    return order, u53, mask
+
+
+def _failure_masks(floors, ok):
+    """(bad if won, bad if lost): the masks of the states i for which
+    ``ok(i, seats)`` fails at f + 1 seats and at f seats, f = floors[i]."""
+    won = lost = 0
+    for i, f in enumerate(floors):
+        if not ok(i, f + 1):
+            won |= 1 << i
+        if not ok(i, f):
+            lost |= 1 << i
+    return won, lost
 
 
 def simulate_batch(scheme_floors, frac_nums, den, quota_floors, quota_ceils,
@@ -175,40 +205,52 @@ def simulate_batch(scheme_floors, frac_nums, den, quota_floors, quota_ceils,
     sum_mismatches counts replicates whose seats do not total house_size,
     and mask_counts (input-index winner masks, only for s <= 16, else None)
     recover the empirical allocation distribution.
+
+    Every tally follows from the winner mask W of each replicate and the
+    per-state win counts w.  A state with floor f gets f + W_i seats, so
+    its seat sum is n*f + w and its sum of squares n*f**2 + (2f + 1)*w.  A
+    replicate violates quota (or a bound) when W meets the states that
+    fail with a residual seat or misses one that fails without it; its
+    seats total sum(floors) + popcount(W).  The win counts are kept as bit
+    planes: bit i of ``planes[p]`` is bit p of state i's count, and adding
+    W is a ripple-carry add across the planes.
     """
     s = len(frac_nums)
-    sums = [0] * s
-    sumsqs = [0] * s
+    quota_won, quota_lost = _failure_masks(
+        scheme_floors, lambda i, a: quota_floors[i] <= a <= quota_ceils[i])
+    bound_won, bound_lost = _failure_masks(
+        scheme_floors, lambda i, a: a >= lower_bounds[i])
+    residual = house_size - sum(scheme_floors)
     quota_violations = 0
     bound_violations = 0
     sum_mismatches = 0
     mask_counts = [0] * (1 << s) if s <= 16 else None
-    seats = [0] * s
+    planes = []
     for k in range(n):
-        src = SeededSource(child_seed(master_seed, k))
-        scheme_replicate(src, frac_nums, den, s, seats, scheme_floors)
-        bad_quota = False
-        bad_bound = False
-        mask = 0
-        total = 0
-        for i in range(s):
-            a = seats[i]
-            total += a
-            sums[i] += a
-            sumsqs[i] += a * a
-            if a < quota_floors[i] or a > quota_ceils[i]:
-                bad_quota = True
-            if a < lower_bounds[i]:
-                bad_bound = True
-            if mask_counts is not None and a > scheme_floors[i]:
-                mask |= 1 << i
-        if bad_quota:
+        _order, _u53, winners = scheme_replicate(
+            SeededSource(child_seed(master_seed, k)), frac_nums, den)
+        if winners & quota_won or (winners & quota_lost) != quota_lost:
             quota_violations += 1
-        if bad_bound:
+        if winners & bound_won or (winners & bound_lost) != bound_lost:
             bound_violations += 1
-        if total != house_size:
+        if winners.bit_count() != residual:
             sum_mismatches += 1
         if mask_counts is not None:
-            mask_counts[mask] += 1
+            mask_counts[winners] += 1
+        carry = winners
+        for p, plane in enumerate(planes):
+            planes[p] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    sums = []
+    sumsqs = []
+    for i, f in enumerate(scheme_floors):
+        wins = sum((plane >> i & 1) << p for p, plane in enumerate(planes))
+        sums.append(n * f + wins)
+        sumsqs.append(n * f * f + (2 * f + 1) * wins)
     return (sums, sumsqs, quota_violations, bound_violations,
             sum_mismatches, mask_counts)

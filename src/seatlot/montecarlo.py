@@ -57,6 +57,14 @@ class SimulationReport:
         return math.sqrt(self.variance(i) / self.replicates)
 
 
+def _check_replicates(n) -> None:
+    """Refuse a replicate count that is not a positive integer."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InputError(f"replicate count must be an integer, got {n!r}")
+    if n < 1:
+        raise InputError("replicate count must be at least 1")
+
+
 def _bounds(prob: Problem, lower_bounds) -> tuple[int, ...]:
     """Per-state minimums: ``lower_bounds`` broadcast, or zeros for None."""
     return ((0,) * prob.size if lower_bounds is None
@@ -82,8 +90,7 @@ def simulate(method, prob: Problem, master_seed: int, n: int,
     sums and sums of squares plus counts of replicates violating quota or
     the lower bounds.
     """
-    if n < 1:
-        raise InputError("replicate count must be at least 1")
+    _check_replicates(n)
     if method == "stochastic":
         _scheme, trace, (sums, sumsqs, qviol, bviol, mismatches, _masks) = (
             _scheme_batch(prob, lower_bounds, master_seed, n))
@@ -140,8 +147,7 @@ def simulate(method, prob: Problem, master_seed: int, n: int,
 def empirical_distribution(prob: Problem, master_seed: int, n: int,
                            lower_bounds=None) -> dict[tuple[int, ...], int]:
     """Allocation -> count over n seeded replicates of the scheme."""
-    if n < 1:
-        raise InputError("replicate count must be at least 1")
+    _check_replicates(n)
     if prob.size > 16:
         raise CapacityError("empirical distribution tracking supports at most 16 states")
     scheme, _trace, (*_tallies, masks) = _scheme_batch(

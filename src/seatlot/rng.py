@@ -16,14 +16,34 @@ Reproducibility contract:
   ``(seed, k)``, so parallel replicates can be generated in any order;
 * integers below a bound come from unbiased rejection sampling
   (draws with value >= ``(2**64 // n) * n`` are discarded).
+
+Block draws.  The state after t draws is ``seed + t * GOLDEN`` (mod 2**64),
+so the next k outputs do not depend on one another.  ``_next_block`` mixes
+them at once as k 128-bit lanes of one Python integer: masking every lane
+to 64 bits before each multiply keeps each product inside its lane, so the
+lanes never carry into one another.  The lanes are read back with
+``array("Q")`` from little-endian bytes, byteswapped on big-endian hosts;
+the integer arithmetic is exact, so the outputs are the scalar outputs on
+every platform.  ``shuffled_range`` consumes blocks of at most ``_BLOCK``
+draws, which keeps its extra memory bounded at any length.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
+# Draws are uniform on [0, _SPAN); a bound n accepts the draws below the
+# largest multiple of n in that range.  randbelow and the block shuffle
+# both read it, so lowering it forces rejections on both paths alike.
+_SPAN = 1 << 64
+_BLOCK = 128
+_BIG_ENDIAN = sys.byteorder == "big"
 
 U53_DENOMINATOR = 1 << 53
 
@@ -31,9 +51,40 @@ U53_DENOMINATOR = 1 << 53
 def mix64(value: int) -> int:
     """SplitMix64 output finalizer (variant 13 of Stafford's mixers)."""
     z = value & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
     return z ^ (z >> 31)
+
+
+_LANES: dict[int, tuple[int, int, int]] = {}
+
+
+def _lane_constants(k: int) -> tuple[int, int, int]:
+    """(ones, steps, mask) for k lanes of 128 bits: lane t holds 1, the
+    state increment of draw t + 1, and 2**64 - 1.  At most _BLOCK entries
+    are ever cached."""
+    consts = _LANES.get(k)
+    if consts is None:
+        ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
+        steps = 0
+        for t in range(k, 0, -1):
+            steps = steps << 128 | (t * _GOLDEN) & _MASK64
+        consts = _LANES[k] = (ones, steps, ones * _MASK64)
+    return consts
+
+
+def _next_block(state: int, k: int) -> array:
+    """The k outputs that follow ``state``, 1 <= k <= _BLOCK, mixed as
+    lanes of one integer exactly as ``mix64`` mixes each alone."""
+    ones, steps, mask = _lane_constants(k)
+    z = (state * ones + steps) & mask
+    z = ((z ^ (z >> 30)) & mask) * _MUL1 & mask
+    z = ((z ^ (z >> 27)) & mask) * _MUL2 & mask
+    z ^= z >> 31
+    words = array("Q", z.to_bytes(16 * k, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words[::2]
 
 
 def child_seed(master_seed: int, index: int) -> int:
@@ -78,11 +129,13 @@ class SeededSource:
 
     def randbelow(self, n: int) -> int:
         """Unbiased uniform integer in [0, n)."""
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError(f"randbelow bound must be an integer, got {n!r}")
         if n <= 0:
             raise ValueError("randbelow bound must be positive")
         if n == 1:
             return 0
-        limit = ((1 << 64) // n) * n
+        limit = _SPAN - _SPAN % n
         while True:
             draw = self.next_u64()
             if draw < limit:
@@ -90,11 +143,34 @@ class SeededSource:
 
     def shuffled_range(self, n: int) -> list[int]:
         """Fisher-Yates shuffle of [0, n), consuming randbelow(i+1) for
-        i = n-1 .. 1.  The compiled kernels replay the same order."""
+        i = n-1 .. 1.  The compiled kernels replay the same order.
+
+        The draws come in blocks from ``_next_block``.  A draw below
+        ``_SPAN - n`` is accepted by every bound up to n, so only draws at
+        or above it pay the exact test.  At the first rejected draw the
+        rest of the shuffle continues through ``randbelow``; either way the
+        order and the state are those of the draw-by-draw loop.
+        """
         order = list(range(n))
-        for i in range(n - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            order[i], order[j] = order[j], order[i]
+        i = n - 1
+        safe = _SPAN - n
+        state = self._state
+        while i > 0:
+            k = i if i < _BLOCK else _BLOCK
+            for t, draw in enumerate(_next_block(state, k)):
+                m = i + 1
+                if draw >= safe and draw >= _SPAN - _SPAN % m:
+                    self._state = (state + (t + 1) * _GOLDEN) & _MASK64
+                    while i > 0:
+                        j = self.randbelow(i + 1)
+                        order[i], order[j] = order[j], order[i]
+                        i -= 1
+                    return order
+                j = draw % m
+                order[i], order[j] = order[j], order[i]
+                i -= 1
+            state = (state + k * _GOLDEN) & _MASK64
+        self._state = state
         return order
 
     def child(self, index: int) -> "SeededSource":

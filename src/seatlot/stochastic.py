@@ -54,6 +54,8 @@ _ENUMERATION_CEILING = 10
 
 def random_permutation(n: int, src: SeededSource) -> tuple[int, ...]:
     """Uniform permutation of range(n), deterministic given the source."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InputError(f"permutation length must be an integer, got {n!r}")
     if n < 1:
         raise InputError("permutation length must be at least 1")
     return tuple(src.shuffled_range(n))
@@ -117,13 +119,11 @@ def stochastic_apportion(prob: Problem, src: SeededSource) -> Allocation:
 def _scheme_draw(quota: QuotaVector, src: SeededSource
                  ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Shuffle, draw, round; returns (seats, ordering, offset numerator)."""
-    s = quota.size
-    if s < 1:
+    if quota.size < 1:
         raise InputError("permutation length must be at least 1")
-    seats = [0] * s
-    order, u53 = _kernels_py.scheme_replicate(src, quota.nums, quota.den, s,
-                                              seats, quota.floors)
-    return tuple(seats), tuple(order), u53
+    order, u53, mask = _kernels_py.scheme_replicate(src, quota.nums,
+                                                    quota.den)
+    return _seats_from_mask(quota.floors, mask), tuple(order), u53
 
 
 def _seats_from_mask(floors: Sequence[int], mask: int) -> tuple[int, ...]:

@@ -86,7 +86,90 @@ def test_averaged_mask_lengths_match_oracle(kc, case):
         assert kernels.averaged_mask_lengths(nums, den, False) == expected
 
 
+def tally_cases():
+    """simulate_batch arguments for s = 1, 3, 8, 16, 17 and 50 states.
+
+    The first variant is consistent (quota bounds around the floors, house
+    equal to floors plus residual).  The second draws quota bounds that
+    fail with or without the residual seat, lower bounds one above some
+    floors, and a house up to one off: quota and bound violations occur in
+    some replicates of a batch but not in all, and a house one off is a
+    sum mismatch in every replicate.  The third sets the lower bound of
+    the last state two above its floor, which its residual seat cannot
+    meet, so every replicate breaks a bound.
+    """
+    src = SeededSource(4)
+    cases = []
+    for s in (1, 3, 8, 16, 17, 50):
+        for variant in range(3):
+            den = 1 + src.randbelow(800)
+            nums = random_fracs(src, s, den)
+            floors = [src.randbelow(5) for _ in range(s)]
+            house = sum(floors) + sum(nums) // den
+            qfloors = floors
+            qceils = [f + 1 for f in floors]
+            bounds = [src.randbelow(2) for _ in range(s)]
+            if variant == 1:
+                qfloors = [f + (src.randbelow(8) == 0) for f in floors]
+                qceils = [f + (src.randbelow(4) != 0) for f in floors]
+                bounds = [f + (src.randbelow(6) == 0) for f in floors]
+                house += src.randbelow(3) - 1
+            elif variant == 2:
+                bounds = [0] * (s - 1) + [floors[-1] + 2]
+            cases.append((floors, nums, den, qfloors, qceils, bounds,
+                          src.randbelow(2 ** 32) - 2 ** 31,
+                          60 if s < 50 else 30, house))
+    return cases
+
+
+def tally_by_draws(floors, nums, den, qfloors, qceils, bounds, master, n,
+                   house):
+    """simulate_batch's result, from the single draw on each child
+    stream and the definition of each count."""
+    from seatlot.core import QuotaVector
+    from seatlot.rng import child_seed
+    from seatlot.stochastic import _scheme_draw
+
+    s = len(nums)
+    quota = QuotaVector(tuple(floors), tuple(nums), den)
+    sums, sumsqs = [0] * s, [0] * s
+    qviol = bviol = mismatches = 0
+    masks = [0] * (1 << s) if s <= 16 else None
+    for k in range(n):
+        seats, _order, _u53 = _scheme_draw(
+            quota, SeededSource(child_seed(master, k)))
+        for i, a in enumerate(seats):
+            sums[i] += a
+            sumsqs[i] += a * a
+        qviol += any(not qfloors[i] <= a <= qceils[i]
+                     for i, a in enumerate(seats))
+        bviol += any(a < bounds[i] for i, a in enumerate(seats))
+        mismatches += sum(seats) != house
+        if masks is not None:
+            masks[sum(1 << i for i in range(s) if seats[i] > floors[i])] += 1
+    return sums, sumsqs, qviol, bviol, mismatches, masks
+
+
+def test_pure_batch_tallies_match_single_draws():
+    # Runs without a compiler: every count of the pure batch, replicate by
+    # replicate, against the single-draw path.
+    partial = set()
+    mismatches = 0
+    for args in tally_cases():
+        expected = tally_by_draws(*args)
+        assert kpy.simulate_batch(*args) == expected
+        n = args[7]
+        partial.update(name for name, count in
+                       zip(("quota", "bound"), expected[2:4])
+                       if 0 < count < n)
+        mismatches += expected[4]
+    assert partial == {"quota", "bound"}
+    assert mismatches
+
+
 def test_simulate_batch_agreement(kc):
+    for args in tally_cases():
+        assert kpy.simulate_batch(*args) == kc.simulate_batch(*args)
     src = SeededSource(4)
     for trial in range(20):
         s = 1 + src.randbelow(8)

@@ -86,7 +86,16 @@ def test_simulate_rejects_bad_n():
         simulate("stochastic", problem((1, 2), 1), 0, 0)
 
 
-@pytest.mark.parametrize("n", [0, -5])
+@pytest.mark.parametrize("method", ["stochastic", "webster",
+                                    lambda prob, src: prob])
+@pytest.mark.parametrize("n", [True, 2.5, "3"])
+def test_simulate_rejects_non_integer_n(method, n):
+    # n=True used to return a report with replicates=True.
+    with pytest.raises(InputError, match="replicate count"):
+        simulate(method, problem((1, 2), 1), 0, n)
+
+
+@pytest.mark.parametrize("n", [0, -5, True, 2.5])
 def test_empirical_distribution_rejects_bad_n(n):
     # It used to return an empty tally.
     with pytest.raises(InputError, match="replicate count"):

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import pytest
 
+from seatlot import rng
 from seatlot.rng import SeededSource, child_seed, mix64
 
 
@@ -49,6 +51,13 @@ def test_randbelow_bounds_and_determinism():
         SeededSource(5).randbelow(0)
 
 
+@pytest.mark.parametrize("bound", [2.5, 2.0, True, False, "3"])
+def test_randbelow_refuses_non_integer_bounds(bound):
+    # randbelow(2.5) used to return 1.0.
+    with pytest.raises(TypeError):
+        SeededSource(1).randbelow(bound)
+
+
 def test_randbelow_one_consumes_no_draw():
     a = SeededSource(9)
     a.randbelow(1)
@@ -91,3 +100,70 @@ def test_permutations_roughly_uniform():
     sigma = math.sqrt(n_draws * p * (1 - p))
     for key, count in counts.items():
         assert abs(count - n_draws * p) <= 4 * sigma, (key, count)
+
+
+def scalar_shuffle(src, n):
+    """Fisher-Yates on randbelow, one draw at a time."""
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = src.randbelow(i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+def draws_taken(seed, src):
+    """How many outputs ``src`` has produced since ``seed``."""
+    return ((src._state - seed) * pow(0x9E3779B97F4A7C15, -1, 2 ** 64)
+            % 2 ** 64)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 49, rng._BLOCK])
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1, 0x9E3779B97F4A7C15 * 7])
+def test_block_draws_equal_scalar_draws(seed, k):
+    src = SeededSource(seed)
+    assert list(rng._next_block(src._state, k)) == [
+        src.next_u64() for _ in range(k)]
+
+
+SHUFFLE_LENGTHS = [0, 1, 2, 50, 1000,
+                   rng._BLOCK, rng._BLOCK + 1, rng._BLOCK + 2]
+
+
+@pytest.mark.parametrize("n", SHUFFLE_LENGTHS)
+def test_block_shuffle_is_the_scalar_shuffle(n):
+    # n - 1 draws: one block short of, at and one past the block cap.
+    for seed in (0, 5, 2 ** 64 - 1):
+        block, scalar = SeededSource(seed), SeededSource(seed)
+        assert block.shuffled_range(n) == scalar_shuffle(scalar, n)
+        assert block.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("n", SHUFFLE_LENGTHS)
+def test_block_shuffle_after_rejections(monkeypatch, n):
+    # With the span halved about half of all draws are rejected, so the
+    # shuffle leaves its blocks for randbelow; order and state still match.
+    monkeypatch.setattr(rng, "_SPAN", 1 << 63)
+    rejected = 0
+    for seed in (0, 5, 2 ** 64 - 1):
+        block, scalar = SeededSource(seed), SeededSource(seed)
+        assert block.shuffled_range(n) == scalar_shuffle(scalar, n)
+        rejected += draws_taken(seed, scalar) - max(n - 1, 0)
+        assert block.next_u64() == scalar.next_u64()
+    assert rejected >= max(n - 1, 0)
+
+
+def test_block_shuffle_memory_is_the_order_list():
+    # Blocks are capped, so a long shuffle peaks at about its own list.
+    n = 200_000
+    tracemalloc.start()
+    try:
+        order = list(range(n))
+        _, alone = tracemalloc.get_traced_memory()
+        del order
+        tracemalloc.reset_peak()
+        SeededSource(1).shuffled_range(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * alone
+    assert len(rng._LANES) <= rng._BLOCK

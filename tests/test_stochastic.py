@@ -85,6 +85,13 @@ def test_permutation_basics():
         random_permutation(0, SeededSource(5))
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0])
+def test_permutation_refuses_non_integer_length(n):
+    # random_permutation(True, src) used to return (0,).
+    with pytest.raises(InputError, match="permutation length"):
+        random_permutation(n, SeededSource(5))
+
+
 # --- full scheme ----------------------------------------------------------
 
 def test_apportion_replayable_from_audit():

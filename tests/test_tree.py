@@ -76,3 +76,22 @@ def test_every_pure_kernel_is_used():
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in PACKAGE.glob("*.py")}
     assert unreferenced_functions("_kernels_py", sources) == []
+
+
+def int_constants(source: str) -> set:
+    """Every integer literal in a module."""
+    return {node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and type(node.value) is int}
+
+
+def test_int_constants_are_found():
+    assert int_constants("x = 0xFF\ny = f(1_0)\n'12'\n") == {255, 10}
+
+
+def test_one_python_copy_of_the_mixer():
+    # The SplitMix64 mixer is written once in Python, in rng.py; the other
+    # modules draw through it.
+    holders = [p.name for p in PACKAGE.glob("*.py")
+               if 0xBF58476D1CE4E5B9 in int_constants(
+                   p.read_text(encoding="utf-8"))]
+    assert holders == ["rng.py"]
