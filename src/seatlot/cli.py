@@ -37,7 +37,7 @@ from .lowerbound import (adjusted_quota_from_values, classify,
                          lower_bound_apportion, lower_bound_distribution,
                          trace_audit, violation_probability_bound)
 from .montecarlo import simulate
-from .rng import SeededSource
+from .rng import MAX_BOUND, SeededSource
 from .stochastic import (ENUMERATION_LIMIT, exact_distribution,
                          stochastic_apportion)
 
@@ -349,8 +349,9 @@ def cmd_paradox_scan(args, out) -> int:
 
     if args.trials < 0:
         raise InputError(f"--trials must be >= 0, got {args.trials}")
-    if args.max_growth < 0:
-        raise InputError(f"--max-growth must be >= 0, got {args.max_growth}")
+    if not 0 <= args.max_growth < MAX_BOUND:
+        raise InputError(
+            f"--max-growth must be in 0..2**64 - 1, got {args.max_growth}")
     emitter = Emitter(args.format, out)
     src = SeededSource(args.seed)
     reports = []

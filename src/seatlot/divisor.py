@@ -12,11 +12,16 @@ priority is below it; the step then grants the best withheld seats, or
 withdraws the worst granted ones, until the seats sum to the house size.
 The jump misses the house size by fewer seats than there are states, so
 the cost grows with the number of states, not with the house size, and no
-floating-point search is involved.  Each rule is one exact integer
-threshold (see ``DivisorRule``), from which rounding, the priorities and the
-first-seat guarantee are all read; Huntington-Hill's irrational threshold
-sqrt(b*(b+1)) is given squared and compared through squares, which is exact
-for the non-negative quantities involved.
+floating-point search is involved.  The step ranks seats by integer keys,
+each priority times a common power of two 2**shift, rounded down: when no
+threshold numerator exceeds M, unequal priorities differ by at least
+1/M**2, so with 2**shift > M**2 the keys order the seats exactly as the
+priorities do, ties included.  Only the audit's two priorities are built
+as ``Fraction``s.  Each rule is one exact integer threshold (see
+``DivisorRule``), from which rounding, the priorities and the first-seat
+guarantee are all read; Huntington-Hill's irrational threshold
+sqrt(b*(b+1)) is given squared and compared through squares, which is
+exact for the non-negative quantities involved.
 
 Ties between equal priorities are broken by larger population first, then
 by input position; the rule is arbitrary but fixed, so results are
@@ -137,29 +142,16 @@ def divisor_apportion(prob: Problem, rule: DivisorRule) -> Allocation:
                                  "squared": rule.squared_priority})
     seats, cut_key, next_key = _jump_and_step(prob, rule, (0,) * s,
                                               range(s), r)
+    # A key ends in its state's index: the cut is that state's last seat,
+    # the next priority its first withheld one.
+    pops = prob.populations
+    cut, nxt = cut_key[3], next_key[3]
     audit = {
-        "cut_priority": _key_priority(cut_key),
-        "next_priority": _key_priority(next_key),
+        "cut_priority": rule.priority(pops[cut], seats[cut] - 1),
+        "next_priority": rule.priority(pops[nxt], seats[nxt]),
         "squared": rule.squared_priority,
     }
     return Allocation(seats=tuple(seats), method=rule.name, audit=audit)
-
-
-def _priority_key(rule: DivisorRule, pop: int, b: int, index: int):
-    # Min-heap key ordering: higher priority first, then larger population,
-    # then lower index.  Infinite priorities sort before all finite ones.
-    value = rule.priority(pop, b)
-    return (0, 0, -pop, index) if value is None else (1, -value, -pop, index)
-
-
-def _key_priority(key) -> Optional[Fraction]:
-    return None if key[0] == 0 else -key[1]
-
-
-def _worst_first(key):
-    # The key with its order reversed, for a min-heap of granted seats.
-    # Applied twice it gives the key back.
-    return tuple(-x for x in key)
 
 
 def _jump_price(prob: Problem, rule: DivisorRule, floors: Sequence[int],
@@ -213,28 +205,82 @@ def _jump_and_step(prob: Problem, rule: DivisorRule, floors: Sequence[int],
     seats from a heap of next seats, or withdraws the worst granted ones
     from a heap of last granted seats, one step per seat the jump missed
     by; and the last seat moved, if any, is the other end of the audit.
+
+    A key is ``(1, -v, -pop, index)`` for a finite priority pop**k * den /
+    num, where v is that priority times 2**shift rounded down, and
+    ``(0, 0, -pop, index)`` for an infinite one (num = 0); the heap of
+    granted seats holds the keys negated, worst first.  The keys are exact
+    integers: if no numerator exceeds M, two unequal priorities differ by
+    at least 1/M**2, so with 2**shift > M**2 they scale to unequal values,
+    and equal ones to equal values.  Tuple order is then priority order,
+    ties included.  M is first read as the numerator of the threshold at
+    the largest seat count the step can key, which bounds every numerator
+    of a rule whose numerators grow with the seat count (all of
+    ``RULES``); a key whose numerator exceeds it restarts the step from
+    the jump's seats with a shift wide enough for that numerator.
     """
     pops = prob.populations
     jump = lambda_allocation(
         prob, rule, _jump_price(prob, rule, floors, states, target))
-    seats = list(floors)
+    start = list(floors)
     for i in states:
-        seats[i] = max(floors[i], jump[i])
-    total = sum(seats[i] for i in states)
+        start[i] = max(floors[i], jump[i])
+    total = sum(start[i] for i in states)
+    # No state's seats pass its jump seats plus the seats the jump is short.
+    top = max(start[i] for i in states) + max(target - total, 0)
+    bound = rule.threshold(top)[0]
+    while True:
+        try:
+            return _step(pops, rule, floors, states, target, start, total,
+                         bound)
+        except _WiderKeys as wider:
+            bound = max(wider.args[0], bound * bound)
+
+
+class _WiderKeys(Exception):
+    """Raised with a threshold numerator above the keys' bound."""
+
+
+def _step(pops, rule, floors, states, target, start, total, bound):
+    # The step of ``_jump_and_step`` from the jump's seats ``start``, with
+    # keys scaled for threshold numerators up to ``bound``.
+    threshold = rule.threshold
+    shift = 2 * bound.bit_length()
+    power = 2 if rule.squared_priority else 1
+    scaled = [pop ** power << shift for pop in pops]
+
+    def scaled_priority(i, b):
+        # State i's priority after b seats times 2**shift, rounded down;
+        # None when infinite.
+        num, den = threshold(b)
+        if not num:
+            return None
+        if num > bound:
+            raise _WiderKeys(num)
+        return scaled[i] * den // num
+
+    def best_first(i, b):
+        v = scaled_priority(i, b)
+        return (0, 0, -pops[i], i) if v is None else (1, -v, -pops[i], i)
+
+    def worst_first(i, b):
+        v = scaled_priority(i, b)
+        return (0, 0, pops[i], -i) if v is None else (-1, v, pops[i], -i)
+
+    seats = list(start)
     if total > target:
-        granted = [_worst_first(_priority_key(rule, pops[i], seats[i] - 1, i))
+        granted = [worst_first(i, seats[i] - 1)
                    for i in states if seats[i] > floors[i]]
         heapq.heapify(granted)
         while total > target:
-            best_withheld = _worst_first(heapq.heappop(granted))
-            i = best_withheld[3]
+            i = -heapq.heappop(granted)[3]
             seats[i] -= 1
             total -= 1
             if seats[i] > floors[i]:
-                heapq.heappush(granted, _worst_first(
-                    _priority_key(rule, pops[i], seats[i] - 1, i)))
-        return seats, _worst_first(granted[0]), best_withheld
-    withheld = [_priority_key(rule, pops[i], seats[i], i) for i in states]
+                heapq.heappush(granted, worst_first(i, seats[i] - 1))
+        j = -granted[0][3]
+        return seats, best_first(j, seats[j] - 1), best_first(i, seats[i])
+    withheld = [best_first(i, seats[i]) for i in states]
     heapq.heapify(withheld)
     worst_granted = None
     while total < target:
@@ -242,9 +288,9 @@ def _jump_and_step(prob: Problem, rule: DivisorRule, floors: Sequence[int],
         i = worst_granted[3]
         seats[i] += 1
         total += 1
-        heapq.heappush(withheld, _priority_key(rule, pops[i], seats[i], i))
+        heapq.heappush(withheld, best_first(i, seats[i]))
     if worst_granted is None:
-        worst_granted = max(_priority_key(rule, pops[i], seats[i] - 1, i)
+        worst_granted = max(best_first(i, seats[i] - 1)
                             for i in states if seats[i] > floors[i])
     return seats, worst_granted, withheld[0]
 

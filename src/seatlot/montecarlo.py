@@ -20,7 +20,7 @@ from .core import (Problem, QuotaVector, broadcast_lower_bound,
 from .divisor import resolve_method
 from .errors import CapacityError, InputError
 from .lowerbound import _prepare
-from .rng import SeededSource, child_seed
+from .rng import MAX_BOUND, SeededSource, child_seed
 from .stochastic import (ENUMERATION_LIMIT, _seats_from_mask,
                          exact_distribution)
 
@@ -271,12 +271,19 @@ def monotonicity_scan(pairs: Sequence[ProblemPair], kind: str,
 def random_problem(src: SeededSource, *, min_states: int = 1,
                    max_states: int = 6, max_population: int = 60,
                    max_seats: int = 30, min_seats: int = 0) -> Problem:
-    """Uniform-ish random instance for scan corpora; deterministic in src."""
+    """Uniform-ish random instance for scan corpora; deterministic in src.
+
+    Each range may hold at most ``MAX_BOUND`` (2**64) values, the most one
+    draw of ``src`` covers.
+    """
     for what, low, high in (("state count", min_states, max_states),
                             ("population", 1, max_population),
                             ("house size", min_seats, max_seats)):
         if low > high:
             raise InputError(f"empty {what} range: {low}..{high}")
+        if high - low + 1 > MAX_BOUND:
+            raise InputError(f"{what} range {low}..{high} holds more than "
+                             f"2**64 values")
     s = min_states + src.randbelow(max_states - min_states + 1)
     pops = tuple(1 + src.randbelow(max_population) for _ in range(s))
     seats = min_seats + src.randbelow(max_seats - min_seats + 1)

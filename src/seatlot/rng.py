@@ -14,8 +14,9 @@ Reproducibility contract:
   Python version and backend (compiled or pure);
 * ``child(k)`` derives an independent stream as a pure function of
   ``(seed, k)``, so parallel replicates can be generated in any order;
-* integers below a bound come from unbiased rejection sampling
-  (draws with value >= ``(2**64 // n) * n`` are discarded).
+* integers below a bound n <= 2**64 come from unbiased rejection
+  sampling of one 64-bit draw each (draws with value >= ``(2**64 // n) *
+  n`` are discarded); a larger bound is refused, as every draw would be.
 
 Block draws.  The state after t draws is ``seed + t * GOLDEN`` (mod 2**64),
 so the next k outputs do not depend on one another.  ``_next_block`` mixes
@@ -42,6 +43,9 @@ _MUL2 = 0x94D049BB133111EB
 # largest multiple of n in that range.  randbelow and the block shuffle
 # both read it, so lowering it forces rejections on both paths alike.
 _SPAN = 1 << 64
+# The largest bound randbelow accepts: above 2**64 no multiple of the
+# bound fits under the span, so every draw would be rejected.
+MAX_BOUND = 1 << 64
 _BLOCK = 128
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -128,11 +132,13 @@ class SeededSource:
         return Fraction(self.bits53(), U53_DENOMINATOR)
 
     def randbelow(self, n: int) -> int:
-        """Unbiased uniform integer in [0, n)."""
+        """Unbiased uniform integer in [0, n), for 1 <= n <= MAX_BOUND."""
         if not isinstance(n, int) or isinstance(n, bool):
             raise TypeError(f"randbelow bound must be an integer, got {n!r}")
         if n <= 0:
             raise ValueError("randbelow bound must be positive")
+        if n > MAX_BOUND:
+            raise ValueError(f"randbelow bound must be at most 2**64, got {n}")
         if n == 1:
             return 0
         limit = _SPAN - _SPAN % n

@@ -109,6 +109,18 @@ CLI_GOLDEN = {
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'apportion-webster-bound1': (0, 'a40a450ea3e2f18e1101e54abaedb04881e782284bd689969cae207f93245149',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'apportion-adams-1e9': (0, '1ca173dc010035e020f1a5532303c3597f77ee980c3f6a7b031f11b8ba7e7741',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'apportion-dean-1e9': (0, '6e9d37ba20d406daa9b5f44727a4945788fd29288b71ea9bb2e49d91ae766da0',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'apportion-hill-1e9': (0, '92ba6437bf4ca3ac88070a5559b8aab04959fbee636f707670a4ea72bfa5700b',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'apportion-webster-1e9': (0, '16d5d600c3d798cb0bae4bece86781bb29e87fa09ec5201c20c66da37fdb2be7',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'apportion-jefferson-1e9': (0, '3df585e9926a8c6a7dbb05ce55f4a3537cad32611f06922b503749fc4135927f',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'apportion-hill-1e5-bound1': (0, '394ca67ab224d8a1d7ff9d241d19505c45a7a5486338ed42750348da112ccae0',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'bound-check-audit': (0, 'db6378be1ae8721f59b30353c9ef8d8a77094c7986848c9120f9a5bd49d32850',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'bound-check-rescale': (0, '4bf80782f79c5d9e3083ffabe5279973d839d42b89135719c4ef1b0a436f30a7',

@@ -400,6 +400,22 @@ def test_paradox_scan_out_of_range_sizes_are_usage_errors(extra, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("kind, extra", [
+    ("population", ["--max-growth", str(2 ** 64)]),
+    ("population", ["--max-population", str(2 ** 64 + 1)]),
+    ("new-state", ["--max-population", str(2 ** 64 + 1)]),
+])
+def test_paradox_scan_refuses_draw_bounds_above_two_to_the_64(kind, extra,
+                                                              capsys):
+    # Each of these used to run until killed: no 64-bit draw falls below
+    # a bound above 2**64.
+    code, out = run_cli(["paradox-scan", "--kind", kind, "--method",
+                         "hamilton", "--trials", "1", "--seed", "1", *extra])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # --- bound-check --------------------------------------------------------------------
 
 def test_bound_check_published_pairs(tmp_path):
@@ -492,6 +508,14 @@ GOLDEN_RUNS = {
     "apportion-webster-bound1": ["apportion", "--data", "c50.csv", "--seats",
                                  "435", "--method", "webster",
                                  "--lower-bound", "1"],
+    # The last line of each prints the audit's cut and next priorities.
+    **{f"apportion-{rule}-1e9": ["apportion", "--data", "c50.csv", "--seats",
+                                 "1000000000", "--method", rule,
+                                 "--format", "json-lines"]
+       for rule in ("adams", "dean", "hill", "webster", "jefferson")},
+    "apportion-hill-1e5-bound1": ["apportion", "--data", "c50.csv",
+                                  "--seats", "100000", "--method", "hill",
+                                  "--lower-bound", "1"],
     "simulate": ["simulate", "--data", "c50.csv", "--seats", "435",
                  "--method", "stochastic", "--n", "2000", "--seed", "11"],
     "simulate-bound1": ["simulate", "--data", "c50.csv", "--seats", "435",

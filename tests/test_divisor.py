@@ -17,7 +17,7 @@ from seatlot.divisor import (RULES, detect_alabama, detect_new_state_paradox,
                              hamilton_apportion, lambda_allocation,
                              quota_staying_check, resolve_method)
 
-from fixtures import (HAMILTON_ALABAMA, HAMILTON_NEW_STATE,
+from fixtures import (CENSUS_50, HAMILTON_ALABAMA, HAMILTON_NEW_STATE,
                       HAMILTON_POPULATION, JEFFERSON_UPPER_QUOTA)
 from oracles import (alabama_witnesses, bounded_priority_list_apportion,
                      largest_remainders, oracle_priority,
@@ -340,7 +340,18 @@ def _rank(value):
 
 @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.name)
 def test_billion_seat_house_passes_exact_price_test(rule):
-    pops = _census()
+    _assert_exact_price(rule, _census())
+
+
+@pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.name)
+def test_huge_populations_pass_exact_price_test(rule):
+    # Every population above 2**64, far beyond a float's precision, and no
+    # two in a common ratio.
+    _assert_exact_price(rule, [p * (2 ** 64 + 1) + i
+                               for i, p in enumerate(_census())])
+
+
+def _assert_exact_price(rule, pops):
     house = 10 ** 9
     alloc = divisor_apportion(problem(pops, house), rule)
     assert sum(alloc.seats) == house
@@ -365,6 +376,129 @@ def test_tie_break_population_then_index():
     prob = problem((4, 2, 2), 3)
     alloc = divisor_apportion(prob, RULES["jefferson"])
     assert alloc.seats == (2, 1, 0)
+
+
+# --- exact priority keys ------------------------------------------------------
+
+# Per rule: populations, house and seats where the last seat is decided by
+# two priorities that differ by less than a float's precision.  As floats
+# they tie, and the tie-break (larger population first) would give the seat
+# to the first state; exactly, the second state's priority is larger.  The
+# small third state moves the jump's price, so the step decides the seat.
+_SMALL = 2 ** 60 // 7
+FLOAT_TIES = {
+    "adams": ((2 * 2 ** 60 - 1, 2 ** 60, _SMALL), 5, (2, 2, 1)),
+    "dean": ((9 * 2 ** 58 - 1, 5 * 2 ** 58, _SMALL), 5, (2, 2, 1)),
+    "hill": ((math.isqrt(3 * 2 ** 120 - 1), 2 ** 60, _SMALL), 5, (2, 2, 1)),
+    "webster": ((3 * 2 ** 60 - 1, 2 ** 60, _SMALL), 2, (1, 1, 0)),
+    "jefferson": ((2 * 2 ** 60 - 1, 2 ** 60, _SMALL), 2, (1, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_TIES))
+def test_priorities_equal_as_floats_are_ranked_exactly(name):
+    pops, house, want = FLOAT_TIES[name]
+    prob = problem(pops, house)
+    cut, best = priority_list_cut(prob, name)
+    assert cut > best and float(cut) == float(best)
+    alloc = divisor_apportion(prob, RULES[name])
+    assert alloc.seats == priority_list_apportion(prob, name) == want
+    assert (alloc.audit["cut_priority"], alloc.audit["next_priority"]) \
+        == (cut, best)
+    assert divisor_with_bounds(prob, RULES[name], 0).seats == want
+
+
+def _webster_unreduced(b):
+    # Webster's threshold (2b + 1) / 2, unreduced by a large factor at odd b,
+    # so the numerators do not grow with b.
+    k = 1 if b % 2 == 0 else 10 ** 6
+    return (2 * b + 1) * k, 2 * k
+
+
+def test_unreduced_thresholds_give_the_same_seats_and_audit():
+    webster = RULES["webster"]
+    twin = dataclasses.replace(webster, name="webster-unreduced",
+                               threshold=_webster_unreduced)
+    pops, house, _ = FLOAT_TIES["webster"]
+    census = [pop for _label, pop in CENSUS_50]
+    for prob, bound in ((problem(pops, house), 0), (problem(census, 435), 1),
+                        (problem(census, 10 ** 9), 1)):
+        want, got = divisor_apportion(prob, webster), divisor_apportion(prob, twin)
+        assert (got.seats, got.audit) == (want.seats, want.audit)
+        assert divisor_with_bounds(prob, twin, bound).seats \
+            == divisor_with_bounds(prob, webster, bound).seats
+
+
+def _threshold_priority_list(pops, threshold, house):
+    """(seats, cut, next) from the complete list of exact priorities
+    p * den / num, ranked as the library ranks them."""
+    entries = []
+    for i, pop in enumerate(pops):
+        for b in range(house + 1):
+            num, den = threshold(b)
+            value = F(pop * den, num) if num else None
+            entries.append(((0, 0) if value is None else (1, -value),
+                            -pop, i, value))
+    entries.sort()
+    seats = [0] * len(pops)
+    for entry in entries[:house]:
+        seats[entry[2]] += 1
+    return tuple(seats), entries[house - 1][3], entries[house][3]
+
+
+def _webster_nudged(b):
+    # b + 1/2 - 10**-9 below five seats and b + 1/2 from there on, so the
+    # numerators of the first five thresholds dwarf the later ones.
+    return (2 * b + 1, 2) if b >= 5 else ((2 * b + 1) * 10 ** 9 - 2, 2 * 10 ** 9)
+
+
+def test_numerators_that_shrink_with_seats_keep_keys_exact():
+    # At 10 seats the largest state holds 6 seats, so the keys are first
+    # scaled for the small numerator of d(6) or above.  The first state's
+    # second seat and the second state's third seat differ by about 5e-10,
+    # and only keys rescaled for the large early numerators rank them.
+    rule = dataclasses.replace(RULES["webster"], name="webster-nudged",
+                               threshold=_webster_nudged)
+    pops = (3, 5, 12)
+    assert _threshold_priority_list(pops, _webster_nudged, 10)[0] == (2, 2, 6)
+    for house in range(1, 40):
+        seats, cut, best = _threshold_priority_list(pops, _webster_nudged,
+                                                    house)
+        alloc = divisor_apportion(problem(pops, house), rule)
+        assert alloc.seats == seats
+        assert (alloc.audit["cut_priority"], alloc.audit["next_priority"]) \
+            == (cut, best)
+
+
+@pytest.mark.parametrize("call", [*RULES, "hill+bound1"])
+def test_fractions_built_per_call_do_not_grow_with_states(call, monkeypatch):
+    if call == "hill+bound1":
+        def apportion(prob):
+            return divisor_with_bounds(prob, RULES["hill"], 1)
+    else:
+        def apportion(prob):
+            return divisor_apportion(prob, RULES[call])
+    built = 0
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    census = [pop for _label, pop in CENSUS_50]
+    counts = {}
+    monkeypatch.setattr(F, "__new__", counting_new)
+    for states in (10, 50):
+        for house in (435, 10 ** 9):
+            prob = problem(census[:states], house)
+            built = 0
+            apportion(prob)
+            counts[states, house] = built
+    monkeypatch.undo()
+    assert max(counts.values()) <= 10, counts
+    for house in (435, 10 ** 9):
+        assert counts[10, house] == counts[50, house], counts
 
 
 def test_bounded_divisor_grants_minimums():

@@ -229,6 +229,23 @@ def test_monotonicity_scan_validates_kind():
         monotonicity_scan([], "shrink")
 
 
+@pytest.mark.parametrize("sizes", [
+    {"max_population": 2 ** 64 + 1},
+    {"max_states": 2 ** 64 + 1},
+    {"max_seats": 2 ** 70},
+])
+def test_random_problem_refuses_ranges_wider_than_one_draw(sizes):
+    # A range of more than 2**64 values made randbelow loop for ever.
+    with pytest.raises(InputError):
+        random_problem(SeededSource(7), **sizes)
+
+
+def test_random_problem_accepts_a_range_of_two_to_the_64():
+    prob = random_problem(SeededSource(7), max_states=2,
+                          max_population=2 ** 64)
+    assert all(1 <= p <= 2 ** 64 for p in prob.populations)
+
+
 def test_corpus_builders_deterministic():
     a = random_problem(SeededSource(7), max_states=6)
     b = random_problem(SeededSource(7), max_states=6)

@@ -58,6 +58,23 @@ def test_randbelow_refuses_non_integer_bounds(bound):
         SeededSource(1).randbelow(bound)
 
 
+def test_randbelow_refuses_bounds_above_two_to_the_64_before_drawing():
+    # Above 2**64 the acceptance limit is 0, so every draw would be
+    # rejected: randbelow(2**64 + 1) used to loop for ever.
+    src = SeededSource(9)
+    with pytest.raises(ValueError):
+        src.randbelow(2 ** 64 + 1)
+    with pytest.raises(ValueError):
+        src.randbelow(2 ** 70)
+    assert src.next_u64() == SeededSource(9).next_u64()
+
+
+def test_randbelow_two_to_the_64_is_the_raw_draw():
+    src, raw = SeededSource(4), SeededSource(4)
+    assert [src.randbelow(2 ** 64) for _ in range(5)] \
+        == [raw.next_u64() for _ in range(5)]
+
+
 def test_randbelow_one_consumes_no_draw():
     a = SeededSource(9)
     a.randbelow(1)
