@@ -32,19 +32,6 @@ from .rng import SeededSource, child_seed
 _M53 = 1 << 53
 
 
-def systematic_round_ints(frac_nums, den, u_num):
-    """0/1 residual-seat indicators for one ordering, exact integer test."""
-    out = []
-    prev_ceil = (u_num + den - 1) // den
-    c = u_num
-    for f in frac_nums:
-        c += f
-        cur_ceil = (c + den - 1) // den
-        out.append(cur_ceil - prev_ceil)
-        prev_ceil = cur_ceil
-    return out
-
-
 def position_from_bits53(u53, den):
     """Map a uniform draw k/2**53 to the rounding position on the den-grid.
 
@@ -162,26 +149,34 @@ def averaged_mask_lengths(frac_nums, den, fix_last):
     return acc
 
 
-def scheme_replicate(src, frac_nums, den):
-    """One scheme replicate: shuffle, draw, round.
+def systematic_mask(frac_nums, den, u_num, order):
+    """Winner mask of systematic rounding at position ``u_num``, the
+    states taken in ``order``.
 
-    Returns ``(order, u53, mask)``: the ordering, the offset draw and the
-    winner mask (bit i = state i wins a residual seat).  The rounding keeps
-    r = u + c(k) - den * ceil((u + c(k)) / den), which lies in (-den, 0];
-    adding the next fraction lifts it above 0 exactly when the ceiling
-    grows, so each state costs one add and one compare.
+    The loop keeps r = u + c(k) - den * ceil((u + c(k)) / den), which lies
+    in (-den, 0]; adding the next fraction lifts it above 0 exactly when
+    the ceiling grows, so each state costs one add and one compare.
     """
-    order = src.shuffled_range(len(frac_nums))
-    u53 = src.bits53()
-    u = position_from_bits53(u53, den)
-    r = u - den if u else 0
+    r = u_num - den if u_num else 0
     mask = 0
     for i in order:
         r += frac_nums[i]
         if r > 0:
             r -= den
             mask |= 1 << i
-    return order, u53, mask
+    return mask
+
+
+def scheme_replicate(src, frac_nums, den):
+    """One scheme replicate: shuffle, draw, round.
+
+    Returns ``(order, u53, mask)``: the ordering, the offset draw and the
+    winner mask (bit i = state i wins a residual seat).
+    """
+    order = src.shuffled_range(len(frac_nums))
+    u53 = src.bits53()
+    return order, u53, systematic_mask(
+        frac_nums, den, position_from_bits53(u53, den), order)
 
 
 def _failure_masks(floors, ok):

@@ -43,6 +43,10 @@ from .stochastic import (ENUMERATION_LIMIT, exact_distribution,
 
 METHOD_CHOICES = ("stochastic", "hamilton") + tuple(RULES)
 FORMAT_CHOICES = ("table", "csv", "json-lines")
+# The most states one paradox-scan instance may draw: every instance builds
+# a problem of up to that many states, so a larger --max-states is refused
+# before any draw.
+MAX_SCAN_STATES = 10 ** 4
 
 
 def fraction_str(f: Fraction) -> str:
@@ -352,42 +356,49 @@ def cmd_paradox_scan(args, out) -> int:
     if not 0 <= args.max_growth < MAX_BOUND:
         raise InputError(
             f"--max-growth must be in 0..2**64 - 1, got {args.max_growth}")
+    if args.max_states > MAX_SCAN_STATES:
+        raise InputError(f"--max-states must be at most {MAX_SCAN_STATES}, "
+                         f"got {args.max_states}")
     emitter = Emitter(args.format, out)
     src = SeededSource(args.seed)
+    # An Alabama scan walks its own houses; the drawn house is not read.
+    min_seats, max_seats = ((1, 1) if args.kind == "alabama"
+                            else (2, args.max_seats))
+    # A rule that grants every state a seat has no house below the state
+    # count: its scans start there, and instances it cannot seat are
+    # skipped and not counted.  An empty --max-seats range stays an error.
+    guaranteed = (args.method in RULES
+                  and RULES[args.method].first_seat_guaranteed)
     reports = []
     checked = 0
     for _ in range(args.trials):
+        prob = random_problem(
+            src, min_states=2, max_states=args.max_states,
+            max_population=args.max_population,
+            min_seats=min_seats, max_seats=max_seats)
+        least = prob.size if guaranteed else 1
         if args.kind == "alabama":
-            prob = random_problem(
-                src, min_states=2, max_states=args.max_states,
-                max_population=args.max_population,
-                max_seats=1, min_seats=1)
-            reports.extend(detect_alabama(
-                prob, args.method, range(1, args.max_seats + 1)))
-            checked += 1
+            houses = range(least, args.max_seats + 1)
+            if not houses and args.max_seats > 0:
+                continue
+            found = detect_alabama(prob, args.method, houses)
         elif args.kind == "population":
-            prob = random_problem(
-                src, min_states=2, max_states=args.max_states,
-                max_population=args.max_population,
-                max_seats=args.max_seats, min_seats=2)
+            if prob.seats < least:
+                continue
             grown = tuple(p + src.randbelow(args.max_growth + 1)
                           for p in prob.populations)
             after = Problem(prob.labels, grown, prob.seats)
-            reports.extend(detect_population_paradox(prob, after, args.method))
-            checked += 1
+            found = detect_population_paradox(prob, after, args.method)
         else:
-            prob = random_problem(
-                src, min_states=2, max_states=args.max_states,
-                max_population=args.max_population,
-                max_seats=args.max_seats, min_seats=2)
             new_pop = 1 + src.randbelow(args.max_population)
-            extra = fair_share_seats(new_pop, prob)
             extended = Problem(prob.labels + ("NEW",),
                                prob.populations + (new_pop,),
-                               prob.seats + extra)
-            reports.extend(detect_new_state_paradox(prob, extended,
-                                                    args.method))
-            checked += 1
+                               prob.seats + fair_share_seats(new_pop, prob))
+            if prob.seats < least or extended.seats <= least:
+                continue
+            found = detect_new_state_paradox(prob, extended, args.method)
+        reports.extend(found)
+        checked += 1
     for rep in reports:
         emitter.record({"type": "paradox", "kind": rep.kind,
                         "method": rep.method, "witness": rep.witness})
@@ -399,10 +410,21 @@ def cmd_paradox_scan(args, out) -> int:
                              json.dumps(rep.witness, sort_keys=True)])
     emitter.note(f"scanned {checked} instances, found {len(reports)} reports")
     if args.format == "json-lines":
-        Emitter(args.format, out).record(
-            {"type": "summary", "kind": args.kind, "method": args.method,
-             "instances": checked, "reports": len(reports)})
+        emitter.record({"type": "summary", "kind": args.kind,
+                        "method": args.method, "instances": checked,
+                        "reports": len(reports)})
     return 0
+
+
+def _bound_record(adj, vb, **fields) -> dict:
+    """The ``bound`` record of ``bound-check``: the offenders and the
+    violation bounds, plus the mode's own ``fields``."""
+    return {"type": "bound", "offenders": list(adj.offenders),
+            "verbatim_bound": fraction_str(vb.verbatim),
+            "union_bound": fraction_str(vb.union),
+            "union_bound_decimal": decimal_str(vb.union, 3),
+            "exact_for_single_offender": vb.exact_for_single_offender,
+            **fields}
 
 
 def cmd_bound_check(args, out) -> int:
@@ -424,13 +446,7 @@ def cmd_bound_check(args, out) -> int:
                 fraction_str(gap) if gap is not None else "",
                 decimal_str(gap, 3) if gap is not None else ""))
         emitter.rows(columns, rows, kind="state")
-        emitter.record({
-            "type": "bound", "offenders": list(adj.offenders),
-            "verbatim_bound": fraction_str(vb.verbatim),
-            "union_bound": fraction_str(vb.union),
-            "union_bound_decimal": decimal_str(vb.union, 3),
-            "exact_for_single_offender": vb.exact_for_single_offender,
-        })
+        emitter.record(_bound_record(adj, vb))
         return 0
     if args.seats is None:
         raise InputError("--seats is required unless the quota file carries "
@@ -462,19 +478,11 @@ def cmd_bound_check(args, out) -> int:
             ("no" if value is not None else ""),
             decimal_str(gap, 3) if gap is not None else ""))
     emitter.rows(columns, rows, kind="state")
-    emitter.record({
-        "type": "bound",
-        "scale": fraction_str(adj.scale),
-        "scale_decimal": decimal_str(adj.scale),
-        "remaining_seats": cls_.remaining_seats,
-        "small_states": list(cls_.small),
-        "offenders": list(adj.offenders),
-        "verbatim_bound": fraction_str(vb.verbatim),
-        "union_bound": fraction_str(vb.union),
-        "union_bound_decimal": decimal_str(vb.union, 3),
-        "exact_for_single_offender": vb.exact_for_single_offender,
-        "iteration": trace_audit(trace),
-    })
+    emitter.record(_bound_record(
+        adj, vb, scale=fraction_str(adj.scale),
+        scale_decimal=decimal_str(adj.scale),
+        remaining_seats=cls_.remaining_seats, small_states=list(cls_.small),
+        iteration=trace_audit(trace)))
     return 0
 
 

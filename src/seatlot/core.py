@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError
 
@@ -31,10 +31,14 @@ def as_fractions(values: Sequence) -> tuple[Fraction, ...]:
         raise InputError(f"not an exact rational vector: {values!r}") from exc
 
 
-def _check_seats(seats) -> None:
-    """Refuse a house size that is not a non-negative integer."""
-    if not isinstance(seats, int) or isinstance(seats, bool) or seats < 0:
-        raise InputError(f"seats must be a non-negative integer, got {seats!r}")
+def check_integers(values: Iterable, name: str, least: int) -> None:
+    """Refuse the first of ``values`` that is not an integer of at least
+    ``least`` (0 or 1); bools are refused too.  Callers pass a whole
+    sequence, so a vector is checked in one call."""
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool) or v < least:
+            kind = "non-negative" if least == 0 else "positive"
+            raise InputError(f"{name} must be a {kind} integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -54,10 +58,8 @@ class Problem:
             raise InputError("a problem needs at least one state")
         if len(set(self.labels)) != len(self.labels):
             raise InputError("state labels must be pairwise distinct")
-        for p in self.populations:
-            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-                raise InputError(f"populations must be positive integers, got {p!r}")
-        _check_seats(self.seats)
+        check_integers(self.populations, "population", 1)
+        check_integers((self.seats,), "seats", 0)
 
     @property
     def size(self) -> int:
@@ -129,8 +131,10 @@ def quota_vector(values: Sequence) -> QuotaVector:
     Unlike :func:`compute_quota` this does not require the values to sum to
     an integer house size, which allows checks on externally supplied quota
     tables; ``residual_seats`` is -1 when the fractional parts do not total
-    an integer.
+    an integer.  A QuotaVector is returned as it is.
     """
+    if isinstance(values, QuotaVector):
+        return values
     quotas = as_fractions(values)
     for q in quotas:
         if q < 0:
@@ -190,9 +194,7 @@ def validate_lower_bound(bounds: Sequence[int], size: int) -> tuple[int, ...]:
     bounds = tuple(bounds)
     if len(bounds) != size:
         raise InputError("lower-bound vector and state list differ in length")
-    for b in bounds:
-        if not isinstance(b, int) or isinstance(b, bool) or b < 0:
-            raise InputError(f"lower bounds must be non-negative integers, got {b!r}")
+    check_integers(bounds, "lower bound", 0)
     return bounds
 
 

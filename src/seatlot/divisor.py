@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import (Allocation, Problem, _check_seats, broadcast_lower_bound,
+from .core import (Allocation, Problem, broadcast_lower_bound, check_integers,
                    compute_quota)
 from .errors import InfeasibleError, InputError
 
@@ -384,6 +384,23 @@ class ParadoxReport:
     witness: dict
 
 
+def _seat_change(kind: str, method: str, prob: Problem, house_before: int,
+                 house_after: int, state: int, seats_before: int,
+                 seats_after: int) -> ParadoxReport:
+    """The witness of one state whose seats changed between two houses of
+    ``prob``'s states (its own house size is not read)."""
+    return ParadoxReport(kind=kind, method=method, witness={
+        "labels": list(prob.labels),
+        "populations": list(prob.populations),
+        "house_before": house_before,
+        "house_after": house_after,
+        "state": state,
+        "label": prob.labels[state],
+        "seats_before": seats_before,
+        "seats_after": seats_after,
+    })
+
+
 def detect_alabama(prob: Problem, method,
                    r_values: Iterable[int]) -> list[ParadoxReport]:
     """Find states losing a seat when the house grows by one.
@@ -403,12 +420,12 @@ def detect_alabama(prob: Problem, method,
         rs = sorted(set(r_values))
     if not rs:
         raise InputError("empty house-size range")
+    check_integers(rs, "seats", 0)
     labels, pops = prob.labels, prob.populations
     if fn is hamilton_apportion:
         total, tie_order = prob.total_population, _tie_order(pops)
 
         def apportion(r):
-            _check_seats(r)
             return _largest_remainders(pops, total, r, tie_order)
     else:
         def apportion(r):
@@ -420,18 +437,8 @@ def detect_alabama(prob: Problem, method,
         if last_r == r - 1:
             for i, (before, after) in enumerate(zip(last, seats)):
                 if after < before:
-                    reports.append(ParadoxReport(
-                        kind="alabama", method=name,
-                        witness={
-                            "labels": list(labels),
-                            "populations": list(pops),
-                            "house_before": last_r,
-                            "house_after": r,
-                            "state": i,
-                            "label": labels[i],
-                            "seats_before": before,
-                            "seats_after": after,
-                        }))
+                    reports.append(_seat_change(
+                        "alabama", name, prob, last_r, r, i, before, after))
         last_r, last = r, seats
     return reports
 
@@ -507,18 +514,9 @@ def detect_new_state_paradox(base: Problem, extended: Problem,
     reports = []
     for i in range(base.size):
         if a_ext[i] != a_base[i]:
-            reports.append(ParadoxReport(
-                kind="new_state", method=name,
-                witness={
-                    "labels": list(extended.labels),
-                    "populations": list(extended.populations),
-                    "house_before": base.seats,
-                    "house_after": extended.seats,
-                    "state": i,
-                    "label": base.labels[i],
-                    "seats_before": a_base[i],
-                    "seats_after": a_ext[i],
-                }))
+            reports.append(_seat_change("new_state", name, extended,
+                                        base.seats, extended.seats, i,
+                                        a_base[i], a_ext[i]))
     return reports
 
 

@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (Allocation, Problem, QuotaVector, as_fractions,
-                   broadcast_lower_bound, compute_quota, quota_vector,
-                   validate_lower_bound)
+                   broadcast_lower_bound, check_integers, compute_quota,
+                   quota_vector, validate_lower_bound)
 from .errors import ConvergenceError, InfeasibleError, InputError
 from .rng import SeededSource, U53_DENOMINATOR
 from .stochastic import (ENUMERATION_LIMIT, AllocationDistribution,
@@ -48,11 +48,13 @@ def classify(quota, bounds: Sequence[int], seats: int) -> StateClassification:
     """Split states into small / exact / surplus against their bounds.
 
     ``quota`` is a QuotaVector or a sequence of raw rationals.  Raises
-    :class:`InfeasibleError` when a bound exceeds its state's upper quota or
-    the bounds alone overflow the house, naming the condition.
+    :class:`InputError` for a house size that is not a non-negative
+    integer, and :class:`InfeasibleError` when a bound exceeds its state's
+    upper quota or the bounds alone overflow the house, naming the
+    condition.
     """
-    if not isinstance(quota, QuotaVector):
-        quota = quota_vector(quota)
+    quota = quota_vector(quota)
+    check_integers((seats,), "seats", 0)
     bounds = validate_lower_bound(bounds, quota.size)
     over = [i for i, (c, b) in enumerate(zip(quota.ceilings, bounds))
             if b > c]
@@ -128,8 +130,7 @@ def adjusted_quota_from_values(original, values,
 
 def equal_representation_quota(cls_: StateClassification,
                                quota) -> AdjustedQuota:
-    if not isinstance(quota, QuotaVector):
-        quota = quota_vector(quota)
+    quota = quota_vector(quota)
     if not cls_.surplus:
         raise InputError("no surplus states to rescale")
     quotas, ceilings = quota.quotas, quota.ceilings
@@ -231,8 +232,7 @@ def iterate_lower_bound(quota, bounds: Sequence[int],
     ``N[i] / D``, an active state's rescaled value is
     ``remaining * N[i] / sum(N[active])``: every comparison is in integers.
     """
-    if not isinstance(quota, QuotaVector):
-        quota = quota_vector(quota)
+    quota = quota_vector(quota)
     try:
         cls_ = classify(quota, bounds, seats)
     except (InfeasibleError, InputError) as exc:
@@ -393,6 +393,14 @@ def _values_quota(values: tuple[Fraction, ...]) -> QuotaVector:
     return quota
 
 
+def _within_quota(seats, adjusted: AdjustedQuota) -> bool:
+    """Whether every entry of ``seats`` lies between its state's original
+    lower and upper quota in ``adjusted``."""
+    return all(f <= a <= c for a, f, c in
+               zip(seats, adjusted.original_floors,
+                   adjusted.original_ceilings))
+
+
 def resample_until_quota(adjusted: AdjustedQuota, src: SeededSource,
                          cap: int = 10 ** 5) -> Allocation:
     """Rerun the scheme on offender-bearing values until quota holds.
@@ -404,9 +412,7 @@ def resample_until_quota(adjusted: AdjustedQuota, src: SeededSource,
     quota = _values_quota(as_fractions(adjusted.values))
     for attempt in range(1, cap + 1):
         seats, order, u53 = _scheme_draw(quota, src)
-        if all(f <= a <= c for a, f, c in
-               zip(seats, adjusted.original_floors,
-                   adjusted.original_ceilings)):
+        if _within_quota(seats, adjusted):
             return Allocation(
                 seats=tuple(seats), method="resample-until-quota",
                 seed=src.seed,
@@ -423,9 +429,7 @@ def resample_conditional_law(adjusted: AdjustedQuota,
     quota = _values_quota(as_fractions(adjusted.values))
     law = _allocation_law(quota, limit=limit)
     kept = {seats: p for seats, p in law.items()
-            if all(f <= a <= c for a, f, c in
-                   zip(seats, adjusted.original_floors,
-                       adjusted.original_ceilings))}
+            if _within_quota(seats, adjusted)}
     if not kept:
         raise InfeasibleError("no quota-satisfying outcome has positive probability")
     total = sum(kept.values(), Fraction(0))
@@ -448,8 +452,7 @@ def scaled_fractional_quota(quota, cls_: StateClassification) -> ScaledQuota:
     seats.  Simpler than the rescaling iteration but breaks proportional
     expectations; provided for comparison only.
     """
-    if not isinstance(quota, QuotaVector):
-        quota = quota_vector(quota)
+    quota = quota_vector(quota)
     fracs = [quota.fractional[i] for i in cls_.surplus]
     numerator = cls_.remaining_seats - sum(quota.floors[i]
                                            for i in cls_.surplus)

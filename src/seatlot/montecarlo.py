@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import _backend
 from .core import (Problem, QuotaVector, broadcast_lower_bound,
-                   compute_quota)
+                   check_integers, compute_quota)
 from .divisor import resolve_method
 from .errors import CapacityError, InputError
 from .lowerbound import _prepare
@@ -57,14 +57,6 @@ class SimulationReport:
         return math.sqrt(self.variance(i) / self.replicates)
 
 
-def _check_replicates(n) -> None:
-    """Refuse a replicate count that is not a positive integer."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InputError(f"replicate count must be an integer, got {n!r}")
-    if n < 1:
-        raise InputError("replicate count must be at least 1")
-
-
 def _bounds(prob: Problem, lower_bounds) -> tuple[int, ...]:
     """Per-state minimums: ``lower_bounds`` broadcast, or zeros for None."""
     return ((0,) * prob.size if lower_bounds is None
@@ -90,7 +82,7 @@ def simulate(method, prob: Problem, master_seed: int, n: int,
     sums and sums of squares plus counts of replicates violating quota or
     the lower bounds.
     """
-    _check_replicates(n)
+    check_integers((n,), "replicate count", 1)
     if method == "stochastic":
         _scheme, trace, (sums, sumsqs, qviol, bviol, mismatches, _masks) = (
             _scheme_batch(prob, lower_bounds, master_seed, n))
@@ -147,7 +139,7 @@ def simulate(method, prob: Problem, master_seed: int, n: int,
 def empirical_distribution(prob: Problem, master_seed: int, n: int,
                            lower_bounds=None) -> dict[tuple[int, ...], int]:
     """Allocation -> count over n seeded replicates of the scheme."""
-    _check_replicates(n)
+    check_integers((n,), "replicate count", 1)
     if prob.size > 16:
         raise CapacityError("empirical distribution tracking supports at most 16 states")
     scheme, _trace, (*_tallies, masks) = _scheme_batch(

@@ -42,7 +42,7 @@ from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from . import _backend, _kernels_py
 from .core import (Allocation, Problem, QuotaVector, as_fractions,
-                   compute_quota, quota_vector)
+                   check_integers, compute_quota, quota_vector)
 from .errors import CapacityError, ConvergenceError, InputError
 from .rng import SeededSource, U53_DENOMINATOR
 
@@ -54,10 +54,7 @@ _ENUMERATION_CEILING = 10
 
 def random_permutation(n: int, src: SeededSource) -> tuple[int, ...]:
     """Uniform permutation of range(n), deterministic given the source."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InputError(f"permutation length must be an integer, got {n!r}")
-    if n < 1:
-        raise InputError("permutation length must be at least 1")
+    check_integers((n,), "permutation length", 1)
     return tuple(src.shuffled_range(n))
 
 
@@ -92,8 +89,10 @@ def systematic_round(fracs: Sequence, u) -> list[int]:
         raise InputError(f"offset must lie in [0, 1), got {u}")
     _fractional_quota(fracs)
     grid = quota_vector([*fracs, u])
-    return _kernels_py.systematic_round_ints(grid.nums[:-1], grid.den,
-                                             grid.nums[-1])
+    s = len(fracs)
+    mask = _kernels_py.systematic_mask(grid.nums, grid.den, grid.nums[-1],
+                                       range(s))
+    return [(mask >> i) & 1 for i in range(s)]
 
 
 def stochastic_apportion(prob: Problem, src: SeededSource) -> Allocation:

@@ -9,9 +9,10 @@ from fractions import Fraction as F
 import pytest
 
 import fixtures
-from seatlot import _backend
-from seatlot.cli import (decimal_str, fraction_str, main, parse_census,
-                         parse_fraction, parse_quota_file)
+from seatlot import _backend, problem
+from seatlot.cli import (MAX_SCAN_STATES, decimal_str, fraction_str, main,
+                         parse_census, parse_fraction, parse_quota_file)
+from seatlot.divisor import RULES, divisor_apportion
 from seatlot.errors import InputError
 
 
@@ -392,6 +393,7 @@ def test_paradox_scan_webster_clean():
     ["--kind", "new-state", "--max-seats", "1"],
     ["--max-growth", "-1"],
     ["--kind", "alabama", "--trials", "-5"],
+    ["--kind", "alabama", "--method", "adams", "--max-seats", "0"],
 ])
 def test_paradox_scan_out_of_range_sizes_are_usage_errors(extra, capsys):
     code, _ = run_cli(["paradox-scan", "--kind", "population", "--method",
@@ -414,6 +416,44 @@ def test_paradox_scan_refuses_draw_bounds_above_two_to_the_64(kind, extra,
     assert (code, out) == (2, "")
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["adams", "dean", "hill"])
+@pytest.mark.parametrize("kind", ["alabama", "population", "new-state"])
+def test_paradox_scan_runs_rules_that_seat_every_state(kind, method):
+    # These rules cannot seat fewer seats than states; each scan used to
+    # exit 1 at its default settings.  Instances they cannot seat are
+    # skipped, and every witness re-verifies.
+    code, out = run_cli(["paradox-scan", "--kind", kind, "--method", method,
+                         "--trials", "50", "--format", "json-lines"])
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    summary = records[-1]
+    assert summary["type"] == "summary" and 0 < summary["instances"] <= 50
+    rule = RULES[method]
+    for rec in records[:-1]:
+        w = rec["witness"]
+        if kind == "population":
+            continue
+        s = len(w["labels"]) - (kind == "new-state")
+        before = divisor_apportion(problem(w["populations"][:s],
+                                           w["house_before"]), rule)
+        after = divisor_apportion(problem(w["populations"],
+                                          w["house_after"]), rule)
+        i = w["state"]
+        assert (before.seats[i], after.seats[i]) == (w["seats_before"],
+                                                     w["seats_after"])
+
+
+def test_paradox_scan_refuses_too_many_states(capsys):
+    # A --max-states near 2**64 used to build a problem of that many states
+    # and run until killed.
+    code, out = run_cli(["paradox-scan", "--kind", "alabama", "--method",
+                         "hamilton", "--max-states", str(2 ** 64 - 1)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: --max-states must be at most {MAX_SCAN_STATES}, "
+        f"got {2 ** 64 - 1}\n")
 
 
 # --- bound-check --------------------------------------------------------------------
@@ -444,6 +484,17 @@ def test_bound_check_full_mode(tmp_path):
     assert bound["scale"] == "14/15"
     assert bound["offenders"] == [2]
     assert bound["iteration"]["feasible"]
+
+
+def test_bound_check_refuses_negative_seats(tmp_path, capsys):
+    # It used to exit 1: "lower bounds sum to 3 > -1 seats".
+    path = tmp_path / "q.csv"
+    path.write_text("A,0.5\nB,2.5\nC,5.0\n")
+    code, out = run_cli(["bound-check", "--quotas", str(path),
+                         "--seats", "-1"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith(
+        "error: seats must be a non-negative integer")
 
 
 def test_bound_check_needs_seats_without_adjusted(tmp_path):
@@ -534,7 +585,7 @@ GOLDEN_RUNS = {
                                      "--method", method, "--seed", "5",
                                      "--trials", "200", "--max-seats", "40",
                                      "--format", "json-lines"]
-       for method in ("hamilton", "webster")},
+       for method in ("hamilton", "webster", "hill")},
     "paradox-population": ["paradox-scan", "--kind", "population",
                            "--method", "hamilton", "--seed", "5", "--trials",
                            "400", "--max-growth", "20", "--format", "csv"],

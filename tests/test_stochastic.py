@@ -63,14 +63,17 @@ def test_round_sums_to_residual_and_matches_definition(fracs, data):
 @settings(max_examples=200, deadline=None)
 def test_grid_fast_path_equals_exact_offset(fracs, u53):
     # The sampling path maps a dyadic offset onto the common-denominator
-    # grid; the result must equal rounding at the exact rational offset.
+    # grid; rounding there must equal rounding at the exact rational
+    # offset, as the library-free oracle and systematic_round compute it.
     from seatlot import _kernels_py
     integer = quota_vector(fracs)
     nums, den = integer.nums, integer.den
     pos = _kernels_py.position_from_bits53(u53, den)
-    fast = _kernels_py.systematic_round_ints(nums, den, pos)
-    exact = systematic_round(fracs, F(u53, U53_DENOMINATOR))
-    assert fast == exact
+    mask = _kernels_py.systematic_mask(nums, den, pos, range(len(nums)))
+    fast = [(mask >> i) & 1 for i in range(len(nums))]
+    u = F(u53, U53_DENOMINATOR)
+    assert tuple(fast) == indicators_at(u, fracs)
+    assert fast == systematic_round(fracs, u)
 
 
 # --- permutations ---------------------------------------------------------

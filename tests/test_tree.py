@@ -71,11 +71,16 @@ def test_unreferenced_function_is_found():
     assert unreferenced_functions("k", {"k": sources["k"]}) == ["a", "c"]
 
 
-def test_every_pure_kernel_is_used():
-    # A kernel only the tests call is dead code in the package.
+def test_every_function_is_used():
+    # A function only the tests call is dead code in the package.  The
+    # exception is the compile helper of the C tier, which the tests and
+    # the benchmarks call to build the library.
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in PACKAGE.glob("*.py")}
-    assert unreferenced_functions("_kernels_py", sources) == []
+    unused = {module: unreferenced_functions(module, sources)
+              for module in sources}
+    assert {m: names for m, names in unused.items() if names} \
+        == {"_kernels_c": ["build"]}
 
 
 def int_constants(source: str) -> set:
@@ -95,3 +100,34 @@ def test_one_python_copy_of_the_mixer():
                if 0xBF58476D1CE4E5B9 in int_constants(
                    p.read_text(encoding="utf-8"))]
     assert holders == ["rng.py"]
+
+
+def bool_checks(source: str) -> list[str]:
+    """The top-level definitions of a module that call isinstance(x, bool)
+    or isinstance(x, (..., bool, ...))."""
+    def refuses_bool(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and any(isinstance(n, ast.Name) and n.id == "bool"
+                        for n in ast.walk(node.args[1])))
+
+    return [top.name for top in ast.parse(source).body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            and any(refuses_bool(n) for n in ast.walk(top))]
+
+
+def test_bool_checks_are_found():
+    source = ("def a(x):\n    return isinstance(x, bool)\n"
+              "class B:\n    def m(self, x):\n"
+              "        return isinstance(x, (int, bool))\n"
+              "def c(x):\n    return isinstance(x, int)\n")
+    assert bool_checks(source) == ["a", "B"]
+
+
+def test_one_integer_check():
+    # Integer arguments are checked once, by core.check_integers; rng.py
+    # keeps its own check, as randbelow raises TypeError, not InputError.
+    holders = {p.name: bool_checks(p.read_text(encoding="utf-8"))
+               for p in PACKAGE.glob("*.py")}
+    assert {name: tops for name, tops in holders.items() if tops} == {
+        "core.py": ["check_integers"], "rng.py": ["SeededSource"]}
