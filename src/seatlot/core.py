@@ -36,9 +36,13 @@ def check_integers(values: Iterable, name: str, least: int) -> None:
     ``least`` (0 or 1); bools are refused too.  Callers pass a whole
     sequence, so a vector is checked in one call."""
     for v in values:
-        if not isinstance(v, int) or isinstance(v, bool) or v < least:
-            kind = "non-negative" if least == 0 else "positive"
-            raise InputError(f"{name} must be a {kind} integer, got {v!r}")
+        # A plain int passes on the first test alone; every draw builds an
+        # Allocation, so this loop is on the draw path.
+        if type(v) is not int or v < least:
+            if not isinstance(v, int) or isinstance(v, bool) or v < least:
+                kind = "non-negative" if least == 0 else "positive"
+                raise InputError(
+                    f"{name} must be a {kind} integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -166,9 +170,7 @@ class Allocation:
 
     def __post_init__(self):
         object.__setattr__(self, "seats", tuple(self.seats))
-        for a in self.seats:
-            if not isinstance(a, int) or a < 0:
-                raise InputError(f"seat counts must be non-negative integers, got {a!r}")
+        check_integers(self.seats, "seat count", 0)
 
     @property
     def total(self) -> int:

@@ -31,13 +31,16 @@ reproducible.
 from __future__ import annotations
 
 import heapq
+import math
+import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (Allocation, Problem, broadcast_lower_bound, check_integers,
                    compute_quota)
-from .errors import InfeasibleError, InputError
+from .errors import CapacityError, InfeasibleError, InputError
 
 
 @dataclass(frozen=True)
@@ -167,10 +170,12 @@ def _jump_price(prob: Problem, rule: DivisorRule, floors: Sequence[int],
     so a held state stays at its floor.
     """
     pops = prob.populations
-    # Twice the split minus one, as on/od: Adams -1, Dean, Hill and Webster
-    # 0, Jefferson 1.  Scaling by od keeps every comparison in integers.
-    offset = 2 * Fraction(rule.split) - 1
-    on, od = offset.numerator, offset.denominator
+    # Twice the split minus one, in lowest terms as on/od: Adams -1, Dean,
+    # Hill and Webster 0, Jefferson 1.  Scaling by od keeps every comparison
+    # in integers.
+    n, d = rule.split.numerator, rule.split.denominator
+    g = math.gcd(2 * n - d, d)
+    on, od = (2 * n - d) // g, d // g
     active = list(states)
     left = target
     price = Fraction(0)
@@ -347,18 +352,23 @@ def _largest_remainders(pops: Sequence[int], total: int, seats: int,
                         tie_order: Sequence[int]) -> list[int]:
     """Hamilton's seats for ``seats`` seats, in integers.
 
-    State i's quota is seats * pops[i] / total; its floor and the raw
-    remainder seats * pops[i] % total rank exactly as the reduced
-    fractional quotas do, as they share one denominator.  The seats left
-    after the floors go to the largest remainders, equal remainders in
-    ``tie_order``.
+    The seats left after the floors go to the largest remainders (see
+    ``_floors_and_remainders``), equal remainders in ``tie_order``.
     """
-    floors = [seats * p // total for p in pops]
-    rems = [seats * p % total for p in pops]
+    floors, rems = _floors_and_remainders(pops, total, seats)
     extra = sorted(tie_order, key=rems.__getitem__, reverse=True)
     for i in extra[:seats - sum(floors)]:
         floors[i] += 1
     return floors
+
+
+def _floors_and_remainders(pops: Sequence[int], total: int,
+                           seats: int) -> tuple[list[int], list[int]]:
+    # State i's quota is seats * pops[i] / total; its floor and the raw
+    # remainder seats * pops[i] % total rank exactly as the reduced
+    # fractional quotas do, as they share one denominator.
+    return ([seats * p // total for p in pops],
+            [seats * p % total for p in pops])
 
 
 def resolve_method(method) -> tuple[str, Callable[[Problem], Allocation]]:
@@ -401,6 +411,13 @@ def _seat_change(kind: str, method: str, prob: Problem, house_before: int,
     })
 
 
+# The most house sizes one Alabama scan walks; more are refused with
+# CapacityError before any house is apportioned.  At 50 states a Hamilton
+# scan costs about 11 us per house and a Webster scan 0.16 ms, so a scan at
+# the ceiling runs for seconds to minutes, not hours.
+ALABAMA_HOUSE_CEILING = 10 ** 6
+
+
 def detect_alabama(prob: Problem, method,
                    r_values: Iterable[int]) -> list[ParadoxReport]:
     """Find states losing a seat when the house grows by one.
@@ -409,38 +426,154 @@ def detect_alabama(prob: Problem, method,
     one report, in increasing order of r, then of state.  The houses are
     apportioned once each, in increasing order, and only the last house's
     seats are kept, so a scan holds O(states) beyond its reports.  A
-    ``range`` with a positive step is walked as it stands; any other
-    iterable is first sorted without duplicates.  Hamilton's houses share
-    one tie order and one total population and build no ``Problem``.
+    ``range`` is walked upwards without being listed, whatever its length;
+    any other iterable is first sorted without duplicates.  More than ``ALABAMA_HOUSE_CEILING`` house
+    sizes are refused with ``CapacityError``.
+
+    Hamilton's houses are walked on packed integer lanes (see
+    ``_hamilton_losers``): each state's remainder and floor is one lane of
+    a single integer, w bits wide, where w is the narrowest of 8, 16, 32,
+    64, 128, ... bits that holds twice the total population and the
+    largest house.  One house to the next then costs a few whole-integer
+    operations and one sort of the remainders, whatever the width; a gap
+    in the houses re-seeds the lanes from Hamilton's one-house floor and
+    remainder pass.  Any other method is called once per house.
     """
     name, fn = resolve_method(method)
-    if isinstance(r_values, range) and r_values.step > 0:
-        rs = r_values
+    if isinstance(r_values, range):
+        rs = r_values if r_values.step > 0 else r_values[::-1]
     else:
         rs = sorted(set(r_values))
     if not rs:
         raise InputError("empty house-size range")
+    # A slice, unlike len(), takes a range of any length.
+    if rs[ALABAMA_HOUSE_CEILING:]:
+        raise CapacityError(
+            f"an Alabama scan walks at most {ALABAMA_HOUSE_CEILING} house "
+            f"sizes; {rs[0]}..{rs[-1]} holds more")
     check_integers(rs, "seats", 0)
-    labels, pops = prob.labels, prob.populations
     if fn is hamilton_apportion:
-        total, tie_order = prob.total_population, _tie_order(pops)
-
-        def apportion(r):
-            return _largest_remainders(pops, total, r, tie_order)
+        losers = _hamilton_losers(prob.populations, rs)
     else:
-        def apportion(r):
-            return fn(Problem(labels, pops, r)).seats
-    reports = []
+        losers = _losers(fn, prob, rs)
+    return [_seat_change("alabama", name, prob, r, r + 1, i, before, after)
+            for r, i, before, after in losers]
+
+
+def _losers(fn, prob: Problem, rs: Sequence[int]):
+    """(r, state, seats at r, seats at r + 1) for every state that loses a
+    seat from house r to r + 1 under ``fn``, one call per house."""
+    labels, pops = prob.labels, prob.populations
     last_r = last = None
     for r in rs:
-        seats = apportion(r)
+        seats = fn(Problem(labels, pops, r)).seats
         if last_r == r - 1:
             for i, (before, after) in enumerate(zip(last, seats)):
                 if after < before:
-                    reports.append(_seat_change(
-                        "alabama", name, prob, last_r, r, i, before, after))
+                    yield last_r, i, before, after
         last_r, last = r, seats
-    return reports
+
+
+_BIG_ENDIAN = sys.byteorder == "big"
+# array typecodes by item size in bytes, for unpacking lanes of 8-64 bits.
+_LANE_CODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+def _hamilton_losers(pops: Sequence[int], rs: Sequence[int]):
+    """``_losers`` for Hamilton's method, walked on packed integer lanes.
+
+    Lane i of an integer holds state i's value in bits w*i .. w*i + w - 1.
+    With P the total population, 2P < 2**w and every house below 2**w:
+
+    * the remainders r * p % P sit in lanes R, the floors in lanes F;
+    * a lane holds t or more exactly when the top bit of its value
+      + 2**(w-1) - t is set, as long as value and t differ by less than
+      2**(w-1), which 2P < 2**w grants for every comparison below;
+    * house r + 1 adds the populations to R; a lane then holds less than
+      2P, and the lanes at P or above wrap: they lose P and their floor
+      gains one;
+    * k = r - sum(floors) seats are left; the k-th largest remainder c is
+      read from one sort of the unpacked lanes.  When exactly k lanes hold
+      c or more, they get the extra seats; otherwise equal remainders
+      straddle the cut, and the lanes above c get a seat and the lanes at
+      c the rest, in ``_tie_order``;
+    * a state's seats change by -1 to 2 from a house to the next, so the
+      top bit of seats + 2**(w-1) - last seats is clear exactly in the
+      lanes that lose a seat.
+
+    Every sum and difference keeps each lane within 0 .. 2**w - 1, so no
+    lane carries into or borrows from the next.  Lanes are unpacked only
+    to sort the remainders and to report a house with a loser.
+    """
+    s, total = len(pops), sum(pops)
+    tie_order = _tie_order(pops)
+    width = 8
+    while max(2 * total, rs[-1]) >> width:
+        width *= 2
+    size = width // 8
+    code = _LANE_CODES.get(size)
+    half = 1 << (width - 1)
+    ones = ((1 << width * s) - 1) // ((1 << width) - 1)
+    tops = ones << (width - 1)
+
+    def pack(values):
+        return int.from_bytes(b"".join(v.to_bytes(size, "little")
+                                       for v in values), "little")
+
+    def unpack(lanes):
+        data = lanes.to_bytes(size * s, "little")
+        if code is None:
+            return [int.from_bytes(data[j:j + size], "little")
+                    for j in range(0, size * s, size)]
+        values = array(code, data)
+        if _BIG_ENDIAN:
+            values.byteswap()
+        return values.tolist()
+
+    def at_least(lanes, t):
+        # One in each lane holding t or more: remainders (below P) against
+        # t <= P, or stepped remainders (below 2P) against t = P.
+        return ((lanes + ones * (half - t)) >> (width - 1)) & ones
+
+    def extra(rems, k):
+        # One in each lane that gets one of the k seats left after the
+        # floors.
+        if not k:
+            return 0
+        values = unpack(rems)
+        cut = sorted(values)[s - k]
+        at_or_above = at_least(rems, cut)
+        if at_or_above.bit_count() == k:
+            return at_or_above
+        above = at_least(rems, cut + 1)
+        k -= above.bit_count()
+        for i in tie_order:
+            if values[i] == cut:
+                above |= 1 << width * i
+                k -= 1
+                if not k:
+                    return above
+
+    step = pack(pops)
+    last_r = last = None
+    for r in rs:
+        if last_r == r - 1:
+            rems += step
+            carry = at_least(rems, total)
+            rems -= carry * total
+            floors += carry
+            floor_sum += carry.bit_count()
+        else:
+            floor_list, rem_list = _floors_and_remainders(pops, total, r)
+            floors, rems = pack(floor_list), pack(rem_list)
+            floor_sum = sum(floor_list)
+        seats = floors + extra(rems, r - floor_sum)
+        if last_r == r - 1 and (seats + tops - last) & tops != tops:
+            for i, (before, after) in enumerate(zip(unpack(last),
+                                                    unpack(seats))):
+                if after < before:
+                    yield last_r, i, before, after
+        last_r, last = r, seats
 
 
 def detect_population_paradox(before: Problem, after: Problem,

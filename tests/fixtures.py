@@ -141,6 +141,8 @@ CLI_GOLDEN = {
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'paradox-alabama-webster': (0, '46fe7ad696443a926be56fe04b7515e04da1778f095466411781fed9b4b92393',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'paradox-alabama-hamilton-wide': (0, 'dec009f0746181d0bfe6bc6e33eb4d061f1b64dfbe114d6c90bbe7a7c9b05d6f',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'paradox-alabama-hill': (0, 'f62e4b386853d0a2c3011685c674b9c2a96c1e9ebec10f9f9bd722e1f9060c2a',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'paradox-new-state': (0, '87297fc0c937d1623ce09bb04511ffb58e2b77ee3b44abfea9b4313282561232',

@@ -12,7 +12,7 @@ import fixtures
 from seatlot import _backend, problem
 from seatlot.cli import (MAX_SCAN_STATES, decimal_str, fraction_str, main,
                          parse_census, parse_fraction, parse_quota_file)
-from seatlot.divisor import RULES, divisor_apportion
+from seatlot.divisor import ALABAMA_HOUSE_CEILING, RULES, divisor_apportion
 from seatlot.errors import InputError
 
 
@@ -456,6 +456,19 @@ def test_paradox_scan_refuses_too_many_states(capsys):
         f"got {2 ** 64 - 1}\n")
 
 
+@pytest.mark.parametrize("method", ["hamilton", "webster"])
+def test_paradox_scan_refuses_more_houses_than_the_ceiling(method, capsys):
+    # A --max-seats of 10**9 used to scan for hours.
+    ceiling = ALABAMA_HOUSE_CEILING
+    code, out = run_cli(["paradox-scan", "--kind", "alabama", "--method",
+                         method, "--trials", "1",
+                         "--max-seats", str(ceiling + 1)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: an Alabama scan walks at most {ceiling} house sizes; "
+        f"1..{ceiling + 1} holds more\n")
+
+
 # --- bound-check --------------------------------------------------------------------
 
 def test_bound_check_published_pairs(tmp_path):
@@ -586,6 +599,14 @@ GOLDEN_RUNS = {
                                      "--trials", "200", "--max-seats", "40",
                                      "--format", "json-lines"]
        for method in ("hamilton", "webster", "hill")},
+    # Populations up to 2**64: twice the total passes 2**64, so the scan
+    # walks 128-bit lanes.
+    "paradox-alabama-hamilton-wide": ["paradox-scan", "--kind", "alabama",
+                                      "--method", "hamilton", "--seed", "5",
+                                      "--trials", "3", "--max-states", "50",
+                                      "--max-population", str(2 ** 64),
+                                      "--max-seats", "3000",
+                                      "--format", "json-lines"],
     "paradox-population": ["paradox-scan", "--kind", "population",
                            "--method", "hamilton", "--seed", "5", "--trials",
                            "400", "--max-growth", "20", "--format", "csv"],

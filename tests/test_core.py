@@ -120,6 +120,13 @@ def test_allocation_validation():
         Allocation(seats=(1, -1), method="x")
 
 
+@pytest.mark.parametrize("seats", [(True, 2), (0, False), (1, 2.0)])
+def test_allocation_refuses_non_integer_seats(seats):
+    # A bool used to pass as 1: Allocation(seats=(True, 2)).total was 3.
+    with pytest.raises(InputError, match="seat count must be"):
+        Allocation(seats=seats, method="x")
+
+
 def test_satisfies_quota_examples():
     q = compute_quota(problem((1, 1, 7), 3))
     assert satisfies_quota((0, 1, 2), q)

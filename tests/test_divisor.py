@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seatlot import (Allocation, InfeasibleError, InputError, Problem,
-                     SeededSource, compute_quota, divisor, problem,
+from seatlot import (Allocation, CapacityError, InfeasibleError, InputError,
+                     Problem, SeededSource, compute_quota, divisor, problem,
                      satisfies_quota)
 from seatlot.divisor import (RULES, detect_alabama, detect_new_state_paradox,
                              detect_population_paradox, divisor_apportion,
@@ -686,6 +686,50 @@ def test_alabama_matches_oracle(pops, data):
         assert w["label"] == prob.labels[w["state"]]
 
 
+def _assert_alabama_matches_oracle(pops, houses):
+    reports = detect_alabama(problem(pops, 1), "hamilton", houses)
+    assert [(rep.witness["house_before"], rep.witness["state"],
+             rep.witness["seats_before"], rep.witness["seats_after"])
+            for rep in reports] == alabama_witnesses(pops, list(houses))
+
+
+@given(st.lists(st.integers(1, 2 ** 70), min_size=1, max_size=8),
+       st.lists(st.tuples(st.integers(0, 2 ** 40), st.integers(1, 12)),
+                min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_alabama_walk_on_lanes_wider_than_64_bits(pops, windows):
+    # Twice the total population passes 2**64 for most draws, so the lanes
+    # are 128 bits wide and unpacked without ``array``; each window is
+    # walked house by house, and the gap between windows re-seeds.
+    houses = sorted({lo + j for lo, n in windows for j in range(n)})
+    _assert_alabama_matches_oracle(pops, houses)
+
+
+@given(st.lists(st.sampled_from(TIE_POPULATIONS), min_size=2, max_size=9),
+       st.integers(0, 40), st.integers(1, 30))
+@example([4, 4, 4], 0, 12)
+@example([1, 2, 2, 1], 1, 20)
+@settings(max_examples=300, deadline=None)
+def test_alabama_walk_breaks_ties_at_the_cut(pops, lo, n):
+    # Equal populations keep equal remainders at every house, so equal
+    # remainders straddle the cut at most houses (at house 1 of the first
+    # example, three remainders of 4 out of 12 compete for one seat).
+    _assert_alabama_matches_oracle(pops, range(lo, lo + n))
+
+
+@given(st.one_of(st.tuples(st.integers(1, 2 ** 70)),
+                 st.lists(st.integers(1, 5), min_size=1, max_size=4)),
+       st.integers(1, 40))
+@example((1,), 1)
+@example([2, 3], 11)
+@settings(max_examples=200, deadline=None)
+def test_alabama_walk_from_house_zero(pops, n):
+    # No seat is left after the floors (k = 0) at house 0, at every
+    # multiple of the total population, and at every house of a one-state
+    # problem.
+    _assert_alabama_matches_oracle(pops, range(n))
+
+
 def test_alabama_runs_a_user_callable_named_hamilton():
     # Not the library's Hamilton: the whole house goes to state r % 2, so
     # every step moves it.  The scan must call it once per house, in order.
@@ -714,17 +758,51 @@ def test_alabama_refuses_bad_house_sizes(houses, method):
 
 
 def test_alabama_scan_keeps_only_the_last_house():
-    # Three equal states never lose a seat, so no report is kept: the scan's
-    # peak memory must not grow with its 20,000 houses.
-    prob = problem((1, 1, 1), 1)
-    detect_alabama(prob, "hamilton", range(1, 100))
-    tracemalloc.start()
-    try:
-        assert detect_alabama(prob, "hamilton", range(1, 20_001)) == []
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 1024
+    # Equal states never lose a seat, so no report is kept: the scan's peak
+    # memory must not grow with its 20,000 houses, at 3 states or at 50.
+    for pops in ((1, 1, 1), (7,) * 50):
+        prob = problem(pops, 1)
+        detect_alabama(prob, "hamilton", range(1, 100))
+        tracemalloc.start()
+        try:
+            assert detect_alabama(prob, "hamilton", range(1, 20_001)) == []
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, pops
+
+
+@pytest.mark.parametrize("houses", [
+    range(0, divisor.ALABAMA_HOUSE_CEILING + 1),
+    range(10 ** 30, 0, -1),
+    range(5, 5 + 2 * divisor.ALABAMA_HOUSE_CEILING + 2, 2),
+    list(range(divisor.ALABAMA_HOUSE_CEILING + 1)),
+])
+def test_alabama_refuses_more_houses_than_its_ceiling(houses):
+    # Such scans used to run for as long as the range asked.  The refusal
+    # comes before any house is apportioned.
+    calls = []
+
+    def method(prob):
+        calls.append(prob.seats)
+        return hamilton_apportion(prob)
+
+    for m in ("hamilton", method):
+        with pytest.raises(CapacityError, match="at most 1000000 house"):
+            detect_alabama(problem((3, 5, 8), 1), m, houses)
+    assert calls == []
+
+
+def test_alabama_walks_as_many_houses_as_its_ceiling():
+    class Walked(Exception):
+        pass
+
+    def method(prob):
+        raise Walked
+
+    houses = range(7, 7 + divisor.ALABAMA_HOUSE_CEILING)
+    with pytest.raises(Walked):
+        detect_alabama(problem((3, 5), 1), method, houses)
 
 
 def test_population_paradox_witness():
