@@ -23,30 +23,29 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .core import Problem, broadcast_lower_bound, compute_quota, quota_vector
-from .divisor import RULES, divisor_with_bounds, resolve_method
 from .errors import (ApportionmentError, CapacityError, InfeasibleError,
                      InputError)
-from .lowerbound import (adjusted_quota_from_values, classify,
-                         equal_representation_quota, iterate_lower_bound,
-                         lower_bound_apportion, lower_bound_distribution,
-                         trace_audit, violation_probability_bound)
-from .montecarlo import simulate
-from .rng import MAX_BOUND, SeededSource
-from .stochastic import (ENUMERATION_LIMIT, exact_distribution,
-                         stochastic_apportion)
 
-METHOD_CHOICES = ("stochastic", "hamilton") + tuple(RULES)
+# The library modules are imported by the subcommands that run them, so a
+# one-shot run loads only what it needs.  The keys of ``divisor.RULES``, in
+# its order, are spelt out here (a test holds them equal) so that building
+# the parser imports no library code.
+RULE_NAMES = ("adams", "dean", "hill", "webster", "jefferson")
+METHOD_CHOICES = ("stochastic", "hamilton") + RULE_NAMES
 FORMAT_CHOICES = ("table", "csv", "json-lines")
 # The most states one paradox-scan instance may draw: every instance builds
 # a problem of up to that many states, so a larger --max-states is refused
 # before any draw.
 MAX_SCAN_STATES = 10 ** 4
+# The most paradox-scan trials one run may make: each trial is one drawn
+# instance and one scan, so a larger --trials is refused before any trial.
+MAX_SCAN_TRIALS = 10 ** 5
 
 
 def fraction_str(f: Fraction) -> str:
@@ -162,6 +161,8 @@ def read_lower_bound(value, labels) -> tuple[int, ...]:
     """Scalar broadcast ('1') or per-state bound file (a path or stream)
     matched by label; empty and duplicate labels in the file are rejected
     with their line number."""
+    from .core import broadcast_lower_bound
+
     if value is None:
         return (0,) * len(labels)
     if (isinstance(value, str) and value.isascii()
@@ -231,7 +232,9 @@ class Emitter:
               file=self.out)
 
 
-def _problem_from_args(data_path, seats) -> Problem:
+def _problem_from_args(data_path, seats):
+    from .core import Problem
+
     rows = parse_census(data_path)
     return Problem(tuple(lab for lab, _ in rows),
                    tuple(pop for _, pop in rows), seats)
@@ -240,8 +243,12 @@ def _problem_from_args(data_path, seats) -> Problem:
 def _apportion_once(prob, method, bounds, src):
     if method == "stochastic":
         if any(bounds):
+            from .lowerbound import lower_bound_apportion
             return lower_bound_apportion(prob, bounds, src)
+        from .stochastic import stochastic_apportion
         return stochastic_apportion(prob, src)
+    from .divisor import RULES, divisor_with_bounds, resolve_method
+
     if not any(bounds):
         return resolve_method(method)[1](prob)
     if method == "hamilton":
@@ -252,6 +259,9 @@ def _apportion_once(prob, method, bounds, src):
 
 
 def cmd_apportion(args, out) -> int:
+    from .core import compute_quota
+    from .rng import SeededSource
+
     emitter = Emitter(args.format, out)
     reuse = args.reuse_stream
     sizes = set()
@@ -300,13 +310,17 @@ def cmd_apportion(args, out) -> int:
 
 
 def cmd_distribution(args, out) -> int:
+    from .stochastic import ENUMERATION_LIMIT, exact_distribution
+
     emitter = Emitter(args.format, out)
     prob = _problem_from_args(args.data, args.seats)
     bounds = read_lower_bound(args.lower_bound, prob.labels)
+    limit = ENUMERATION_LIMIT if args.limit is None else args.limit
     if any(bounds):
-        law = lower_bound_distribution(prob, bounds, limit=args.limit)
+        from .lowerbound import lower_bound_distribution
+        law = lower_bound_distribution(prob, bounds, limit=limit)
     else:
-        law = exact_distribution(prob, limit=args.limit)
+        law = exact_distribution(prob, limit=limit)
     columns = ["allocation", "probability", "probability_decimal"]
     rows = [(" ".join(str(a) for a in seats), fraction_str(p), decimal_str(p))
             for seats, p in law.items()]
@@ -321,6 +335,9 @@ def cmd_distribution(args, out) -> int:
 
 
 def cmd_simulate(args, out) -> int:
+    from .core import compute_quota
+    from .montecarlo import simulate
+
     emitter = Emitter(args.format, out)
     prob = _problem_from_args(args.data, args.seats)
     bounds = read_lower_bound(args.lower_bound, prob.labels)
@@ -347,12 +364,17 @@ def cmd_simulate(args, out) -> int:
 
 
 def cmd_paradox_scan(args, out) -> int:
-    from .divisor import (detect_alabama, detect_new_state_paradox,
+    from .core import Problem
+    from .divisor import (RULES, detect_alabama, detect_new_state_paradox,
                           detect_population_paradox, fair_share_seats)
     from .montecarlo import random_problem
+    from .rng import MAX_BOUND, SeededSource
 
     if args.trials < 0:
         raise InputError(f"--trials must be >= 0, got {args.trials}")
+    if args.trials > MAX_SCAN_TRIALS:
+        raise CapacityError(f"--trials must be at most {MAX_SCAN_TRIALS}, "
+                            f"got {args.trials}")
     if not 0 <= args.max_growth < MAX_BOUND:
         raise InputError(
             f"--max-growth must be in 0..2**64 - 1, got {args.max_growth}")
@@ -428,6 +450,11 @@ def _bound_record(adj, vb, **fields) -> dict:
 
 
 def cmd_bound_check(args, out) -> int:
+    from .core import quota_vector
+    from .lowerbound import (adjusted_quota_from_values, classify,
+                             equal_representation_quota, iterate_lower_bound,
+                             trace_audit, violation_probability_bound)
+
     emitter = Emitter(args.format, out)
     labels, quotas, adjusted = parse_quota_file(args.quotas)
     bounds = read_lower_bound(args.lower_bound, labels)
@@ -487,6 +514,9 @@ def cmd_bound_check(args, out) -> int:
 
 
 def cmd_table1(args, out) -> int:
+    from .core import compute_quota
+    from .lowerbound import classify, equal_representation_quota
+
     emitter = Emitter(args.format, out)
     directory = Path(args.data)
     if not directory.is_dir():
@@ -517,7 +547,10 @@ def cmd_table1(args, out) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process and shared
+    by every call, so no caller may change it."""
     parser = argparse.ArgumentParser(
         prog="seatlot",
         description="Exact apportionment: fair seat lottery, divisor methods, "
@@ -548,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--seats", required=True, type=int)
     p.add_argument("--lower-bound", default=None)
-    p.add_argument("--limit", type=int, default=ENUMERATION_LIMIT,
+    p.add_argument("--limit", type=int, default=None,
                    help="maximum number of states to enumerate exactly "
                         "(at most 10)")
     add_format(p)
@@ -569,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=("alabama", "population", "new-state"))
     p.add_argument("--method", required=True,
-                   choices=("hamilton",) + tuple(RULES))
+                   choices=("hamilton",) + RULE_NAMES)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-states", type=int, default=5)
@@ -602,8 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args, out)
     except InfeasibleError as exc:

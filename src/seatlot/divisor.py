@@ -31,6 +31,7 @@ reproducible.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import sys
 from array import array
@@ -426,9 +427,13 @@ def detect_alabama(prob: Problem, method,
     one report, in increasing order of r, then of state.  The houses are
     apportioned once each, in increasing order, and only the last house's
     seats are kept, so a scan holds O(states) beyond its reports.  A
-    ``range`` is walked upwards without being listed, whatever its length;
-    any other iterable is first sorted without duplicates.  More than ``ALABAMA_HOUSE_CEILING`` house
-    sizes are refused with ``CapacityError``.
+    ``range`` is walked upwards without being listed, whatever its length,
+    and refused with ``CapacityError`` when it holds more than
+    ``ALABAMA_HOUSE_CEILING`` house sizes.  Any other iterable is read for
+    at most ``ALABAMA_HOUSE_CEILING + 1`` items: one that yields more than
+    the ceiling, duplicates included, is refused with ``CapacityError``
+    without being read further, so an endless generator is refused too.
+    The items read are sorted without duplicates.
 
     Hamilton's houses are walked on packed integer lanes (see
     ``_hamilton_losers``): each state's remainder and floor is one lane of
@@ -443,7 +448,12 @@ def detect_alabama(prob: Problem, method,
     if isinstance(r_values, range):
         rs = r_values if r_values.step > 0 else r_values[::-1]
     else:
-        rs = sorted(set(r_values))
+        head = list(itertools.islice(r_values, ALABAMA_HOUSE_CEILING + 1))
+        if len(head) > ALABAMA_HOUSE_CEILING:
+            raise CapacityError(
+                f"an Alabama scan walks at most {ALABAMA_HOUSE_CEILING} house "
+                f"sizes; the iterable yields more")
+        rs = sorted(set(head))
     if not rs:
         raise InputError("empty house-size range")
     # A slice, unlike len(), takes a range of any length.

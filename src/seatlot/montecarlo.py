@@ -24,6 +24,12 @@ from .rng import MAX_BOUND, SeededSource, child_seed
 from .stochastic import (ENUMERATION_LIMIT, _seats_from_mask,
                          exact_distribution)
 
+# The most replicates one simulate or empirical_distribution call draws;
+# more are refused with CapacityError before any replicate runs.  The pure
+# batch draws about 40,000 replicates a second at 50 states, so a call at
+# the ceiling runs for minutes, not hours.
+REPLICATE_CEILING = 10 ** 7
+
 
 @dataclass(frozen=True)
 class SimulationReport:
@@ -63,6 +69,15 @@ def _bounds(prob: Problem, lower_bounds) -> tuple[int, ...]:
             else broadcast_lower_bound(lower_bounds, prob.size))
 
 
+def _check_replicates(n) -> None:
+    """Refuse a replicate count that is not a positive integer, or is above
+    ``REPLICATE_CEILING``."""
+    check_integers((n,), "replicate count", 1)
+    if n > REPLICATE_CEILING:
+        raise CapacityError(f"a simulation draws at most {REPLICATE_CEILING} "
+                            f"replicates, got {n}")
+
+
 def _scheme_batch(prob: Problem, lower_bounds, master_seed: int, n: int):
     """n seeded replicates of the scheme on ``prob`` in one kernel call:
     (scheme quota, trace, kernel result)."""
@@ -80,9 +95,10 @@ def simulate(method, prob: Problem, master_seed: int, n: int,
     ``method`` is ``"stochastic"``, a deterministic method name, or a
     callable ``(problem, source) -> Allocation``.  Reports per-state seat
     sums and sums of squares plus counts of replicates violating quota or
-    the lower bounds.
+    the lower bounds.  More than ``REPLICATE_CEILING`` replicates are
+    refused with ``CapacityError``.
     """
-    check_integers((n,), "replicate count", 1)
+    _check_replicates(n)
     if method == "stochastic":
         _scheme, trace, (sums, sumsqs, qviol, bviol, mismatches, _masks) = (
             _scheme_batch(prob, lower_bounds, master_seed, n))
@@ -138,8 +154,9 @@ def simulate(method, prob: Problem, master_seed: int, n: int,
 
 def empirical_distribution(prob: Problem, master_seed: int, n: int,
                            lower_bounds=None) -> dict[tuple[int, ...], int]:
-    """Allocation -> count over n seeded replicates of the scheme."""
-    check_integers((n,), "replicate count", 1)
+    """Allocation -> count over n seeded replicates of the scheme; n is
+    checked as by :func:`simulate`."""
+    _check_replicates(n)
     if prob.size > 16:
         raise CapacityError("empirical distribution tracking supports at most 16 states")
     scheme, _trace, (*_tallies, masks) = _scheme_batch(

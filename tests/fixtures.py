@@ -150,3 +150,15 @@ CLI_GOLDEN = {
     'paradox-population': (0, 'e77b79fd898e7c2294651c848908c8d7dcccbd0229ed8bc1c206bf0b9e8ca61a',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
 }
+
+# (exit code, sha256 of stdout, sha256 of stderr) of each run in
+# ``test_cli.py::PARSER_RUNS`` at 80 columns: the parser's help text and one
+# usage error, recorded when the parser was rebuilt on every call.
+CLI_PARSER_GOLDEN = {
+    'help': (0, '9c932f2eb0767304b4ddcd7941a372639e23484c2295dccd313226a6871c3956',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'apportion-help': (0, 'e578632e9374409aad3894c446ff49b84fdfd4d948a86db4a1f06f8b626cf8cd',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'apportion-bad-method': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        'f7ab9a9748c5fe1129327867a517cab5056e924707b6d4e2176aae29f02d04a9'),
+}

@@ -9,11 +9,13 @@ from fractions import Fraction as F
 import pytest
 
 import fixtures
-from seatlot import _backend, problem
-from seatlot.cli import (MAX_SCAN_STATES, decimal_str, fraction_str, main,
-                         parse_census, parse_fraction, parse_quota_file)
+from seatlot import _backend, montecarlo, problem
+from seatlot.cli import (MAX_SCAN_STATES, MAX_SCAN_TRIALS, RULE_NAMES,
+                         decimal_str, fraction_str, main, parse_census,
+                         parse_fraction, parse_quota_file)
 from seatlot.divisor import ALABAMA_HOUSE_CEILING, RULES, divisor_apportion
 from seatlot.errors import InputError
+from seatlot.montecarlo import REPLICATE_CEILING
 
 
 def run_cli(args):
@@ -365,6 +367,24 @@ def test_simulate_cli(census):
     assert out2 == out
 
 
+def test_simulate_refuses_more_replicates_than_the_ceiling(census, capsys,
+                                                            monkeypatch):
+    # --n had no ceiling, so a huge count ran until killed.  The refusal
+    # comes before the kernel draws any replicate.
+    def kernel(*args):
+        raise AssertionError("kernel called past the ceiling")
+
+    monkeypatch.setattr(_backend, "simulate_batch", kernel)
+    n = REPLICATE_CEILING + 1
+    code, out = run_cli(["simulate", "--data", census, "--seats", "7",
+                         "--method", "stochastic", "--n", str(n),
+                         "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: a simulation draws at most {REPLICATE_CEILING} replicates, "
+        f"got {n}\n")
+
+
 # --- paradox-scan ------------------------------------------------------------------
 
 def test_paradox_scan_alabama_hamilton_finds_reports():
@@ -467,6 +487,21 @@ def test_paradox_scan_refuses_more_houses_than_the_ceiling(method, capsys):
     assert capsys.readouterr().err == (
         f"error: an Alabama scan walks at most {ceiling} house sizes; "
         f"1..{ceiling + 1} holds more\n")
+
+
+def test_paradox_scan_refuses_more_trials_than_the_ceiling(capsys,
+                                                          monkeypatch):
+    # --trials had no ceiling.  The refusal comes before the first draw.
+    def draw(*args, **kwargs):
+        raise AssertionError("instance drawn past the ceiling")
+
+    monkeypatch.setattr(montecarlo, "random_problem", draw)
+    n = MAX_SCAN_TRIALS + 1
+    code, out = run_cli(["paradox-scan", "--kind", "population", "--method",
+                         "hamilton", "--trials", str(n)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: --trials must be at most {MAX_SCAN_TRIALS}, got {n}\n")
 
 
 # --- bound-check --------------------------------------------------------------------
@@ -633,13 +668,16 @@ def golden_inputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
 
 
+def sha256(data) -> str:
+    return hashlib.sha256(
+        data.encode() if isinstance(data, str) else data).hexdigest()
+
+
 def golden_digest(args, capsys):
     """(exit code, sha256 of stdout, sha256 of stderr) of one CLI run."""
     capsys.readouterr()
     code, stdout = run_cli(args)
-    stderr = capsys.readouterr().err
-    return (code, hashlib.sha256(stdout.encode()).hexdigest(),
-            hashlib.sha256(stderr.encode()).hexdigest())
+    return code, sha256(stdout), sha256(capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("backend", ["pure-python", "compiled"])
@@ -652,3 +690,67 @@ def test_cli_golden(name, backend, golden_inputs, capsys, monkeypatch,
     monkeypatch.setattr(_backend, "_kernels_c", request.getfixturevalue("kc")
                         if backend == "compiled" else None)
     assert golden_digest(GOLDEN_RUNS[name], capsys) == fixtures.CLI_GOLDEN[name]
+
+
+def test_method_choices_are_the_rules():
+    # The parser spells the rule names out, so that building it imports no
+    # divisor code; they stay divisor.RULES's keys, in its order.
+    assert RULE_NAMES == tuple(RULES)
+
+
+PARSER_RUNS = {
+    "help": ["--help"],
+    "apportion-help": ["apportion", "--help"],
+    "apportion-bad-method": ["apportion", "--data", "c50.csv", "--seats",
+                             "435", "--method", "bogus"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSER_RUNS))
+def test_parser_output_golden(name, capsys, monkeypatch):
+    """Help text and usage errors are byte-identical at 80 columns, each
+    time the parser is used."""
+    monkeypatch.setenv("COLUMNS", "80")
+    capsys.readouterr()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(PARSER_RUNS[name], out=io.StringIO())
+        printed = capsys.readouterr()
+        assert (exc.value.code, sha256(printed.out), sha256(printed.err)) \
+            == fixtures.CLI_PARSER_GOLDEN[name]
+
+
+# --- one-shot runs ------------------------------------------------------------
+# A new interpreter takes the ``__main__`` path from a cold start; in-process
+# tests cannot see it, as pytest has already imported every module.
+
+def test_one_shot_runs_match_the_golden_digests(fresh_python, golden_inputs,
+                                                tmp_path):
+    def one_shot(args):
+        proc = fresh_python("-m", "seatlot.cli", *args, cwd=tmp_path,
+                            COLUMNS="80")
+        return proc.returncode, sha256(proc.stdout), sha256(proc.stderr)
+
+    assert one_shot(["--help"]) == fixtures.CLI_PARSER_GOLDEN["help"]
+    assert one_shot(GOLDEN_RUNS["apportion-table"]) \
+        == fixtures.CLI_GOLDEN["apportion-table"]
+
+
+def test_stochastic_apportion_imports_only_what_it_runs(fresh_python,
+                                                        golden_inputs,
+                                                        tmp_path):
+    # Without --lower-bound the draw needs neither the divisor methods, nor
+    # the lower-bound iteration, nor the Monte Carlo lab.
+    proc = fresh_python(
+        "-c", "import io, json, sys\n"
+              "from seatlot.cli import main\n"
+              "code = main(sys.argv[1:], out=io.StringIO())\n"
+              "print(json.dumps([code, sorted(\n"
+              "    m for m in sys.modules if m.startswith('seatlot'))]))\n",
+        *GOLDEN_RUNS["apportion-table"], cwd=tmp_path,
+        SEATLOT_PURE_PYTHON="1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, [
+        "seatlot", "seatlot._backend", "seatlot._kernels_py", "seatlot.cli",
+        "seatlot.core", "seatlot.errors", "seatlot.rng",
+        "seatlot.stochastic"]]

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction as F
 
@@ -803,6 +805,27 @@ def test_alabama_walks_as_many_houses_as_its_ceiling():
     houses = range(7, 7 + divisor.ALABAMA_HOUSE_CEILING)
     with pytest.raises(Walked):
         detect_alabama(problem((3, 5), 1), method, houses)
+
+
+def test_alabama_reads_no_more_of_an_iterable_than_its_ceiling_allows():
+    # An iterable used to be listed in full before the ceiling was checked,
+    # so an endless generator ran until memory ran out.
+    ceiling = divisor.ALABAMA_HOUSE_CEILING
+    pulled = 0
+
+    def houses():
+        nonlocal pulled
+        for r in range(1, ceiling + 3):
+            pulled += 1
+            yield r
+
+    with pytest.raises(CapacityError, match="the iterable yields more"):
+        detect_alabama(problem((3, 5, 8), 1), "hamilton", houses())
+    assert pulled == ceiling + 1
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="the iterable yields more"):
+        detect_alabama(problem((3, 5, 8), 1), "webster", itertools.count())
+    assert time.perf_counter() - start < 10
 
 
 def test_population_paradox_witness():

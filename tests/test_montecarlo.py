@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seatlot import (InputError, SeededSource, compute_quota, problem,
-                     quota_vector, stochastic_apportion)
-from seatlot.montecarlo import (ProblemPair, empirical_distribution,
+from seatlot import (CapacityError, InputError, SeededSource, _backend,
+                     compute_quota, problem, quota_vector,
+                     stochastic_apportion)
+from seatlot.montecarlo import (REPLICATE_CEILING, ProblemPair,
+                                empirical_distribution,
                                 fairness_test, house_increase_pair,
                                 monotonicity_scan, population_move_pair,
                                 random_problem, simulate,
@@ -100,6 +102,24 @@ def test_empirical_distribution_rejects_bad_n(n):
     # It used to return an empty tally.
     with pytest.raises(InputError, match="replicate count"):
         empirical_distribution(problem((1, 2), 1), 0, n)
+
+
+def _never_called(*args):
+    raise AssertionError("a replicate ran past the ceiling")
+
+
+@pytest.mark.parametrize("draw", [
+    lambda n: simulate("stochastic", problem((1, 2), 1), 0, n),
+    lambda n: simulate("webster", problem((1, 2), 1), 0, n),
+    lambda n: simulate(_never_called, problem((1, 2), 1), 0, n),
+    lambda n: empirical_distribution(problem((1, 2), 1), 0, n),
+], ids=["stochastic", "webster", "callable", "empirical"])
+def test_replicate_counts_above_the_ceiling_are_refused(draw, monkeypatch):
+    # Replicate counts had no ceiling.  The refusal comes before any
+    # replicate runs.
+    monkeypatch.setattr(_backend, "simulate_batch", _never_called)
+    with pytest.raises(CapacityError, match=f"at most {REPLICATE_CEILING} "):
+        draw(REPLICATE_CEILING + 1)
 
 
 def test_fairness_test_exact_comparison():

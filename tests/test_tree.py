@@ -1,12 +1,40 @@
 """Checks on the package source tree itself."""
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "seatlot"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+# ``seatlot.__all__`` as it stood when the package imported every module
+# eagerly; the lazy package keeps it name for name.
+PUBLIC_NAMES = [
+    "AdjustedQuota", "Allocation", "AllocationDistribution",
+    "ApportionmentError", "CapacityError", "ConvergenceError",
+    "DETERMINISTIC_METHODS", "DivisorRule", "InfeasibleError", "InputError",
+    "IterationTrace", "MonotonicityReport", "ParadoxReport", "Problem",
+    "ProblemPair", "QuotaVector", "RULES", "ScaledQuota", "SeededSource",
+    "SimulationReport", "StateClassification", "ViolationBound",
+    "adjusted_quota_from_values", "broadcast_lower_bound", "child_seed",
+    "classify", "compute_quota", "conditional_sampling_allocate",
+    "conditional_selection_law", "core", "detect_alabama",
+    "detect_new_state_paradox", "detect_population_paradox", "divisor",
+    "divisor_apportion", "empirical_distribution",
+    "equal_representation_quota", "errors", "exact_distribution",
+    "fairness_test", "feasible_with_lower_bound", "hamilton_apportion",
+    "house_increase_pair", "iterate_lower_bound", "kernel_backend",
+    "lambda_allocation", "lower_bound_apportion", "lower_bound_distribution",
+    "lowerbound", "monotonicity_scan", "montecarlo", "population_move_pair",
+    "problem", "quota_staying_check", "quota_vector", "random_permutation",
+    "random_problem", "resample_conditional_law", "resample_until_quota",
+    "residual_distribution", "resolve_method", "rng", "satisfies_quota",
+    "scaled_fractional_quota", "simulate", "stochastic",
+    "stochastic_apportion", "stochastic_dominance", "systematic_round",
+    "violation_probability_bound",
+]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -72,15 +100,18 @@ def test_unreferenced_function_is_found():
 
 
 def test_every_function_is_used():
-    # A function only the tests call is dead code in the package.  The
-    # exception is the compile helper of the C tier, which the tests and
-    # the benchmarks call to build the library.
+    # A function only the tests call is dead code in the package; a public
+    # name is used by the package's export.  The exceptions are the compile
+    # helper of the C tier, which the tests and the benchmarks call to build
+    # the library, and the package's ``__getattr__``, which the interpreter
+    # calls to resolve the public names.
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in PACKAGE.glob("*.py")}
-    unused = {module: unreferenced_functions(module, sources)
+    unused = {module: [name for name in unreferenced_functions(module, sources)
+                       if name not in PUBLIC_NAMES]
               for module in sources}
     assert {m: names for m, names in unused.items() if names} \
-        == {"_kernels_c": ["build"]}
+        == {"_kernels_c": ["build"], "__init__": ["__getattr__"]}
 
 
 def int_constants(source: str) -> set:
@@ -131,3 +162,21 @@ def test_one_integer_check():
                for p in PACKAGE.glob("*.py")}
     assert {name: tops for name, tops in holders.items() if tops} == {
         "core.py": ["check_integers"], "rng.py": ["SeededSource"]}
+
+
+def test_public_names_resolve_lazily(fresh_python):
+    # ``import seatlot`` loads no submodule; every public name then
+    # resolves, and is the object its module defines.
+    proc = fresh_python("-c", (
+        "import json, sys, seatlot\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('seatlot'))\n"
+        "unresolved = [n for n in seatlot.__all__\n"
+        "              if getattr(seatlot, n, None) is None]\n"
+        "from seatlot import _backend, core, divisor\n"
+        "same = [seatlot.Problem is core.Problem,\n"
+        "        seatlot.RULES is divisor.RULES,\n"
+        "        seatlot.kernel_backend == _backend.ACTIVE]\n"
+        "print(json.dumps([loaded, seatlot.__all__, unresolved, same]))\n"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["seatlot"], PUBLIC_NAMES, [],
+                                       [True, True, True]]
