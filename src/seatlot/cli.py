@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import io
 import json
 import sys
 from fractions import Fraction
@@ -46,6 +47,7 @@ MAX_SCAN_STATES = 10 ** 4
 # The most paradox-scan trials one run may make: each trial is one drawn
 # instance and one scan, so a larger --trials is refused before any trial.
 MAX_SCAN_TRIALS = 10 ** 5
+MAX_DIGITS = 4300  # longest number text read: int() reads no more digits
 
 
 def fraction_str(f: Fraction) -> str:
@@ -64,126 +66,124 @@ def decimal_str(f: Fraction, places: int = 6) -> str:
     return f"{sign}{whole}.{str(frac).zfill(places)}"
 
 
+class _NotANumber(InputError):
+    """No number where a row needs one: on the first row, a header."""
+
+
 def parse_fraction(text: str) -> Fraction:
-    """Parse 'num/den' or decimal text to an exact rational."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"not a rational number: {text!r}") from exc
+    """Parse 'num/den' or decimal text to an exact rational.  An exponent
+    ('1e3') is refused: Fraction would expand a power of ten of any size."""
+    if len(text) > MAX_DIGITS:
+        raise InputError(f"number longer than {MAX_DIGITS} characters")
+    if "e" not in text.lower():
+        with contextlib.suppress(ValueError, ZeroDivisionError):
+            return Fraction(text)
+    raise _NotANumber(f"not a rational number: {text!r}")
 
 
-def _csv_rows(source, what: str):
-    """Yield (line number, row) for the non-blank rows of a CSV path or
-    stream; a path that cannot be opened is an input error."""
+def _integer(text: str) -> int | None:
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        return parse_fraction(text).numerator
+    return None
+
+
+def _read_rows(source, what: str, value) -> dict:
+    """Map each label in a CSV path or stream to ``value(row)``, in order."""
     if isinstance(source, (str, Path)):
         try:
-            stream = open(source, "r", encoding="utf-8", newline="")
+            with open(source, "rb") as file:
+                data = file.read()
+            source = io.StringIO(data.decode("utf-8"), newline="")
         except OSError as exc:
             raise InputError(f"cannot read {what} file: {exc}") from exc
-    else:
-        stream = contextlib.nullcontext(source)
-    with stream as lines:
-        for lineno, row in enumerate(csv.reader(lines), start=1):
-            if row and (len(row) > 1 or row[0].strip()):
-                yield lineno, row
-
-
-def _new_label(seen: set, text: str, lineno: int) -> str:
-    """The stripped label, refused when empty or already in ``seen``."""
-    label = text.strip()
-    if not label:
-        raise InputError(f"line {lineno}: empty state label")
-    if label in seen:
-        raise InputError(f"line {lineno}: duplicate state label {label!r}")
-    seen.add(label)
-    return label
+        except UnicodeDecodeError as exc:
+            line = len((data[:exc.start] + b".").splitlines())
+            raise InputError(f"line {line}: {what} file is not UTF-8") from exc
+    rows, values = csv.reader(source), {}
+    try:
+        for index, row in enumerate(rows):
+            try:
+                if row and (len(row) > 1 or row[0].strip()):
+                    parsed, label = value(row), row[0].strip()
+                    if not label or label in values:
+                        raise InputError(f"duplicate state label {label!r}"
+                                         if label else "empty state label")
+                    values[label] = parsed
+            except _NotANumber:  # a header, on the first row only
+                if index:
+                    raise
+    except (InputError, csv.Error) as exc:
+        raise InputError(f"line {rows.line_num}: {exc}") from exc
+    return values
 
 
 def parse_census(source) -> list[tuple[str, int]]:
-    """Read (label, population) rows from a CSV path or stream.
-
-    An optional header row is tolerated on the first line only.  Duplicate
-    labels and non-positive populations are rejected with their line number.
-    File order is preserved.
-    """
-    rows = []
-    seen = set()
-    for lineno, row in _csv_rows(source, "census"):
+    """Read (label, population) rows from a CSV path or stream."""
+    def population(row):
         if len(row) < 2:
-            raise InputError(f"line {lineno}: expected 'label,population'")
-        pop_text = row[1].strip()
-        if not (pop_text.isascii() and pop_text.isdigit()):
-            if lineno == 1 and not rows:
-                continue  # header row
-            raise InputError(
-                f"line {lineno}: population must be a positive integer, "
-                f"got {pop_text!r}")
-        population = int(pop_text)
+            raise InputError("expected 'label,population'")
+        text = row[1].strip()
+        if not (text.isascii() and text.isdigit()):
+            raise _NotANumber(
+                f"population must be a positive integer, got {text!r}")
+        if len(text) > MAX_DIGITS:
+            raise InputError(f"number longer than {MAX_DIGITS} characters")
+        population = int(text)
         if population < 1:
-            raise InputError(f"line {lineno}: population must be >= 1")
-        rows.append((_new_label(seen, row[0], lineno), population))
+            raise InputError("population must be >= 1")
+        return population
+
+    rows = list(_read_rows(source, "census", population).items())
     if not rows:
         raise InputError("census file contains no states")
     return rows
 
 
 def parse_quota_file(source) -> tuple[list[str], list[Fraction], list]:
-    """Read label,quota[,adjusted] rows from a CSV path or stream; adjusted
-    column all-or-none.  Empty and duplicate labels are rejected with their
-    line number."""
-    labels, quotas, adjusted = [], [], []
-    seen = set()
-    for lineno, row in _csv_rows(source, "quota"):
+    """Read label,quota[,adjusted] rows; adjusted is all-or-none."""
+    def quota_pair(row):
         if len(row) < 2:
-            raise InputError(f"line {lineno}: expected 'label,quota[,adjusted]'")
+            raise InputError("expected 'label,quota[,adjusted]'")
         try:
-            q = parse_fraction(row[1])
-        except InputError:
-            if lineno == 1 and not labels:
-                continue  # header row
-            raise InputError(f"line {lineno}: bad quota value {row[1]!r}")
+            quota = parse_fraction(row[1])
+        except _NotANumber:
+            raise _NotANumber(f"bad quota value {row[1]!r}") from None
+        adjusted = row[2] if len(row) > 2 and row[2].strip() else None
         try:
-            adjusted.append(parse_fraction(row[2]) if len(row) > 2
-                            and row[2].strip() else None)
-        except InputError:
-            raise InputError(f"line {lineno}: bad adjusted value {row[2]!r}")
-        labels.append(_new_label(seen, row[0], lineno))
-        quotas.append(q)
-    if not labels:
+            return quota, adjusted and parse_fraction(adjusted)
+        except _NotANumber:
+            raise InputError(f"bad adjusted value {adjusted!r}") from None
+
+    pairs = _read_rows(source, "quota", quota_pair)
+    if not pairs:
         raise InputError("quota file contains no states")
-    has_adj = [a is not None for a in adjusted]
-    if any(has_adj) and not all(has_adj):
+    quotas, adjusted = map(list, zip(*pairs.values()))
+    if 0 < adjusted.count(None) < len(adjusted):
         raise InputError("adjusted quota column must be present for all states or none")
-    return labels, quotas, (adjusted if all(has_adj) else None)
+    return list(pairs), quotas, (None if None in adjusted else adjusted)
 
 
 def read_lower_bound(value, labels) -> tuple[int, ...]:
-    """Scalar broadcast ('1') or per-state bound file (a path or stream)
-    matched by label; empty and duplicate labels in the file are rejected
-    with their line number."""
+    """Scalar broadcast ('1') or label,bound file (a path or stream)."""
     from .core import broadcast_lower_bound
+
+    def bound(row):
+        if len(row) < 2 or (number := _integer(row[1].strip())) is None:
+            raise _NotANumber("expected 'label,bound'")
+        return number
 
     if value is None:
         return (0,) * len(labels)
-    if (isinstance(value, str) and value.isascii()
-            and value.removeprefix("-").isdigit()):
-        return broadcast_lower_bound(int(value), len(labels))
-    by_label = {}
-    seen = set()
-    for lineno, row in _csv_rows(value, "lower-bound"):
-        digits = row[1].strip().removeprefix("-") if len(row) > 1 else ""
-        if not (digits.isascii() and digits.isdigit()):
-            if lineno == 1 and not by_label:
-                continue
-            raise InputError(f"line {lineno}: expected 'label,bound'")
-        by_label[_new_label(seen, row[0], lineno)] = int(row[1])
-    missing = [lab for lab in labels if lab not in by_label]
-    extra = [lab for lab in by_label if lab not in labels]
+    if isinstance(value, str) and (scalar := _integer(value)) is not None:
+        return broadcast_lower_bound(scalar, len(labels))
+    bounds = _read_rows(value, "lower-bound", bound)
+    missing = [lab for lab in labels if lab not in bounds]
+    extra = [lab for lab in bounds if lab not in labels]
     if missing or extra:
         raise InputError(
             f"lower-bound file mismatch; missing {missing}, unknown {extra}")
-    return broadcast_lower_bound([by_label[lab] for lab in labels],
-                                 len(labels))
+    return broadcast_lower_bound([bounds[lab] for lab in labels], len(labels))
 
 
 class Emitter:
@@ -391,8 +391,12 @@ def cmd_paradox_scan(args, out) -> int:
     # skipped and not counted.  An empty --max-seats range stays an error.
     guaranteed = (args.method in RULES
                   and RULES[args.method].first_seat_guaranteed)
-    reports = []
-    checked = 0
+    # Each report is printed as it is found, so memory does not grow with
+    # --trials.
+    if args.format == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["kind", "method", "witness"])
+    reports = checked = 0
     for _ in range(args.trials):
         prob = random_problem(
             src, min_states=2, max_states=args.max_states,
@@ -419,22 +423,19 @@ def cmd_paradox_scan(args, out) -> int:
             if prob.seats < least or extended.seats <= least:
                 continue
             found = detect_new_state_paradox(prob, extended, args.method)
-        reports.extend(found)
+        for rep in found:
+            emitter.record({"type": "paradox", "kind": rep.kind,
+                            "method": rep.method, "witness": rep.witness})
+            if args.format == "csv":
+                writer.writerow([rep.kind, rep.method,
+                                 json.dumps(rep.witness, sort_keys=True)])
+        reports += len(found)
         checked += 1
-    for rep in reports:
-        emitter.record({"type": "paradox", "kind": rep.kind,
-                        "method": rep.method, "witness": rep.witness})
-    if args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["kind", "method", "witness"])
-        for rep in reports:
-            writer.writerow([rep.kind, rep.method,
-                             json.dumps(rep.witness, sort_keys=True)])
-    emitter.note(f"scanned {checked} instances, found {len(reports)} reports")
+    emitter.note(f"scanned {checked} instances, found {reports} reports")
     if args.format == "json-lines":
         emitter.record({"type": "summary", "kind": args.kind,
                         "method": args.method, "instances": checked,
-                        "reports": len(reports)})
+                        "reports": reports})
     return 0
 
 

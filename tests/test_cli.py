@@ -7,15 +7,21 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fixtures
 from seatlot import _backend, montecarlo, problem
-from seatlot.cli import (MAX_SCAN_STATES, MAX_SCAN_TRIALS, RULE_NAMES,
-                         decimal_str, fraction_str, main, parse_census,
-                         parse_fraction, parse_quota_file)
+from seatlot.cli import (FORMAT_CHOICES, MAX_DIGITS, MAX_SCAN_STATES,
+                         MAX_SCAN_TRIALS, RULE_NAMES, decimal_str,
+                         fraction_str, main, parse_census, parse_fraction,
+                         parse_quota_file, read_lower_bound)
 from seatlot.divisor import ALABAMA_HOUSE_CEILING, RULES, divisor_apportion
 from seatlot.errors import InputError
 from seatlot.montecarlo import REPLICATE_CEILING
+
+
+TOO_LONG = f"number longer than {MAX_DIGITS} characters"
 
 
 def run_cli(args):
@@ -91,8 +97,12 @@ def test_parse_census_fifty_rows_roundtrip():
 def test_parse_fraction_forms():
     assert parse_fraction("43.038") == F(21519, 500)
     assert parse_fraction("21519/500") == F(21519, 500)
-    with pytest.raises(InputError):
-        parse_fraction("many")
+    # Fraction would expand an exponent into a power of ten of any size.
+    for text in ("many", "1e3", "1E-3", "1e999999999", "1e-999999999"):
+        with pytest.raises(InputError, match="^not a rational number"):
+            parse_fraction(text)
+    with pytest.raises(InputError, match=f"^{TOO_LONG}$"):
+        parse_fraction("1/" + "3" * MAX_DIGITS)
 
 
 def test_rendering_helpers():
@@ -131,6 +141,157 @@ def test_parse_quota_file_modes(tmp_path):
     path.write_text("A,43.038\nB,19.013,18.999\n")
     with pytest.raises(InputError):
         parse_quota_file(str(path))
+
+
+# The three file readers on inputs whose outputs were recorded before they
+# shared one reader: where a header may stand, what blank rows and short
+# rows do, and which errors name which line.
+READER_CASES = {
+    "census-header": (parse_census, "state,population\nA,2\n", [("A", 2)]),
+    "census-empty-field-header": (parse_census, ",\nA,1\n", [("A", 1)]),
+    "census-blank-rows": (parse_census, "\nA,1\n\n  \nB,2\n",
+                          [("A", 1), ("B", 2)]),
+    "census-header-after-blank": (
+        parse_census, "\nstate,pop\nA,1\n",
+        "line 2: population must be a positive integer, got 'pop'"),
+    "census-short-row-line-1": (parse_census, "A\n",
+                                "line 1: expected 'label,population'"),
+    "census-short-row-line-2": (parse_census, "A,1\nB\n",
+                                "line 2: expected 'label,population'"),
+    "census-zero-line-1": (parse_census, "A,0\n",
+                           "line 1: population must be >= 1"),
+    "census-negative-line-1": (parse_census, "A,-3\n",
+                               "census file contains no states"),
+    "census-empty-label-line-1": (parse_census, ",1\n",
+                                  "line 1: empty state label"),
+    "quota-header": (parse_quota_file, "label,quota\nA,1/2\n",
+                     (["A"], [F(1, 2)], None)),
+    "quota-short-row-line-1": (parse_quota_file, "A\n",
+                               "line 1: expected 'label,quota[,adjusted]'"),
+    "quota-bad-adjusted-line-1": (parse_quota_file, "A,1,x\n",
+                                  "line 1: bad adjusted value 'x'"),
+    "quota-bad-value-line-2": (parse_quota_file, "A,1\nB, x\n",
+                               "line 2: bad quota value ' x'"),
+    "quota-adjusted-all-or-none": (
+        parse_quota_file, "A,1,2\nB,3\n",
+        "adjusted quota column must be present for all states or none"),
+    "bound-short-row-line-1": (read_lower_bound, "hdr\nA,1\n", (1,)),
+    "bound-short-row-line-2": (read_lower_bound, "A,1\nB\n",
+                               "line 2: expected 'label,bound'"),
+    "bound-header": (read_lower_bound, "label,bound\nA,2\n", (2,)),
+    "bound-empty-file": (read_lower_bound, "",
+                         "lower-bound file mismatch; missing ['A'], "
+                         "unknown []"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(READER_CASES))
+def test_file_readers_keep_their_header_and_row_rules(name):
+    read, text, expected = READER_CASES[name]
+    args = (io.StringIO(text),) + (("A",),) * (read is read_lower_bound)
+    if isinstance(expected, str):
+        with pytest.raises(InputError) as exc:
+            read(*args)
+        assert str(exc.value) == expected
+    else:
+        assert read(*args) == expected
+
+
+@pytest.mark.parametrize("read", [parse_census, parse_quota_file,
+                                  read_lower_bound])
+def test_a_number_past_the_digit_cap_is_an_error_not_a_header(read):
+    args = (("A",),) if read is read_lower_bound else ()
+    with pytest.raises(InputError, match=f"^line 1: {TOO_LONG}$"):
+        read(io.StringIO("A," + "7" * (MAX_DIGITS + 1) + "\n"), *args)
+    # Populations far beyond int64 stay accepted up to the cap.
+    assert parse_census(io.StringIO("A," + "7" * MAX_DIGITS + "\n")) \
+        == [("A", int("7" * MAX_DIGITS))]
+
+
+# Each exited 1 with a traceback, or did not finish, before the one reader.
+HOSTILE_FILES = {
+    "census-long-population": (
+        "census", b"A,1\nB," + b"9" * 5000 + b"\n",
+        f"error: line 2: {TOO_LONG}\n"),
+    "bound-long-value": (
+        "bound", b"A,1\nB," + b"9" * 5000 + b"\n",
+        f"error: line 2: {TOO_LONG}\n"),
+    "quota-huge-exponent": (
+        "quota", b"A,1\nB,1e999999999\n",
+        "error: line 2: bad quota value '1e999999999'\n"),
+    "quota-tiny-exponent": (
+        "quota", b"A,1\nB,1e-999999999\n",
+        "error: line 2: bad quota value '1e-999999999'\n"),
+    **{f"{kind}-not-utf8": (kind, b"A,1\nB\xff,2\n",
+                            f"error: line 2: {what} file is not UTF-8\n")
+       for kind, what in (("census", "census"), ("quota", "quota"),
+                          ("bound", "lower-bound"))},
+    **{f"{kind}-field-past-csv-limit": (
+        kind, b"A,1\nB," + b"1" * 131073 + b"\n",
+        "error: line 2: field larger than field limit (131072)\n")
+       for kind in ("census", "quota", "bound")},
+}
+
+
+def reader_argv(kind, path, census_path):
+    """A CLI run that reads ``path`` as a file of the given kind."""
+    if kind == "census":
+        return ["apportion", "--data", path, "--seats", "3",
+                "--method", "hamilton"]
+    if kind == "quota":
+        return ["bound-check", "--quotas", path, "--seats", "3"]
+    return ["apportion", "--data", census_path, "--seats", "3",
+            "--method", "webster", "--lower-bound", path]
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_FILES))
+def test_hostile_files_exit_2_with_their_line(name, census, tmp_path,
+                                              capsys):
+    kind, data, error = HOSTILE_FILES[name]
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    code, _ = run_cli(reader_argv(kind, str(path), census))
+    assert (code, capsys.readouterr().err) == (2, error)
+
+
+def test_long_scalar_lower_bound_exits_2(census, capsys):
+    code, _ = run_cli(["apportion", "--data", census, "--seats", "7",
+                       "--method", "stochastic",
+                       "--lower-bound", "9" * 5000])
+    assert (code, capsys.readouterr().err) == (2, f"error: {TOO_LONG}\n")
+
+
+def test_table1_names_the_line_of_a_census_that_is_not_utf8(tmp_path,
+                                                            capsys):
+    (tmp_path / "1990.csv").write_bytes(b"A,1\nB,2\nC\xff,3\n")
+    code, _ = run_cli(["table1", "--data", str(tmp_path), "--seats", "3"])
+    assert (code, capsys.readouterr().err) \
+        == (2, "error: line 3: census file is not UTF-8\n")
+
+
+FIELDS = st.sampled_from(["A", "B", " A ", "", "label", "1", "0", "-1",
+                          "007", "1/2", "-3/4", ".5", "1.", "1e3", "+2",
+                          "1_0", "\u00b2", "\uff11", "x", '"A,B"', "9" * 4301])
+CSV_TEXT = st.lists(st.lists(FIELDS, max_size=4).map(",".join),
+                    max_size=6).map("\n".join)
+
+
+@pytest.mark.parametrize("kind", ["census", "quota", "bound"])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(st.binary(max_size=80),
+                      st.text(max_size=80).map(str.encode),
+                      CSV_TEXT.map(str.encode)))
+def test_any_file_exits_0_1_or_2_without_a_traceback(kind, data, census,
+                                                     tmp_path, capsys):
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    capsys.readouterr()
+    code, _ = run_cli(reader_argv(kind, str(path), census))
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ")
 
 
 # --- apportion ----------------------------------------------------------------
@@ -395,6 +556,26 @@ def test_paradox_scan_alabama_hamilton_finds_reports():
     records = [json.loads(line) for line in out.splitlines()]
     summary = [r for r in records if r["type"] == "summary"][0]
     assert summary["reports"] > 0
+
+
+@pytest.mark.parametrize("fmt", FORMAT_CHOICES)
+def test_paradox_scan_prints_each_report_as_it_is_found(fmt, monkeypatch):
+    # Output printed before each trial's draw: a scan that held its reports
+    # until the last trial would print nothing until then.
+    out = io.StringIO()
+    printed = []
+
+    def drawn(*args, **kwargs):
+        printed.append(len(out.getvalue()))
+        return random_problem(*args, **kwargs)
+
+    random_problem = montecarlo.random_problem
+    monkeypatch.setattr(montecarlo, "random_problem", drawn)
+    assert main(["paradox-scan", "--kind", "alabama", "--method", "hamilton",
+                 "--trials", "60", "--seed", "3", "--max-seats", "20",
+                 "--format", fmt], out=out) == 0
+    header = "kind,method,witness\n" if fmt == "csv" else ""
+    assert printed[0] == len(header) and printed[-1] > printed[0]
 
 
 def test_paradox_scan_webster_clean():
