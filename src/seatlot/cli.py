@@ -26,8 +26,10 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import (ApportionmentError, CapacityError, InfeasibleError,
@@ -47,34 +49,58 @@ MAX_SCAN_STATES = 10 ** 4
 # The most paradox-scan trials one run may make: each trial is one drawn
 # instance and one scan, so a larger --trials is refused before any trial.
 MAX_SCAN_TRIALS = 10 ** 5
+# The most house steps one Alabama paradox-scan may walk, over all its
+# trials: --trials times --max-seats is refused above it before any trial.
+MAX_SCAN_HOUSES = 10 ** 7
 MAX_DIGITS = 4300  # longest number text read: int() reads no more digits
+
+
+def _digit_cap() -> int:
+    """The longest number text read: ``MAX_DIGITS``, or the interpreter's
+    own int-to-string digit limit when that is lower."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    return min(MAX_DIGITS, limit or MAX_DIGITS)
+
+
+def _rational_texts(num: int, den: int, places: int = 6) -> tuple[str, str]:
+    """``num / den`` (den > 0) as 'p/q' in lowest terms and as a decimal of
+    ``places`` digits rounded half away from zero, in integers only."""
+    g = math.gcd(num, den)
+    scale = 10 ** places
+    # floor(|num / den| * scale + 1/2)
+    whole, frac = divmod((2 * abs(num) * scale + den) // (2 * den), scale)
+    try:
+        return (f"{num // g}/{den // g}",
+                f"{'-' if num < 0 else ''}{whole}.{frac:0{places}d}")
+    except ValueError as exc:  # past the interpreter's int-to-string limit
+        raise CapacityError(f"cannot print a number of more than "
+                            f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 def fraction_str(f: Fraction) -> str:
     f = Fraction(f)
-    return f"{f.numerator}/{f.denominator}"
+    return _rational_texts(f.numerator, f.denominator)[0]
 
 
 def decimal_str(f: Fraction, places: int = 6) -> str:
     """Fixed-precision decimal rendering (round half away from zero)."""
     f = Fraction(f)
-    num, den = f.numerator, f.denominator
-    scale = 10 ** places
-    # floor(|f| * scale + 1/2), in integers
-    whole, frac = divmod((2 * abs(num) * scale + den) // (2 * den), scale)
-    sign = "-" if num < 0 else ""
-    return f"{sign}{whole}.{str(frac).zfill(places)}"
+    return _rational_texts(f.numerator, f.denominator, places)[1]
 
 
 class _NotANumber(InputError):
     """No number where a row needs one: on the first row, a header."""
 
 
+def _check_length(text: str) -> None:
+    if len(text) > (cap := _digit_cap()):
+        raise InputError(f"number longer than {cap} characters")
+
+
 def parse_fraction(text: str) -> Fraction:
     """Parse 'num/den' or decimal text to an exact rational.  An exponent
     ('1e3') is refused: Fraction would expand a power of ten of any size."""
-    if len(text) > MAX_DIGITS:
-        raise InputError(f"number longer than {MAX_DIGITS} characters")
+    _check_length(text)
     if "e" not in text.lower():
         with contextlib.suppress(ValueError, ZeroDivisionError):
             return Fraction(text)
@@ -84,7 +110,8 @@ def parse_fraction(text: str) -> Fraction:
 def _integer(text: str) -> int | None:
     digits = text.removeprefix("-")
     if digits.isascii() and digits.isdigit():
-        return parse_fraction(text).numerator
+        _check_length(text)
+        return int(text)
     return None
 
 
@@ -120,6 +147,8 @@ def _read_rows(source, what: str, value) -> dict:
 
 def parse_census(source) -> list[tuple[str, int]]:
     """Read (label, population) rows from a CSV path or stream."""
+    cap = _digit_cap()
+
     def population(row):
         if len(row) < 2:
             raise InputError("expected 'label,population'")
@@ -127,8 +156,8 @@ def parse_census(source) -> list[tuple[str, int]]:
         if not (text.isascii() and text.isdigit()):
             raise _NotANumber(
                 f"population must be a positive integer, got {text!r}")
-        if len(text) > MAX_DIGITS:
-            raise InputError(f"number longer than {MAX_DIGITS} characters")
+        if len(text) > cap:
+            raise InputError(f"number longer than {cap} characters")
         population = int(text)
         if population < 1:
             raise InputError("population must be >= 1")
@@ -186,6 +215,15 @@ def read_lower_bound(value, labels) -> tuple[int, ...]:
     return broadcast_lower_bound([bounds[lab] for lab in labels], len(labels))
 
 
+def _json_text(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+# How json.dumps encodes a str and an exact int (not a bool), without
+# building an encoder; every other value goes through _json_text.
+_JSON_ENCODERS = {str: encode_basestring_ascii, int: int.__repr__}
+
+
 class Emitter:
     """Writes rows in table/csv/json-lines form, deterministically."""
 
@@ -194,25 +232,34 @@ class Emitter:
         self.out = out
 
     def rows(self, columns, rows, kind="row"):
+        """Write a block of ``rows`` (any iterable, read once) under
+        ``columns`` with one write."""
         if self.fmt == "json-lines":
+            # Each line is json.dumps({"type": kind, **row}, sort_keys=True,
+            # separators=(",", ":")), with the keys sorted once per block.
+            where = {"type": None}
+            where.update((c, i) for i, c in enumerate(columns))
+            keys = sorted(where)
+            fields = [(("," if n else "{") + encode_basestring_ascii(key)
+                       + ":", where[key]) for n, key in enumerate(keys)]
+            lines = []
             for row in rows:
-                obj = {"type": kind}
-                obj.update(zip(columns, row))
-                self._json(obj)
+                for head, i in fields:
+                    v = kind if i is None else row[i]
+                    lines += head, _JSON_ENCODERS.get(type(v), _json_text)(v)
+                lines.append("}\n")
+            self.out.write("".join(lines))
         elif self.fmt == "csv":
             writer = csv.writer(self.out, lineterminator="\n")
             writer.writerow(columns)
             writer.writerows(rows)
         else:
-            widths = [max(len(str(c)), *(len(str(r[i])) for r in rows))
-                      if rows else len(str(c))
-                      for i, c in enumerate(columns)]
-            line = "  ".join(str(c).ljust(w) for c, w in zip(columns, widths))
-            print(line, file=self.out)
-            print("-" * len(line), file=self.out)
-            for row in rows:
-                print("  ".join(str(v).ljust(w)
-                                for v, w in zip(row, widths)), file=self.out)
+            cells = [[str(v) for v in row] for row in (columns, *rows)]
+            widths = [max(map(len, column)) for column in zip(*cells)]
+            lines = ["  ".join(v.ljust(w) for v, w in zip(row, widths))
+                     for row in cells]
+            lines.insert(1, "-" * len(lines[0]))
+            self.out.write("\n".join(lines) + "\n")
 
     def note(self, text: str):
         if self.fmt == "table":
@@ -228,8 +275,7 @@ class Emitter:
                   file=self.out)
 
     def _json(self, obj):
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")),
-              file=self.out)
+        print(_json_text(obj), file=self.out)
 
 
 def _problem_from_args(data_path, seats):
@@ -282,10 +328,13 @@ def cmd_apportion(args, out) -> int:
         alloc = _apportion_once(prob, args.method, bounds, src)
         quota = compute_quota(prob)
         columns = ["label", "population", "quota", "quota_decimal", "seats"]
-        rows = [(prob.labels[i], prob.populations[i],
-                 fraction_str(quota.quotas[i]),
-                 decimal_str(quota.quotas[i]), alloc.seats[i])
-                for i in range(prob.size)]
+        # The quota texts come from the integers as the emitter reads the
+        # rows, so their cost is the rendering's.
+        den = quota.den
+        rows = ((label, pop, *_rational_texts(f * den + n, den), seats)
+                for label, pop, f, n, seats in zip(
+                    prob.labels, prob.populations, quota.floors, quota.nums,
+                    alloc.seats))
         if len(problems) > 1:
             emitter.note(f"# {path}")
         emitter.rows(columns, rows, kind="seat")
@@ -375,6 +424,11 @@ def cmd_paradox_scan(args, out) -> int:
     if args.trials > MAX_SCAN_TRIALS:
         raise CapacityError(f"--trials must be at most {MAX_SCAN_TRIALS}, "
                             f"got {args.trials}")
+    steps = args.trials * args.max_seats
+    if args.kind == "alabama" and steps > MAX_SCAN_HOUSES:
+        raise CapacityError(
+            f"an Alabama scan walks at most {MAX_SCAN_HOUSES} houses over "
+            f"all trials; --trials times --max-seats is {steps}")
     if not 0 <= args.max_growth < MAX_BOUND:
         raise InputError(
             f"--max-growth must be in 0..2**64 - 1, got {args.max_growth}")

@@ -5,11 +5,11 @@ non-negative house size.  Each state's quota is its exactly proportional
 share of the house.  A :class:`QuotaVector` holds the quotas as integers,
 a floor and a numerator per state over one common denominator, and this one
 type carries them from the census through the lower-bound iteration to the
-kernels.  Its ``Fraction`` views (``quotas``, ``fractional``) are built on
-first read, for callers that want rationals (traces, exact laws,
-rendering).  Quota ties and integrality (a fractional part of exactly zero)
-are decided exactly, never through floating point; floats appear only in
-rendered reports.
+kernels, and the command line prints quotas from them.  Its ``Fraction``
+views (``quotas``, ``fractional``) are built on first read, for callers
+that want rationals (traces, exact laws).  Quota ties and integrality (a
+fractional part of exactly zero) are decided exactly, never through
+floating point; floats appear only in rendered reports.
 """
 
 from __future__ import annotations

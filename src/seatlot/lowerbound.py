@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -28,7 +29,8 @@ from typing import Optional, Sequence
 from .core import (Allocation, Problem, QuotaVector, as_fractions,
                    broadcast_lower_bound, check_integers, compute_quota,
                    quota_vector, validate_lower_bound)
-from .errors import ConvergenceError, InfeasibleError, InputError
+from .errors import (CapacityError, ConvergenceError, InfeasibleError,
+                     InputError)
 from .rng import SeededSource, U53_DENOMINATOR
 from .stochastic import (ENUMERATION_LIMIT, AllocationDistribution,
                          _allocation_law, _scheme_draw)
@@ -294,16 +296,18 @@ def iterate_lower_bound(quota, bounds: Sequence[int],
 
 
 def trace_audit(trace: IterationTrace) -> dict:
-    """JSON-ready summary of an iteration trace."""
+    """JSON-ready summary of an iteration trace.  A scale too long for the
+    interpreter to print raises :class:`CapacityError`."""
+    try:
+        rounds = [{"active": list(rnd.active),
+                   "scale": f"{rnd.scale.numerator}/{rnd.scale.denominator}",
+                   "fixed": list(rnd.fixed)}
+                  for rnd in trace.rounds]
+    except ValueError as exc:  # past the interpreter's int-to-string limit
+        raise CapacityError(f"cannot print a number of more than "
+                            f"{sys.get_int_max_str_digits()} digits") from exc
     return {
-        "rounds": [
-            {
-                "active": list(rnd.active),
-                "scale": f"{rnd.scale.numerator}/{rnd.scale.denominator}",
-                "fixed": list(rnd.fixed),
-            }
-            for rnd in trace.rounds
-        ],
+        "rounds": rounds,
         "final_active": list(trace.final_active),
         "fixed_at_floor": list(trace.fixed_at_floor),
         "feasible": trace.feasible,

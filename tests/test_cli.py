@@ -4,20 +4,23 @@ import io
 import json
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fixtures
-from seatlot import _backend, montecarlo, problem
-from seatlot.cli import (FORMAT_CHOICES, MAX_DIGITS, MAX_SCAN_STATES,
-                         MAX_SCAN_TRIALS, RULE_NAMES, decimal_str,
-                         fraction_str, main, parse_census, parse_fraction,
-                         parse_quota_file, read_lower_bound)
+from seatlot import _backend, lowerbound, montecarlo, problem
+from seatlot.cli import (FORMAT_CHOICES, MAX_DIGITS, MAX_SCAN_HOUSES,
+                         MAX_SCAN_STATES, MAX_SCAN_TRIALS, RULE_NAMES,
+                         Emitter, _rational_texts, decimal_str, fraction_str,
+                         main, parse_census, parse_fraction, parse_quota_file,
+                         read_lower_bound)
+from seatlot.core import compute_quota
 from seatlot.divisor import ALABAMA_HOUSE_CEILING, RULES, divisor_apportion
-from seatlot.errors import InputError
+from seatlot.errors import CapacityError, InputError
 from seatlot.montecarlo import REPLICATE_CEILING
 
 
@@ -130,6 +133,90 @@ def test_decimal_str_matches_fraction_rounding():
     for f, places in cases:
         assert decimal_str(f, places) == _decimal_reference(f, places), (f, places)
     assert decimal_str(3) == decimal_str("3") == "3.000000"
+
+
+# The 4,300-digit edges of the interpreter's default int-to-string limit.
+EDGES = (10 ** 4299, 10 ** 4300 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(floor=st.one_of(st.integers(0, 2 ** 80), st.sampled_from(EDGES)),
+       den=st.one_of(st.just(1), st.integers(1, 2 ** 80),
+                     st.sampled_from(EDGES)),
+       data=st.data())
+@example(floor=0, den=1, data=None)
+@example(floor=EDGES[1], den=1, data=None)
+@example(floor=0, den=EDGES[1], data=None)
+@example(floor=1, den=EDGES[1], data=None)
+def test_quota_texts_from_integers_match_the_fraction(floor, den, data):
+    # A quota floor + n / den renders from its integers as the parent
+    # rendered the Fraction, or is refused where str() of the Fraction's
+    # parts fails.
+    n, places = (0, 6) if data is None else (
+        data.draw(st.integers(0, den - 1)), data.draw(st.integers(0, 8)))
+    q = F(floor * den + n, den)
+    try:
+        expected = (f"{q.numerator}/{q.denominator}",
+                    _decimal_reference(q, places))
+    except ValueError:
+        with pytest.raises(CapacityError, match="^cannot print a number"):
+            _rational_texts(floor * den + n, den, places)
+        return
+    assert _rational_texts(floor * den + n, den, places) == expected
+    assert (fraction_str(q), decimal_str(q, places)) == expected
+
+
+def _json_line_reference(kind, columns, row):
+    obj = {"type": kind}
+    obj.update(zip(columns, row))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+TEXTS = st.one_of(
+    st.text(st.characters(blacklist_categories=()), max_size=8),
+    st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\u00e9\u2028",
+                     "\U0001f600", "\ud800", "a\udfffb", "type"]))
+CELLS = st.one_of(TEXTS, st.integers(-2 ** 80, 2 ** 80), st.booleans(),
+                  st.none(), st.floats(), st.lists(st.integers(), max_size=3),
+                  st.dictionaries(TEXTS, st.integers(), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns=st.lists(TEXTS, min_size=1, max_size=5), kind=TEXTS,
+       data=st.data())
+def test_json_lines_rows_equal_json_dumps(columns, kind, data):
+    rows = data.draw(st.lists(st.lists(CELLS, min_size=len(columns),
+                                       max_size=len(columns)), max_size=4))
+    out = io.StringIO()
+    Emitter("json-lines", out).rows(columns, iter(rows), kind=kind)
+    assert out.getvalue() == "".join(_json_line_reference(kind, columns, row)
+                                     for row in rows)
+
+
+def _table_reference(columns, rows):
+    """The table layout as two passes over the cells, one print per line."""
+    out = io.StringIO()
+    widths = [max(len(str(c)), *(len(str(r[i])) for r in rows))
+              if rows else len(str(c))
+              for i, c in enumerate(columns)]
+    line = "  ".join(str(c).ljust(w) for c, w in zip(columns, widths))
+    print(line, file=out)
+    print("-" * len(line), file=out)
+    for row in rows:
+        print("  ".join(str(v).ljust(w) for v, w in zip(row, widths)),
+              file=out)
+    return out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=st.lists(TEXTS, min_size=1, max_size=5), data=st.data())
+def test_table_rows_equal_the_two_pass_layout(columns, data):
+    cells = st.one_of(TEXTS, st.integers(-2 ** 80, 2 ** 80), st.none())
+    rows = data.draw(st.lists(st.lists(cells, min_size=len(columns),
+                                       max_size=len(columns)), max_size=4))
+    out = io.StringIO()
+    Emitter("table", out).rows(columns, iter(rows))
+    assert out.getvalue() == _table_reference(columns, rows)
 
 
 def test_parse_quota_file_modes(tmp_path):
@@ -424,6 +511,84 @@ def test_scalar_lower_bound_needs_ascii_digits(tmp_path, monkeypatch, census,
         "error: cannot read lower-bound file")
 
 
+def count_fractions(run):
+    """Calls ``run()`` and returns the number of Fractions it built."""
+    built = 0
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(F, "__new__", counting_new)
+        run()
+    return built
+
+
+@pytest.mark.parametrize("fmt", FORMAT_CHOICES)
+def test_apportion_renders_without_fractions(fmt, golden_inputs):
+    # The quota texts come from the quota's integers: an unbounded call
+    # builds no Fraction, and a bounded one only each iteration round's
+    # scale.
+    argv = ["apportion", "--data", "c50.csv", "--seats", "435", "--method",
+            "stochastic", "--format", fmt]
+    codes = []
+    assert count_fractions(lambda: codes.append(run_cli(argv)[0])) == 0
+    prob = problem([pop for _label, pop in fixtures.CENSUS_50], 435)
+    rounds = lowerbound.iterate_lower_bound(compute_quota(prob),
+                                            (1,) * prob.size, 435).rounds
+    lowerbound._prepared.cache_clear()
+    assert count_fractions(lambda: codes.append(
+        run_cli(argv + ["--lower-bound", "1"])[0])) == len(rounds) == 3
+    assert codes == [0, 0]
+
+
+def test_reading_bounds_builds_no_fraction():
+    assert count_fractions(lambda: (
+        read_lower_bound("2", ("A", "B")),
+        read_lower_bound(io.StringIO("A,1\nB,2\n"), ("A", "B")))) == 0
+
+
+def _populations(*pops):
+    return "".join(f"S{i},{pop}\n" for i, pop in enumerate(pops))
+
+
+# Each ended in a ValueError traceback from str() or int() of a long int.
+LONG_NUMBERS = {
+    # A 4,301-digit total: the quota's denominator cannot be printed.
+    "hamilton-4300-digits": (
+        None, _populations("9" * 4300, "9" * 4299 + "8"),
+        ["--method", "hamilton"],
+        "error: cannot print a number of more than 4300 digits\n"),
+    # The quotas print, but an iteration round's scale does not.
+    "bounded-scale": (
+        None, _populations(*((i + 1) * 10 ** 4297 + 3 ** i
+                             for i in range(10)), 1),
+        ["--method", "stochastic", "--lower-bound", "1"],
+        "error: cannot print a number of more than 4300 digits\n"),
+    # A lower limit lowers the reader's digit cap with it.
+    "limit-640": (
+        "640", _populations("7" * 1000, "8" * 1000),
+        ["--method", "hamilton"],
+        "error: line 1: number longer than 640 characters\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_NUMBERS))
+def test_long_numbers_exit_2_in_a_fresh_interpreter(name, fresh_python,
+                                                    tmp_path):
+    limit, text, extra, error = LONG_NUMBERS[name]
+    (tmp_path / "c.csv").write_text(text)
+    env = {} if limit is None else {"PYTHONINTMAXSTRDIGITS": limit}
+    proc = fresh_python("-m", "seatlot.cli", "apportion", "--data", "c.csv",
+                        "--seats", "1000", *extra, cwd=tmp_path,
+                        **env)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) \
+        == (2, b"", error)
+
+
 def test_apportion_billion_seat_house(tmp_path):
     path = tmp_path / "states.csv"
     path.write_text("".join(f"S{i},{500_000 + 797_003 * i}\n"
@@ -683,6 +848,29 @@ def test_paradox_scan_refuses_more_trials_than_the_ceiling(capsys,
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == (
         f"error: --trials must be at most {MAX_SCAN_TRIALS}, got {n}\n")
+
+
+def test_paradox_scan_budgets_the_houses_of_all_trials(capsys, monkeypatch):
+    # --trials 100000 --max-seats 1000000 passed both ceilings and asked for
+    # 10**11 house steps.
+    def draw(*args, **kwargs):
+        raise AssertionError("instance drawn")
+
+    monkeypatch.setattr(montecarlo, "random_problem", draw)
+    start = time.perf_counter()
+    code, out = run_cli(["paradox-scan", "--kind", "alabama", "--method",
+                         "hamilton", "--trials", str(MAX_SCAN_TRIALS),
+                         "--max-seats", str(ALABAMA_HOUSE_CEILING)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: an Alabama scan walks at most {MAX_SCAN_HOUSES} houses over "
+        f"all trials; --trials times --max-seats is "
+        f"{MAX_SCAN_TRIALS * ALABAMA_HOUSE_CEILING}\n")
+    # The budget itself is allowed: the first instance is drawn.
+    with pytest.raises(AssertionError, match="instance drawn"):
+        run_cli(["paradox-scan", "--kind", "alabama", "--method", "hamilton",
+                 "--trials", "10", "--max-seats", str(MAX_SCAN_HOUSES // 10)])
 
 
 # --- bound-check --------------------------------------------------------------------
