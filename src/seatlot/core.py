@@ -23,11 +23,26 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import InputError
 
 
+# What Fraction() raises for a value that is no finite rational: a wrong
+# type, malformed text or NaN, an infinity, a zero denominator ('3/0').
+_NOT_RATIONAL = (TypeError, ValueError, OverflowError, ZeroDivisionError)
+
+
+def as_fraction(value, name: str) -> Fraction:
+    """Coerce an int/Fraction/float/string to an exact Fraction; anything
+    else, NaN and the infinities included, is refused with InputError."""
+    try:
+        return Fraction(value)
+    except _NOT_RATIONAL as exc:
+        raise InputError(
+            f"{name} must be a finite rational, got {value!r}") from exc
+
+
 def as_fractions(values: Sequence) -> tuple[Fraction, ...]:
     """Coerce a sequence of ints/Fractions/strings to exact Fractions."""
     try:
         return tuple(Fraction(v) for v in values)
-    except (TypeError, ValueError) as exc:
+    except _NOT_RATIONAL as exc:
         raise InputError(f"not an exact rational vector: {values!r}") from exc
 
 

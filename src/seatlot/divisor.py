@@ -12,16 +12,24 @@ priority is below it; the step then grants the best withheld seats, or
 withdraws the worst granted ones, until the seats sum to the house size.
 The jump misses the house size by fewer seats than there are states, so
 the cost grows with the number of states, not with the house size, and no
-floating-point search is involved.  The step ranks seats by integer keys,
-each priority times a common power of two 2**shift, rounded down: when no
-threshold numerator exceeds M, unequal priorities differ by at least
-1/M**2, so with 2**shift > M**2 the keys order the seats exactly as the
-priorities do, ties included.  Only the audit's two priorities are built
-as ``Fraction``s.  Each rule is one exact integer threshold (see
-``DivisorRule``), from which rounding, the priorities and the first-seat
-guarantee are all read; Huntington-Hill's irrational threshold
-sqrt(b*(b+1)) is given squared and compared through squares, which is
-exact for the non-negative quantities involved.
+floating-point search is involved.
+
+Everything from the price to the seats is integers.  The starting price
+is an integer pair (num, den), not reduced; one rounding loop
+(``_rounded``) gives every state its seats at a price, raised to its
+floor, for the jump and for ``lambda_allocation`` alike.  The step ranks
+seats by integer keys, each priority times a common power of two
+2**shift, rounded down: when no threshold numerator exceeds M, unequal
+priorities differ by at least 1/M**2, so with 2**shift > M**2 the keys
+order the seats exactly as the priorities do, ties included.
+``Fraction``s appear only at the edges: a price or entitlement passed in
+is read as one, and ``divisor_apportion`` builds its audit's two
+priorities as two.  An Alabama scan under a named rule builds none.  Each
+rule is one exact integer threshold (see ``DivisorRule``), from which
+rounding, the priorities and the first-seat guarantee are all read;
+Huntington-Hill's irrational threshold sqrt(b*(b+1)) is given squared and
+compared through squares, which is exact for the non-negative quantities
+involved.
 
 Ties between equal priorities are broken by larger population first, then
 by input position; the rule is arbitrary but fixed, so results are
@@ -39,8 +47,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import (Allocation, Problem, broadcast_lower_bound, check_integers,
-                   compute_quota)
+from .core import (Allocation, Problem, as_fraction, broadcast_lower_bound,
+                   check_integers, compute_quota)
 from .errors import CapacityError, InfeasibleError, InputError
 
 
@@ -67,9 +75,16 @@ class DivisorRule:
         return self.threshold(0)[0] == 0
 
     def rounds_up(self, x, b: int) -> bool:
-        """Whether entitlement ``x`` with ``b`` whole seats rounds to b + 1."""
-        x = Fraction(x)
-        return self._exceeds(x.numerator, x.denominator, b)
+        """Whether entitlement ``x`` with ``b`` whole seats rounds to b + 1:
+        x > d(b), tested in integers as a**k * den > num * c**k for x = a/c
+        and d(b) = num/den, k = 2 for rules compared through squares
+        (exact, as both sides are >= 0)."""
+        x = as_fraction(x, "entitlement")
+        a, c = x.numerator, x.denominator
+        num, den = self.threshold(b)
+        if self.squared_priority:
+            a, c = a * a, c * c
+        return a * den > num * c
 
     def priority(self, pop: int, b: int) -> Optional[Fraction]:
         """Priority pop/d(b) of a state's next seat after ``b``, squared for
@@ -78,14 +93,6 @@ class DivisorRule:
         if self.squared_priority:
             pop *= pop
         return Fraction(pop * den, num) if num else None
-
-    def _exceeds(self, a: int, c: int, b: int) -> bool:
-        # a/c > d(b) in integers: a**k * den > num * c**k, k = 2 for rules
-        # compared through squares (exact, as both sides are >= 0).
-        num, den = self.threshold(b)
-        if self.squared_priority:
-            a, c = a * a, c * c
-        return a * den > num * c
 
 
 # One line per rule, its threshold d(b) as (num, den): smallest divisors
@@ -109,18 +116,66 @@ def lambda_allocation(prob: Problem, rule: DivisorRule,
 
     Each population is divided by the price; the result keeps its floor
     unless it strictly exceeds the rule's threshold, in which case it rounds
-    up.  Equality keeps the floor.
+    up.  Equality keeps the floor.  The price is any positive finite
+    rational (int, Fraction, float or text such as ``'7/2'``).
     """
-    divisor = Fraction(divisor)
-    if divisor <= 0:
-        raise InputError(f"price per seat must be positive, got {divisor}")
-    p, q = divisor.numerator, divisor.denominator
-    exceeds = rule._exceeds
-    out = []
-    for pop in prob.populations:
-        b = pop * q // p
-        out.append(b + 1 if exceeds(pop * q, p, b) else b)
-    return tuple(out)
+    price = as_fraction(divisor, "price per seat")
+    if price <= 0:
+        raise InputError(f"price per seat must be positive, got {price}")
+    s = prob.size
+    seats, _ = _rounded(prob.populations, rule, price.numerator,
+                        price.denominator, (0,) * s, range(s))
+    return tuple(seats)
+
+
+def _rounded(pops: Sequence[int], rule: DivisorRule, num: int, den: int,
+             floors: Sequence[int], states: Sequence[int]):
+    """The seats of ``states`` at the price num/den > 0, each rounded at the
+    rule's threshold and raised to its floor, with their total; every
+    other state keeps its floor.
+
+    pops[i] / price is a/num with a = pops[i] * den: it keeps its floor b
+    unless a/num > d(b), tested in integers as in ``DivisorRule``.
+    """
+    threshold = rule.threshold
+    squared = rule.squared_priority
+    scale = num * num if squared else num
+    seats = list(floors)
+    total = 0
+    for i in states:
+        a = pops[i] * den
+        b = a // num
+        t_num, t_den = threshold(b)
+        if (a * a if squared else a) * t_den > t_num * scale:
+            b += 1
+        if b < seats[i]:
+            b = seats[i]
+        seats[i] = b
+        total += b
+    return seats, total
+
+
+class _Census:
+    """The census-wide values of jump-and-step under one rule, computed
+    once per census: the populations, their total, and the populations
+    raised to the rule's power and scaled by 2**shift for the step's keys,
+    kept per shift.  An Alabama scan walks all its houses on one."""
+
+    __slots__ = ("pops", "total", "_power", "_scaled")
+
+    def __init__(self, pops: Sequence[int], rule: DivisorRule):
+        self.pops = pops
+        self.total = sum(pops)
+        self._power = 2 if rule.squared_priority else 1
+        self._scaled = {}
+
+    def scaled(self, shift: int) -> list[int]:
+        values = self._scaled.get(shift)
+        if values is None:
+            power = self._power
+            values = self._scaled[shift] = [pop ** power << shift
+                                            for pop in self.pops]
+        return values
 
 
 def divisor_apportion(prob: Problem, rule: DivisorRule) -> Allocation:
@@ -134,35 +189,40 @@ def divisor_apportion(prob: Problem, rule: DivisorRule) -> Allocation:
     the next one below it (any price strictly between them reproduces the
     allocation), squared for rules compared through squares.
     """
-    s = prob.size
-    r = prob.seats
+    seats, cut_key, next_key = _house(_Census(prob.populations, rule), rule,
+                                      prob.seats)
+    if cut_key is None:
+        cut_priority = next_priority = None
+    else:
+        # A key ends in its state's index: the cut is that state's last
+        # seat, the next priority its first withheld one.
+        pops = prob.populations
+        cut, nxt = cut_key[3], next_key[3]
+        cut_priority = rule.priority(pops[cut], seats[cut] - 1)
+        next_priority = rule.priority(pops[nxt], seats[nxt])
+    audit = {"cut_priority": cut_priority, "next_priority": next_priority,
+             "squared": rule.squared_priority}
+    return Allocation(seats=tuple(seats), method=rule.name, audit=audit)
+
+
+def _house(census: _Census, rule: DivisorRule, r: int):
+    """The rule's seats for a house of ``r`` on ``census``, with the worst
+    granted and the best withheld key (both None when r = 0)."""
+    s = len(census.pops)
     if rule.first_seat_guaranteed and r < s:
         raise InfeasibleError(
             f"{rule.name} grants every state a seat, impossible with "
             f"{r} seats for {s} states")
     if r == 0:
-        return Allocation(seats=(0,) * s, method=rule.name,
-                          audit={"cut_priority": None, "next_priority": None,
-                                 "squared": rule.squared_priority})
-    seats, cut_key, next_key = _jump_and_step(prob, rule, (0,) * s,
-                                              range(s), r)
-    # A key ends in its state's index: the cut is that state's last seat,
-    # the next priority its first withheld one.
-    pops = prob.populations
-    cut, nxt = cut_key[3], next_key[3]
-    audit = {
-        "cut_priority": rule.priority(pops[cut], seats[cut] - 1),
-        "next_priority": rule.priority(pops[nxt], seats[nxt]),
-        "squared": rule.squared_priority,
-    }
-    return Allocation(seats=tuple(seats), method=rule.name, audit=audit)
+        return [0] * s, None, None
+    return _jump_and_step(census, rule, (0,) * s, range(s), r)
 
 
-def _jump_price(prob: Problem, rule: DivisorRule, floors: Sequence[int],
-                states: Sequence[int], target: int) -> Fraction:
-    """A starting price at which the seats of ``states``, rounded at the
-    price and raised to their floors, miss ``target`` by fewer seats than
-    there are states.
+def _jump_price(census: _Census, rule: DivisorRule, floors: Sequence[int],
+                states: Sequence[int], target: int) -> tuple[int, int]:
+    """A starting price, as integers (num, den) in no lowest terms, at
+    which the seats of ``states``, rounded at the price and raised to their
+    floors, miss ``target`` by fewer seats than there are states.
 
     With zero floors this is P / (target + s * (split - 1/2)) for the
     population P and number s of ``states``.  A state whose floor lies
@@ -170,7 +230,7 @@ def _jump_price(prob: Problem, rule: DivisorRule, floors: Sequence[int],
     recomputed over the others.  The price only rises from round to round,
     so a held state stays at its floor.
     """
-    pops = prob.populations
+    pops = census.pops
     # Twice the split minus one, in lowest terms as on/od: Adams -1, Dean,
     # Hill and Webster 0, Jefferson 1.  Scaling by od keeps every comparison
     # in integers.
@@ -179,27 +239,33 @@ def _jump_price(prob: Problem, rule: DivisorRule, floors: Sequence[int],
     on, od = (2 * n - d) // g, d // g
     active = list(states)
     left = target
-    price = Fraction(0)
+    # States are distinct indices, so as many as there are populations are
+    # all of them.
+    weight = (census.total if len(active) == len(pops)
+              else sum(pops[i] for i in active))
+    num, den = 0, 1
     while True:
         denom = 2 * od * left + on * len(active)
-        price = max(price, Fraction(2 * od * sum(pops[i] for i in active),
-                                    max(denom, 1)))
+        # The price rises to 2 od weight / denom, or stays where it is.
+        rise, over = 2 * od * weight, max(denom, 1)
+        if rise * den > num * over:
+            num, den = rise, over
         if denom <= 0:
             # Only a split below one half (Adams) gets here, with at most half
             # a seat per state left to grant.  Every active share is now under
             # half a seat, so no state gets one seat more than its floor.
-            return price
+            return num, den
         # A state with a zero floor is never held: its floor clips nothing.
-        num, den = price.numerator, price.denominator
         held = {i for i in active if floors[i] and 2 * od * pops[i] * den
                 < (2 * od * floors[i] + on) * num}
         if not held:
-            return price
+            return num, den
         left -= sum(floors[i] for i in held)
+        weight -= sum(pops[i] for i in held)
         active = [i for i in active if i not in held]
 
 
-def _jump_and_step(prob: Problem, rule: DivisorRule, floors: Sequence[int],
+def _jump_and_step(census: _Census, rule: DivisorRule, floors: Sequence[int],
                    states: Sequence[int], target: int):
     """Grant ``states`` the seats above their ``floors`` with the best
     priority keys, so that their seats total ``target``.
@@ -225,19 +291,14 @@ def _jump_and_step(prob: Problem, rule: DivisorRule, floors: Sequence[int],
     ``RULES``); a key whose numerator exceeds it restarts the step from
     the jump's seats with a shift wide enough for that numerator.
     """
-    pops = prob.populations
-    jump = lambda_allocation(
-        prob, rule, _jump_price(prob, rule, floors, states, target))
-    start = list(floors)
-    for i in states:
-        start[i] = max(floors[i], jump[i])
-    total = sum(start[i] for i in states)
+    num, den = _jump_price(census, rule, floors, states, target)
+    start, total = _rounded(census.pops, rule, num, den, floors, states)
     # No state's seats pass its jump seats plus the seats the jump is short.
-    top = max(start[i] for i in states) + max(target - total, 0)
+    top = max(map(start.__getitem__, states)) + max(target - total, 0)
     bound = rule.threshold(top)[0]
     while True:
         try:
-            return _step(pops, rule, floors, states, target, start, total,
+            return _step(census, rule, floors, states, target, start, total,
                          bound)
         except _WiderKeys as wider:
             bound = max(wider.args[0], bound * bound)
@@ -247,31 +308,26 @@ class _WiderKeys(Exception):
     """Raised with a threshold numerator above the keys' bound."""
 
 
-def _step(pops, rule, floors, states, target, start, total, bound):
+def _step(census, rule, floors, states, target, start, total, bound):
     # The step of ``_jump_and_step`` from the jump's seats ``start``, with
     # keys scaled for threshold numerators up to ``bound``.
+    pops = census.pops
     threshold = rule.threshold
-    shift = 2 * bound.bit_length()
-    power = 2 if rule.squared_priority else 1
-    scaled = [pop ** power << shift for pop in pops]
-
-    def scaled_priority(i, b):
-        # State i's priority after b seats times 2**shift, rounded down;
-        # None when infinite.
-        num, den = threshold(b)
-        if not num:
-            return None
-        if num > bound:
-            raise _WiderKeys(num)
-        return scaled[i] * den // num
+    scaled = census.scaled(2 * bound.bit_length())
 
     def best_first(i, b):
-        v = scaled_priority(i, b)
-        return (0, 0, -pops[i], i) if v is None else (1, -v, -pops[i], i)
+        # The key of state i's seat after b seats, with its priority times
+        # 2**shift rounded down.
+        num, den = threshold(b)
+        if not num:
+            return (0, 0, -pops[i], i)
+        if num > bound:
+            raise _WiderKeys(num)
+        return (1, -(scaled[i] * den // num), -pops[i], i)
 
     def worst_first(i, b):
-        v = scaled_priority(i, b)
-        return (0, 0, pops[i], -i) if v is None else (-1, v, pops[i], -i)
+        key = best_first(i, b)
+        return (-key[0], -key[1], -key[2], -key[3])
 
     seats = list(start)
     if total > target:
@@ -327,7 +383,7 @@ def divisor_with_bounds(prob: Problem, rule: DivisorRule,
         raise InfeasibleError(
             "seats remain but every state already meets or exceeds its quota")
     seats, _, _ = _jump_and_step(
-        prob, rule, bounds, competitors,
+        _Census(prob.populations, rule), rule, bounds, competitors,
         residual + sum(bounds[i] for i in competitors))
     return Allocation(seats=tuple(seats), method=f"{rule.name}+bounds")
 
@@ -414,8 +470,9 @@ def _seat_change(kind: str, method: str, prob: Problem, house_before: int,
 
 # The most house sizes one Alabama scan walks; more are refused with
 # CapacityError before any house is apportioned.  At 50 states a Hamilton
-# scan costs about 11 us per house and a Webster scan 0.16 ms, so a scan at
-# the ceiling runs for seconds to minutes, not hours.
+# scan costs about 10 us per house and a Webster scan 60-90 us (Python
+# 3.11, one core of a shared 2-core machine), so a scan at the ceiling runs
+# for seconds to minutes, not hours.
 ALABAMA_HOUSE_CEILING = 10 ** 6
 
 
@@ -442,7 +499,11 @@ def detect_alabama(prob: Problem, method,
     largest house.  One house to the next then costs a few whole-integer
     operations and one sort of the remainders, whatever the width; a gap
     in the houses re-seeds the lanes from Hamilton's one-house floor and
-    remainder pass.  Any other method is called once per house.
+    remainder pass.  A divisor method named by one of ``RULES`` runs each
+    house straight through the integer jump-and-step core, on census-wide
+    values computed once per scan (see ``_Census``), with no ``Problem``,
+    ``Allocation`` or audit built per house.  Any other method, a callable
+    too whatever its name, is called once per house on a fresh ``Problem``.
     """
     name, fn = resolve_method(method)
     if isinstance(r_values, range):
@@ -462,21 +523,26 @@ def detect_alabama(prob: Problem, method,
             f"an Alabama scan walks at most {ALABAMA_HOUSE_CEILING} house "
             f"sizes; {rs[0]}..{rs[-1]} holds more")
     check_integers(rs, "seats", 0)
+    labels, pops = prob.labels, prob.populations
     if fn is hamilton_apportion:
-        losers = _hamilton_losers(prob.populations, rs)
+        losers = _hamilton_losers(pops, rs)
+    elif not callable(method) and name in RULES:
+        rule = RULES[name]
+        census = _Census(pops, rule)
+        losers = _losers(lambda r: _house(census, rule, r)[0], rs)
     else:
-        losers = _losers(fn, prob, rs)
+        losers = _losers(lambda r: fn(Problem(labels, pops, r)).seats, rs)
     return [_seat_change("alabama", name, prob, r, r + 1, i, before, after)
             for r, i, before, after in losers]
 
 
-def _losers(fn, prob: Problem, rs: Sequence[int]):
+def _losers(seats_at: Callable[[int], Sequence[int]], rs: Sequence[int]):
     """(r, state, seats at r, seats at r + 1) for every state that loses a
-    seat from house r to r + 1 under ``fn``, one call per house."""
-    labels, pops = prob.labels, prob.populations
+    seat from house r to r + 1, with ``seats_at(r)`` the seats of house r,
+    read once per house."""
     last_r = last = None
     for r in rs:
-        seats = fn(Problem(labels, pops, r)).seats
+        seats = seats_at(r)
         if last_r == r - 1:
             for i, (before, after) in enumerate(zip(last, seats)):
                 if after < before:

@@ -184,7 +184,10 @@ def _allocation_law(quota: QuotaVector, *, average_orders: bool = True,
     orderings, so ``limit`` and the ceiling guard it, checked before any
     kernel is called.  The fixed-order law is one sweep of the states with
     a positive fraction, in input order: at most s + 1 cells, for any s.
+    A ``limit`` that is not an integer of at least 1 is refused, whichever
+    law is asked for.
     """
+    check_integers((limit,), "limit", 1)
     nums, den = quota.nums, quota.den
     s = len(nums)
     if average_orders:

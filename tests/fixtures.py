@@ -141,6 +141,12 @@ CLI_GOLDEN = {
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'paradox-alabama-webster': (0, '46fe7ad696443a926be56fe04b7515e04da1778f095466411781fed9b4b92393',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'paradox-alabama-adams': (0, '8706a24fa17c84f8d0a6096121470829ddad926fdb858470537c75afd37a3908',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'paradox-alabama-dean': (0, 'aed74648288b486bc09385cb782279ac9c94bb1fc7c917c1b1591bc13958855c',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'paradox-alabama-jefferson': (0, '3f7da68c603ace3f7c1bc065c2f48df52189b581647e5beecc0dc2ae2e3645cc',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'paradox-alabama-hamilton-wide': (0, 'dec009f0746181d0bfe6bc6e33eb4d061f1b64dfbe114d6c90bbe7a7c9b05d6f',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'paradox-alabama-hill': (0, 'f62e4b386853d0a2c3011685c674b9c2a96c1e9ebec10f9f9bd722e1f9060c2a',

@@ -676,6 +676,18 @@ def test_distribution_capacity_exit(tmp_path, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_distribution_refuses_a_limit_below_one(limit, tmp_path, capsys):
+    path = tmp_path / "c.csv"
+    path.write_text("A,1\nB,2\nC,3\n")
+    capsys.readouterr()
+    code, out = run_cli(["distribution", "--data", str(path), "--seats", "2",
+                         "--limit", limit])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err \
+        == f"error: limit must be a positive integer, got {limit}\n"
+
+
 # --- simulate --------------------------------------------------------------------
 
 def test_simulate_cli(census):
@@ -1002,7 +1014,8 @@ GOLDEN_RUNS = {
                                      "--method", method, "--seed", "5",
                                      "--trials", "200", "--max-seats", "40",
                                      "--format", "json-lines"]
-       for method in ("hamilton", "webster", "hill")},
+       for method in ("hamilton", "adams", "dean", "hill", "webster",
+                      "jefferson")},
     # Populations up to 2**64: twice the total passes 2**64, so the scan
     # walks 128-bit lanes.
     "paradox-alabama-hamilton-wide": ["paradox-scan", "--kind", "alabama",

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from seatlot import (InputError, Problem, compute_quota,
                      feasible_with_lower_bound, problem, quota_vector,
                      satisfies_quota)
-from seatlot.core import (Allocation, QuotaVector, broadcast_lower_bound,
-                          validate_lower_bound)
+from seatlot.core import (Allocation, QuotaVector, as_fraction,
+                          broadcast_lower_bound, validate_lower_bound)
 
 from oracles import quota_bound_feasible
 
@@ -184,6 +184,15 @@ def test_quota_vector_from_raw_values():
     assert q.floors == (43, 0)
     with pytest.raises(InputError):
         quota_vector([-1])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "3/0", None],
+                         ids=repr)
+def test_values_that_are_no_rational_are_refused(value):
+    with pytest.raises(InputError, match="not an exact rational vector"):
+        quota_vector([1, value])
+    with pytest.raises(InputError, match="x must be a finite rational"):
+        as_fraction(value, "x")
 
 
 def test_broadcast_lower_bound():

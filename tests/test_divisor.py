@@ -4,6 +4,7 @@ import math
 import time
 import tracemalloc
 from fractions import Fraction as F
+from unittest import mock
 
 import mpmath
 import pytest
@@ -124,6 +125,31 @@ def test_lambda_allocation_rejects_bad_price():
         lambda_allocation(problem((5, 5), 10), RULES["webster"], 0)
 
 
+# Values Fraction() refuses with ValueError, OverflowError and
+# ZeroDivisionError in turn.
+NOT_RATIONAL = [float("nan"), float("inf"), float("-inf"), "3/0"]
+
+
+@pytest.mark.parametrize("price", NOT_RATIONAL, ids=repr)
+def test_lambda_allocation_refuses_a_price_that_is_no_rational(price):
+    with pytest.raises(InputError, match="price per seat must be a finite"):
+        lambda_allocation(problem((5, 5), 10), RULES["webster"], price)
+
+
+@pytest.mark.parametrize("x", NOT_RATIONAL, ids=repr)
+@pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.name)
+def test_rounds_up_refuses_an_entitlement_that_is_no_rational(rule, x):
+    with pytest.raises(InputError, match="entitlement must be a finite"):
+        rule.rounds_up(x, 2)
+
+
+def test_lambda_allocation_reads_any_rational_price():
+    prob = problem((7, 3), 10)
+    want = lambda_allocation(prob, RULES["webster"], F(7, 2))
+    for price in (3.5, "7/2", "3.5", F(14, 4)):
+        assert lambda_allocation(prob, RULES["webster"], price) == want
+
+
 @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.name)
 def test_lambda_allocation_monotone_in_price(rule):
     src = SeededSource(23)
@@ -146,8 +172,10 @@ def test_rule_copy_under_another_name_behaves_the_same():
     s = len(pops)
     for house in (s, 435, 10 ** 6):
         prob = problem(pops, house)
-        assert divisor._jump_price(prob, copy, (0,) * s, range(s), house) \
-            == divisor._jump_price(prob, adams, (0,) * s, range(s), house)
+        assert divisor._jump_price(divisor._Census(pops, copy), copy,
+                                   (0,) * s, range(s), house) \
+            == divisor._jump_price(divisor._Census(pops, adams), adams,
+                                   (0,) * s, range(s), house)
         want, got = divisor_apportion(prob, adams), divisor_apportion(prob, copy)
         assert (got.seats, got.audit) == (want.seats, want.audit)
         assert divisor_with_bounds(prob, copy, 1).seats \
@@ -254,17 +282,18 @@ def test_tie_heavy_bounded_matches_oracle(pops, seats, rule, data):
 @pytest.fixture
 def jump_misses(monkeypatch):
     """Records, for every jump-and-step call, whether bounds were set and
-    how many seats the jump allocated beyond its target (negative: short)."""
+    how many seats the jump allocated beyond its target (negative: short).
+    The jump's integer price (num, den) is read as the rational num/den."""
     misses = []
     jump_and_step = divisor._jump_and_step
 
-    def spy(prob, rule, floors, states, target):
-        price = divisor._jump_price(prob, rule, floors, states, target)
-        jump = lambda_allocation(prob, rule, price)
+    def spy(census, rule, floors, states, target):
+        price = F(*divisor._jump_price(census, rule, floors, states, target))
+        jump = lambda_allocation(problem(census.pops, target), rule, price)
         miss = sum(max(floors[i], jump[i]) for i in states) - target
         assert abs(miss) < len(states)
         misses.append((any(floors), miss))
-        return jump_and_step(prob, rule, floors, states, target)
+        return jump_and_step(census, rule, floors, states, target)
 
     monkeypatch.setattr(divisor, "_jump_and_step", spy)
     return misses
@@ -472,14 +501,8 @@ def test_numerators_that_shrink_with_seats_keep_keys_exact():
             == (cut, best)
 
 
-@pytest.mark.parametrize("call", [*RULES, "hill+bound1"])
-def test_fractions_built_per_call_do_not_grow_with_states(call, monkeypatch):
-    if call == "hill+bound1":
-        def apportion(prob):
-            return divisor_with_bounds(prob, RULES["hill"], 1)
-    else:
-        def apportion(prob):
-            return divisor_apportion(prob, RULES[call])
+def _fractions_built(call, monkeypatch) -> int:
+    """How many Fractions ``call()`` builds."""
     built = 0
     new = F.__new__
 
@@ -488,19 +511,38 @@ def test_fractions_built_per_call_do_not_grow_with_states(call, monkeypatch):
         built += 1
         return new(cls, *args, **kwargs)
 
+    with monkeypatch.context() as patch:
+        patch.setattr(F, "__new__", counting_new)
+        call()
+    return built
+
+
+@pytest.mark.parametrize("call", [*RULES, "hill+bound1"])
+def test_fractions_built_per_call_do_not_grow_with_states(call, monkeypatch):
+    # The price, the rounding and the step run on integers; only the
+    # audit's two priorities are Fractions, and a bounded call has no audit.
+    if call == "hill+bound1":
+        def apportion(prob):
+            return divisor_with_bounds(prob, RULES["hill"], 1)
+        want = 0
+    else:
+        def apportion(prob):
+            return divisor_apportion(prob, RULES[call])
+        want = 2
     census = [pop for _label, pop in CENSUS_50]
-    counts = {}
-    monkeypatch.setattr(F, "__new__", counting_new)
-    for states in (10, 50):
-        for house in (435, 10 ** 9):
-            prob = problem(census[:states], house)
-            built = 0
-            apportion(prob)
-            counts[states, house] = built
-    monkeypatch.undo()
-    assert max(counts.values()) <= 10, counts
-    for house in (435, 10 ** 9):
-        assert counts[10, house] == counts[50, house], counts
+    counts = {(states, house): _fractions_built(
+                  lambda: apportion(problem(census[:states], house)),
+                  monkeypatch)
+              for states in (10, 50) for house in (435, 10 ** 9)}
+    assert set(counts.values()) == {want}, counts
+
+
+@pytest.mark.parametrize("name", ["webster", "hill"])
+def test_alabama_scan_builds_no_fraction_per_house(name, monkeypatch):
+    census = [pop for _label, pop in CENSUS_50]
+    prob = problem(census, 1)
+    assert _fractions_built(
+        lambda: detect_alabama(prob, name, range(50, 300)), monkeypatch) == 0
 
 
 def test_bounded_divisor_grants_minimums():
@@ -749,6 +791,59 @@ def test_alabama_runs_a_user_callable_named_hamilton():
              rep.witness["seats_before"], rep.witness["seats_after"])
             for rep in reports] == [("hamilton", 2, 0, 2, 0),
                                     ("hamilton", 3, 1, 3, 0)]
+
+
+def test_alabama_runs_a_user_callable_named_webster():
+    # A callable named like a rule is not the rule: the scan calls it once
+    # per house, in order, on a Problem of that house.
+    calls = []
+
+    def webster(prob):
+        calls.append(prob.seats)
+        return divisor_apportion(prob, RULES["jefferson"])
+
+    pops = (7, 3, 1)
+    assert detect_alabama(problem(pops, 1), webster, range(1, 9)) == []
+    assert calls == list(range(1, 9))
+
+
+@given(st.lists(st.sampled_from(TIE_POPULATIONS), min_size=1, max_size=8),
+       st.integers(0, 30), st.integers(1, 30), st.sampled_from(ALL_RULES))
+@example([4, 4, 4], 0, 12, RULES["webster"])
+@example([2, 1, 2, 1], 2, 20, RULES["jefferson"])
+@settings(max_examples=400, deadline=None)
+def test_rule_scan_matches_priority_list_house_by_house(pops, lo, n, rule):
+    # Equal and proportional populations tie priorities at most houses.  The
+    # scan must walk every house to the oracle's seats: the seats it
+    # compares are recorded, and its reports match the oracle's.
+    prob = problem(pops, 1)
+    s = len(pops)
+    houses = range(lo, lo + n)
+    if rule.first_seat_guaranteed and lo < s:
+        with pytest.raises(InfeasibleError, match="grants every state a seat"):
+            detect_alabama(prob, rule.name, houses)
+        houses = range(s, lo + n)
+        if not houses:
+            return
+    walked = {}
+    losers = divisor._losers
+
+    def recording_losers(seats_at, rs):
+        def record(r):
+            walked[r] = tuple(seats_at(r))
+            return walked[r]
+        return losers(record, rs)
+
+    with mock.patch.object(divisor, "_losers", recording_losers):
+        reports = detect_alabama(prob, rule.name, houses)
+    want = {r: priority_list_apportion(problem(pops, r), rule.name)
+            for r in houses}
+    assert walked == want
+    assert [(rep.witness["house_before"], rep.witness["state"],
+             rep.witness["seats_before"], rep.witness["seats_after"])
+            for rep in reports] == [
+        (r, i, want[r][i], want[r + 1][i]) for r in houses[:-1]
+        for i in range(s) if want[r + 1][i] < want[r][i]]
 
 
 @pytest.mark.parametrize("houses", [range(-1, 3), [2, -1], [1, 2.5],

@@ -194,6 +194,21 @@ def test_exact_distribution_capacity(monkeypatch):
             residual_distribution([F(1, 2)] * 2 + [F(0)] * (s - 2), limit=s)
 
 
+@pytest.mark.parametrize("limit", [0, -3, True, 2.5], ids=repr)
+def test_enumeration_limit_must_be_a_positive_integer(limit):
+    prob = problem((1, 2, 3), 2)
+    calls = (lambda: exact_distribution(prob, limit=limit),
+             lambda: lower_bound_distribution(prob, (0, 1, 0), limit=limit),
+             lambda: residual_distribution([F(1, 2)] * 2, limit=limit),
+             lambda: residual_distribution([F(1, 2)] * 2, limit=limit,
+                                           average_orders=False))
+    for call in calls:
+        with pytest.raises(InputError,
+                           match=f"limit must be a positive integer, "
+                                 f"got {limit!r}"):
+            call()
+
+
 def test_distribution_validates():
     with pytest.raises(InputError):
         AllocationDistribution({(1,): F(1, 2)})
