@@ -17,7 +17,10 @@ Conventions shared by both backends:
   exactly when the half-open interval [u + c(k-1), u + c(k)) of cumulative
   entitlements contains an integer, i.e. when ceil((u_num + c(k)) / den)
   exceeds ceil((u_num + c(k-1)) / den).
-* Indicator vectors are packed as bit masks (bit i = state i wins a seat).
+* A single draw returns its winners as a 0/1 ``bytearray`` of flags (entry i
+  = 1 when state i wins a residual seat), so a caller adds them to the
+  floors in one pass.  The exact law and the batch tallies key on bit masks
+  (bit i = state i wins); ``flags_mask`` packs flags into one.
 * All randomness is SplitMix64 per :mod:`seatlot.rng`; replicate ``k`` of a
   batch uses the stream seeded by ``child_seed(master_seed, k)``.
 """
@@ -149,33 +152,44 @@ def averaged_mask_lengths(frac_nums, den, fix_last):
     return acc
 
 
-def systematic_mask(frac_nums, den, u_num, order):
-    """Winner mask of systematic rounding at position ``u_num``, the
-    states taken in ``order``.
+def systematic_flags(frac_nums, den, u_num, order):
+    """Winner flags of systematic rounding at position ``u_num``, the
+    states taken in ``order``: a ``bytearray`` of ``len(frac_nums)``
+    entries, 1 for each state that wins a residual seat.
 
     The loop keeps r = u + c(k) - den * ceil((u + c(k)) / den), which lies
     in (-den, 0]; adding the next fraction lifts it above 0 exactly when
     the ceiling grows, so each state costs one add and one compare.
     """
     r = u_num - den if u_num else 0
-    mask = 0
+    flags = bytearray(len(frac_nums))
     for i in order:
         r += frac_nums[i]
         if r > 0:
             r -= den
-            mask |= 1 << i
-    return mask
+            flags[i] = 1
+    return flags
+
+
+# Maps flag bytes 0 and 1 to the digits "0" and "1".
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def flags_mask(flags):
+    """The bit mask of 0/1 ``flags`` (bit i = flags[i]), read in one pass
+    as a base-2 numeral, most significant state first."""
+    return int(flags[::-1].translate(_DIGITS) or b"0", 2)
 
 
 def scheme_replicate(src, frac_nums, den):
     """One scheme replicate: shuffle, draw, round.
 
-    Returns ``(order, u53, mask)``: the ordering, the offset draw and the
-    winner mask (bit i = state i wins a residual seat).
+    Returns ``(order, u53, flags)``: the ordering, the offset draw and the
+    winner flags (flags[i] = 1 when state i wins a residual seat).
     """
     order = src.shuffled_range(len(frac_nums))
     u53 = src.bits53()
-    return order, u53, systematic_mask(
+    return order, u53, systematic_flags(
         frac_nums, den, position_from_bits53(u53, den), order)
 
 
@@ -201,14 +215,15 @@ def simulate_batch(scheme_floors, frac_nums, den, quota_floors, quota_ceils,
     and mask_counts (input-index winner masks, only for s <= 16, else None)
     recover the empirical allocation distribution.
 
-    Every tally follows from the winner mask W of each replicate and the
-    per-state win counts w.  A state with floor f gets f + W_i seats, so
-    its seat sum is n*f + w and its sum of squares n*f**2 + (2f + 1)*w.  A
-    replicate violates quota (or a bound) when W meets the states that
-    fail with a residual seat or misses one that fails without it; its
-    seats total sum(floors) + popcount(W).  The win counts are kept as bit
-    planes: bit i of ``planes[p]`` is bit p of state i's count, and adding
-    W is a ripple-carry add across the planes.
+    Every tally follows from the winner mask W of each replicate (its
+    flags packed by ``flags_mask``) and the per-state win counts w.  A
+    state with floor f gets f + W_i seats, so its seat sum is n*f + w and
+    its sum of squares n*f**2 + (2f + 1)*w.  A replicate violates quota
+    (or a bound) when W meets the states that fail with a residual seat or
+    misses one that fails without it; its seats total sum(floors) +
+    popcount(W).  The win counts are kept as bit planes: bit i of
+    ``planes[p]`` is bit p of state i's count, and adding W is a
+    ripple-carry add across the planes.
     """
     s = len(frac_nums)
     quota_won, quota_lost = _failure_masks(
@@ -222,8 +237,9 @@ def simulate_batch(scheme_floors, frac_nums, den, quota_floors, quota_ceils,
     mask_counts = [0] * (1 << s) if s <= 16 else None
     planes = []
     for k in range(n):
-        _order, _u53, winners = scheme_replicate(
+        _order, _u53, flags = scheme_replicate(
             SeededSource(child_seed(master_seed, k)), frac_nums, den)
+        winners = flags_mask(flags)
         if winners & quota_won or (winners & quota_lost) != quota_lost:
             quota_violations += 1
         if winners & bound_won or (winners & bound_lost) != bound_lost:

@@ -29,7 +29,9 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import add, floordiv, mod, mul
 from pathlib import Path
 
 from .errors import (ApportionmentError, CapacityError, InfeasibleError,
@@ -62,19 +64,40 @@ def _digit_cap() -> int:
     return min(MAX_DIGITS, limit or MAX_DIGITS)
 
 
-def _rational_texts(num: int, den: int, places: int = 6) -> tuple[str, str]:
-    """``num / den`` (den > 0) as 'p/q' in lowest terms and as a decimal of
-    ``places`` digits rounded half away from zero, in integers only."""
-    g = math.gcd(num, den)
+def _quota_texts(floors, nums, den: int, places: int = 6
+                 ) -> tuple[list[str], list[str]]:
+    """The rationals ``f + n / den`` (den > 0, 0 <= n < den) for f, n in
+    zip(floors, nums), as two columns of texts: 'p/q' in lowest terms and a
+    decimal of ``places`` digits rounded half up, in integers only.
+
+    A state's reduced fraction is (f * d + n / g) / d, with g = gcd(n, den)
+    and d = den / g.  Its decimal digits are n / den scaled and rounded,
+    floor(n * 10**places / den + 1/2), which carries into the whole part
+    when it reaches 10**places.
+    """
     scale = 10 ** places
-    # floor(|num / den| * scale + 1/2)
-    whole, frac = divmod((2 * abs(num) * scale + den) // (2 * den), scale)
+    gcds = list(map(math.gcd, nums, repeat(den)))
+    dens = list(map(floordiv, repeat(den), gcds))
+    numerators = map(add, map(mul, floors, dens), map(floordiv, nums, gcds))
+    twice = 2 * den
+    rounded = [(2 * scale * n + den) // twice for n in nums]
+    wholes = map(add, floors, map(floordiv, rounded, repeat(scale)))
     try:
-        return (f"{num // g}/{den // g}",
-                f"{'-' if num < 0 else ''}{whole}.{frac:0{places}d}")
+        return (list(map("{}/{}".format, numerators, dens)),
+                list(map(f"{{}}.{{:0{places}d}}".format, wholes,
+                         map(mod, rounded, repeat(scale)))))
     except ValueError as exc:  # past the interpreter's int-to-string limit
         raise CapacityError(f"cannot print a number of more than "
                             f"{sys.get_int_max_str_digits()} digits") from exc
+
+
+def _rational_texts(num: int, den: int, places: int = 6) -> tuple[str, str]:
+    """``num / den`` (den > 0) as 'p/q' in lowest terms and as a decimal of
+    ``places`` digits rounded half away from zero, in integers only."""
+    whole, n = divmod(abs(num), den)
+    (fraction,), (decimal,) = _quota_texts((whole,), (n,), den, places)
+    sign = "-" if num < 0 else ""
+    return sign + fraction, sign + decimal
 
 
 def fraction_str(f: Fraction) -> str:
@@ -224,6 +247,15 @@ def _json_text(value) -> str:
 _JSON_ENCODERS = {str: encode_basestring_ascii, int: int.__repr__}
 
 
+def _json_cells(column) -> list[str]:
+    """The JSON texts of one column's cells: one encoder for the column
+    when all its cells share a type, else one per cell."""
+    types = set(map(type, column))
+    if len(types) == 1:
+        return list(map(_JSON_ENCODERS.get(types.pop(), _json_text), column))
+    return [_JSON_ENCODERS.get(type(v), _json_text)(v) for v in column]
+
+
 class Emitter:
     """Writes rows in table/csv/json-lines form, deterministically."""
 
@@ -233,33 +265,47 @@ class Emitter:
 
     def rows(self, columns, rows, kind="row"):
         """Write a block of ``rows`` (any iterable, read once) under
-        ``columns`` with one write."""
-        if self.fmt == "json-lines":
-            # Each line is json.dumps({"type": kind, **row}, sort_keys=True,
-            # separators=(",", ":")), with the keys sorted once per block.
-            where = {"type": None}
-            where.update((c, i) for i, c in enumerate(columns))
-            keys = sorted(where)
-            fields = [(("," if n else "{") + encode_basestring_ascii(key)
-                       + ":", where[key]) for n, key in enumerate(keys)]
-            lines = []
-            for row in rows:
-                for head, i in fields:
-                    v = kind if i is None else row[i]
-                    lines += head, _JSON_ENCODERS.get(type(v), _json_text)(v)
-                lines.append("}\n")
-            self.out.write("".join(lines))
-        elif self.fmt == "csv":
+        ``columns``.  csv.writer lays out csv rows and decides their
+        quoting; the table and json-lines layouts turn the rows into
+        columns and are built a column at a time, with one write."""
+        if self.fmt == "csv":
             writer = csv.writer(self.out, lineterminator="\n")
             writer.writerow(columns)
             writer.writerows(rows)
+            return
+        cells = list(zip(*rows)) or [()] * len(columns)
+        if self.fmt == "json-lines":
+            self.out.write(self._json_lines(columns, cells, kind))
         else:
-            cells = [[str(v) for v in row] for row in (columns, *rows)]
-            widths = [max(map(len, column)) for column in zip(*cells)]
-            lines = ["  ".join(v.ljust(w) for v, w in zip(row, widths))
-                     for row in cells]
-            lines.insert(1, "-" * len(lines[0]))
-            self.out.write("\n".join(lines) + "\n")
+            self.out.write(self._table(columns, cells))
+
+    @staticmethod
+    def _json_lines(columns, cells, kind):
+        # Each line is json.dumps({"type": kind, **row}, sort_keys=True,
+        # separators=(",", ":")): the keys are sorted once per block, and
+        # each key's text is interleaved with its column's cell texts.
+        where = {"type": None}
+        where.update((c, i) for i, c in enumerate(columns))
+        count = len(cells[0]) if cells else 0
+        parts = []
+        for n, key in enumerate(sorted(where)):
+            parts.append(repeat(("," if n else "{")
+                                + encode_basestring_ascii(key) + ":", count))
+            i = where[key]
+            parts.append(repeat(_json_cells((kind,))[0], count) if i is None
+                         else _json_cells(cells[i]))
+        parts.append(repeat("}\n", count))
+        return "".join(chain.from_iterable(zip(*parts)))
+
+    @staticmethod
+    def _table(columns, cells):
+        padded = []
+        for column, values in zip(columns, cells):
+            texts = [str(column), *map(str, values)]
+            padded.append(map(str.ljust, texts, repeat(max(map(len, texts)))))
+        lines = list(map("  ".join, zip(*padded)))
+        lines.insert(1, "-" * len(lines[0]))
+        return "\n".join(lines) + "\n"
 
     def note(self, text: str):
         if self.fmt == "table":
@@ -287,25 +333,37 @@ def _problem_from_args(data_path, seats):
 
 
 def _apportion_once(prob, method, bounds, src):
+    """(allocation, problem quota) of one apportion run, which computes the
+    quota once: the draw and the printed table share it."""
+    if method == "stochastic" and any(bounds):
+        from .lowerbound import _bounded_draw, _prepare
+        quota, scheme, trace = _prepare(prob, bounds)
+        return _bounded_draw(scheme, trace, src), quota
+    from .core import compute_quota
+    quota = compute_quota(prob)
     if method == "stochastic":
-        if any(bounds):
-            from .lowerbound import lower_bound_apportion
-            return lower_bound_apportion(prob, bounds, src)
-        from .stochastic import stochastic_apportion
-        return stochastic_apportion(prob, src)
+        from .stochastic import _stochastic_draw
+        return _stochastic_draw(quota, src), quota
     from .divisor import RULES, divisor_with_bounds, resolve_method
 
     if not any(bounds):
-        return resolve_method(method)[1](prob)
+        return resolve_method(method)[1](prob), quota
     if method == "hamilton":
         raise InputError(
             "lower bounds are supported for the stochastic scheme and "
             "the divisor methods, not for hamilton")
-    return divisor_with_bounds(prob, RULES[method], bounds)
+    return divisor_with_bounds(prob, RULES[method], bounds), quota
+
+
+def _seat_rows(prob, quota, seats):
+    """The rows of one apportion block.  A generator: the quota texts are
+    built when the emitter reads the rows, so their cost is the
+    rendering's."""
+    texts = _quota_texts(quota.floors, quota.nums, quota.den)
+    yield from zip(prob.labels, prob.populations, *texts, seats)
 
 
 def cmd_apportion(args, out) -> int:
-    from .core import compute_quota
     from .rng import SeededSource
 
     emitter = Emitter(args.format, out)
@@ -325,16 +383,9 @@ def cmd_apportion(args, out) -> int:
             src = SeededSource(master.seed) if reuse else master.child(index)
         else:
             src = None
-        alloc = _apportion_once(prob, args.method, bounds, src)
-        quota = compute_quota(prob)
+        alloc, quota = _apportion_once(prob, args.method, bounds, src)
         columns = ["label", "population", "quota", "quota_decimal", "seats"]
-        # The quota texts come from the integers as the emitter reads the
-        # rows, so their cost is the rendering's.
-        den = quota.den
-        rows = ((label, pop, *_rational_texts(f * den + n, den), seats)
-                for label, pop, f, n, seats in zip(
-                    prob.labels, prob.populations, quota.floors, quota.nums,
-                    alloc.seats))
+        rows = _seat_rows(prob, quota, alloc.seats)
         if len(problems) > 1:
             emitter.note(f"# {path}")
         emitter.rows(columns, rows, kind="seat")

@@ -365,6 +365,12 @@ def lower_bound_apportion(prob: Problem, bounds: Sequence[int],
     with probability one; expected seats equal the composite quota vector.
     """
     _quota, scheme, trace = _prepare(prob, _required(bounds))
+    return _bounded_draw(scheme, trace, src)
+
+
+def _bounded_draw(scheme: QuotaVector, trace: IterationTrace,
+                  src: SeededSource) -> Allocation:
+    """``lower_bound_apportion`` on a prepared scheme quota and its trace."""
     seats, order, u53 = _scheme_draw(scheme, src)
     audit = {
         "permutation": order,
@@ -372,7 +378,7 @@ def lower_bound_apportion(prob: Problem, bounds: Sequence[int],
         "u_denominator": U53_DENOMINATOR,
         "trace": trace_audit(trace),
     }
-    return Allocation(seats=tuple(seats), method="stochastic-lower-bound",
+    return Allocation(seats=seats, method="stochastic-lower-bound",
                       seed=src.seed, audit=audit)
 
 

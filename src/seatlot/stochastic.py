@@ -38,6 +38,7 @@ import itertools
 import math
 from collections import defaultdict
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from . import _backend, _kernels_py
@@ -88,11 +89,11 @@ def systematic_round(fracs: Sequence, u) -> list[int]:
     if not 0 <= u < 1:
         raise InputError(f"offset must lie in [0, 1), got {u}")
     _fractional_quota(fracs)
+    # The grid carries the offset as one more entry, which is not rounded.
     grid = quota_vector([*fracs, u])
-    s = len(fracs)
-    mask = _kernels_py.systematic_mask(grid.nums, grid.den, grid.nums[-1],
-                                       range(s))
-    return [(mask >> i) & 1 for i in range(s)]
+    *nums, u_num = grid.nums
+    return list(_kernels_py.systematic_flags(nums, grid.den, u_num,
+                                             range(len(nums))))
 
 
 def stochastic_apportion(prob: Problem, src: SeededSource) -> Allocation:
@@ -102,9 +103,14 @@ def stochastic_apportion(prob: Problem, src: SeededSource) -> Allocation:
     the state ordering used and the uniform offset (as a dyadic rational),
     which replay the draw exactly.
     """
-    seats, order, u53 = _scheme_draw(compute_quota(prob), src)
+    return _stochastic_draw(compute_quota(prob), src)
+
+
+def _stochastic_draw(quota: QuotaVector, src: SeededSource) -> Allocation:
+    """``stochastic_apportion`` on the problem's quota vector ``quota``."""
+    seats, order, u53 = _scheme_draw(quota, src)
     return Allocation(
-        seats=tuple(seats),
+        seats=seats,
         method="stochastic",
         seed=src.seed,
         audit={
@@ -120,14 +126,21 @@ def _scheme_draw(quota: QuotaVector, src: SeededSource
     """Shuffle, draw, round; returns (seats, ordering, offset numerator)."""
     if quota.size < 1:
         raise InputError("permutation length must be at least 1")
-    order, u53, mask = _kernels_py.scheme_replicate(src, quota.nums,
-                                                    quota.den)
-    return _seats_from_mask(quota.floors, mask), tuple(order), u53
+    order, u53, flags = _kernels_py.scheme_replicate(src, quota.nums,
+                                                     quota.den)
+    return tuple(map(add, quota.floors, flags)), tuple(order), u53
+
+
+# The 0/1 bytes of the bits of each byte value, least significant first.
+_BYTE_BITS = [bytes(b >> k & 1 for k in range(8)) for b in range(256)]
 
 
 def _seats_from_mask(floors: Sequence[int], mask: int) -> tuple[int, ...]:
-    """``floors`` plus one seat for every state whose bit is set in mask."""
-    return tuple(f + ((mask >> i) & 1) for i, f in enumerate(floors))
+    """``floors`` plus one seat for every state whose bit is set in mask,
+    the mask read a byte at a time."""
+    flags = b"".join(map(_BYTE_BITS.__getitem__,
+                         mask.to_bytes((len(floors) + 7) // 8, "little")))
+    return tuple(map(add, floors, flags))
 
 
 class AllocationDistribution:

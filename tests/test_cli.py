@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction as F
 
@@ -217,6 +218,27 @@ def test_table_rows_equal_the_two_pass_layout(columns, data):
     out = io.StringIO()
     Emitter("table", out).rows(columns, iter(rows))
     assert out.getvalue() == _table_reference(columns, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=st.lists(st.one_of(TEXTS, st.just("")), min_size=1,
+                        max_size=5),
+       data=st.data())
+def test_csv_rows_equal_csv_writer(columns, data):
+    # The table and json-lines layouts are built a column at a time; csv
+    # writes the rows as csv.writer does, quoting and zero rows included.
+    cells = st.one_of(TEXTS, st.sampled_from(["", ",", "a,b", "\r", "\n"]),
+                      st.integers(-2 ** 80, 2 ** 80), st.booleans(),
+                      st.none(), st.floats())
+    rows = data.draw(st.lists(st.lists(cells, min_size=len(columns),
+                                       max_size=len(columns)), max_size=4))
+    out = io.StringIO()
+    Emitter("csv", out).rows(columns, iter(rows))
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    assert out.getvalue() == expected.getvalue()
 
 
 def test_parse_quota_file_modes(tmp_path):
@@ -543,6 +565,32 @@ def test_apportion_renders_without_fractions(fmt, golden_inputs):
     assert count_fractions(lambda: codes.append(
         run_cli(argv + ["--lower-bound", "1"])[0])) == len(rounds) == 3
     assert codes == [0, 0]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--method", "stochastic"],
+    ["--method", "stochastic", "--lower-bound", "1"],
+    ["--method", "webster"]])
+def test_apportion_computes_the_quota_once(extra, golden_inputs,
+                                           monkeypatch):
+    # The draw's quota is the one the table prints: a run computes it once.
+    import seatlot
+    calls = []
+    original = seatlot.core.compute_quota
+
+    def counting(prob):
+        calls.append(prob)
+        return original(prob)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("seatlot")
+                and getattr(module, "compute_quota", None) is original):
+            monkeypatch.setattr(module, "compute_quota", counting)
+    lowerbound._prepared.cache_clear()
+    code, _ = run_cli(["apportion", "--data", "c50.csv", "--seats", "435",
+                       *extra])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_reading_bounds_builds_no_fraction():

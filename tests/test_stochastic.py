@@ -69,11 +69,53 @@ def test_grid_fast_path_equals_exact_offset(fracs, u53):
     integer = quota_vector(fracs)
     nums, den = integer.nums, integer.den
     pos = _kernels_py.position_from_bits53(u53, den)
-    mask = _kernels_py.systematic_mask(nums, den, pos, range(len(nums)))
-    fast = [(mask >> i) & 1 for i in range(len(nums))]
+    fast = list(_kernels_py.systematic_flags(nums, den, pos,
+                                             range(len(nums))))
     u = F(u53, U53_DENOMINATOR)
     assert tuple(fast) == indicators_at(u, fracs)
     assert fast == systematic_round(fracs, u)
+
+
+def _mask_by_shifts(frac_nums, den, u_num, order):
+    """The winner mask as the rounding loop built it one state at a time,
+    ``mask |= 1 << i``."""
+    r = u_num - den if u_num else 0
+    mask = 0
+    for i in order:
+        r += frac_nums[i]
+        if r > 0:
+            r -= den
+            mask |= 1 << i
+    return mask
+
+
+STATE_COUNTS = st.one_of(st.integers(1, 200),
+                         st.integers(1, 25).map(lambda k: 8 * k))
+
+
+@given(STATE_COUNTS, st.data())
+@settings(max_examples=200, deadline=None)
+def test_flags_mask_equals_the_shifted_mask(s, data):
+    from seatlot import _kernels_py
+    den = data.draw(st.integers(1, 50))
+    nums = data.draw(st.lists(st.integers(0, den - 1), min_size=s,
+                              max_size=s))
+    u_num = data.draw(st.integers(0, den))
+    order = data.draw(st.permutations(range(s)))
+    flags = _kernels_py.systematic_flags(nums, den, u_num, order)
+    assert len(flags) == s
+    assert (_kernels_py.flags_mask(flags)
+            == _mask_by_shifts(nums, den, u_num, order))
+
+
+@given(STATE_COUNTS, st.data())
+@settings(max_examples=200, deadline=None)
+def test_seats_from_mask_adds_each_bit(s, data):
+    floors = data.draw(st.lists(st.integers(0, 2 ** 70), min_size=s,
+                                max_size=s))
+    mask = data.draw(st.integers(0, (1 << s) - 1))
+    assert stochastic._seats_from_mask(floors, mask) == tuple(
+        f + (mask >> i & 1) for i, f in enumerate(floors))
 
 
 # --- permutations ---------------------------------------------------------
