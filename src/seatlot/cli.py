@@ -64,6 +64,14 @@ def _digit_cap() -> int:
     return min(MAX_DIGITS, limit or MAX_DIGITS)
 
 
+def _checked_seed(seed: int) -> int:
+    """``seed`` when it lies in 0..2**64 - 1.  The library reads a seed
+    modulo 2**64, so any other --seed would draw as a different one."""
+    if not 0 <= seed < 1 << 64:
+        raise InputError(f"--seed must be in 0..2**64 - 1, got {seed}")
+    return seed
+
+
 def _quota_texts(floors, nums, den: int, places: int = 6
                  ) -> tuple[list[str], list[str]]:
     """The rationals ``f + n / den`` (den > 0, 0 <= n < den) for f, n in
@@ -335,17 +343,14 @@ def _problem_from_args(data_path, seats):
 def _apportion_once(prob, method, bounds, src):
     """(allocation, problem quota) of one apportion run, which computes the
     quota once: the draw and the printed table share it."""
-    if method == "stochastic" and any(bounds):
-        from .lowerbound import _bounded_draw, _prepare
-        quota, scheme, trace = _prepare(prob, bounds)
-        return _bounded_draw(scheme, trace, src), quota
-    from .core import compute_quota
-    quota = compute_quota(prob)
     if method == "stochastic":
-        from .stochastic import _stochastic_draw
-        return _stochastic_draw(quota, src), quota
+        from .stochastic import _prepare
+        prepared = _prepare(prob, bounds if any(bounds) else None)
+        return prepared.draw(src), prepared.quota
+    from .core import compute_quota
     from .divisor import RULES, divisor_with_bounds, resolve_method
 
+    quota = compute_quota(prob)
     if not any(bounds):
         return resolve_method(method)[1](prob), quota
     if method == "hamilton":
@@ -376,7 +381,7 @@ def cmd_apportion(args, out) -> int:
         sizes.add(prob.size)
     if reuse and len(sizes) > 1:
         raise InputError("--reuse-stream requires equal state counts across files")
-    master = SeededSource(args.seed if args.seed is not None else 0)
+    master = SeededSource(0 if args.seed is None else _checked_seed(args.seed))
     for index, (path, prob) in enumerate(problems):
         bounds = read_lower_bound(args.lower_bound, prob.labels)
         if args.method == "stochastic":
@@ -443,7 +448,7 @@ def cmd_simulate(args, out) -> int:
     bounds = read_lower_bound(args.lower_bound, prob.labels)
     if args.method != "stochastic" and any(bounds):
         raise InputError("simulate supports lower bounds with --method stochastic")
-    report = simulate(args.method, prob, args.seed, args.n,
+    report = simulate(args.method, prob, _checked_seed(args.seed), args.n,
                       lower_bounds=bounds if any(bounds) else None)
     quota = compute_quota(prob)
     columns = ["label", "quota_decimal", "mean_seats", "mean_exact",
@@ -487,7 +492,7 @@ def cmd_paradox_scan(args, out) -> int:
         raise InputError(f"--max-states must be at most {MAX_SCAN_STATES}, "
                          f"got {args.max_states}")
     emitter = Emitter(args.format, out)
-    src = SeededSource(args.seed)
+    src = SeededSource(_checked_seed(args.seed))
     # An Alabama scan walks its own houses; the drawn house is not read.
     min_seats, max_seats = ((1, 1) if args.kind == "alabama"
                             else (2, args.max_seats))

@@ -41,7 +41,8 @@ def as_fraction(value, name: str) -> Fraction:
 def as_fractions(values: Sequence) -> tuple[Fraction, ...]:
     """Coerce a sequence of ints/Fractions/strings to exact Fractions."""
     try:
-        return tuple(Fraction(v) for v in values)
+        return tuple(v if type(v) is Fraction else Fraction(v)
+                     for v in values)
     except _NOT_RATIONAL as exc:
         raise InputError(f"not an exact rational vector: {values!r}") from exc
 
@@ -156,7 +157,7 @@ def quota_vector(values: Sequence) -> QuotaVector:
         return values
     quotas = as_fractions(values)
     for q in quotas:
-        if q < 0:
+        if q.numerator < 0:
             raise InputError(f"quota values must be non-negative, got {q}")
     den = math.lcm(*(q.denominator for q in quotas))
     split = [divmod(q.numerator * (den // q.denominator), den) for q in quotas]

@@ -19,7 +19,6 @@ simpler, but the resulting expectations are no longer proportional).
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -27,13 +26,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (Allocation, Problem, QuotaVector, as_fractions,
-                   broadcast_lower_bound, check_integers, compute_quota,
-                   quota_vector, validate_lower_bound)
+                   check_integers, quota_vector, validate_lower_bound)
 from .errors import (CapacityError, ConvergenceError, InfeasibleError,
                      InputError)
-from .rng import SeededSource, U53_DENOMINATOR
+from .rng import SeededSource
 from .stochastic import (ENUMERATION_LIMIT, AllocationDistribution,
-                         _allocation_law, _scheme_draw)
+                         _allocation_law, _prepare, _scheme_draw)
 
 
 @dataclass(frozen=True)
@@ -315,38 +313,6 @@ def trace_audit(trace: IterationTrace) -> dict:
     }
 
 
-def _prepare(prob: Problem, bounds):
-    """(problem quota, scheme quota, trace) for ``prob`` under ``bounds``.
-
-    Without bounds (None) the scheme runs on the problem quotas and there
-    is no trace; otherwise it runs on the composite quota vector of the
-    rescaling iteration, and infeasible bounds raise
-    :class:`InfeasibleError` with the trace.  The bounds are broadcast and
-    validated before the memo is consulted, so a bad bound is refused on
-    every call.
-    """
-    if bounds is not None:
-        bounds = broadcast_lower_bound(bounds, prob.size)
-    return _prepared(prob, bounds)
-
-
-@functools.lru_cache(maxsize=1)
-def _prepared(prob: Problem, bounds: Optional[tuple[int, ...]]):
-    """``_prepare`` on validated bounds, kept for the last problem: repeated
-    draws on one problem pay only for the shuffle and the offset.  Every
-    value returned is immutable; an exception is not kept, so infeasible
-    bounds raise again on the next call."""
-    quota = compute_quota(prob)
-    if bounds is None:
-        return quota, quota, None
-    trace = iterate_lower_bound(quota, bounds, prob.seats)
-    if not trace.feasible:
-        raise InfeasibleError(
-            f"no allocation satisfies quota with the given bounds: {trace.diagnostics}",
-            diagnostics=trace.diagnostics, trace=trace)
-    return quota, trace._composite, trace
-
-
 def _required(bounds):
     # The bounded entry points need bounds; the unbounded scheme is
     # ``stochastic_apportion`` / ``exact_distribution``.
@@ -364,37 +330,19 @@ def lower_bound_apportion(prob: Problem, bounds: Sequence[int],
     the composite quota vector.  The result satisfies quota and the bounds
     with probability one; expected seats equal the composite quota vector.
     """
-    _quota, scheme, trace = _prepare(prob, _required(bounds))
-    return _bounded_draw(scheme, trace, src)
-
-
-def _bounded_draw(scheme: QuotaVector, trace: IterationTrace,
-                  src: SeededSource) -> Allocation:
-    """``lower_bound_apportion`` on a prepared scheme quota and its trace."""
-    seats, order, u53 = _scheme_draw(scheme, src)
-    audit = {
-        "permutation": order,
-        "u_numerator": u53,
-        "u_denominator": U53_DENOMINATOR,
-        "trace": trace_audit(trace),
-    }
-    return Allocation(seats=seats, method="stochastic-lower-bound",
-                      seed=src.seed, audit=audit)
+    return _prepare(prob, _required(bounds)).draw(src)
 
 
 def lower_bound_distribution(prob: Problem, bounds: Sequence[int],
                              *, limit: int = ENUMERATION_LIMIT
                              ) -> AllocationDistribution:
     """Exact law of the bounded scheme (small state counts only)."""
-    _quota, scheme, _trace = _prepare(prob, _required(bounds))
-    return _allocation_law(scheme, limit=limit)
+    return _prepare(prob, _required(bounds)).law(limit)
 
 
-@functools.lru_cache(maxsize=1)
-def _values_quota(values: tuple[Fraction, ...]) -> QuotaVector:
-    """The validated adjusted values ``values`` as scheme input; their
-    fractional parts must total an integer.  Kept for the last vector, as
-    repeated reruns share it."""
+def _values_quota(values) -> QuotaVector:
+    """The adjusted values ``values`` as scheme input, checked: their
+    fractional parts must total an integer."""
     quota = quota_vector(values)
     if quota.residual_seats < 0:
         total = Fraction(sum(quota.nums), quota.den)
@@ -419,7 +367,7 @@ def resample_until_quota(adjusted: AdjustedQuota, src: SeededSource,
     shifts the expectations away from the values, so the accepted law is
     not fair.  Seats are indexed by ``adjusted.indices``.
     """
-    quota = _values_quota(as_fractions(adjusted.values))
+    quota = _values_quota(adjusted.values)
     for attempt in range(1, cap + 1):
         seats, order, u53 = _scheme_draw(quota, src)
         if _within_quota(seats, adjusted):
@@ -436,7 +384,7 @@ def resample_conditional_law(adjusted: AdjustedQuota,
     """Exact law of ``resample_until_quota``: the scheme's law on the
     adjusted values, restricted to quota-satisfying outcomes and
     renormalized."""
-    quota = _values_quota(as_fractions(adjusted.values))
+    quota = _values_quota(adjusted.values)
     law = _allocation_law(quota, limit=limit)
     kept = {seats: p for seats, p in law.items()
             if _within_quota(seats, adjusted)}

@@ -19,9 +19,8 @@ from .core import (Problem, QuotaVector, broadcast_lower_bound,
                    check_integers, compute_quota)
 from .divisor import resolve_method
 from .errors import CapacityError, InputError
-from .lowerbound import _prepare
 from .rng import MAX_BOUND, SeededSource, child_seed
-from .stochastic import (ENUMERATION_LIMIT, _seats_from_mask,
+from .stochastic import (ENUMERATION_LIMIT, _prepare, _seats_from_mask,
                          exact_distribution)
 
 # The most replicates one simulate or empirical_distribution call draws;
@@ -63,12 +62,6 @@ class SimulationReport:
         return math.sqrt(self.variance(i) / self.replicates)
 
 
-def _bounds(prob: Problem, lower_bounds) -> tuple[int, ...]:
-    """Per-state minimums: ``lower_bounds`` broadcast, or zeros for None."""
-    return ((0,) * prob.size if lower_bounds is None
-            else broadcast_lower_bound(lower_bounds, prob.size))
-
-
 def _check_replicates(n) -> None:
     """Refuse a replicate count that is not a positive integer, or is above
     ``REPLICATE_CEILING``."""
@@ -80,12 +73,38 @@ def _check_replicates(n) -> None:
 
 def _scheme_batch(prob: Problem, lower_bounds, master_seed: int, n: int):
     """n seeded replicates of the scheme on ``prob`` in one kernel call:
-    (scheme quota, trace, kernel result)."""
-    quota, scheme, trace = _prepare(prob, lower_bounds)
-    bounds = _bounds(prob, lower_bounds)
-    return scheme, trace, _backend.simulate_batch(
-        scheme.floors, scheme.nums, scheme.den, list(quota.floors),
-        list(quota.ceilings), list(bounds), master_seed, n, prob.seats)
+    (prepared problem, kernel result)."""
+    p = _prepare(prob, lower_bounds)
+    return p, _backend.simulate_batch(
+        p.scheme.floors, p.scheme.nums, p.scheme.den, list(p.quota.floors),
+        list(p.quota.ceilings), list(p.bounds), master_seed, n, prob.seats)
+
+
+def _tally(name: str, prob: Problem, bounds, draws):
+    """(seat sums, sums of squares, quota violations, bound violations, sum
+    mismatches) over the seat vectors ``draws`` of method ``name``; a seat
+    vector of the wrong length is refused, naming the method."""
+    quota = compute_quota(prob)
+    floors, ceilings = quota.floors, quota.ceilings
+    sums = [0] * prob.size
+    sumsqs = [0] * prob.size
+    qviol = bviol = mismatches = 0
+    for seats in draws:
+        if len(seats) != prob.size:
+            raise InputError(f"method {name!r} returned {len(seats)} seats "
+                             f"for {prob.size} states")
+        bad_quota = bad_bound = False
+        for i, a in enumerate(seats):
+            sums[i] += a
+            sumsqs[i] += a * a
+            if not floors[i] <= a <= ceilings[i]:
+                bad_quota = True
+            if a < bounds[i]:
+                bad_bound = True
+        qviol += bad_quota
+        bviol += bad_bound
+        mismatches += sum(seats) != prob.seats
+    return sums, sumsqs, qviol, bviol, mismatches
 
 
 def simulate(method, prob: Problem, master_seed: int, n: int,
@@ -96,60 +115,34 @@ def simulate(method, prob: Problem, master_seed: int, n: int,
     callable ``(problem, source) -> Allocation``.  Reports per-state seat
     sums and sums of squares plus counts of replicates violating quota or
     the lower bounds.  More than ``REPLICATE_CEILING`` replicates are
-    refused with ``CapacityError``.
+    refused with ``CapacityError``, and a seat vector whose length is not
+    the state count with ``InputError``.
     """
     _check_replicates(n)
     if method == "stochastic":
-        _scheme, trace, (sums, sumsqs, qviol, bviol, mismatches, _masks) = (
+        prepared, (sums, sumsqs, qviol, bviol, mismatches, _masks) = (
             _scheme_batch(prob, lower_bounds, master_seed, n))
-        return SimulationReport(
-            method="stochastic" if trace is None else "stochastic-lower-bound",
-            master_seed=master_seed, replicates=n,
-            labels=prob.labels, seat_sums=tuple(sums),
-            seat_sumsqs=tuple(sumsqs), quota_violations=qviol,
-            bound_violations=bviol, sum_mismatches=mismatches)
-    quota = compute_quota(prob)
-    bounds = _bounds(prob, lower_bounds)
-    floors, ceilings = quota.floors, quota.ceilings
-    if callable(method):
-        name = getattr(method, "__name__", "custom")
-        sums = [0] * prob.size
-        sumsqs = [0] * prob.size
-        qviol = bviol = mismatches = 0
-        for k in range(n):
-            src = SeededSource(child_seed(master_seed, k))
-            seats = method(prob, src).seats
-            bad_quota = bad_bound = False
-            for i, a in enumerate(seats):
-                sums[i] += a
-                sumsqs[i] += a * a
-                if not floors[i] <= a <= ceilings[i]:
-                    bad_quota = True
-                if a < bounds[i]:
-                    bad_bound = True
-            qviol += bad_quota
-            bviol += bad_bound
-            mismatches += sum(seats) != prob.seats
-        return SimulationReport(
-            method=name, master_seed=master_seed, replicates=n,
-            labels=prob.labels, seat_sums=tuple(sums),
-            seat_sumsqs=tuple(sumsqs), quota_violations=qviol,
-            bound_violations=bviol, sum_mismatches=mismatches)
-    # Deterministic methods: one evaluation, scaled by n (identical to the
-    # replicate loop since every replicate ignores its stream).
-    name, fn = resolve_method(method)
-    seats = fn(prob).seats
-    bad_quota = any(not floors[i] <= seats[i] <= ceilings[i]
-                    for i in range(prob.size))
-    bad_bound = any(seats[i] < bounds[i] for i in range(prob.size))
+        name, scale = prepared.method, 1
+    else:
+        bounds = ((0,) * prob.size if lower_bounds is None
+                  else broadcast_lower_bound(lower_bounds, prob.size))
+        if callable(method):
+            name, scale = getattr(method, "__name__", "custom"), 1
+            draws = (method(prob, SeededSource(child_seed(master_seed, k)))
+                     .seats for k in range(n))
+        else:
+            # A deterministic method ignores its stream: one evaluation,
+            # scaled by n, tallies as n replicates would.
+            name, fn = resolve_method(method)
+            draws, scale = (fn(prob).seats,), n
+        sums, sumsqs, qviol, bviol, mismatches = _tally(name, prob, bounds,
+                                                        draws)
     return SimulationReport(
         method=name, master_seed=master_seed, replicates=n,
-        labels=prob.labels,
-        seat_sums=tuple(n * a for a in seats),
-        seat_sumsqs=tuple(n * a * a for a in seats),
-        quota_violations=n if bad_quota else 0,
-        bound_violations=n if bad_bound else 0,
-        sum_mismatches=n if sum(seats) != prob.seats else 0)
+        labels=prob.labels, seat_sums=tuple(scale * a for a in sums),
+        seat_sumsqs=tuple(scale * a for a in sumsqs),
+        quota_violations=scale * qviol, bound_violations=scale * bviol,
+        sum_mismatches=scale * mismatches)
 
 
 def empirical_distribution(prob: Problem, master_seed: int, n: int,
@@ -159,12 +152,12 @@ def empirical_distribution(prob: Problem, master_seed: int, n: int,
     _check_replicates(n)
     if prob.size > 16:
         raise CapacityError("empirical distribution tracking supports at most 16 states")
-    scheme, _trace, (*_tallies, masks) = _scheme_batch(
+    prepared, (*_tallies, masks) = _scheme_batch(
         prob, lower_bounds, master_seed, n)
     out = {}
     for mask, count in enumerate(masks):
         if count:
-            seats = _seats_from_mask(scheme.floors, mask)
+            seats = _seats_from_mask(prepared.scheme.floors, mask)
             out[seats] = out.get(seats, 0) + count
     return dict(sorted(out.items()))
 

@@ -37,14 +37,18 @@ import functools
 import itertools
 import math
 from collections import defaultdict
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Mapping, Optional, Sequence,
+                    Tuple)
 
 from . import _backend, _kernels_py
 from .core import (Allocation, Problem, QuotaVector, as_fractions,
-                   check_integers, compute_quota, quota_vector)
-from .errors import CapacityError, ConvergenceError, InputError
+                   broadcast_lower_bound, check_integers, compute_quota,
+                   quota_vector)
+from .errors import (CapacityError, ConvergenceError, InfeasibleError,
+                     InputError)
 from .rng import SeededSource, U53_DENOMINATOR
 
 ENUMERATION_LIMIT = 8
@@ -103,22 +107,7 @@ def stochastic_apportion(prob: Problem, src: SeededSource) -> Allocation:
     the state ordering used and the uniform offset (as a dyadic rational),
     which replay the draw exactly.
     """
-    return _stochastic_draw(compute_quota(prob), src)
-
-
-def _stochastic_draw(quota: QuotaVector, src: SeededSource) -> Allocation:
-    """``stochastic_apportion`` on the problem's quota vector ``quota``."""
-    seats, order, u53 = _scheme_draw(quota, src)
-    return Allocation(
-        seats=seats,
-        method="stochastic",
-        seed=src.seed,
-        audit={
-            "permutation": order,
-            "u_numerator": u53,
-            "u_denominator": U53_DENOMINATOR,
-        },
-    )
+    return _prepare(prob).draw(src)
 
 
 def _scheme_draw(quota: QuotaVector, src: SeededSource
@@ -129,6 +118,66 @@ def _scheme_draw(quota: QuotaVector, src: SeededSource
     order, u53, flags = _kernels_py.scheme_replicate(src, quota.nums,
                                                      quota.den)
     return tuple(map(add, quota.floors, flags)), tuple(order), u53
+
+
+@dataclass(frozen=True)
+class _Prepared:
+    """A problem made ready for the scheme, which rounds ``scheme``: the
+    problem's ``quota`` itself, or under ``bounds`` (zeros without) the
+    composite vector of the iteration ``trace`` (None without bounds)."""
+
+    quota: QuotaVector
+    scheme: QuotaVector
+    trace: object  # a lowerbound.IterationTrace, or None
+    bounds: tuple[int, ...]
+    summary: Optional[Callable[[], dict]] = None  # a fresh audit of trace
+
+    @property
+    def method(self) -> str:
+        return "stochastic" if self.trace is None else "stochastic-lower-bound"
+
+    def draw(self, src: SeededSource) -> Allocation:
+        """One draw; under bounds each audit holds a fresh trace summary."""
+        seats, order, u53 = _scheme_draw(self.scheme, src)
+        audit = {"permutation": order, "u_numerator": u53,
+                 "u_denominator": U53_DENOMINATOR}
+        if self.trace is not None:
+            audit["trace"] = self.summary()
+        return Allocation(seats, self.method, src.seed, audit)
+
+    def law(self, limit: int) -> AllocationDistribution:
+        return _allocation_law(self.scheme, limit=limit)
+
+
+def _prepare(prob: Problem, bounds=None) -> _Prepared:
+    """``prob`` prepared for the scheme under per-state minimums ``bounds``
+    (a scalar, one per state, or None for none); infeasible bounds raise
+    :class:`InfeasibleError` with the trace.  The bounds are validated
+    before the memo is read, so a bad bound is refused on every call."""
+    if bounds is not None:
+        bounds = broadcast_lower_bound(bounds, prob.size)
+    return _prepared(prob, bounds)
+
+
+@functools.lru_cache(maxsize=1)
+def _prepared(prob: Problem, bounds: Optional[tuple[int, ...]]) -> _Prepared:
+    """``_prepare`` on validated bounds, kept for the last problem, so that
+    repeated single draws on one problem (``simulate`` with a callable that
+    calls ``lower_bound_apportion``) pay only for the shuffle and the
+    offset: at 50 states that is a quarter of a bounded draw that runs the
+    iteration.  Every value kept is immutable; an exception is not kept."""
+    quota = compute_quota(prob)
+    if bounds is None:
+        return _Prepared(quota, quota, None, (0,) * prob.size)
+    from .lowerbound import iterate_lower_bound, trace_audit  # circular
+    trace = iterate_lower_bound(quota, bounds, prob.seats)
+    if not trace.feasible:
+        raise InfeasibleError(
+            "no allocation satisfies quota with the given bounds: "
+            f"{trace.diagnostics}", diagnostics=trace.diagnostics,
+            trace=trace)
+    return _Prepared(quota, trace._composite, trace, bounds,
+                     functools.partial(trace_audit, trace))
 
 
 # The 0/1 bytes of the bits of each byte value, least significant first.
@@ -249,7 +298,7 @@ def exact_distribution(prob: Problem, *,
     every support vector satisfies quota; this is the sampling-free oracle
     against which the scheme is verified.
     """
-    return _allocation_law(compute_quota(prob), limit=limit)
+    return _prepare(prob).law(limit)
 
 
 def conditional_sampling_allocate(fracs: Sequence, residual: int,
@@ -291,15 +340,16 @@ def conditional_sampling_allocate(fracs: Sequence, residual: int,
         f"no collision-free tuple found in {max_attempts} attempts")
 
 
-@functools.lru_cache(maxsize=1)
 def _conditional_weights(fracs: tuple[Fraction, ...]):
     """(support, weights, total weight) of the conditioned sampler on the
     exact fractions ``fracs``: the states with positive fraction and their
-    fractions as whole numerators over one denominator (the weights are not
-    required to lie in [0, 1), but a negative one is refused).  Kept for
-    the last vector, as repeated draws share it."""
-    quota = quota_vector(fracs)
-    weights = [f * quota.den + n for f, n in zip(quota.floors, quota.nums)]
+    fractions as numerators over the lcm of the denominators (the weights
+    are not required to lie in [0, 1), but a negative one is refused)."""
+    den = math.lcm(*(f.denominator for f in fracs))
+    weights = [f.numerator * (den // f.denominator) for f in fracs]
+    for f, w in zip(fracs, weights):
+        if w < 0:
+            raise InputError(f"quota values must be non-negative, got {f}")
     support = tuple(i for i, w in enumerate(weights) if w)
     nums = tuple(weights[i] for i in support)
     return support, nums, sum(nums)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fixtures
-from seatlot import _backend, lowerbound, montecarlo, problem
+from seatlot import _backend, lowerbound, montecarlo, problem, stochastic
 from seatlot.cli import (FORMAT_CHOICES, MAX_DIGITS, MAX_SCAN_HOUSES,
                          MAX_SCAN_STATES, MAX_SCAN_TRIALS, RULE_NAMES,
                          Emitter, _rational_texts, decimal_str, fraction_str,
@@ -429,6 +429,29 @@ def test_apportion_integral_any_method(tmp_path):
         assert seats == [5, 3, 2]
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70])
+@pytest.mark.parametrize("command", [
+    ["apportion", "--seats", "7", "--method", "stochastic"],
+    ["simulate", "--seats", "7", "--method", "stochastic", "--n", "5"],
+    ["paradox-scan", "--kind", "alabama", "--method", "hamilton",
+     "--trials", "1"]], ids=lambda command: command[0])
+def test_seeds_outside_64_bits_are_refused(command, seed, census, capsys):
+    # The library reads seeds modulo 2**64: --seed 2**70 drew as --seed 0,
+    # and --seed -1 as 2**64 - 1.
+    data = [] if command[0] == "paradox-scan" else ["--data", census]
+    assert run_cli([*command, *data, "--seed", str(seed)]) == (2, "")
+    assert capsys.readouterr().err \
+        == f"error: --seed must be in 0..2**64 - 1, got {seed}\n"
+
+
+def test_largest_seed_is_accepted(census):
+    code, out = run_cli(["apportion", "--data", census, "--seats", "7",
+                         "--method", "stochastic", "--seed", str(2 ** 64 - 1),
+                         "--format", "json-lines"])
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["master_seed"] == 2 ** 64 - 1
+
+
 def test_apportion_infeasible_exit_code(tiny):
     code, _out = run_cli(["apportion", "--data", tiny, "--seats", "3",
                           "--method", "stochastic", "--seed", "1",
@@ -561,7 +584,7 @@ def test_apportion_renders_without_fractions(fmt, golden_inputs):
     prob = problem([pop for _label, pop in fixtures.CENSUS_50], 435)
     rounds = lowerbound.iterate_lower_bound(compute_quota(prob),
                                             (1,) * prob.size, 435).rounds
-    lowerbound._prepared.cache_clear()
+    stochastic._prepared.cache_clear()
     assert count_fractions(lambda: codes.append(
         run_cli(argv + ["--lower-bound", "1"])[0])) == len(rounds) == 3
     assert codes == [0, 0]
@@ -586,7 +609,7 @@ def test_apportion_computes_the_quota_once(extra, golden_inputs,
         if (getattr(module, "__name__", "").startswith("seatlot")
                 and getattr(module, "compute_quota", None) is original):
             monkeypatch.setattr(module, "compute_quota", counting)
-    lowerbound._prepared.cache_clear()
+    stochastic._prepared.cache_clear()
     code, _ = run_cli(["apportion", "--data", "c50.csv", "--seats", "435",
                        *extra])
     assert code == 0

@@ -8,7 +8,7 @@ from seatlot import (ConvergenceError, InfeasibleError, InputError,
                      SeededSource, child_seed, compute_quota,
                      feasible_with_lower_bound, problem, quota_vector,
                      satisfies_quota)
-from seatlot import lowerbound
+from seatlot import lowerbound, stochastic
 from seatlot.lowerbound import (adjusted_quota_from_values, classify,
                                 equal_representation_quota,
                                 iterate_lower_bound, lower_bound_apportion,
@@ -400,8 +400,8 @@ def test_prepared_problem_alternating_matches_unkept(monkeypatch):
             for k, (prob, bounds) in enumerate(cases))]
 
     kept = draws()
-    monkeypatch.setattr(lowerbound, "_prepared",
-                        lowerbound._prepared.__wrapped__)
+    monkeypatch.setattr(stochastic, "_prepared",
+                        stochastic._prepared.__wrapped__)
     assert kept == draws()
 
 
@@ -445,7 +445,7 @@ def test_simulate_prepares_bounded_problem_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(lowerbound, "iterate_lower_bound", counting)
-    lowerbound._prepared.cache_clear()
+    stochastic._prepared.cache_clear()
     prob = problem(tuple(100 + 37 * i for i in range(50)), 435)
     report = simulate(lambda p, src: lower_bound_apportion(p, 1, src),
                       prob, 5, 50, lower_bounds=1)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seatlot import (CapacityError, InputError, SeededSource, _backend,
-                     compute_quota, problem, quota_vector,
-                     stochastic_apportion)
+from seatlot import (Allocation, CapacityError, InputError, SeededSource,
+                     _backend, compute_quota, problem, quota_vector,
+                     resolve_method, stochastic_apportion)
 from seatlot.montecarlo import (REPLICATE_CEILING, ProblemPair,
                                 empirical_distribution,
                                 fairness_test, house_increase_pair,
@@ -71,6 +71,33 @@ def test_simulate_callable_method():
     rep = simulate(scheme, prob, master_seed=4, n=200)
     direct = simulate("stochastic", prob, master_seed=4, n=200)
     assert rep.seat_sums == direct.seat_sums
+
+
+@pytest.mark.parametrize("name", ["jefferson", "hamilton", "adams"])
+def test_deterministic_report_equals_the_replicate_loop(name):
+    # One evaluation scaled by n tallies as n replicates of the method.
+    prob = problem((2, 1, 1, 40), 6)
+    fn = resolve_method(name)[1]
+
+    def each(p, _src):
+        return fn(p)
+
+    each.__name__ = name
+    for bounds in (None, 1, (0, 2, 0, 1)):
+        assert simulate(name, prob, 3, 7, lower_bounds=bounds) \
+            == simulate(each, prob, 3, 7, lower_bounds=bounds)
+
+
+@pytest.mark.parametrize("seats", [(3, 3), (2, 2, 1, 1)])
+def test_simulate_refuses_a_seat_vector_of_the_wrong_length(seats):
+    # A shorter vector was tallied as if the missing states had no seats,
+    # and a longer one raised IndexError.
+    def wrong_length(_prob, _src):
+        return Allocation(seats, "wrong")
+
+    with pytest.raises(InputError, match="method 'wrong_length' returned "
+                                         f"{len(seats)} seats for 3 states"):
+        simulate(wrong_length, problem((1, 2, 3), 6), 0, 3)
 
 
 def test_simulate_with_lower_bounds():

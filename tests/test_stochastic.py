@@ -370,15 +370,18 @@ def test_conditional_weights_keyed_on_validated_fractions():
     assert conditional_sampling_allocate(half, 2, SeededSource(9)) == [1, 1]
     with pytest.raises(InputError, match="exact rational"):
         conditional_sampling_allocate([0.5 + 0j, 0.5], 2, SeededSource(9))
-    # alternating vectors draw as they do with nothing kept
-    vectors = [list(CONDITIONAL_UNFAIR["fractional"]), [F(0), F(1, 2), F(1, 2)]]
-    fresh = []
-    for k in range(8):
-        stochastic._conditional_weights.cache_clear()
-        fresh.append(conditional_sampling_allocate(vectors[k % 2], 1,
-                                                   SeededSource(k)))
-    assert [conditional_sampling_allocate(vectors[k % 2], 1, SeededSource(k))
-            for k in range(8)] == fresh
+    # the weights are numerators over the lcm of the denominators; they
+    # need not lie in [0, 1), but a negative one is refused, as it was when
+    # the weights came from a quota vector
+    assert stochastic._conditional_weights(
+        (F(0), F(1, 2), F(1, 3), F(7, 6))) == ((1, 2, 3), (3, 2, 7), 12)
+    for sampler in (
+            lambda fracs: conditional_sampling_allocate(fracs, 1,
+                                                        SeededSource(9)),
+            lambda fracs: conditional_selection_law(fracs, 1)):
+        with pytest.raises(InputError) as exc:
+            sampler([F(1, 2), F(-1, 3), F(5, 6)])
+        assert str(exc.value) == "quota values must be non-negative, got -1/3"
 
 
 def test_conditional_law_fixture():

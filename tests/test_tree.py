@@ -164,6 +164,41 @@ def test_one_integer_check():
         "core.py": ["check_integers"], "rng.py": ["SeededSource"]}
 
 
+def module_caches(source: str) -> list[str]:
+    """The top-level functions of a module decorated with
+    ``functools.lru_cache`` or ``functools.cache``, however spelt."""
+    def is_cache(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        name = node.attr if isinstance(node, ast.Attribute) else (
+            node.id if isinstance(node, ast.Name) else None)
+        return name in ("lru_cache", "cache")
+
+    return [top.name for top in ast.parse(source).body
+            if isinstance(top, ast.FunctionDef)
+            and any(is_cache(d) for d in top.decorator_list)]
+
+
+def test_module_caches_are_found():
+    source = ("import functools\nfrom functools import cache, lru_cache\n"
+              "@functools.lru_cache(maxsize=1)\ndef a():\n    pass\n"
+              "@cache\ndef b():\n    pass\n"
+              "@lru_cache\ndef c():\n    pass\n"
+              "@functools.cached_property\ndef d():\n    pass\n"
+              "class E:\n    @functools.cache\n    def m(self):\n"
+              "        pass\n")
+    assert module_caches(source) == ["a", "b", "c"]
+
+
+def test_two_module_caches():
+    # A module-level memo is hidden state with a hit path and a miss path.
+    # Two remain: the prepared-scheme memo, which repeated single draws on
+    # one problem rely on, and the shared argument parser.
+    holders = {p.stem: module_caches(p.read_text(encoding="utf-8"))
+               for p in PACKAGE.glob("*.py")}
+    assert {m: names for m, names in holders.items() if names} == {
+        "stochastic": ["_prepared"], "cli": ["build_parser"]}
+
+
 def test_public_names_resolve_lazily(fresh_python):
     # ``import seatlot`` loads no submodule; every public name then
     # resolves, and is the object its module defines.
