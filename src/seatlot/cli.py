@@ -27,6 +27,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from itertools import chain, repeat
@@ -55,6 +56,9 @@ MAX_SCAN_TRIALS = 10 ** 5
 # trials: --trials times --max-seats is refused above it before any trial.
 MAX_SCAN_HOUSES = 10 ** 7
 MAX_DIGITS = 4300  # longest number text read: int() reads no more digits
+# A number cell, told by its shape alone so that no number is expanded to
+# decide it: a digit among signs, points, '/' and exponents.
+_NUMBER_SHAPE = re.compile(r"[-+./eE0-9]*[0-9][-+./eE0-9]*")
 
 
 def _digit_cap() -> int:
@@ -168,8 +172,9 @@ def _read_rows(source, what: str, value) -> dict:
                         raise InputError(f"duplicate state label {label!r}"
                                          if label else "empty state label")
                     values[label] = parsed
-            except _NotANumber:  # a header, on the first row only
-                if index:
+            except _NotANumber:  # a header: row 1, no number in its cell
+                if index or len(row) > 1 and _NUMBER_SHAPE.fullmatch(
+                        row[1].strip()):
                     raise
     except (InputError, csv.Error) as exc:
         raise InputError(f"line {rows.line_num}: {exc}") from exc

@@ -31,7 +31,8 @@ from .errors import (CapacityError, ConvergenceError, InfeasibleError,
                      InputError)
 from .rng import SeededSource
 from .stochastic import (ENUMERATION_LIMIT, AllocationDistribution,
-                         _allocation_law, _prepare, _scheme_draw)
+                         _allocation_law, _integral_quota, _prepare,
+                         _scheme_draw)
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,14 @@ class AdjustedQuota:
     offenders: tuple[int, ...]
 
 
+def _adjusted(scale, indices, values, floors, ceilings) -> AdjustedQuota:
+    """The AdjustedQuota of ``values`` for the states ``indices``, whose
+    original lower and upper quotas are ``floors`` and ``ceilings``."""
+    offenders = tuple(i for i, v, f in zip(indices, values, floors) if v < f)
+    return AdjustedQuota(scale, indices, values, floors, ceilings,
+                         not offenders, offenders)
+
+
 def adjusted_quota_from_values(original, values,
                                indices: Optional[Sequence[int]] = None
                                ) -> AdjustedQuota:
@@ -119,37 +128,23 @@ def adjusted_quota_from_values(original, values,
         indices = tuple(indices)
         if len(indices) != len(original):
             raise InputError("indices and value vectors differ in length")
-    floors = tuple(math.floor(q) for q in original)
-    ceils = tuple(math.ceil(q) for q in original)
-    offenders = tuple(i for i, v, f in zip(indices, values, floors) if v < f)
-    return AdjustedQuota(
-        scale=None, indices=indices, values=values,
-        original_floors=floors, original_ceilings=ceils,
-        condition_holds=not offenders, offenders=offenders)
+    return _adjusted(None, indices, values, tuple(map(math.floor, original)),
+                     tuple(map(math.ceil, original)))
 
 
 def equal_representation_quota(cls_: StateClassification,
                                quota) -> AdjustedQuota:
+    """Round one of :func:`iterate_lower_bound`, as an AdjustedQuota."""
     quota = quota_vector(quota)
     if not cls_.surplus:
         raise InputError("no surplus states to rescale")
-    quotas, ceilings = quota.quotas, quota.ceilings
-    total = sum(quotas[i] for i in cls_.surplus)
-    scale = cls_.remaining_seats / total
-    values = tuple(scale * quotas[i] for i in cls_.surplus)
-    floors = tuple(quota.floors[i] for i in cls_.surplus)
-    ceils = tuple(ceilings[i] for i in cls_.surplus)
-    offenders = tuple(i for i, v, f in zip(cls_.surplus, values, floors)
-                      if v < f)
-    return AdjustedQuota(
-        scale=scale,
-        indices=cls_.surplus,
-        values=values,
-        original_floors=floors,
-        original_ceilings=ceils,
-        condition_holds=not offenders,
-        offenders=offenders,
-    )
+    floors, den, rest = quota.floors, quota.den, cls_.remaining_seats
+    nums = [floors[i] * den + quota.nums[i] for i in cls_.surplus]
+    total = sum(nums)
+    return _adjusted(Fraction(rest * den, total), cls_.surplus,
+                     tuple(Fraction(rest * n, total) for n in nums),
+                     tuple(floors[i] for i in cls_.surplus),
+                     tuple(quota.ceilings[i] for i in cls_.surplus))
 
 
 @dataclass(frozen=True)
@@ -226,7 +221,7 @@ def iterate_lower_bound(quota, bounds: Sequence[int],
 
     All offenders of a round are pinned simultaneously before the ratio is
     recomputed, which keeps the outcome independent of state order.  The
-    trace reports infeasibility instead of raising.
+    trace reports infeasibility; malformed input raises :class:`InputError`.
 
     ``quota`` is a QuotaVector or a sequence of raw rationals.  For quotas
     ``N[i] / D``, an active state's rescaled value is
@@ -235,7 +230,7 @@ def iterate_lower_bound(quota, bounds: Sequence[int],
     quota = quota_vector(quota)
     try:
         cls_ = classify(quota, bounds, seats)
-    except (InfeasibleError, InputError) as exc:
+    except InfeasibleError as exc:
         return IterationTrace(
             classification=None, rounds=(), final_active=(),
             fixed_at_floor=(), _composite=None, feasible=False,
@@ -340,17 +335,6 @@ def lower_bound_distribution(prob: Problem, bounds: Sequence[int],
     return _prepare(prob, _required(bounds)).law(limit)
 
 
-def _values_quota(values) -> QuotaVector:
-    """The adjusted values ``values`` as scheme input, checked: their
-    fractional parts must total an integer."""
-    quota = quota_vector(values)
-    if quota.residual_seats < 0:
-        total = Fraction(sum(quota.nums), quota.den)
-        raise InputError(
-            f"fractional quotas must sum to an integer, got {total}")
-    return quota
-
-
 def _within_quota(seats, adjusted: AdjustedQuota) -> bool:
     """Whether every entry of ``seats`` lies between its state's original
     lower and upper quota in ``adjusted``."""
@@ -367,7 +351,7 @@ def resample_until_quota(adjusted: AdjustedQuota, src: SeededSource,
     shifts the expectations away from the values, so the accepted law is
     not fair.  Seats are indexed by ``adjusted.indices``.
     """
-    quota = _values_quota(adjusted.values)
+    quota = _integral_quota(adjusted.values)
     for attempt in range(1, cap + 1):
         seats, order, u53 = _scheme_draw(quota, src)
         if _within_quota(seats, adjusted):
@@ -384,7 +368,7 @@ def resample_conditional_law(adjusted: AdjustedQuota,
     """Exact law of ``resample_until_quota``: the scheme's law on the
     adjusted values, restricted to quota-satisfying outcomes and
     renormalized."""
-    quota = _values_quota(adjusted.values)
+    quota = _integral_quota(adjusted.values)
     law = _allocation_law(quota, limit=limit)
     kept = {seats: p for seats, p in law.items()
             if _within_quota(seats, adjusted)}

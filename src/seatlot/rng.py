@@ -35,6 +35,8 @@ import sys
 from array import array
 from fractions import Fraction
 
+from .errors import InputError
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
@@ -104,7 +106,8 @@ def child_seed(master_seed: int, index: int) -> int:
 
 
 class SeededSource:
-    """SplitMix64 stream with explicit 64-bit seeding.
+    """SplitMix64 stream seeded by an int, read modulo 2**64; a bool or any
+    other seed raises :class:`InputError`.
 
     Not shareable across threads: concurrent tasks should each derive their
     own stream with :meth:`child`.
@@ -113,6 +116,10 @@ class SeededSource:
     __slots__ = ("seed", "_state")
 
     def __init__(self, seed: int):
+        # Exact type first: a source is built per replicate.
+        if type(seed) is not int and (not isinstance(seed, int)
+                                      or isinstance(seed, bool)):
+            raise InputError(f"seed must be an integer, got {seed!r}")
         self.seed = seed & _MASK64
         self._state = self.seed
 

@@ -63,22 +63,23 @@ def random_permutation(n: int, src: SeededSource) -> tuple[int, ...]:
     return tuple(src.shuffled_range(n))
 
 
-def _fractional_quota(fracs: Sequence[Fraction]) -> QuotaVector:
-    """The quota vector of fractional quotas, which must lie in [0, 1) and
-    total an integer.  The first entry outside [0, 1) is the one named."""
-    try:
-        quota = quota_vector(fracs)
-    except InputError:  # a negative entry
-        quota = None
-    if quota is None or any(quota.floors):
-        for f in fracs:
-            if not 0 <= f < 1:
-                raise InputError(
-                    f"fractional quotas must lie in [0, 1), got {f}")
+def _integral_quota(values) -> QuotaVector:
+    """The quota vector of ``values``, whose fractional parts must total an
+    integer: the scheme rounds them to whole seats."""
+    quota = quota_vector(values)
     if quota.residual_seats < 0:
         raise InputError("fractional quotas must sum to an integer, got "
                          f"{Fraction(sum(quota.nums), quota.den)}")
     return quota
+
+
+def _fractional_quota(fracs: Sequence[Fraction]) -> QuotaVector:
+    """The quota vector of fractional quotas, which must lie in [0, 1) and
+    total an integer.  The first entry outside [0, 1) is the one named."""
+    for f in fracs:
+        if not 0 <= f < 1:
+            raise InputError(f"fractional quotas must lie in [0, 1), got {f}")
+    return _integral_quota(fracs)
 
 
 def systematic_round(fracs: Sequence, u) -> list[int]:

@@ -269,8 +269,18 @@ READER_CASES = {
                                 "line 2: expected 'label,population'"),
     "census-zero-line-1": (parse_census, "A,0\n",
                            "line 1: population must be >= 1"),
-    "census-negative-line-1": (parse_census, "A,-3\n",
-                               "census file contains no states"),
+    "census-negative-line-1": (
+        parse_census, "A,-3\n",
+        "line 1: population must be a positive integer, got '-3'"),
+    "census-signed-line-1": (
+        parse_census, "A,+5\nB,10\n",
+        "line 1: population must be a positive integer, got '+5'"),
+    "census-decimal-line-1": (
+        parse_census, "A,4779736.0\nB,10\n",
+        "line 1: population must be a positive integer, got '4779736.0'"),
+    "census-huge-exponent-line-1": (
+        parse_census, "A,1e999999999\n",
+        "line 1: population must be a positive integer, got '1e999999999'"),
     "census-empty-label-line-1": (parse_census, ",1\n",
                                   "line 1: empty state label"),
     "quota-header": (parse_quota_file, "label,quota\nA,1/2\n",
@@ -281,6 +291,11 @@ READER_CASES = {
                                   "line 1: bad adjusted value 'x'"),
     "quota-bad-value-line-2": (parse_quota_file, "A,1\nB, x\n",
                                "line 2: bad quota value ' x'"),
+    "quota-exponent-line-1": (parse_quota_file, "A,1e3\nB,1/2\n",
+                              "line 1: bad quota value '1e3'"),
+    "quota-huge-exponent-line-1": (
+        parse_quota_file, "A,1e999999999\n",
+        "line 1: bad quota value '1e999999999'"),
     "quota-adjusted-all-or-none": (
         parse_quota_file, "A,1,2\nB,3\n",
         "adjusted quota column must be present for all states or none"),
@@ -288,6 +303,8 @@ READER_CASES = {
     "bound-short-row-line-2": (read_lower_bound, "A,1\nB\n",
                                "line 2: expected 'label,bound'"),
     "bound-header": (read_lower_bound, "label,bound\nA,2\n", (2,)),
+    "bound-decimal-line-1": (read_lower_bound, "A,1.5\n",
+                             "line 1: expected 'label,bound'"),
     "bound-empty-file": (read_lower_bound, "",
                          "lower-bound file mismatch; missing ['A'], "
                          "unknown []"),
@@ -361,6 +378,17 @@ def test_hostile_files_exit_2_with_their_line(name, census, tmp_path,
     path.write_bytes(data)
     code, _ = run_cli(reader_argv(kind, str(path), census))
     assert (code, capsys.readouterr().err) == (2, error)
+
+
+@pytest.mark.parametrize("population", ["-3", "+5", "4779736.0"])
+def test_a_bad_population_on_line_1_exits_2(population, tmp_path, capsys):
+    # The row was read as a header: the run exited 0 without state A.
+    path = tmp_path / "states.csv"
+    path.write_text(f"A,{population}\nB,10\n")
+    code, _ = run_cli(reader_argv("census", str(path), None))
+    assert (code, capsys.readouterr().err) == (
+        2, "error: line 1: population must be a positive integer, "
+           f"got {population!r}\n")
 
 
 def test_long_scalar_lower_bound_exits_2(census, capsys):

@@ -228,6 +228,14 @@ def test_iterate_reports_precondition_failures_as_trace():
     assert trace.classification is None
 
 
+@pytest.mark.parametrize("bounds, seats", [
+    ((1, -1, 1), 3), ((1, 1, 1), 2.5), ((1, 1), 3)])
+def test_iterate_refuses_malformed_input(bounds, seats):
+    # These were reported as infeasible traces, as if no allocation met them.
+    with pytest.raises(InputError):
+        iterate_lower_bound(TINY_CASE, bounds, seats)
+
+
 def test_iterate_seat_conservation_and_bounds():
     src = SeededSource(4242)
     for _ in range(300):
@@ -270,8 +278,24 @@ def test_iterate_seat_conservation_and_bounds():
                 == cls_.remaining_seats
 
 
+def _assert_rescale_is_round_one(quota, bounds, seats, trace):
+    try:
+        cls_ = classify(quota, bounds, seats)
+    except InfeasibleError:
+        return
+    if cls_.surplus:
+        adj = equal_representation_quota(cls_, quota)
+        first = trace.rounds[0]
+        assert (adj.scale, adj.indices, adj.offenders) \
+            == (first.scale, first.active, first.fixed)
+        assert adj.values == tuple(adj.scale * quota.quotas[i]
+                                   for i in adj.indices)
+        assert sum(adj.values) == cls_.remaining_seats
+
+
 def _assert_matches_rescale_and_pin(quota, bounds, seats):
     trace = iterate_lower_bound(quota, bounds, seats)
+    _assert_rescale_is_round_one(quota, bounds, seats, trace)
     feasible, rounds, final = rescale_and_pin(
         getattr(quota, "quotas", quota), bounds, seats)
     assert trace.feasible == feasible

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from seatlot import rng
+from seatlot import InputError, rng
 from seatlot.rng import SeededSource, child_seed, mix64
 
 
@@ -23,6 +23,13 @@ def test_known_splitmix_values():
 def test_seed_is_masked_to_64_bits():
     assert SeededSource(1 << 64).seed == 0
     assert SeededSource(-1).seed == (1 << 64) - 1
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.5, 2.0, "3", None])
+def test_seed_that_is_not_an_int_is_refused(seed):
+    # True drew as seed 1, and 1.5 raised a bare TypeError.
+    with pytest.raises(InputError, match="^seed must be an integer, got "):
+        SeededSource(seed)
 
 
 def test_child_seed_pure_function():

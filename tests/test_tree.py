@@ -164,6 +164,46 @@ def test_one_integer_check():
         "core.py": ["check_integers"], "rng.py": ["SeededSource"]}
 
 
+def holders(source: str, found) -> list[str]:
+    """The top-level definitions of a module in which ``found(node)`` holds
+    for some node."""
+    return [top.name for top in ast.parse(source).body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            and any(found(n) for n in ast.walk(top))]
+
+
+def calls_to(name):
+    return lambda node: (isinstance(node, ast.Call)
+                         and isinstance(node.func, ast.Name)
+                         and node.func.id == name)
+
+
+def text(part):
+    return lambda node: (isinstance(node, ast.Constant)
+                         and isinstance(node.value, str) and part in node.value)
+
+
+def test_holders_are_found():
+    source = ("def a():\n    return X(1)\n"
+              "def b():\n    return f'ab {1}'\n"
+              "def c():\n    return X\n"
+              "class D:\n    def m(self):\n        return X()\n")
+    assert holders(source, calls_to("X")) == ["a", "D"]
+    assert holders(source, text("ab")) == ["b"]
+
+
+@pytest.mark.parametrize("found, holder", [
+    (calls_to("AdjustedQuota"), ("lowerbound", "_adjusted")),
+    (text("fractional quotas must sum to an integer"),
+     ("stochastic", "_integral_quota"))], ids=["builder", "integral-total"])
+def test_one_builder_and_one_integral_check(found, holder):
+    # The adjusted quota is built, and scheme input checked for an integral
+    # fractional total, in one function each.
+    assert [(p.stem, name) for p in PACKAGE.glob("*.py")
+            for name in holders(p.read_text(encoding="utf-8"), found)] \
+        == [holder]
+
+
 def module_caches(source: str) -> list[str]:
     """The top-level functions of a module decorated with
     ``functools.lru_cache`` or ``functools.cache``, however spelt."""
