@@ -79,7 +79,7 @@ static void scheme_replicate(u64 *state, i64 s, const i64 *floors,
 }
 
 /* Adds each cell length of one ordering of the t states in `order` to
-   acc[winner mask] by a sweep over its breakpoints; see sweep_orders in
+   acc[winner mask] by a sweep over its breakpoints; see _sweep in
    _kernels_py.py.  The mask on the first cell (0, b1] comes from the
    running sums: position k wins iff the running sum wraps past a multiple
    of den there.  Passing the breakpoint den - (c_k mod den), k < t - 1,

@@ -23,16 +23,24 @@ Conventions shared by both backends:
   (bit i = state i wins); ``flags_mask`` packs flags into one.
 * All randomness is SplitMix64 per :mod:`seatlot.rng`; replicate ``k`` of a
   batch uses the stream seeded by ``child_seed(master_seed, k)``.
+
+Both exact laws, ``averaged_mask_lengths`` and ``fixed_order_lengths``,
+add their cells through one sweep, ``_sweep``.  The averaged law sweeps
+the fixed tail (end, last) of each mirror pair once for all of the pair's
+orderings (see its docstring).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 
 from .rng import SeededSource, child_seed
 
 _M53 = 1 << 53
+# The first state of a group that has none: no bit, no fraction.
+_NO_STATE = (0, 0)
 
 
 def position_from_bits53(u53, den):
@@ -46,14 +54,19 @@ def position_from_bits53(u53, den):
     return (u53 * den + _M53 - 1) >> 53
 
 
-def sweep_orders(frac_nums, den, orders, acc):
+def _sweep(den, s, groups, acc):
     """Add every cell length of each ordering to ``acc[winner mask]``.
 
-    Each ordering lists the input indices of all t states with a positive
-    fraction, so its running sums end on a multiple of ``den``.  Masks
-    are in the input-index basis; the cell lengths of one ordering sum to
-    ``den``.  ``acc`` is anything that supports ``acc[mask] += length``: a
-    list of 2**s entries or a ``collections.defaultdict(int)``.
+    ``groups`` yields ``(first, rest, tail)``: the orderings
+    ``(first, *middle, *tail)`` for every permutation ``middle`` of
+    ``rest``.  A state is a ``(bit, fraction)`` item, bit = 1 << its
+    input index; ``first = _NO_STATE`` stands for no first state, and with
+    it and an empty ``rest`` the tail is the one ordering swept.  The
+    states of an ordering are all t states with a positive fraction, so
+    its running sums end on a multiple of ``den``.  Masks are in the
+    input-index basis; the cell lengths of one ordering sum to ``den``.
+    ``acc`` is anything that supports ``acc[mask] += length``: a list of
+    2**s entries or a ``collections.defaultdict(int)``.
 
     Sweep.  In one ordering the mask on the first cell (0, b1] follows from
     the running sums c_k: position k wins iff floor(c_k / den) exceeds
@@ -63,48 +76,72 @@ def sweep_orders(frac_nums, den, orders, acc):
     One sort of the breakpoints then yields every cell in order.  Equal
     breakpoints need no grouping; their toggles compose, and the masks
     between them get cells of length zero.
+
+    Fixed tail.  The running sum before the tail is the same for every
+    middle, so the tail's breakpoints and wins are found once per group;
+    only the toggle of the tail's first breakpoint depends on the middle,
+    through the state that precedes it.
     """
-    s = len(frac_nums)
     toggles = (1 << s) - 1
-    for order in orders:
-        # r is the running sum mod den before state i; a key is
-        # breakpoint << s | toggle, so keys sort by breakpoint.
-        r = 0
-        mask = 0
-        keys = []
-        prev_bit = 0
-        for i in order:
-            bit = 1 << i
+    for (prev0, r0), rest, tail in groups:
+        # r is the running sum mod den before a state; a key is
+        # breakpoint << s | toggle, so keys sort by breakpoint.  After
+        # ``first`` the running sum is its fraction and its bit precedes
+        # the middle.  end_key is the key of the tail's first state
+        # without the bit of the state before it.
+        r = (r0 + sum(f for _, f in rest)) % den
+        end_key = tail_mask = prev = 0
+        tail_keys = []
+        for bit, f in tail:
             if r:
-                keys.append((den - r) << s | prev_bit | bit)
-            r += frac_nums[i]
+                if prev:
+                    tail_keys.append((den - r) << s | prev | bit)
+                else:
+                    end_key = (den - r) << s | bit
+            r += f
             if r >= den:
                 r -= den
-                mask |= bit
-            prev_bit = bit
-        keys.sort()
-        prev = 0
-        for key in keys:
-            b = key >> s
-            acc[mask] += b - prev
-            mask ^= key & toggles
-            prev = b
-        acc[mask] += den - prev
-
-
-def _mirror_representatives(head, last):
-    """Every ordering (*perm, last) over the permutations perm of the
-    increasing list ``head`` with perm[0] < perm[-1], built directly, not
-    filtered from all permutations; a head of fewer than two states is
-    its own mirror."""
-    if len(head) < 2:
-        yield (*head, last)
-        return
-    for a, b in itertools.combinations(range(len(head)), 2):
-        first, end = (head[a],), (head[b], last)
-        rest = head[:a] + head[a + 1:b] + head[b + 1:]
+                tail_mask |= bit
+            prev = bit
         for middle in itertools.permutations(rest):
-            yield first + middle + end
+            r = r0
+            prev = prev0
+            mask = tail_mask
+            keys = tail_keys.copy()
+            for bit, f in middle:
+                if r:
+                    keys.append((den - r) << s | prev | bit)
+                r += f
+                if r >= den:
+                    r -= den
+                    mask |= bit
+                prev = bit
+            if end_key:
+                keys.append(end_key | prev)
+            keys.sort()
+            prev = 0
+            for key in keys:
+                b = key >> s
+                acc[mask] += b - prev
+                mask ^= key & toggles
+                prev = b
+            acc[mask] += den - prev
+
+
+def _live(frac_nums):
+    """The states with a positive fraction, in input order, as
+    ``(bit, fraction)`` items."""
+    return [(1 << i, f) for i, f in enumerate(frac_nums) if f]
+
+
+def fixed_order_lengths(frac_nums, den):
+    """Cell length per winner mask of the one ordering that takes the
+    states in input order, as a ``defaultdict(int)`` keyed by mask, for
+    any number of states.  Zero fractions are left out, as in the
+    ordering-averaged law; they never win."""
+    acc = defaultdict(int)
+    _sweep(den, len(frac_nums), [(_NO_STATE, (), _live(frac_nums))], acc)
+    return acc
 
 
 def averaged_mask_lengths(frac_nums, den, fix_last):
@@ -117,7 +154,7 @@ def averaged_mask_lengths(frac_nums, den, fix_last):
     Masks are in the input-index basis.  Divide by ``den * (number of
     orderings)`` to get probabilities.
 
-    Each ordering is swept by ``sweep_orders``.  Two exact shortcuts give
+    The orderings are swept by ``_sweep``.  Three exact shortcuts give
     the same integers as sweeping every ordering:
 
     * Mirror pairs.  Reversing the head of an ordering (last state pinned)
@@ -125,8 +162,14 @@ def averaged_mask_lengths(frac_nums, den, fix_last):
       [a, b) into (a, b].  The two differ only when an endpoint is an
       integer, which happens at finitely many offsets, so the mirror has
       the same length per mask.  Only heads with head[0] < head[-1] are
-      generated and swept, each counted twice (for three or more states;
-      a one-state head is its own mirror).
+      swept, one pair (head[0], head[-1]) at a time, each counted twice
+      (for three or more states; a one-state head is its own mirror and
+      is swept once).
+    * Fixed tail.  An ordering of a pair is (first, *middle, end, last).
+      The running sum before ``end`` is f_first plus the middle's total
+      whatever order the middle takes, so the breakpoints and wins of
+      ``end`` and ``last`` are found once per pair, and each ordering
+      sweeps only its t - 3 middle states.
     * Zero fractions.  A state with a zero fractional part has an empty
       segment and never wins, so only the s' states with a positive part
       are ordered; each of their orderings stands for (s-1)!/(s'-1)!
@@ -138,15 +181,20 @@ def averaged_mask_lengths(frac_nums, den, fix_last):
         return [den]
     acc = [0] * (1 << s)
     scale = math.factorial(s - 1) * (1 if fix_last else s)
-    live = [i for i, f in enumerate(frac_nums) if f]
+    live = _live(frac_nums)
     if not live:
         acc[0] = den * scale
         return acc
     scale //= math.factorial(len(live) - 1)
-    if len(live) >= 3:
-        scale *= 2
     *head, last = live
-    sweep_orders(frac_nums, den, _mirror_representatives(head, last), acc)
+    if len(head) < 2:
+        groups = [(_NO_STATE, (), live)]
+    else:
+        scale *= 2
+        groups = ((head[a], head[:a] + head[a + 1:b] + head[b + 1:],
+                   (head[b], last))
+                  for a, b in itertools.combinations(range(len(head)), 2))
+    _sweep(den, s, groups, acc)
     if scale != 1:
         acc = [length * scale for length in acc]
     return acc

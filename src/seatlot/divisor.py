@@ -190,7 +190,7 @@ def divisor_apportion(prob: Problem, rule: DivisorRule) -> Allocation:
     allocation), squared for rules compared through squares.
     """
     seats, cut_key, next_key = _house(_Census(prob.populations, rule), rule,
-                                      prob.seats)
+                                      prob.seats, audit=True)
     if cut_key is None:
         cut_priority = next_priority = None
     else:
@@ -205,9 +205,10 @@ def divisor_apportion(prob: Problem, rule: DivisorRule) -> Allocation:
     return Allocation(seats=tuple(seats), method=rule.name, audit=audit)
 
 
-def _house(census: _Census, rule: DivisorRule, r: int):
+def _house(census: _Census, rule: DivisorRule, r: int, audit=False):
     """The rule's seats for a house of ``r`` on ``census``, with the worst
-    granted and the best withheld key (both None when r = 0)."""
+    granted and the best withheld key as ``_jump_and_step`` gives them
+    (both None when r = 0)."""
     s = len(census.pops)
     if rule.first_seat_guaranteed and r < s:
         raise InfeasibleError(
@@ -215,7 +216,7 @@ def _house(census: _Census, rule: DivisorRule, r: int):
             f"{r} seats for {s} states")
     if r == 0:
         return [0] * s, None, None
-    return _jump_and_step(census, rule, (0,) * s, range(s), r)
+    return _jump_and_step(census, rule, (0,) * s, range(s), r, audit)
 
 
 def _jump_price(census: _Census, rule: DivisorRule, floors: Sequence[int],
@@ -266,7 +267,7 @@ def _jump_price(census: _Census, rule: DivisorRule, floors: Sequence[int],
 
 
 def _jump_and_step(census: _Census, rule: DivisorRule, floors: Sequence[int],
-                   states: Sequence[int], target: int):
+                   states: Sequence[int], target: int, audit=False):
     """Grant ``states`` the seats above their ``floors`` with the best
     priority keys, so that their seats total ``target``.
 
@@ -277,6 +278,9 @@ def _jump_and_step(census: _Census, rule: DivisorRule, floors: Sequence[int],
     seats from a heap of next seats, or withdraws the worst granted ones
     from a heap of last granted seats, one step per seat the jump missed
     by; and the last seat moved, if any, is the other end of the audit.
+    When the jump lands on ``target``, finding the two keys means keying
+    every state again; only ``divisor_apportion``'s audit reads them, so
+    without ``audit`` both are None.
 
     A key is ``(1, -v, -pop, index)`` for a finite priority pop**k * den /
     num, where v is that priority times 2**shift rounded down, and
@@ -293,6 +297,8 @@ def _jump_and_step(census: _Census, rule: DivisorRule, floors: Sequence[int],
     """
     num, den = _jump_price(census, rule, floors, states, target)
     start, total = _rounded(census.pops, rule, num, den, floors, states)
+    if total == target and not audit:
+        return start, None, None
     # No state's seats pass its jump seats plus the seats the jump is short.
     top = max(map(start.__getitem__, states)) + max(target - total, 0)
     bound = rule.threshold(top)[0]

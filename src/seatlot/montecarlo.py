@@ -62,9 +62,11 @@ class SimulationReport:
         return math.sqrt(self.variance(i) / self.replicates)
 
 
-def _check_replicates(n) -> None:
-    """Refuse a replicate count that is not a positive integer, or is above
-    ``REPLICATE_CEILING``."""
+def _check_run(master_seed, n) -> None:
+    """Refuse a master seed that ``SeededSource`` refuses (a bool or any
+    non-integer), and a replicate count that is not a positive integer or
+    is above ``REPLICATE_CEILING``, before any replicate runs."""
+    SeededSource(master_seed)
     check_integers((n,), "replicate count", 1)
     if n > REPLICATE_CEILING:
         raise CapacityError(f"a simulation draws at most {REPLICATE_CEILING} "
@@ -114,11 +116,12 @@ def simulate(method, prob: Problem, master_seed: int, n: int,
     ``method`` is ``"stochastic"``, a deterministic method name, or a
     callable ``(problem, source) -> Allocation``.  Reports per-state seat
     sums and sums of squares plus counts of replicates violating quota or
-    the lower bounds.  More than ``REPLICATE_CEILING`` replicates are
-    refused with ``CapacityError``, and a seat vector whose length is not
-    the state count with ``InputError``.
+    the lower bounds.  A master seed that is a bool or not an integer is
+    refused with ``InputError``, more than ``REPLICATE_CEILING``
+    replicates with ``CapacityError``, and a seat vector whose length is
+    not the state count with ``InputError``.
     """
-    _check_replicates(n)
+    _check_run(master_seed, n)
     if method == "stochastic":
         prepared, (sums, sumsqs, qviol, bviol, mismatches, _masks) = (
             _scheme_batch(prob, lower_bounds, master_seed, n))
@@ -147,9 +150,9 @@ def simulate(method, prob: Problem, master_seed: int, n: int,
 
 def empirical_distribution(prob: Problem, master_seed: int, n: int,
                            lower_bounds=None) -> dict[tuple[int, ...], int]:
-    """Allocation -> count over n seeded replicates of the scheme; n is
-    checked as by :func:`simulate`."""
-    _check_replicates(n)
+    """Allocation -> count over n seeded replicates of the scheme; the
+    master seed and n are checked as by :func:`simulate`."""
+    _check_run(master_seed, n)
     if prob.size > 16:
         raise CapacityError("empirical distribution tracking supports at most 16 states")
     prepared, (*_tallies, masks) = _scheme_batch(

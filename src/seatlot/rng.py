@@ -98,10 +98,13 @@ def child_seed(master_seed: int, index: int) -> int:
 
     Children of one master are spaced along the SplitMix64 orbit and then
     mixed, which keeps distinct (master, index) pairs from colliding in
-    practice.  The compiled kernels use this exact formula.
+    practice.  The compiled kernels use this exact formula.  Both arguments
+    must be ints, and only a negative index is refused (with
+    :class:`InputError`): the master seed is not checked here, so
+    ``SeededSource(seed).child(k)`` is the checked path.
     """
     if index < 0:
-        raise ValueError("child index must be non-negative")
+        raise InputError("child index must be non-negative")
     return mix64((master_seed + (index + 1) * _GOLDEN) & _MASK64)
 
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -264,10 +263,7 @@ def _allocation_law(quota: QuotaVector, *, average_orders: bool = True,
         cells = enumerate(_backend.averaged_mask_lengths(nums, den, True))
         total = den * (math.factorial(s - 1) if s > 1 else 1)
     else:
-        acc = defaultdict(int)
-        _kernels_py.sweep_orders(
-            nums, den, [[i for i, n in enumerate(nums) if n]], acc)
-        cells = acc.items()
+        cells = _kernels_py.fixed_order_lengths(nums, den).items()
         total = den
     lengths: dict[tuple[int, ...], int] = {}
     for mask, length in cells:

@@ -287,13 +287,13 @@ def jump_misses(monkeypatch):
     misses = []
     jump_and_step = divisor._jump_and_step
 
-    def spy(census, rule, floors, states, target):
+    def spy(census, rule, floors, states, target, *audit):
         price = F(*divisor._jump_price(census, rule, floors, states, target))
         jump = lambda_allocation(problem(census.pops, target), rule, price)
         miss = sum(max(floors[i], jump[i]) for i in states) - target
         assert abs(miss) < len(states)
         misses.append((any(floors), miss))
-        return jump_and_step(census, rule, floors, states, target)
+        return jump_and_step(census, rule, floors, states, target, *audit)
 
     monkeypatch.setattr(divisor, "_jump_and_step", spy)
     return misses
@@ -553,6 +553,26 @@ def test_bounded_divisor_grants_minimums():
     assert all(a >= 1 for a in alloc.seats)
     with pytest.raises(InfeasibleError):
         divisor_with_bounds(problem((2, 2), 1), RULES["hill"], (1, 1))
+
+
+def test_exact_jump_keys_no_seat_for_a_bounded_house():
+    # Hill's jump lands exactly on the 435-seat house of CENSUS_50 with a
+    # minimum of one seat, so the jump's rounding pass, one threshold per
+    # competing state, is the whole cost.  The step used to key every
+    # state again for an audit cut that divisor_with_bounds throws away.
+    hill = RULES["hill"]
+    calls = []
+
+    def counted(b):
+        calls.append(b)
+        return hill.threshold(b)
+
+    census = [pop for _label, pop in CENSUS_50]
+    prob = problem(census, 435)
+    seats = divisor_with_bounds(
+        prob, dataclasses.replace(hill, threshold=counted), 1).seats
+    assert seats == divisor_with_bounds(prob, hill, 1).seats
+    assert len(calls) == sum(435 * pop > sum(census) for pop in census)
 
 
 def test_bounded_divisor_state_at_its_quota_stops_competing():

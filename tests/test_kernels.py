@@ -76,14 +76,41 @@ def tied_fracs(draw):
 @given(tied_fracs())
 @settings(max_examples=150, deadline=None)
 def test_averaged_mask_lengths_match_oracle(kc, case):
+    check_against_oracle(kc, *case)
+
+
+def check_against_oracle(kc, nums, den):
     # All s! orderings, every cell evaluated at its right endpoint: the
     # pinned sum is 1/s of it, the unpinned sum all of it, on both tiers.
-    nums, den = case
     expected = mask_lengths(nums, den)
     for kernels in (kpy, kc):
         pinned = kernels.averaged_mask_lengths(nums, den, True)
         assert [length * len(nums) for length in pinned] == expected
         assert kernels.averaged_mask_lengths(nums, den, False) == expected
+
+
+def pair_sweep_cases():
+    """(nums, den) on each path of the pair sweep.  One live state cannot
+    occur: a single fraction in (0, den) is no multiple of den."""
+    yield pytest.param([0, 0, 0], 5, id="no-live")
+    # A head of one state: its one ordering is swept once.
+    yield pytest.param([0, 3, 0, 2], 5, id="two-live")
+    # One pair and an empty middle.
+    yield pytest.param([2, 0, 1, 2], 5, id="three-live")
+    # The pair (1, 2) reaches its end, 2, on a multiple of 4, so the end
+    # state has no breakpoint.
+    yield pytest.param([1, 3, 2, 2], 4, id="no-end-key")
+    # Zero fractions among the states and breakpoints tied over den 4.
+    yield pytest.param([1, 0, 2, 1, 2, 0, 3, 3], 4, id="zeros-and-ties")
+    src = SeededSource(24)
+    for s in (7, 8):
+        den = 1 + src.randbelow(10 ** 9)
+        yield pytest.param(random_fracs(src, s, den), den, id=f"seeded-{s}")
+
+
+@pytest.mark.parametrize("nums, den", pair_sweep_cases())
+def test_pair_sweep_matches_oracle(kc, nums, den):
+    check_against_oracle(kc, nums, den)
 
 
 def tally_cases():

@@ -135,6 +135,22 @@ def _never_called(*args):
     raise AssertionError("a replicate ran past the ceiling")
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "3"])
+@pytest.mark.parametrize("draw", [
+    lambda seed: simulate("stochastic", problem((1, 2), 2), seed, 10),
+    lambda seed: simulate("hamilton", problem((1, 2), 2), seed, 10),
+    lambda seed: simulate(_never_called, problem((1, 2), 2), seed, 10),
+    lambda seed: empirical_distribution(problem((1, 2), 2), seed, 10),
+], ids=["stochastic", "hamilton", "callable", "empirical"])
+def test_bool_or_non_integer_master_seed_is_refused(draw, seed, monkeypatch):
+    # The scheme drew True as seed 1 and raised a bare TypeError on 1.5;
+    # Hamilton reported master_seed 1.5.  The refusal comes before any
+    # replicate runs.
+    monkeypatch.setattr(_backend, "simulate_batch", _never_called)
+    with pytest.raises(InputError, match="^seed must be an integer, got "):
+        draw(seed)
+
+
 @pytest.mark.parametrize("draw", [
     lambda n: simulate("stochastic", problem((1, 2), 1), 0, n),
     lambda n: simulate("webster", problem((1, 2), 1), 0, n),

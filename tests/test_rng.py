@@ -38,8 +38,14 @@ def test_child_seed_pure_function():
     assert child_seed(42, 7) != child_seed(43, 7)
     src = SeededSource(42)
     assert src.child(7).seed == child_seed(42, 7)
-    with pytest.raises(ValueError):
-        child_seed(42, -1)
+
+
+def test_negative_child_index_is_an_input_error():
+    # It raised a bare ValueError; InputError is one, so callers that
+    # catch ValueError still catch it.
+    for call in (lambda: child_seed(42, -1), lambda: SeededSource(42).child(-1)):
+        with pytest.raises(InputError, match="child index"):
+            call()
 
 
 def test_mix64_range():

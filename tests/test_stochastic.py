@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seatlot import (CapacityError, InputError, SeededSource, _backend,
@@ -292,7 +292,14 @@ def check_fixed_order_law(fracs):
     return law
 
 
+# The fixed order is swept as one tail; the examples hold 0, 2 and 3
+# states with a positive fraction, with zeros and tied breakpoints.
 @given(fractional_vectors(max_states=6, max_den=18))
+@example([F(0)])
+@example([F(0), F(0)])
+@example([F(1, 3), F(0), F(2, 3), F(0)])
+@example([F(1, 2), F(1, 4), F(1, 4)])
+@example([F(0), F(1, 3), F(1, 3), F(1, 3)])
 @settings(max_examples=60, deadline=None)
 def test_fixed_order_law_matches_oracle_and_is_fair(fracs):
     check_fixed_order_law(fracs)

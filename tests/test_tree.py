@@ -204,6 +204,38 @@ def test_one_builder_and_one_integral_check(found, holder):
         == [holder]
 
 
+def sorts(node):
+    """A call to a ``.sort`` method or to ``sorted``."""
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Attribute) and node.func.attr == "sort"
+        or isinstance(node.func, ast.Name) and node.func.id == "sorted")
+
+
+def adds_to_acc(node):
+    """``acc[...] += ...``: a cell length added to an accumulator."""
+    return (isinstance(node, ast.AugAssign)
+            and isinstance(node.target, ast.Subscript)
+            and isinstance(node.target.value, ast.Name)
+            and node.target.value.id == "acc")
+
+
+def test_sorts_and_cell_adds_are_found():
+    source = ("def a(k):\n    k.sort()\n"
+              "def b(k):\n    return sorted(k)\n"
+              "def c(acc):\n    acc[0] += 1\n"
+              "def d(acc):\n    acc[0] = 1\n")
+    assert holders(source, sorts) == ["a", "b"]
+    assert holders(source, adds_to_acc) == ["c"]
+
+
+def test_one_cell_sweep():
+    # Both exact laws, the ordering-averaged and the fixed-order one, sort
+    # breakpoint keys and add cell lengths in one function of the pure
+    # tier, so no second sweep body grows beside the pair path.
+    source = (PACKAGE / "_kernels_py.py").read_text(encoding="utf-8")
+    assert holders(source, sorts) == holders(source, adds_to_acc) == ["_sweep"]
+
+
 def module_caches(source: str) -> list[str]:
     """The top-level functions of a module decorated with
     ``functools.lru_cache`` or ``functools.cache``, however spelt."""
