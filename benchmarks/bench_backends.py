@@ -2,8 +2,9 @@
 """Benchmark the compiled batch kernels against the pure-Python reference.
 
 Runs the two compiled kernels (the exact law and the Monte Carlo batch) on a
-representative workload through both backends, prints wall-clock times plus
-the speedup, and exits with status 1 if the backends disagree on any result.
+representative workload through both backends, prints wall-clock times in
+milliseconds to three significant digits plus the speedup, and exits with
+status 1 if the backends disagree on any result.
 The compiled library is the one built next to the package
 (``pip install -e .``); when there is none, the script compiles
 ``src/seatlot/_kernels_native.c`` with ``cc`` (or ``gcc``) into a temporary
@@ -13,6 +14,7 @@ directory.  Usage:
 """
 
 import argparse
+import math
 import sys
 import tempfile
 import time
@@ -57,6 +59,13 @@ def timed(fn, repeat):
     return min(best), result
 
 
+def ms(seconds):
+    """``seconds`` in milliseconds, to three significant digits."""
+    value = seconds * 1e3
+    places = 2 - math.floor(math.log10(value)) if value > 0 else 0
+    return f"{round(value, places):.{max(places, 0)}f} ms"
+
+
 def compiled_kernels(workdir):
     """seatlot._kernels_c bound to a built library, or None without one."""
     library = _backend._built_library() or _kernels_c.build(workdir)
@@ -79,12 +88,12 @@ def main():
         for name, runner in workloads():
             t_py, out_py = timed(lambda: runner(kpy), args.repeat)
             if kc is None:
-                print(f"{name:<42} {t_py:>9.3f}s {'n/a':>10} {'n/a':>8}")
+                print(f"{name:<42} {ms(t_py):>10} {'n/a':>10} {'n/a':>8}")
                 continue
             t_c, out_c = timed(lambda: runner(kc), args.repeat)
             match = "" if out_py == out_c else "  !! MISMATCH"
             mismatches += bool(match)
-            print(f"{name:<42} {t_py:>9.3f}s {t_c:>9.3f}s "
+            print(f"{name:<42} {ms(t_py):>10} {ms(t_c):>10} "
                   f"{t_py / t_c:>7.1f}x{match}")
     if kc is None:
         print("\nno compiled library: build it with `pip install -e .` "

@@ -20,14 +20,17 @@ Conventions shared by both backends:
 * A single draw returns its winners as a 0/1 ``bytearray`` of flags (entry i
   = 1 when state i wins a residual seat), so a caller adds them to the
   floors in one pass.  The exact law and the batch tallies key on bit masks
-  (bit i = state i wins); ``flags_mask`` packs flags into one.
+  (bit i = state i wins).
 * All randomness is SplitMix64 per :mod:`seatlot.rng`; replicate ``k`` of a
   batch uses the stream seeded by ``child_seed(master_seed, k)``.
 
 Both exact laws, ``averaged_mask_lengths`` and ``fixed_order_lengths``,
 add their cells through one sweep, ``_sweep``.  The averaged law sweeps
 the fixed tail (end, last) of each mirror pair once for all of the pair's
-orderings (see its docstring).
+orderings (see its docstring).  The pure batch, ``simulate_batch``,
+shuffles and rounds each replicate in one backward pass over its block of
+draws; it runs ``scheme_replicate``, the single-draw replicate, only as
+its exact fallback, and ``flags_mask`` packs that fallback's flags.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ import itertools
 import math
 from collections import defaultdict
 
-from .rng import SeededSource, child_seed
+from .rng import (_BLOCK, SeededSource, _child_seed_blocks,
+                  _replicate_draws)
 
 _M53 = 1 << 53
 # The first state of a group that has none: no bit, no fraction.
@@ -263,15 +267,30 @@ def simulate_batch(scheme_floors, frac_nums, den, quota_floors, quota_ceils,
     and mask_counts (input-index winner masks, only for s <= 16, else None)
     recover the empirical allocation distribution.
 
-    Every tally follows from the winner mask W of each replicate (its
-    flags packed by ``flags_mask``) and the per-state win counts w.  A
-    state with floor f gets f + W_i seats, so its seat sum is n*f + w and
-    its sum of squares n*f**2 + (2f + 1)*w.  A replicate violates quota
-    (or a bound) when W meets the states that fail with a residual seat or
-    misses one that fails without it; its seats total sum(floors) +
-    popcount(W).  The win counts are kept as bit planes: bit i of
-    ``planes[p]`` is bit p of state i's count, and adding W is a
-    ripple-carry add across the planes.
+    Replicate draws.  The seeds ``child_seed(master_seed, k)`` come in
+    blocks (``rng._child_seed_blocks``), and each replicate's s draws in
+    one more (``rng._replicate_draws``): the s - 1 draws of its shuffle,
+    then its offset.  Fisher-Yates fixes the ordering from its last
+    position down, one position per shuffle draw, so the rounding loop of
+    ``systematic_flags`` runs backwards alongside it.  With q = r + den,
+    which lies in (0, den], the forward loop ends on the q in that range
+    that is congruent to u_num plus the fractions' total modulo den.
+    Each fixed state undoes its step: it won a seat exactly when
+    q - f <= 0, and the q before it is q - f, plus den if it won.  So each
+    state goes straight into the winner mask, and no ordering, flags or
+    source is built.  A block with a shuffle draw that the shuffle may
+    reject, and every replicate of more than ``_BLOCK`` states, goes
+    through ``scheme_replicate`` on ``SeededSource(seed)`` instead, its
+    flags packed by ``flags_mask``.
+
+    Every tally follows from the winner mask W of each replicate and the
+    per-state win counts w.  A state with floor f gets f + W_i seats, so
+    its seat sum is n*f + w and its sum of squares n*f**2 + (2f + 1)*w.  A
+    replicate violates quota (or a bound) when W meets the states that
+    fail with a residual seat or misses one that fails without it; its
+    seats total sum(floors) + popcount(W).  The win counts are kept as bit
+    planes: bit i of ``planes[p]`` is bit p of state i's count, and adding
+    W is a ripple-carry add across the planes.
     """
     s = len(frac_nums)
     quota_won, quota_lost = _failure_masks(
@@ -284,27 +303,49 @@ def simulate_batch(scheme_floors, frac_nums, den, quota_floors, quota_ceils,
     sum_mismatches = 0
     mask_counts = [0] * (1 << s) if s <= 16 else None
     planes = []
-    for k in range(n):
-        _order, _u53, flags = scheme_replicate(
-            SeededSource(child_seed(master_seed, k)), frac_nums, den)
-        winners = flags_mask(flags)
-        if winners & quota_won or (winners & quota_lost) != quota_lost:
-            quota_violations += 1
-        if winners & bound_won or (winners & bound_lost) != bound_lost:
-            bound_violations += 1
-        if winners.bit_count() != residual:
-            sum_mismatches += 1
-        if mask_counts is not None:
-            mask_counts[winners] += 1
-        carry = winners
-        for p, plane in enumerate(planes):
-            planes[p] = plane ^ carry
-            carry &= plane
-            if not carry:
-                break
-        else:
-            if carry:
-                planes.append(carry)
+    items = [(f, 1 << i) for i, f in enumerate(frac_nums)]
+    total = sum(frac_nums)
+    positions = range(s - 1, 0, -1)
+    blocked = 0 < s <= _BLOCK
+    for seeds in _child_seed_blocks(master_seed, n):
+        for seed in seeds:
+            draws = _replicate_draws(seed, s) if blocked else None
+            if draws is None:
+                winners = flags_mask(
+                    scheme_replicate(SeededSource(seed), frac_nums, den)[2])
+            else:
+                u_num = position_from_bits53(draws[-1] >> 11, den)
+                q = (u_num + total) % den or den
+                pool = items.copy()
+                winners = 0
+                for i, draw in zip(positions, draws):
+                    j = draw % (i + 1)
+                    f, bit = pool[j]
+                    pool[j] = pool[i]
+                    q -= f
+                    if q <= 0:
+                        q += den
+                        winners |= bit
+                f, bit = pool[0]
+                if f >= q:
+                    winners |= bit
+            if winners & quota_won or (winners & quota_lost) != quota_lost:
+                quota_violations += 1
+            if winners & bound_won or (winners & bound_lost) != bound_lost:
+                bound_violations += 1
+            if winners.bit_count() != residual:
+                sum_mismatches += 1
+            if mask_counts is not None:
+                mask_counts[winners] += 1
+            carry = winners
+            for p, plane in enumerate(planes):
+                planes[p] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                if carry:
+                    planes.append(carry)
     sums = []
     sumsqs = []
     for i, f in enumerate(scheme_floors):

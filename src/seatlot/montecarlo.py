@@ -25,8 +25,9 @@ from .stochastic import (ENUMERATION_LIMIT, _prepare, _seats_from_mask,
 
 # The most replicates one simulate or empirical_distribution call draws;
 # more are refused with CapacityError before any replicate runs.  The pure
-# batch draws about 40,000 replicates a second at 50 states, so a call at
-# the ceiling runs for minutes, not hours.
+# batch draws about 42,000 replicates a second at 50 states (perfbench
+# lab_replicates, 2 vCPUs), so a call at the ceiling runs for about four
+# minutes, not hours.
 REPLICATE_CEILING = 10 ** 7
 
 

@@ -26,7 +26,10 @@ lanes never carry into one another.  The lanes are read back with
 ``array("Q")`` from little-endian bytes, byteswapped on big-endian hosts;
 the integer arithmetic is exact, so the outputs are the scalar outputs on
 every platform.  ``shuffled_range`` consumes blocks of at most ``_BLOCK``
-draws, which keeps its extra memory bounded at any length.
+draws, which keeps its extra memory bounded at any length.  Child seed k of
+a master is output k of the stream seeded at the master, so a batch takes
+its seeds in blocks too (``_child_seed_blocks``), and each replicate's
+shuffle and offset draws in one more (``_replicate_draws``).
 """
 
 from __future__ import annotations
@@ -79,18 +82,68 @@ def _lane_constants(k: int) -> tuple[int, int, int]:
     return consts
 
 
-def _next_block(state: int, k: int) -> array:
+def _mixed_lanes(state: int, k: int) -> int:
     """The k outputs that follow ``state``, 1 <= k <= _BLOCK, mixed as
-    lanes of one integer exactly as ``mix64`` mixes each alone."""
+    lanes of one integer exactly as ``mix64`` mixes each alone.  Output t
+    is the low 64 bits of lane t; bits 64 to 96 of every lane are 0."""
     ones, steps, mask = _lane_constants(k)
     z = (state * ones + steps) & mask
     z = ((z ^ (z >> 30)) & mask) * _MUL1 & mask
     z = ((z ^ (z >> 27)) & mask) * _MUL2 & mask
-    z ^= z >> 31
+    return z ^ z >> 31
+
+
+def _low_words(z: int, k: int) -> array:
+    """The low 64 bits of the k lanes of ``z``."""
     words = array("Q", z.to_bytes(16 * k, "little"))
     if _BIG_ENDIAN:
         words.byteswap()
     return words[::2]
+
+
+def _next_block(state: int, k: int) -> array:
+    """The k outputs that follow ``state``, 1 <= k <= _BLOCK."""
+    return _low_words(_mixed_lanes(state, k), k)
+
+
+def _child_seed_blocks(master_seed: int, n: int):
+    """Yield ``child_seed(master_seed, k)`` for k = 0 .. n - 1 in blocks of
+    at most _BLOCK: child k is output k of the stream seeded at the
+    master."""
+    state = master_seed & _MASK64
+    for start in range(0, n, _BLOCK):
+        k = min(_BLOCK, n - start)
+        yield _next_block(state, k)
+        state = (state + k * _GOLDEN) & _MASK64
+
+
+# (addend, bit-64 mask) of the first s - 1 lanes, keyed by (s, _SPAN): at
+# most _BLOCK entries for each span.
+_HIGH_DRAW_TESTS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
+def _replicate_draws(seed: int, s: int) -> array | None:
+    """The s draws of one scheme replicate on the stream seeded at ``seed``
+    (0 <= seed < 2**64, 1 <= s <= _BLOCK): the s - 1 draws that
+    ``shuffled_range(s)`` takes when none is rejected, then the draw of
+    ``bits53``.  None when a shuffle draw is at or above ``_SPAN - s``,
+    where the shuffle may reject it; ``shuffled_range`` then decides.
+
+    The test runs on the packed lanes: adding 2**64 - _SPAN + s to a draw
+    sets bit 64 of its lane exactly when the draw is at or above
+    _SPAN - s, and the sum cannot carry past bit 64.
+    """
+    z = _mixed_lanes(seed, s)
+    if s > 1:
+        key = (s, _SPAN)
+        test = _HIGH_DRAW_TESTS.get(key)
+        if test is None:
+            ones = _lane_constants(s - 1)[0]
+            test = (ones * ((1 << 64) - _SPAN + s), ones << 64)
+            _HIGH_DRAW_TESTS[key] = test
+        if (z + test[0]) & test[1]:
+            return None
+    return _low_words(z, s)
 
 
 def child_seed(master_seed: int, index: int) -> int:
@@ -98,11 +151,16 @@ def child_seed(master_seed: int, index: int) -> int:
 
     Children of one master are spaced along the SplitMix64 orbit and then
     mixed, which keeps distinct (master, index) pairs from colliding in
-    practice.  The compiled kernels use this exact formula.  Both arguments
-    must be ints, and only a negative index is refused (with
-    :class:`InputError`): the master seed is not checked here, so
-    ``SeededSource(seed).child(k)`` is the checked path.
+    practice; child k is output k of the stream seeded at the master, read
+    modulo 2**64.  The compiled kernels use this exact formula.  A bool or
+    non-integer argument, and a negative index, raise
+    :class:`InputError`.
     """
+    # Exact type first: the callable path of simulate seeds every draw here.
+    if type(master_seed) is not int:
+        SeededSource._check_int(master_seed, "seed")
+    if type(index) is not int:
+        SeededSource._check_int(index, "child index")
     if index < 0:
         raise InputError("child index must be non-negative")
     return mix64((master_seed + (index + 1) * _GOLDEN) & _MASK64)
@@ -120,11 +178,16 @@ class SeededSource:
 
     def __init__(self, seed: int):
         # Exact type first: a source is built per replicate.
-        if type(seed) is not int and (not isinstance(seed, int)
-                                      or isinstance(seed, bool)):
-            raise InputError(f"seed must be an integer, got {seed!r}")
+        if type(seed) is not int:
+            self._check_int(seed, "seed")
         self.seed = seed & _MASK64
         self._state = self.seed
+
+    @staticmethod
+    def _check_int(value, what: str) -> None:
+        """Refuse a bool or a non-integer ``value`` with InputError."""
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InputError(f"{what} must be an integer, got {value!r}")
 
     def __repr__(self):
         return f"SeededSource(seed={self.seed})"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import seatlot._backend as backend
 import seatlot._kernels_py as kpy
+from seatlot import rng
 from seatlot.rng import SeededSource
 
 from oracles import mask_lengths
@@ -114,7 +115,9 @@ def test_pair_sweep_matches_oracle(kc, nums, den):
 
 
 def tally_cases():
-    """simulate_batch arguments for s = 1, 3, 8, 16, 17 and 50 states.
+    """simulate_batch arguments for s = 1, 3, 8, 16, 17, 50, 128 and 129
+    states: a replicate's draws fill one block at 128 states, and the pure
+    batch runs each replicate through ``scheme_replicate`` at 129.
 
     The first variant is consistent (quota bounds around the floors, house
     equal to floors plus residual).  The second draws quota bounds that
@@ -127,7 +130,7 @@ def tally_cases():
     """
     src = SeededSource(4)
     cases = []
-    for s in (1, 3, 8, 16, 17, 50):
+    for s in (1, 3, 8, 16, 17, 50, 128, 129):
         for variant in range(3):
             den = 1 + src.randbelow(800)
             nums = random_fracs(src, s, den)
@@ -192,6 +195,29 @@ def test_pure_batch_tallies_match_single_draws():
         mismatches += expected[4]
     assert partial == {"quota", "bound"}
     assert mismatches
+
+
+def test_pure_batch_fallback_matches_single_draws(monkeypatch):
+    # With the span halved, about half of all draws are rejected, so most
+    # replicates of two or more states leave the blocked pass for
+    # scheme_replicate; the tallies still match the single draws.
+    monkeypatch.setattr(rng, "_SPAN", 1 << 63)
+    scheme_replicate = kpy.scheme_replicate
+    calls = []
+
+    def replicate(*args):
+        calls.append(args)
+        return scheme_replicate(*args)
+
+    monkeypatch.setattr(kpy, "scheme_replicate", replicate)
+    replicates = fallbacks = 0
+    for args in tally_cases():
+        expected = tally_by_draws(*args)
+        calls.clear()
+        assert kpy.simulate_batch(*args) == expected
+        replicates += args[7]
+        fallbacks += len(calls)
+    assert 0 < fallbacks < replicates
 
 
 def test_simulate_batch_agreement(kc):

@@ -40,6 +40,21 @@ def test_child_seed_pure_function():
     assert src.child(7).seed == child_seed(42, 7)
 
 
+@pytest.mark.parametrize("master, index", [
+    (True, 0), (1.5, 0), ("3", 0), (None, 0), (1, True), (1, 1.5)])
+def test_bool_or_non_integer_child_seed_is_refused(master, index):
+    # child_seed(True, 0) drew as child_seed(1, 0), and child_seed(1.5, 0)
+    # raised a bare TypeError.
+    with pytest.raises(InputError, match="must be an integer, got "):
+        child_seed(master, index)
+
+
+def test_child_seed_reads_the_master_modulo_two_to_the_64():
+    for k in (0, 1, 300):
+        assert child_seed(2 ** 64 + 5, k) == child_seed(5, k)
+        assert child_seed(-1, k) == child_seed(2 ** 64 - 1, k)
+
+
 def test_negative_child_index_is_an_input_error():
     # It raised a bare ValueError; InputError is one, so callers that
     # catch ValueError still catch it.
@@ -197,3 +212,77 @@ def test_block_shuffle_memory_is_the_order_list():
         tracemalloc.stop()
     assert peak <= 1.1 * alone
     assert len(rng._LANES) <= rng._BLOCK
+
+
+@pytest.mark.parametrize("master", [-7, 2 ** 64 + 3, 2 ** 70 - 1])
+def test_child_seed_blocks_are_the_child_seeds(master):
+    blocks = list(rng._child_seed_blocks(master, 301))
+    assert [len(block) for block in blocks] == [rng._BLOCK, rng._BLOCK, 45]
+    seeds = [seed for block in blocks for seed in block]
+    for k in (0, 127, 128, 300):
+        assert seeds[k] == child_seed(master, k)
+    assert seeds == [child_seed(master, k) for k in range(301)]
+
+
+def unmix64(z):
+    """The state whose ``mix64`` output is z: each step of the finalizer
+    undone in reverse order."""
+    def unshift(y, k):
+        x = y
+        for _ in range(64 // k + 1):
+            x = y ^ (x >> k)
+        return x
+
+    z = unshift(z, 31) * pow(rng._MUL2, -1, 2 ** 64) % 2 ** 64
+    z = unshift(z, 27) * pow(rng._MUL1, -1, 2 ** 64) % 2 ** 64
+    return unshift(z, 30)
+
+
+def outputs(seed, n):
+    """The first n outputs of the stream seeded at ``seed``."""
+    src = SeededSource(seed)
+    return [src.next_u64() for _ in range(n)]
+
+
+def seed_with_draw(t, draw):
+    """A seed whose stream yields ``draw`` as its output t (from 0)."""
+    return (unmix64(draw) - (t + 1) * rng._GOLDEN) % 2 ** 64
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, rng._BLOCK])
+def test_replicate_draws_are_the_shuffle_and_offset_draws(n):
+    for seed in (0, 5, 2 ** 64 - 1):
+        draws = rng._replicate_draws(seed, n)
+        src = SeededSource(seed)
+        order = src.shuffled_range(n)
+        u53 = src.bits53()
+        assert draws_taken(seed, src) == n
+        assert list(draws) == outputs(seed, n)
+        assert u53 == draws[-1] >> 11
+        # Fisher-Yates on the block gives the shuffle's order.
+        replay = list(range(n))
+        for i, draw in zip(range(n - 1, 0, -1), draws):
+            j = draw % (i + 1)
+            replay[i], replay[j] = replay[j], replay[i]
+        assert replay == order
+
+
+@pytest.mark.parametrize("span", [1 << 64, 1 << 63])
+@pytest.mark.parametrize("n", [2, 5, rng._BLOCK])
+def test_replicate_draws_refuse_exactly_the_high_shuffle_draws(
+        monkeypatch, span, n):
+    monkeypatch.setattr(rng, "_SPAN", span)
+    # One draw placed at either side of _SPAN - n, first, last and as the
+    # offset; only a shuffle draw at or above it refuses the block.
+    for t in (0, n - 2, n - 1):
+        for draw in (span - n - 1, span - n, span - 1, 2 ** 64 - 1):
+            seed = seed_with_draw(t, draw)
+            draws = rng._replicate_draws(seed, n)
+            drawn = outputs(seed, n)
+            assert drawn[t] == draw
+            high = any(d >= span - n for d in drawn[:-1])
+            assert (draws is None) == high, (t, draw)
+    # Seeded streams, where about half of all draws lie above a halved span.
+    for seed in range(200):
+        high = any(d >= span - n for d in outputs(seed, n)[:-1])
+        assert (rng._replicate_draws(seed, n) is None) == high
