@@ -27,6 +27,7 @@ import functools
 import io
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -768,7 +769,18 @@ def main(argv=None, out=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``seatlot ... | head``).  Point stdout at
+        # the null device, so the flush at exit cannot fail a second time,
+        # and stop with status 1 and nothing on stderr.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

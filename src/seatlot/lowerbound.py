@@ -56,27 +56,38 @@ def classify(quota, bounds: Sequence[int], seats: int) -> StateClassification:
     """
     quota = quota_vector(quota)
     check_integers((seats,), "seats", 0)
-    bounds = validate_lower_bound(bounds, quota.size)
-    over = [i for i, (c, b) in enumerate(zip(quota.ceilings, bounds))
-            if b > c]
+    return _classify(quota, validate_lower_bound(bounds, quota.size), seats)
+
+
+def _classify(quota: QuotaVector, bounds: tuple[int, ...],
+              seats: int) -> StateClassification:
+    """:func:`classify` on bounds and a house size already checked, in one
+    pass over (floor, numerator, bound).  A quota ``f + n/den`` lies below
+    its bound ``b`` exactly when ``f < b``, and then its upper quota
+    ``f + (n > 0)`` lies below ``b`` too unless ``n > 0`` and ``b == f + 1``."""
+    small, exact, surplus, over = [], [], [], []
+    granted = 0
+    for i, (f, n, b) in enumerate(zip(quota.floors, quota.nums, bounds)):
+        if f > b or f == b and n:
+            surplus.append(i)
+        elif f == b:
+            exact.append(i)
+            granted += b
+        else:
+            small.append(i)
+            granted += b
+            if not n or b > f + 1:
+                over.append(i)
     if over:
         raise InfeasibleError(
             f"lower bound exceeds upper quota for states {over}",
             diagnostics={"condition": "bound_above_upper_quota", "states": over})
-    if sum(bounds) > seats:
+    total_bound = sum(bounds)
+    if total_bound > seats:
         raise InfeasibleError(
-            f"lower bounds sum to {sum(bounds)} > {seats} seats",
+            f"lower bounds sum to {total_bound} > {seats} seats",
             diagnostics={"condition": "bounds_exceed_house",
-                         "total_bound": sum(bounds), "seats": seats})
-    small, exact, surplus = [], [], []
-    for i, (f, n, b) in enumerate(zip(quota.floors, quota.nums, bounds)):
-        if (f, n) < (b, 0):
-            small.append(i)
-        elif (f, n) == (b, 0):
-            exact.append(i)
-        else:
-            surplus.append(i)
-    granted = sum(bounds[i] for i in small + exact)
+                         "total_bound": total_bound, "seats": seats})
     return StateClassification(tuple(small), tuple(exact), tuple(surplus),
                                seats - granted)
 
@@ -228,8 +239,23 @@ def iterate_lower_bound(quota, bounds: Sequence[int],
     ``remaining * N[i] / sum(N[active])``: every comparison is in integers.
     """
     quota = quota_vector(quota)
+    check_integers((seats,), "seats", 0)
+    return _iterate(quota, validate_lower_bound(bounds, quota.size), seats)
+
+
+def _iterate(quota: QuotaVector, bounds: tuple[int, ...],
+             seats: int) -> IterationTrace:
+    """:func:`iterate_lower_bound` on bounds and a house size already
+    checked, in one integer pass.
+
+    A round scales the active states by ``remaining / total``, where
+    ``total`` is their full numerators' sum.  It tests only the active
+    states with a floor of at least 1: one of floor 0 falls below it only
+    when ``remaining`` is negative, and then every active state does.  The
+    pinned states' floors and numerators leave ``remaining`` and ``total``
+    by subtraction."""
     try:
-        cls_ = classify(quota, bounds, seats)
+        cls_ = _classify(quota, bounds, seats)
     except InfeasibleError as exc:
         return IterationTrace(
             classification=None, rounds=(), final_active=(),
@@ -237,27 +263,33 @@ def iterate_lower_bound(quota, bounds: Sequence[int],
             diagnostics=str(exc))
     floors, den = quota.floors, quota.den
     nums = [f * den + n for f, n in zip(floors, quota.nums)]
-    active = list(cls_.surplus)
+    active = cls_.surplus
+    tested = [i for i in active if floors[i]]
+    total = sum([nums[i] for i in active])
+    remaining = cls_.remaining_seats
     fixed: list[int] = []
     rounds: list[IterationRound] = []
-    remaining = cls_.remaining_seats
     while active:
-        total = sum(nums[i] for i in active)
-        scale = Fraction(remaining * den, total)
-        offenders = tuple(i for i in active
-                          if remaining * nums[i] < floors[i] * total)
-        rounds.append(IterationRound(tuple(active), scale, offenders))
+        if remaining < 0:
+            offenders = active
+        else:
+            offenders = tuple([i for i in tested
+                               if remaining * nums[i] < floors[i] * total])
+        rounds.append(IterationRound(active, Fraction(remaining * den, total),
+                                     offenders))
         if not offenders:
             break
         fixed.extend(offenders)
-        remaining -= sum(floors[i] for i in offenders)
+        remaining -= sum([floors[i] for i in offenders])
+        total -= sum([nums[i] for i in offenders])
         pinned = set(offenders)
-        active = [i for i in active if i not in pinned]
+        active = tuple([i for i in active if i not in pinned])
+        tested = [i for i in tested if i not in pinned]
 
     def _trace(composite, diagnostics=None):
         return IterationTrace(
             classification=cls_, rounds=tuple(rounds),
-            final_active=tuple(active), fixed_at_floor=tuple(fixed),
+            final_active=active, fixed_at_floor=tuple(fixed),
             _composite=composite, feasible=composite is not None,
             diagnostics=diagnostics)
 
@@ -272,19 +304,22 @@ def iterate_lower_bound(quota, bounds: Sequence[int],
             return _trace(None, f"{remaining} seat(s) cannot be granted without "
                           "pushing some state above its upper quota")
         return _trace(QuotaVector(tuple(composite), (0,) * len(nums), 1))
-    bad_upper = [i for i in active
-                 if remaining * nums[i] > -(-nums[i] // den) * total]
-    if bad_upper:
-        # Unreachable for quota vectors derived from a problem (the scale
+    if remaining * den > total:
+        # Only a scale above 1 can lift a value over its upper quota.  That
+        # never happens for quota vectors derived from a problem (the scale
         # never exceeds 1 once small states exist); kept as a guard for raw
         # quota inputs.
-        return _trace(None, "rescaled quota exceeds upper quota for states "
-                      f"{bad_upper}")
+        bad_upper = [i for i in active
+                     if remaining * nums[i] > -(-nums[i] // den) * total]
+        if bad_upper:
+            return _trace(None, "rescaled quota exceeds upper quota for "
+                          f"states {bad_upper}")
     fracs = [0] * len(nums)
     for i in active:
         composite[i], fracs[i] = divmod(remaining * nums[i], total)
     g = math.gcd(total, *fracs)
-    return _trace(QuotaVector(tuple(composite), tuple(n // g for n in fracs),
+    return _trace(QuotaVector(tuple(composite),
+                              tuple([n // g for n in fracs]),
                               total // g))
 
 

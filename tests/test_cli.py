@@ -688,6 +688,50 @@ def test_long_numbers_exit_2_in_a_fresh_interpreter(name, fresh_python,
         == (2, b"", error)
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["apportion", "--data", "a.csv", "b.csv", "--seats", "7", "--method",
+      "stochastic", "--reuse-stream"],
+     "--reuse-stream requires equal state counts across files"),
+    (["simulate", "--data", "a.csv", "--seats", "7", "--method", "webster",
+      "--n", "10", "--seed", "1", "--lower-bound", "1"],
+     "simulate supports lower bounds with --method stochastic"),
+    (["table1", "--data", "empty"], "no census files (*.csv) in empty"),
+], ids=["reuse-stream-sizes", "simulate-bounds-deterministic",
+        "table1-no-csv"])
+def test_cli_refusals_exit_2(argv, error, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.csv").write_text("A,2\nB,3\n")
+    (tmp_path / "b.csv").write_text("A,2\nB,3\nC,4\n")
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "empty" / "notes.txt").write_text("A,2\n")
+    capsys.readouterr()
+    assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_closed_stdout_exits_1_quietly(fresh_python, tmp_path):
+    # 5,000 seat rows overflow the pipe buffer, so the CLI is still writing
+    # when the reader closes the pipe after the header line.
+    (tmp_path / "c.csv").write_text("".join(f"S{i},{1000 + 7 * i}\n"
+                                            for i in range(5000)))
+    proc = fresh_python("-c", (
+        "import json, subprocess, sys\n"
+        "cli = subprocess.Popen([sys.executable, '-m', 'seatlot.cli',\n"
+        "                        'apportion', '--data', 'c.csv', '--seats',\n"
+        "                        '100000', '--method', 'hamilton'],\n"
+        "                       stdout=subprocess.PIPE, stderr=subprocess.PIPE)\n"
+        "line = cli.stdout.readline()\n"
+        "cli.stdout.close()\n"
+        "err = cli.stderr.read()\n"
+        "print(json.dumps([line.decode(), cli.wait(), err.decode()]))\n"),
+        cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    line, code, err = json.loads(proc.stdout)
+    assert line.split() == ["label", "population", "quota", "quota_decimal",
+                            "seats"]
+    assert (code, err) == (1, "")
+
+
 def test_apportion_billion_seat_house(tmp_path):
     path = tmp_path / "states.csv"
     path.write_text("".join(f"S{i},{500_000 + 797_003 * i}\n"

@@ -960,9 +960,14 @@ def test_population_paradox_identity_is_empty():
 
 def test_population_paradox_input_validation():
     a = problem((8, 5), 6)
-    b = problem((8, 5), 7)
-    with pytest.raises(InputError):
-        detect_population_paradox(a, b, "hamilton")
+    for b, error in [
+            (problem((8, 5), 6, labels=("A", "B")),
+             "population-paradox check needs identical state lists"),
+            (problem((8, 5), 7),
+             "population-paradox check needs identical house sizes")]:
+        with pytest.raises(InputError) as exc:
+            detect_population_paradox(a, b, "hamilton")
+        assert str(exc.value) == error
 
 
 def test_new_state_witness():
@@ -985,9 +990,22 @@ def test_new_state_trivial_integral_case():
 
 def test_new_state_validation():
     base = problem((6, 4), 5)
-    with pytest.raises(InputError):
-        detect_new_state_paradox(
-            base, Problem(("S1", "S2", "NEW"), (6, 4, 2), 9), "hamilton")
+    for extended, error in [
+            (base, "extended problem must add exactly one state"),
+            (problem((6, 5, 2), 6),
+             "extended problem must preserve the original states"),
+            (Problem(("S1", "S2", "NEW"), (6, 4, 2), 9),
+             "extended house must be 6 seats (base plus the new state's "
+             "fair share), got 9")]:
+        with pytest.raises(InputError) as exc:
+            detect_new_state_paradox(base, extended, "hamilton")
+        assert str(exc.value) == error
+
+
+def test_quota_staying_check_refuses_an_empty_corpus():
+    with pytest.raises(InputError) as exc:
+        quota_staying_check("hamilton", [])
+    assert str(exc.value) == "empty corpus"
 
 
 def test_resolve_method():

@@ -137,6 +137,15 @@ def test_bound_published_offender_pairs():
         assert vb.exact_for_single_offender
 
 
+def test_adjusted_values_refuse_mismatched_indices():
+    with pytest.raises(InputError) as exc:
+        adjusted_quota_from_values([F(5, 2), F(3)], [F(3, 2), F(3)],
+                                   indices=[4])
+    assert str(exc.value) == "indices and value vectors differ in length"
+    assert adjusted_quota_from_values([F(5, 2), F(3)], [F(3, 2), F(3)],
+                                      indices=[4, 7]).offenders == (4,)
+
+
 def test_bound_integral_quota_offender():
     # A state with integral quota can still fall below its lower quota.
     adj = adjusted_quota_from_values([F(10)], [F("9.984")])
@@ -337,6 +346,36 @@ def test_iteration_matches_fraction_reference_on_raw_tables(quotas, slack,
     _assert_matches_rescale_and_pin(quota_vector(quotas), bounds, seats)
 
 
+@pytest.mark.parametrize("quotas, bounds, seats, diagnostics", [
+    ((18, 8), (1, 1), 28,
+     "rescaled quota exceeds upper quota for states [0, 1]"),
+    ((10,), (0,), 9, "quota and the bounds force 10 seats but the house has 9"),
+    ((1,), (1,), 2, "1 seat(s) cannot be granted without pushing some state "
+                    "above its upper quota"),
+    # Once the remaining seats are negative, every active state falls below
+    # its floor, those with a floor of 0 too.
+    ((10, F(1, 2), F(1, 2)), (0, 0, 0), 9,
+     "quota and the bounds force 10 seats but the house has 9"),
+], ids=["above-upper-quota", "forced-past-house", "seats-left-over",
+        "negative-remainder"])
+def test_iteration_infeasible_diagnostics(quotas, bounds, seats, diagnostics):
+    trace = _assert_matches_rescale_and_pin(quota_vector(quotas), bounds,
+                                            seats)
+    assert (trace.feasible, trace.diagnostics) == (False, diagnostics)
+    assert trace.final_quota is None
+
+
+@pytest.mark.parametrize("pops, seats, bounds", [
+    ((1508, 864, 25, 5, 102, 110), 28, (2, 0, 1, 0, 1, 0)),
+    ((41, 199, 42, 324, 166, 8, 439), 31, (0, 0, 1, 2, 0, 1, 3))])
+def test_iteration_five_round_chains(pops, seats, bounds):
+    trace = _assert_matches_rescale_and_pin(
+        compute_quota(problem(pops, seats)), bounds, seats)
+    assert trace.feasible
+    assert len(trace.rounds) == 5
+    assert [len(r.fixed) for r in trace.rounds][-1] == 0
+
+
 def test_trace_audit_json_ready():
     import json
 
@@ -461,14 +500,17 @@ def test_prepared_problem_bad_bound_after_valid_call():
 
 
 def test_simulate_prepares_bounded_problem_once(monkeypatch):
+    # The prepare step runs the iteration through ``_iterate``, the pass
+    # behind ``iterate_lower_bound`` that skips the bound checks it has
+    # already made.
     calls = []
-    original = lowerbound.iterate_lower_bound
+    original = lowerbound._iterate
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(lowerbound, "iterate_lower_bound", counting)
+    monkeypatch.setattr(lowerbound, "_iterate", counting)
     stochastic._prepared.cache_clear()
     prob = problem(tuple(100 + 37 * i for i in range(50)), 435)
     report = simulate(lambda p, src: lower_bound_apportion(p, 1, src),

@@ -409,6 +409,15 @@ def test_conditional_samplers_refuse_negative_fractions():
         conditional_selection_law(fracs, 1)
 
 
+@pytest.mark.parametrize("residual", [-1, 3])
+def test_conditional_law_refuses_an_impossible_residual(residual):
+    # Two of the three states have a positive fraction.
+    with pytest.raises(InputError) as exc:
+        conditional_selection_law([F(1, 2), F(0), F(1, 2)], residual)
+    assert str(exc.value) == (f"cannot pick {residual} distinct states from 2 "
+                              "with positive fraction")
+
+
 def test_conditional_retry_cap_raises():
     from seatlot.errors import ConvergenceError
 

@@ -204,6 +204,38 @@ def test_one_builder_and_one_integral_check(found, holder):
         == [holder]
 
 
+def function(source: str, name: str) -> ast.FunctionDef:
+    """The top-level function ``name`` of a module."""
+    return next(top for top in ast.parse(source).body
+                if isinstance(top, ast.FunctionDef) and top.name == name)
+
+
+def count(node, found) -> int:
+    """The nodes under ``node``, itself included, for which ``found``
+    holds."""
+    return sum(1 for n in ast.walk(node) if found(n))
+
+
+def test_counted_calls_are_found():
+    source = ("def a(x):\n    while x:\n        x = F(x)\n    return F(1)\n"
+              "def b():\n    return F\n")
+    a, b = function(source, "a"), function(source, "b")
+    loop = next(n for n in ast.walk(a) if isinstance(n, ast.While))
+    assert [count(node, calls_to("F")) for node in (a, loop, b)] == [2, 1, 0]
+
+
+def test_the_iteration_builds_one_fraction():
+    # The lower-bound iteration works on integers: its one Fraction is each
+    # round's scale, which the trace keeps.  ``iterate_lower_bound`` checks
+    # its input and hands the pass to ``_iterate``.
+    source = (PACKAGE / "lowerbound.py").read_text(encoding="utf-8")
+    public, body = (function(source, name)
+                    for name in ("iterate_lower_bound", "_iterate"))
+    loop = next(n for n in ast.walk(body) if isinstance(n, ast.While))
+    assert [count(node, calls_to("Fraction"))
+            for node in (public, body, loop)] == [0, 1, 1]
+
+
 def sorts(node):
     """A call to a ``.sort`` method or to ``sorted``."""
     return isinstance(node, ast.Call) and (
