@@ -237,23 +237,12 @@ def iterate_lower_bound(quota, bounds: Sequence[int],
     ``quota`` is a QuotaVector or a sequence of raw rationals.  For quotas
     ``N[i] / D``, an active state's rescaled value is
     ``remaining * N[i] / sum(N[active])``: every comparison is in integers.
+    The pinned states' floors and numerators leave ``remaining`` and the
+    active total by subtraction.
     """
     quota = quota_vector(quota)
     check_integers((seats,), "seats", 0)
-    return _iterate(quota, validate_lower_bound(bounds, quota.size), seats)
-
-
-def _iterate(quota: QuotaVector, bounds: tuple[int, ...],
-             seats: int) -> IterationTrace:
-    """:func:`iterate_lower_bound` on bounds and a house size already
-    checked, in one integer pass.
-
-    A round scales the active states by ``remaining / total``, where
-    ``total`` is their full numerators' sum.  It tests only the active
-    states with a floor of at least 1: one of floor 0 falls below it only
-    when ``remaining`` is negative, and then every active state does.  The
-    pinned states' floors and numerators leave ``remaining`` and ``total``
-    by subtraction."""
+    bounds = validate_lower_bound(bounds, quota.size)
     try:
         cls_ = _classify(quota, bounds, seats)
     except InfeasibleError as exc:
@@ -264,17 +253,13 @@ def _iterate(quota: QuotaVector, bounds: tuple[int, ...],
     floors, den = quota.floors, quota.den
     nums = [f * den + n for f, n in zip(floors, quota.nums)]
     active = cls_.surplus
-    tested = [i for i in active if floors[i]]
     total = sum([nums[i] for i in active])
     remaining = cls_.remaining_seats
     fixed: list[int] = []
     rounds: list[IterationRound] = []
     while active:
-        if remaining < 0:
-            offenders = active
-        else:
-            offenders = tuple([i for i in tested
-                               if remaining * nums[i] < floors[i] * total])
+        offenders = tuple([i for i in active
+                           if remaining * nums[i] < floors[i] * total])
         rounds.append(IterationRound(active, Fraction(remaining * den, total),
                                      offenders))
         if not offenders:
@@ -284,7 +269,6 @@ def _iterate(quota: QuotaVector, bounds: tuple[int, ...],
         total -= sum([nums[i] for i in offenders])
         pinned = set(offenders)
         active = tuple([i for i in active if i not in pinned])
-        tested = [i for i in tested if i not in pinned]
 
     def _trace(composite, diagnostics=None):
         return IterationTrace(

@@ -169,9 +169,8 @@ def _prepared(prob: Problem, bounds: Optional[tuple[int, ...]]) -> _Prepared:
     quota = compute_quota(prob)
     if bounds is None:
         return _Prepared(quota, quota, None, (0,) * prob.size)
-    from .lowerbound import _iterate, trace_audit  # circular
-    # ``_prepare`` has checked the bounds, and ``Problem`` its house size.
-    trace = _iterate(quota, bounds, prob.seats)
+    from .lowerbound import iterate_lower_bound, trace_audit  # circular
+    trace = iterate_lower_bound(quota, bounds, prob.seats)
     if not trace.feasible:
         raise InfeasibleError(
             "no allocation satisfies quota with the given bounds: "

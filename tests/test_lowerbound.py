@@ -500,17 +500,14 @@ def test_prepared_problem_bad_bound_after_valid_call():
 
 
 def test_simulate_prepares_bounded_problem_once(monkeypatch):
-    # The prepare step runs the iteration through ``_iterate``, the pass
-    # behind ``iterate_lower_bound`` that skips the bound checks it has
-    # already made.
     calls = []
-    original = lowerbound._iterate
+    original = lowerbound.iterate_lower_bound
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(lowerbound, "_iterate", counting)
+    monkeypatch.setattr(lowerbound, "iterate_lower_bound", counting)
     stochastic._prepared.cache_clear()
     prob = problem(tuple(100 + 37 * i for i in range(50)), 435)
     report = simulate(lambda p, src: lower_bound_apportion(p, 1, src),

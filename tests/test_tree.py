@@ -226,14 +226,11 @@ def test_counted_calls_are_found():
 
 def test_the_iteration_builds_one_fraction():
     # The lower-bound iteration works on integers: its one Fraction is each
-    # round's scale, which the trace keeps.  ``iterate_lower_bound`` checks
-    # its input and hands the pass to ``_iterate``.
-    source = (PACKAGE / "lowerbound.py").read_text(encoding="utf-8")
-    public, body = (function(source, name)
-                    for name in ("iterate_lower_bound", "_iterate"))
+    # round's scale, which the trace keeps.
+    body = function((PACKAGE / "lowerbound.py").read_text(encoding="utf-8"),
+                    "iterate_lower_bound")
     loop = next(n for n in ast.walk(body) if isinstance(n, ast.While))
-    assert [count(node, calls_to("Fraction"))
-            for node in (public, body, loop)] == [0, 1, 1]
+    assert [count(node, calls_to("Fraction")) for node in (body, loop)] == [1, 1]
 
 
 def sorts(node):
