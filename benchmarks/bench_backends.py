@@ -42,7 +42,7 @@ def workloads():
     den8 = 9973
     nums8 = _fracs(SeededSource(5), 8, den8)
     yield ("exact law, 8 states (5040 orderings)",
-           lambda k: k.averaged_mask_lengths(nums8, den8, True))
+           lambda k: k.averaged_mask_lengths(nums8, den8))
 
     yield ("simulate_batch n=100000, 12 states",
            lambda k: k.simulate_batch(floors, nums, den, floors, ceils,

@@ -18,7 +18,7 @@ import shutil
 import subprocess
 from importlib.machinery import EXTENSION_SUFFIXES
 
-MAX_MASK_STATES = 16
+from ._kernels_py import MAX_MASK_STATES
 
 _MASK64 = (1 << 64) - 1
 _I64 = ctypes.c_int64
@@ -28,7 +28,7 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "_kernels_native.c")
 
 _ARGTYPES = {
-    "averaged_mask_lengths": (_I64, _ARR, _I64, ctypes.c_int, _ARR),
+    "averaged_mask_lengths": (_I64, _ARR, _I64, _ARR),
     "simulate_batch": (_I64, _ARR, _ARR, _I64, _ARR, _ARR, _ARR, _U64, _I64,
                        _I64, _ARR, _ARR, _ARR, _ARR, _ARR),
 }
@@ -72,14 +72,13 @@ def _zeros(size):
     return (_I64 * size)()
 
 
-def averaged_mask_lengths(frac_nums, den, fix_last):
+def averaged_mask_lengths(frac_nums, den):
     s = len(frac_nums)
     if s > MAX_MASK_STATES:
         raise ValueError(
             f"compiled kernel supports at most {MAX_MASK_STATES} states")
     acc = _zeros(1 << s)
-    _lib.averaged_mask_lengths(s, *_arrays(s, frac_nums), den, bool(fix_last),
-                               acc)
+    _lib.averaged_mask_lengths(s, *_arrays(s, frac_nums), den, acc)
     return list(acc)
 
 

@@ -13,7 +13,7 @@ typedef int64_t i64;
 typedef uint64_t u64;
 
 #define GOLDEN 0x9E3779B97F4A7C15ULL
-#define MAX_MASK_STATES 16
+#define MAX_MASK_STATES 16 /* _kernels_py.MAX_MASK_STATES */
 
 static u64 mix64(u64 z)
 {
@@ -127,12 +127,11 @@ static void sweep_order(i64 t, const i64 *fr, const i64 *order, i64 den,
    one with head[0] < head[t-2] is swept (the first, ascending head is one;
    a one-state head is its own mirror).  A final scale restores the
    (s-1)! orderings with the last state pinned: (s-1)!/(t-1)!, twice that
-   for t >= 3, times s without fix_last. */
-void averaged_mask_lengths(i64 s, const i64 *fr, i64 den, int fix_last,
-                           i64 *acc)
+   for t >= 3. */
+void averaged_mask_lengths(i64 s, const i64 *fr, i64 den, i64 *acc)
 {
     i64 order[MAX_MASK_STATES] = {0}, counters[MAX_MASK_STATES] = {0};
-    i64 t = 0, head, scale = fix_last ? 1 : s;
+    i64 t = 0, head, scale = 1;
     i64 i, k, tmp;
     if (s == 0) {
         acc[0] = den;

@@ -43,6 +43,8 @@ from .rng import (_BLOCK, SeededSource, _child_seed_blocks,
                   _replicate_draws)
 
 _M53 = 1 << 53
+# Winner masks index at most 2**16 cells; _kernels_native.c has the same.
+MAX_MASK_STATES = 16
 # The first state of a group that has none: no bit, no fraction.
 _NO_STATE = (0, 0)
 
@@ -148,15 +150,15 @@ def fixed_order_lengths(frac_nums, den):
     return acc
 
 
-def averaged_mask_lengths(frac_nums, den, fix_last):
-    """Total cell length per winner mask, summed over state orderings.
+def averaged_mask_lengths(frac_nums, den):
+    """Total cell length per winner mask, summed over the (s-1)! state
+    orderings that keep the last state in the final slot.
 
-    With ``fix_last`` the sum runs over the (s-1)! orderings that keep the
-    last state in the final slot, otherwise over all s! orderings; cyclic
-    rotations of an ordering induce the same allocation law (shifting the
-    offset absorbs the rotation), so the second sum is s times the first.
-    Masks are in the input-index basis.  Divide by ``den * (number of
-    orderings)`` to get probabilities.
+    Cyclic rotations of an ordering induce the same allocation law
+    (shifting the offset absorbs the rotation), so these orderings give
+    the law of the scheme; ``_backend`` scales to all s! orderings.  Masks
+    are in the input-index basis.  Divide by ``den * (s-1)!`` to get
+    probabilities.
 
     The orderings are swept by ``_sweep``.  Three exact shortcuts give
     the same integers as sweeping every ordering:
@@ -184,7 +186,7 @@ def averaged_mask_lengths(frac_nums, den, fix_last):
     if s == 0:
         return [den]
     acc = [0] * (1 << s)
-    scale = math.factorial(s - 1) * (1 if fix_last else s)
+    scale = math.factorial(s - 1)
     live = _live(frac_nums)
     if not live:
         acc[0] = den * scale
@@ -264,8 +266,9 @@ def simulate_batch(scheme_floors, frac_nums, den, quota_floors, quota_ceils,
     Returns ``(seat_sums, seat_sumsqs, quota_violations, bound_violations,
     sum_mismatches, mask_counts)``: violation counts are per replicate,
     sum_mismatches counts replicates whose seats do not total house_size,
-    and mask_counts (input-index winner masks, only for s <= 16, else None)
-    recover the empirical allocation distribution.
+    and mask_counts (input-index winner masks, only for s <=
+    MAX_MASK_STATES, else None) recover the empirical allocation
+    distribution.
 
     Replicate draws.  The seeds ``child_seed(master_seed, k)`` come in
     blocks (``rng._child_seed_blocks``), and each replicate's s draws in
@@ -301,7 +304,7 @@ def simulate_batch(scheme_floors, frac_nums, den, quota_floors, quota_ceils,
     quota_violations = 0
     bound_violations = 0
     sum_mismatches = 0
-    mask_counts = [0] * (1 << s) if s <= 16 else None
+    mask_counts = [0] * (1 << s) if s <= MAX_MASK_STATES else None
     planes = []
     items = [(f, 1 << i) for i, f in enumerate(frac_nums)]
     total = sum(frac_nums)

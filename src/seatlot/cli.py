@@ -570,7 +570,7 @@ def cmd_bound_check(args, out) -> int:
     from .core import quota_vector
     from .lowerbound import (adjusted_quota_from_values, classify,
                              equal_representation_quota, iterate_lower_bound,
-                             trace_audit, violation_probability_bound)
+                             violation_probability_bound)
 
     emitter = Emitter(args.format, out)
     labels, quotas, adjusted = parse_quota_file(args.quotas)
@@ -626,7 +626,7 @@ def cmd_bound_check(args, out) -> int:
         adj, vb, scale=fraction_str(adj.scale),
         scale_decimal=decimal_str(adj.scale),
         remaining_seats=cls_.remaining_seats, small_states=list(cls_.small),
-        iteration=trace_audit(trace)))
+        iteration=trace.audit()))
     return 0
 
 

@@ -193,15 +193,10 @@ class Allocation:
         return sum(self.seats)
 
 
-def seat_values(alloc) -> tuple[int, ...]:
-    """Accept an Allocation or a plain seat sequence."""
-    seats = getattr(alloc, "seats", alloc)
-    return tuple(seats)
-
-
 def satisfies_quota(alloc, quota: QuotaVector) -> bool:
-    """True when every state sits between its lower and upper quota."""
-    seats = seat_values(alloc)
+    """True when every state sits between its lower and upper quota;
+    ``alloc`` is an Allocation or a plain seat sequence."""
+    seats = tuple(getattr(alloc, "seats", alloc))
     if len(seats) != quota.size:
         raise InputError("allocation and quota vector differ in length")
     return all(f <= a <= c

@@ -78,8 +78,11 @@ class DivisorRule:
         """Whether entitlement ``x`` with ``b`` whole seats rounds to b + 1:
         x > d(b), tested in integers as a**k * den > num * c**k for x = a/c
         and d(b) = num/den, k = 2 for rules compared through squares
-        (exact, as both sides are >= 0)."""
+        (exact, as both sides are >= 0: a negative x is refused)."""
         x = as_fraction(x, "entitlement")
+        if x < 0:
+            raise InputError(f"entitlement must be non-negative, got {x}")
+        check_integers((b,), "seat count", 0)
         a, c = x.numerator, x.denominator
         num, den = self.threshold(b)
         if self.squared_priority:

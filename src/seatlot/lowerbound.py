@@ -225,6 +225,22 @@ class IterationTrace:
             return None
         return self._composite.quotas
 
+    def audit(self) -> dict:
+        """JSON-ready summary of the trace, built afresh on every call.  A
+        scale too long for the interpreter to print raises
+        :class:`CapacityError`."""
+        try:
+            rounds = [{"active": list(r.active),
+                       "scale": f"{r.scale.numerator}/{r.scale.denominator}",
+                       "fixed": list(r.fixed)} for r in self.rounds]
+        except ValueError as exc:  # past the int-to-string limit
+            raise CapacityError(
+                "cannot print a number of more than "
+                f"{sys.get_int_max_str_digits()} digits") from exc
+        return {"rounds": rounds, "final_active": list(self.final_active),
+                "fixed_at_floor": list(self.fixed_at_floor),
+                "feasible": self.feasible, "diagnostics": self.diagnostics}
+
 
 def iterate_lower_bound(quota, bounds: Sequence[int],
                         seats: int) -> IterationTrace:
@@ -305,26 +321,6 @@ def iterate_lower_bound(quota, bounds: Sequence[int],
     return _trace(QuotaVector(tuple(composite),
                               tuple([n // g for n in fracs]),
                               total // g))
-
-
-def trace_audit(trace: IterationTrace) -> dict:
-    """JSON-ready summary of an iteration trace.  A scale too long for the
-    interpreter to print raises :class:`CapacityError`."""
-    try:
-        rounds = [{"active": list(rnd.active),
-                   "scale": f"{rnd.scale.numerator}/{rnd.scale.denominator}",
-                   "fixed": list(rnd.fixed)}
-                  for rnd in trace.rounds]
-    except ValueError as exc:  # past the interpreter's int-to-string limit
-        raise CapacityError(f"cannot print a number of more than "
-                            f"{sys.get_int_max_str_digits()} digits") from exc
-    return {
-        "rounds": rounds,
-        "final_active": list(trace.final_active),
-        "fixed_at_floor": list(trace.fixed_at_floor),
-        "feasible": trace.feasible,
-        "diagnostics": trace.diagnostics,
-    }
 
 
 def _required(bounds):

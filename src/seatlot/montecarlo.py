@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import _backend
+from ._kernels_py import MAX_MASK_STATES
 from .core import (Problem, QuotaVector, broadcast_lower_bound,
                    check_integers, compute_quota)
 from .divisor import resolve_method
@@ -154,8 +155,9 @@ def empirical_distribution(prob: Problem, master_seed: int, n: int,
     """Allocation -> count over n seeded replicates of the scheme; the
     master seed and n are checked as by :func:`simulate`."""
     _check_run(master_seed, n)
-    if prob.size > 16:
-        raise CapacityError("empirical distribution tracking supports at most 16 states")
+    if prob.size > MAX_MASK_STATES:
+        raise CapacityError("empirical distribution tracking supports at "
+                            f"most {MAX_MASK_STATES} states")
     prepared, (*_tallies, masks) = _scheme_batch(
         prob, lower_bounds, master_seed, n)
     out = {}
@@ -173,7 +175,7 @@ def fairness_test(report: SimulationReport, quota: QuotaVector,
     The comparison is exact (rational arithmetic on the squared inequality).
     Zero-variance states pass only on exact equality.
     """
-    if report.labels and len(report.labels) != quota.size:
+    if not len(report.seat_sums) == len(report.seat_sumsqs) == quota.size:
         raise InputError("report and quota vector differ in length")
     z = Fraction(z)
     n = report.replicates
@@ -299,6 +301,9 @@ def random_problem(src: SeededSource, *, min_states: int = 1,
 
 def population_move_pair(src: SeededSource, **kwargs) -> ProblemPair:
     """Random pair: same totals, some heads moved from one state to another."""
+    if "max_population" in kwargs and kwargs["max_population"] < 2:
+        raise InputError("a population move needs a max_population of at "
+                         f"least 2, got {kwargs['max_population']!r}")
     while True:
         before = random_problem(src, min_states=2, **kwargs)
         movable = [i for i, p in enumerate(before.populations) if p >= 2]

@@ -39,8 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import (Callable, Dict, Iterable, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import _backend, _kernels_py
 from .core import (Allocation, Problem, QuotaVector, as_fractions,
@@ -130,19 +129,18 @@ class _Prepared:
     scheme: QuotaVector
     trace: object  # a lowerbound.IterationTrace, or None
     bounds: tuple[int, ...]
-    summary: Optional[Callable[[], dict]] = None  # a fresh audit of trace
 
     @property
     def method(self) -> str:
         return "stochastic" if self.trace is None else "stochastic-lower-bound"
 
     def draw(self, src: SeededSource) -> Allocation:
-        """One draw; under bounds each audit holds a fresh trace summary."""
+        """One draw; under bounds each audit holds a fresh trace audit."""
         seats, order, u53 = _scheme_draw(self.scheme, src)
         audit = {"permutation": order, "u_numerator": u53,
                  "u_denominator": U53_DENOMINATOR}
         if self.trace is not None:
-            audit["trace"] = self.summary()
+            audit["trace"] = self.trace.audit()
         return Allocation(seats, self.method, src.seed, audit)
 
     def law(self, limit: int) -> AllocationDistribution:
@@ -169,15 +167,14 @@ def _prepared(prob: Problem, bounds: Optional[tuple[int, ...]]) -> _Prepared:
     quota = compute_quota(prob)
     if bounds is None:
         return _Prepared(quota, quota, None, (0,) * prob.size)
-    from .lowerbound import iterate_lower_bound, trace_audit  # circular
+    from .lowerbound import iterate_lower_bound  # circular
     trace = iterate_lower_bound(quota, bounds, prob.seats)
     if not trace.feasible:
         raise InfeasibleError(
             "no allocation satisfies quota with the given bounds: "
             f"{trace.diagnostics}", diagnostics=trace.diagnostics,
             trace=trace)
-    return _Prepared(quota, trace._composite, trace, bounds,
-                     functools.partial(trace_audit, trace))
+    return _Prepared(quota, trace._composite, trace, bounds)
 
 
 # The 0/1 bytes of the bits of each byte value, least significant first.
@@ -202,7 +199,7 @@ class AllocationDistribution:
             if p <= 0:
                 raise InputError(f"probabilities must be positive, got {p} for {seats}")
             total += p
-        if items and total != 1:
+        if total != 1:
             raise InputError(f"probabilities must sum to 1, got {total}")
         self.probabilities: Dict[Tuple[int, ...], Fraction] = dict(items)
 
@@ -310,10 +307,7 @@ def conditional_sampling_allocate(fracs: Sequence, residual: int,
     see ``conditional_selection_law``.
     """
     fracs = as_fractions(fracs)
-    support, nums, total = _conditional_weights(fracs)
-    if residual < 0 or residual > len(support):
-        raise InputError(
-            f"cannot pick {residual} distinct states from {len(support)} with positive fraction")
+    support, nums, total = _conditional_weights(fracs, residual)
     out = [0] * len(fracs)
     if residual == 0:
         return out
@@ -337,17 +331,17 @@ def conditional_sampling_allocate(fracs: Sequence, residual: int,
         f"no collision-free tuple found in {max_attempts} attempts")
 
 
-def _conditional_weights(fracs: tuple[Fraction, ...]):
-    """(support, weights, total weight) of the conditioned sampler on the
-    exact fractions ``fracs``: the states with positive fraction and their
-    fractions as numerators over the lcm of the denominators (the weights
-    are not required to lie in [0, 1), but a negative one is refused)."""
-    den = math.lcm(*(f.denominator for f in fracs))
-    weights = [f.numerator * (den // f.denominator) for f in fracs]
-    for f, w in zip(fracs, weights):
-        if w < 0:
-            raise InputError(f"quota values must be non-negative, got {f}")
+def _conditional_weights(fracs: tuple[Fraction, ...], residual: int):
+    """(support, weights, total weight) of the conditioned sampler: the
+    states with positive fraction and their fractions as numerators over
+    the quota vector's denominator (so they need not lie in [0, 1), but a
+    negative one is refused).  ``residual`` must not exceed the support."""
+    quota = quota_vector(fracs)
+    weights = [f * quota.den + n for f, n in zip(quota.floors, quota.nums)]
     support = tuple(i for i, w in enumerate(weights) if w)
+    if residual < 0 or residual > len(support):
+        raise InputError(f"cannot pick {residual} distinct states from "
+                         f"{len(support)} with positive fraction")
     nums = tuple(weights[i] for i in support)
     return support, nums, sum(nums)
 
@@ -362,10 +356,7 @@ def conditional_selection_law(fracs: Sequence, residual: int,
     the normalization.  Small inputs only; guarded by ``max_tuples``.
     """
     fracs = as_fractions(fracs)
-    support, nums, _total = _conditional_weights(fracs)
-    if residual < 0 or residual > len(support):
-        raise InputError(
-            f"cannot pick {residual} distinct states from {len(support)} with positive fraction")
+    support, nums, _total = _conditional_weights(fracs, residual)
     if residual == 0:
         return tuple(Fraction(0) for _ in fracs)
     if math.perm(len(support), residual) > max_tuples:

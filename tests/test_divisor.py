@@ -143,6 +143,24 @@ def test_rounds_up_refuses_an_entitlement_that_is_no_rational(rule, x):
         rule.rounds_up(x, 2)
 
 
+@pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.name)
+def test_rounds_up_refuses_a_negative_entitlement(rule):
+    # Hill compares squares, so -5 rounded up as if it were 5 > sqrt(6).
+    with pytest.raises(InputError, match="entitlement must be non-negative"):
+        rule.rounds_up(-5, 2)
+    with pytest.raises(InputError, match="entitlement must be non-negative"):
+        rule.rounds_up(F(-1, 3), 0)
+
+
+@pytest.mark.parametrize("b", [-1, 1.5, True, "2"], ids=repr)
+@pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.name)
+def test_rounds_up_refuses_a_seat_count_that_is_no_count(rule, b):
+    # webster.rounds_up(0, -1) answered True.
+    with pytest.raises(InputError,
+                       match="seat count must be a non-negative integer"):
+        rule.rounds_up(0, b)
+
+
 def test_lambda_allocation_reads_any_rational_price():
     prob = problem((7, 3), 10)
     want = lambda_allocation(prob, RULES["webster"], F(7, 2))

@@ -35,7 +35,6 @@ def compiled_calls(kc, monkeypatch):
         return call
 
     monkeypatch.setattr(backend, "_kernels_c", SimpleNamespace(
-        MAX_MASK_STATES=kc.MAX_MASK_STATES,
         **{name: recorded(name) for name in COMPILED}))
     return calls
 
@@ -50,8 +49,7 @@ def random_fracs(src, s, den):
     return nums
 
 
-@pytest.mark.parametrize("fix_last", [True, False])
-def test_averaged_mask_lengths_agreement(kc, fix_last):
+def test_averaged_mask_lengths_agreement(kc):
     # Odd trials draw denominators up to 12, where breakpoints tie and
     # fractions vanish often.
     src = SeededSource(3)
@@ -59,8 +57,8 @@ def test_averaged_mask_lengths_agreement(kc, fix_last):
         s = src.randbelow(10)
         den = 1 + src.randbelow(12 if trial % 2 else 500)
         nums = random_fracs(src, s, den) if s else []
-        assert (kpy.averaged_mask_lengths(nums, den, fix_last)
-                == kc.averaged_mask_lengths(nums, den, fix_last))
+        assert (kpy.averaged_mask_lengths(nums, den)
+                == kc.averaged_mask_lengths(nums, den))
 
 
 @st.composite
@@ -82,12 +80,15 @@ def test_averaged_mask_lengths_match_oracle(kc, case):
 
 def check_against_oracle(kc, nums, den):
     # All s! orderings, every cell evaluated at its right endpoint: the
-    # pinned sum is 1/s of it, the unpinned sum all of it, on both tiers.
+    # dispatcher's pinned sum is 1/s of it and its unpinned sum all of it,
+    # with the pure tier and with the compiled one behind it.
     expected = mask_lengths(nums, den)
-    for kernels in (kpy, kc):
-        pinned = kernels.averaged_mask_lengths(nums, den, True)
-        assert [length * len(nums) for length in pinned] == expected
-        assert kernels.averaged_mask_lengths(nums, den, False) == expected
+    for tier in (None, kc):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(backend, "_kernels_c", tier)
+            pinned = backend.averaged_mask_lengths(nums, den, True)
+            assert [length * len(nums) for length in pinned] == expected
+            assert backend.averaged_mask_lengths(nums, den, False) == expected
 
 
 def pair_sweep_cases():
@@ -253,16 +254,27 @@ def test_dispatcher_falls_back_on_big_integers(compiled_calls):
     assert out == kpy.simulate_batch(*args)
     assert sum(out[0]) == 40 * 4
     lengths = backend.averaged_mask_lengths(nums, den, False)
-    assert lengths == kpy.averaged_mask_lengths(nums, den, False)
+    assert lengths == [2 * n for n in kpy.averaged_mask_lengths(nums, den)]
     assert sum(lengths) == 2 * den
     assert compiled_calls == []
     # Small magnitudes do reach the compiled library.
     small = [1, 2]
     assert (backend.averaged_mask_lengths(small, 3, False)
-            == kpy.averaged_mask_lengths(small, 3, False))
+            == [2 * n for n in kpy.averaged_mask_lengths(small, 3)])
     args = ([1, 2], small, 3, [1, 2], [2, 3], [0, 0], 99, 40, 4)
     assert backend.simulate_batch(*args) == kpy.simulate_batch(*args)
     assert compiled_calls == list(COMPILED)
+
+
+def test_dispatcher_bounds_only_the_pinned_sum(compiled_calls):
+    # The 2 orderings of 3 states that pin the last one fit in int64 at
+    # this denominator, though all 6 would not; the compiled tier sums the
+    # pinned ones and the dispatcher scales them by s.
+    den = (1 << 60) + 1
+    nums = [den // 3, den // 3, den - 2 * (den // 3)]
+    assert (backend.averaged_mask_lengths(nums, den, False)
+            == [3 * n for n in kpy.averaged_mask_lengths(nums, den)])
+    assert compiled_calls == ["averaged_mask_lengths"]
 
 
 def test_backend_name_reported():

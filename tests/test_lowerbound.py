@@ -15,7 +15,7 @@ from seatlot.lowerbound import (adjusted_quota_from_values, classify,
                                 lower_bound_distribution,
                                 resample_conditional_law,
                                 resample_until_quota, scaled_fractional_quota,
-                                trace_audit, violation_probability_bound)
+                                violation_probability_bound)
 from seatlot.montecarlo import simulate
 from seatlot.stochastic import exact_distribution
 
@@ -380,7 +380,7 @@ def test_trace_audit_json_ready():
     import json
 
     trace = iterate_lower_bound(HALF_CASE, (1, 1, 1), 8)
-    blob = json.dumps(trace_audit(trace))
+    blob = json.dumps(trace.audit())
     assert "14/15" in blob
 
 
@@ -471,8 +471,8 @@ def test_prepared_problem_alternating_matches_unkept(monkeypatch):
 def test_prepared_problem_audit_is_fresh_per_draw():
     prob = problem((2, 11, 13, 24), 20)
     first = lower_bound_apportion(prob, 1, SeededSource(1))
-    expected = trace_audit(iterate_lower_bound(compute_quota(prob),
-                                               (1, 1, 1, 1), 20))
+    expected = iterate_lower_bound(compute_quota(prob), (1, 1, 1, 1),
+                                   20).audit()
     assert first.audit["trace"] == expected
     first.audit["trace"]["rounds"].clear()
     first.audit["trace"]["feasible"] = False

@@ -9,6 +9,7 @@ from seatlot import (Allocation, CapacityError, InputError, SeededSource,
                      _backend, compute_quota, problem, quota_vector,
                      resolve_method, stochastic_apportion)
 from seatlot.montecarlo import (REPLICATE_CEILING, ProblemPair,
+                                SimulationReport,
                                 empirical_distribution,
                                 fairness_test, house_increase_pair,
                                 monotonicity_scan, population_move_pair,
@@ -175,6 +176,19 @@ def test_fairness_test_exact_comparison():
     assert not any(fairness_test(report, shifted))
 
 
+@pytest.mark.parametrize("labels, sums, sumsqs", [
+    ((), (5,), (5,)), (("A", "B"), (5,), (5,)), ((), (5, 5), (5,))],
+    ids=["unlabelled", "labelled", "short-squares"])
+def test_fairness_test_refuses_a_report_of_another_length(labels, sums,
+                                                          sumsqs):
+    # An unlabelled report of one seat sum against a 2-state quota raised
+    # IndexError.
+    report = SimulationReport("stochastic", 1, 10, labels, sums, sumsqs, 0, 0)
+    with pytest.raises(InputError,
+                       match="report and quota vector differ in length"):
+        fairness_test(report, quota_vector((1, 1)))
+
+
 def test_empirical_distribution_matches_exact_law():
     prob = problem((1, 1, 7), 3)
     n = 100_000
@@ -307,6 +321,17 @@ def test_random_problem_accepts_a_range_of_two_to_the_64():
     prob = random_problem(SeededSource(7), max_states=2,
                           max_population=2 ** 64)
     assert all(1 <= p <= 2 ** 64 for p in prob.populations)
+
+
+@pytest.mark.parametrize("max_population", [1, 0])
+def test_population_move_pair_refuses_populations_that_cannot_move(
+        max_population):
+    # With every population at 1 no state can give up heads, and the draw
+    # loop ran for ever.  The refusal comes before any draw.
+    src = SeededSource(8)
+    with pytest.raises(InputError, match="max_population of at least 2"):
+        population_move_pair(src, max_population=max_population)
+    assert src.bits53() == SeededSource(8).bits53()
 
 
 def test_corpus_builders_deterministic():

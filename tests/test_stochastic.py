@@ -258,6 +258,14 @@ def test_distribution_validates():
         AllocationDistribution({(1,): F(1, 2), (0,): F(-1, 2)})
 
 
+def test_distribution_refuses_an_empty_law():
+    # An empty mapping was accepted, and its marginal_means() then raised
+    # StopIteration.
+    with pytest.raises(InputError) as exc:
+        AllocationDistribution({})
+    assert str(exc.value) == "probabilities must sum to 1, got 0"
+
+
 @given(fractional_vectors(max_states=5, max_den=12))
 @settings(max_examples=60, deadline=None)
 def test_rotation_classes_equal_full_enumeration(fracs):
@@ -377,11 +385,11 @@ def test_conditional_weights_keyed_on_validated_fractions():
     assert conditional_sampling_allocate(half, 2, SeededSource(9)) == [1, 1]
     with pytest.raises(InputError, match="exact rational"):
         conditional_sampling_allocate([0.5 + 0j, 0.5], 2, SeededSource(9))
-    # the weights are numerators over the lcm of the denominators; they
-    # need not lie in [0, 1), but a negative one is refused, as it was when
-    # the weights came from a quota vector
+    # the weights are numerators over the quota vector's denominator, the
+    # lcm of the denominators; they need not lie in [0, 1), but a negative
+    # one is refused by the quota vector
     assert stochastic._conditional_weights(
-        (F(0), F(1, 2), F(1, 3), F(7, 6))) == ((1, 2, 3), (3, 2, 7), 12)
+        (F(0), F(1, 2), F(1, 3), F(7, 6)), 1) == ((1, 2, 3), (3, 2, 7), 12)
     for sampler in (
             lambda fracs: conditional_sampling_allocate(fracs, 1,
                                                         SeededSource(9)),

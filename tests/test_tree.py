@@ -2,6 +2,7 @@
 
 import ast
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -195,13 +196,73 @@ def test_holders_are_found():
 @pytest.mark.parametrize("found, holder", [
     (calls_to("AdjustedQuota"), ("lowerbound", "_adjusted")),
     (text("fractional quotas must sum to an integer"),
-     ("stochastic", "_integral_quota"))], ids=["builder", "integral-total"])
+     ("stochastic", "_integral_quota")),
+    (text("quota values must be non-negative"), ("core", "quota_vector")),
+    (text("distinct states from"), ("stochastic", "_conditional_weights"))],
+    ids=["builder", "integral-total", "non-negative-quota", "distinct-states"])
 def test_one_builder_and_one_integral_check(found, holder):
-    # The adjusted quota is built, and scheme input checked for an integral
-    # fractional total, in one function each.
+    # The adjusted quota is built, scheme input checked for an integral
+    # fractional total, a quota value refused for its sign and a conditioned
+    # draw refused for more winners than states, in one function each.
     assert [(p.stem, name) for p in PACKAGE.glob("*.py")
             for name in holders(p.read_text(encoding="utf-8"), found)] \
         == [holder]
+
+
+def takers(source: str, parameter: str) -> list[str]:
+    """The functions of a module, at any depth, with a parameter named
+    ``parameter``."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and parameter in [a.arg for a in (*node.args.posonlyargs,
+                                              *node.args.args,
+                                              *node.args.kwonlyargs)]]
+
+
+def test_takers_are_found():
+    source = ("def a(x, fix):\n    pass\n"
+              "class B:\n    def m(self, *, fix=True):\n        pass\n"
+              "def c(x):\n    fix = x\n    return fix\n")
+    assert takers(source, "fix") == ["a", "m"]
+
+
+def test_one_place_counts_all_orderings():
+    # Both kernel tiers sum over the orderings that pin the last state; the
+    # dispatcher alone scales that sum to all s! orderings.
+    found = {p.stem: takers(p.read_text(encoding="utf-8"), "fix_last")
+             for p in PACKAGE.glob("*.py")}
+    assert {m: names for m, names in found.items() if names} == {
+        "_backend": ["averaged_mask_lengths"]}
+    assert "fix_last" not in (PACKAGE / "_kernels_native.c").read_text(
+        encoding="utf-8")
+
+
+def assigned(source: str, name: str) -> list:
+    """The values of the module-level assignments ``name = <int>``."""
+    return [top.value.value for top in ast.parse(source).body
+            if isinstance(top, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == name
+                    for t in top.targets)
+            and isinstance(top.value, ast.Constant)]
+
+
+def test_assignments_are_found():
+    assert assigned("A = 3\nB = 4\ndef f():\n    A = 5\nA = 6\n", "A") \
+        == [3, 6]
+
+
+def test_one_mask_width():
+    # The winner-mask width is written once in Python, in the reference
+    # tier, and the C tier's #define agrees with it.
+    widths = {p.stem: assigned(p.read_text(encoding="utf-8"),
+                               "MAX_MASK_STATES")
+              for p in PACKAGE.glob("*.py")}
+    widths = {m: values for m, values in widths.items() if values}
+    assert list(widths) == ["_kernels_py"] and len(widths["_kernels_py"]) == 1
+    defines = re.findall(r"^#define MAX_MASK_STATES (\d+)\b",
+                         (PACKAGE / "_kernels_native.c").read_text(
+                             encoding="utf-8"), re.M)
+    assert [int(d) for d in defines] == widths["_kernels_py"]
 
 
 def function(source: str, name: str) -> ast.FunctionDef:
