@@ -19,8 +19,8 @@ import subprocess
 from importlib.machinery import EXTENSION_SUFFIXES
 
 from ._kernels_py import MAX_MASK_STATES
+from .rng import _MASK64
 
-_MASK64 = (1 << 64) - 1
 _I64 = ctypes.c_int64
 _U64 = ctypes.c_uint64
 _ARR = ctypes.POINTER(_I64)

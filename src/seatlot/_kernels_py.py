@@ -39,10 +39,9 @@ import itertools
 import math
 from collections import defaultdict
 
-from .rng import (_BLOCK, SeededSource, _child_seed_blocks,
-                  _replicate_draws)
+from .rng import (_BLOCK, U53_DENOMINATOR, SeededSource,
+                  _child_seed_blocks, _replicate_draws)
 
-_M53 = 1 << 53
 # Winner masks index at most 2**16 cells; _kernels_native.c has the same.
 MAX_MASK_STATES = 16
 # The first state of a group that has none: no bit, no fraction.
@@ -57,7 +56,7 @@ def position_from_bits53(u53, den):
     representative of the cell containing k/2**53, so rounding at the mapped
     position equals rounding at the exact rational k/2**53.
     """
-    return (u53 * den + _M53 - 1) >> 53
+    return (u53 * den + U53_DENOMINATOR - 1) >> 53
 
 
 def _sweep(den, s, groups, acc):

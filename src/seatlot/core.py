@@ -15,10 +15,11 @@ floating point; floats appear only in rendered reports.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import InputError
 
@@ -203,22 +204,21 @@ def satisfies_quota(alloc, quota: QuotaVector) -> bool:
                for a, f, c in zip(seats, quota.floors, quota.ceilings))
 
 
-def validate_lower_bound(bounds: Sequence[int], size: int) -> tuple[int, ...]:
-    bounds = tuple(bounds)
+def broadcast_lower_bound(bound, size: int) -> tuple[int, ...]:
+    """The minimums of ``size`` states from one integer for all or one per
+    state, the one reader of lower bounds; anything else raises InputError."""
+    if not isinstance(bound, Iterable):
+        check_integers((bound,), "lower bound", 0)
+        return (bound,) * size
+    bounds = tuple(bound)
     if len(bounds) != size:
         raise InputError("lower-bound vector and state list differ in length")
     check_integers(bounds, "lower bound", 0)
     return bounds
 
 
-def broadcast_lower_bound(bound, size: int) -> tuple[int, ...]:
-    """Expand a scalar bound to all states; pass sequences through."""
-    if isinstance(bound, int):
-        return validate_lower_bound((bound,) * size, size)
-    return validate_lower_bound(bound, size)
-
-
-def feasible_with_lower_bound(quota: QuotaVector, bounds: Sequence[int],
+def feasible_with_lower_bound(quota: QuotaVector,
+                              bounds: int | Sequence[int],
                               seats: int) -> bool:
     """Existence test for an allocation satisfying quota with lower bound.
 
@@ -226,7 +226,7 @@ def feasible_with_lower_bound(quota: QuotaVector, bounds: Sequence[int],
     upper quota and the floors forced by max(bound, lower quota) still fit
     in the house.
     """
-    bounds = validate_lower_bound(bounds, quota.size)
+    bounds = broadcast_lower_bound(bounds, quota.size)
     if any(b > c for b, c in zip(bounds, quota.ceilings)):
         return False
     return sum(max(b, f) for b, f in zip(bounds, quota.floors)) <= seats

@@ -41,8 +41,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import sys
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -50,6 +48,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .core import (Allocation, Problem, as_fraction, broadcast_lower_bound,
                    check_integers, compute_quota)
 from .errors import CapacityError, InfeasibleError, InputError
+from .rng import _unpack_lanes
 
 
 @dataclass(frozen=True)
@@ -367,7 +366,7 @@ def _step(census, rule, floors, states, target, start, total, bound):
 
 
 def divisor_with_bounds(prob: Problem, rule: DivisorRule,
-                        bounds: Sequence[int]) -> Allocation:
+                        bounds: int | Sequence[int]) -> Allocation:
     """Current-practice variant: grant each state its minimum, then let the
     divisor method continue from there.
 
@@ -559,11 +558,6 @@ def _losers(seats_at: Callable[[int], Sequence[int]], rs: Sequence[int]):
         last_r, last = r, seats
 
 
-_BIG_ENDIAN = sys.byteorder == "big"
-# array typecodes by item size in bytes, for unpacking lanes of 8-64 bits.
-_LANE_CODES = {array(code).itemsize: code for code in "QLIHB"}
-
-
 def _hamilton_losers(pops: Sequence[int], rs: Sequence[int]):
     """``_losers`` for Hamilton's method, walked on packed integer lanes.
 
@@ -587,8 +581,9 @@ def _hamilton_losers(pops: Sequence[int], rs: Sequence[int]):
       lanes that lose a seat.
 
     Every sum and difference keeps each lane within 0 .. 2**w - 1, so no
-    lane carries into or borrows from the next.  Lanes are unpacked only
-    to sort the remainders and to report a house with a loser.
+    lane carries into or borrows from the next.  Lanes are unpacked, by
+    ``rng._unpack_lanes``, only to sort the remainders and to report a
+    house with a loser.
     """
     s, total = len(pops), sum(pops)
     tie_order = _tie_order(pops)
@@ -596,7 +591,6 @@ def _hamilton_losers(pops: Sequence[int], rs: Sequence[int]):
     while max(2 * total, rs[-1]) >> width:
         width *= 2
     size = width // 8
-    code = _LANE_CODES.get(size)
     half = 1 << (width - 1)
     ones = ((1 << width * s) - 1) // ((1 << width) - 1)
     tops = ones << (width - 1)
@@ -604,16 +598,6 @@ def _hamilton_losers(pops: Sequence[int], rs: Sequence[int]):
     def pack(values):
         return int.from_bytes(b"".join(v.to_bytes(size, "little")
                                        for v in values), "little")
-
-    def unpack(lanes):
-        data = lanes.to_bytes(size * s, "little")
-        if code is None:
-            return [int.from_bytes(data[j:j + size], "little")
-                    for j in range(0, size * s, size)]
-        values = array(code, data)
-        if _BIG_ENDIAN:
-            values.byteswap()
-        return values.tolist()
 
     def at_least(lanes, t):
         # One in each lane holding t or more: remainders (below P) against
@@ -625,7 +609,7 @@ def _hamilton_losers(pops: Sequence[int], rs: Sequence[int]):
         # floors.
         if not k:
             return 0
-        values = unpack(rems)
+        values = _unpack_lanes(rems, size, s)
         cut = sorted(values)[s - k]
         at_or_above = at_least(rems, cut)
         if at_or_above.bit_count() == k:
@@ -654,8 +638,9 @@ def _hamilton_losers(pops: Sequence[int], rs: Sequence[int]):
             floor_sum = sum(floor_list)
         seats = floors + extra(rems, r - floor_sum)
         if last_r == r - 1 and (seats + tops - last) & tops != tops:
-            for i, (before, after) in enumerate(zip(unpack(last),
-                                                    unpack(seats))):
+            for i, (before, after) in enumerate(
+                    zip(_unpack_lanes(last, size, s),
+                        _unpack_lanes(seats, size, s))):
                 if after < before:
                     yield last_r, i, before, after
         last_r, last = r, seats

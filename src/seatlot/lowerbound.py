@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (Allocation, Problem, QuotaVector, as_fractions,
-                   check_integers, quota_vector, validate_lower_bound)
+                   broadcast_lower_bound, check_integers, quota_vector)
 from .errors import (CapacityError, ConvergenceError, InfeasibleError,
                      InputError)
 from .rng import SeededSource
@@ -45,7 +45,8 @@ class StateClassification:
     remaining_seats: int        # seats left after granting small+exact their bounds
 
 
-def classify(quota, bounds: Sequence[int], seats: int) -> StateClassification:
+def classify(quota, bounds: int | Sequence[int],
+             seats: int) -> StateClassification:
     """Split states into small / exact / surplus against their bounds.
 
     ``quota`` is a QuotaVector or a sequence of raw rationals.  Raises
@@ -56,7 +57,7 @@ def classify(quota, bounds: Sequence[int], seats: int) -> StateClassification:
     """
     quota = quota_vector(quota)
     check_integers((seats,), "seats", 0)
-    return _classify(quota, validate_lower_bound(bounds, quota.size), seats)
+    return _classify(quota, broadcast_lower_bound(bounds, quota.size), seats)
 
 
 def _classify(quota: QuotaVector, bounds: tuple[int, ...],
@@ -242,7 +243,7 @@ class IterationTrace:
                 "feasible": self.feasible, "diagnostics": self.diagnostics}
 
 
-def iterate_lower_bound(quota, bounds: Sequence[int],
+def iterate_lower_bound(quota, bounds: int | Sequence[int],
                         seats: int) -> IterationTrace:
     """Run the rescaling iteration to a composite quota vector or a verdict.
 
@@ -258,7 +259,7 @@ def iterate_lower_bound(quota, bounds: Sequence[int],
     """
     quota = quota_vector(quota)
     check_integers((seats,), "seats", 0)
-    bounds = validate_lower_bound(bounds, quota.size)
+    bounds = broadcast_lower_bound(bounds, quota.size)
     try:
         cls_ = _classify(quota, bounds, seats)
     except InfeasibleError as exc:
@@ -332,7 +333,7 @@ def _required(bounds):
     return bounds
 
 
-def lower_bound_apportion(prob: Problem, bounds: Sequence[int],
+def lower_bound_apportion(prob: Problem, bounds: int | Sequence[int],
                           src: SeededSource) -> Allocation:
     """Randomized apportionment honouring per-state minimums.
 
@@ -343,7 +344,7 @@ def lower_bound_apportion(prob: Problem, bounds: Sequence[int],
     return _prepare(prob, _required(bounds)).draw(src)
 
 
-def lower_bound_distribution(prob: Problem, bounds: Sequence[int],
+def lower_bound_distribution(prob: Problem, bounds: int | Sequence[int],
                              *, limit: int = ENUMERATION_LIMIT
                              ) -> AllocationDistribution:
     """Exact law of the bounded scheme (small state counts only)."""
@@ -366,6 +367,7 @@ def resample_until_quota(adjusted: AdjustedQuota, src: SeededSource,
     shifts the expectations away from the values, so the accepted law is
     not fair.  Seats are indexed by ``adjusted.indices``.
     """
+    check_integers((cap,), "cap", 1)
     quota = _integral_quota(adjusted.values)
     for attempt in range(1, cap + 1):
         seats, order, u53 = _scheme_draw(quota, src)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import _backend
 from ._kernels_py import MAX_MASK_STATES
-from .core import (Problem, QuotaVector, broadcast_lower_bound,
+from .core import (Problem, QuotaVector, as_fraction, broadcast_lower_bound,
                    check_integers, compute_quota)
 from .divisor import resolve_method
 from .errors import CapacityError, InputError
@@ -46,11 +46,16 @@ class SimulationReport:
     bound_violations: int
     sum_mismatches: int = 0
 
+    def _count(self) -> int:
+        """The replicate count; no mean exists without replicates."""
+        check_integers((self.replicates,), "replicate count", 1)
+        return self.replicates
+
     def mean(self, i: int) -> Fraction:
-        return Fraction(self.seat_sums[i], self.replicates)
+        return Fraction(self.seat_sums[i], self._count())
 
     def means(self) -> tuple[Fraction, ...]:
-        return tuple(self.mean(i) for i in range(len(self.labels)))
+        return tuple(self.mean(i) for i in range(len(self.seat_sums)))
 
     def variance(self, i: int) -> Fraction:
         """Sample variance of state i's seats (0 when n < 2)."""
@@ -61,7 +66,7 @@ class SimulationReport:
                         n * (n - 1))
 
     def std_error(self, i: int) -> float:
-        return math.sqrt(self.variance(i) / self.replicates)
+        return math.sqrt(self.variance(i) / self._count())
 
 
 def _check_run(master_seed, n) -> None:
@@ -160,12 +165,10 @@ def empirical_distribution(prob: Problem, master_seed: int, n: int,
                             f"most {MAX_MASK_STATES} states")
     prepared, (*_tallies, masks) = _scheme_batch(
         prob, lower_bounds, master_seed, n)
-    out = {}
-    for mask, count in enumerate(masks):
-        if count:
-            seats = _seats_from_mask(prepared.scheme.floors, mask)
-            out[seats] = out.get(seats, 0) + count
-    return dict(sorted(out.items()))
+    # Distinct masks give distinct seat vectors (the floors plus the mask's
+    # bits), so no two counts share a key.
+    return dict(sorted((_seats_from_mask(prepared.scheme.floors, mask), count)
+                       for mask, count in enumerate(masks) if count))
 
 
 def fairness_test(report: SimulationReport, quota: QuotaVector,
@@ -177,8 +180,8 @@ def fairness_test(report: SimulationReport, quota: QuotaVector,
     """
     if not len(report.seat_sums) == len(report.seat_sumsqs) == quota.size:
         raise InputError("report and quota vector differ in length")
-    z = Fraction(z)
-    n = report.replicates
+    z = as_fraction(z, "z")
+    n = report._count()
     out = []
     for i, q in enumerate(quota.quotas):
         if n == 1:

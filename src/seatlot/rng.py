@@ -22,9 +22,9 @@ Block draws.  The state after t draws is ``seed + t * GOLDEN`` (mod 2**64),
 so the next k outputs do not depend on one another.  ``_next_block`` mixes
 them at once as k 128-bit lanes of one Python integer: masking every lane
 to 64 bits before each multiply keeps each product inside its lane, so the
-lanes never carry into one another.  The lanes are read back with
-``array("Q")`` from little-endian bytes, byteswapped on big-endian hosts;
-the integer arithmetic is exact, so the outputs are the scalar outputs on
+lanes never carry into one another.  ``_unpack_lanes`` reads them back,
+as it reads the Hamilton walk's lanes in :mod:`seatlot.divisor`; the
+integer arithmetic is exact, so the outputs are the scalar outputs on
 every platform.  ``shuffled_range`` consumes blocks of at most ``_BLOCK``
 draws, which keeps its extra memory bounded at any length.  Child seed k of
 a master is output k of the stream seeded at the master, so a batch takes
@@ -53,6 +53,8 @@ _SPAN = 1 << 64
 MAX_BOUND = 1 << 64
 _BLOCK = 128
 _BIG_ENDIAN = sys.byteorder == "big"
+# array typecodes by item size in bytes, for lanes of 8 to 64 bits.
+_LANE_CODES = {array(code).itemsize: code for code in "QLIHB"}
 
 U53_DENOMINATOR = 1 << 53
 
@@ -93,17 +95,23 @@ def _mixed_lanes(state: int, k: int) -> int:
     return z ^ z >> 31
 
 
-def _low_words(z: int, k: int) -> array:
-    """The low 64 bits of the k lanes of ``z``."""
-    words = array("Q", z.to_bytes(16 * k, "little"))
+def _unpack_lanes(value: int, size: int, count: int):
+    """The ``count`` lanes of ``size`` bytes of ``value``, lowest first: an
+    array when an array type has that size, else a list."""
+    data = value.to_bytes(size * count, "little")
+    code = _LANE_CODES.get(size)
+    if code is None:
+        return [int.from_bytes(data[j:j + size], "little")
+                for j in range(0, size * count, size)]
+    lanes = array(code, data)
     if _BIG_ENDIAN:
-        words.byteswap()
-    return words[::2]
+        lanes.byteswap()
+    return lanes
 
 
 def _next_block(state: int, k: int) -> array:
     """The k outputs that follow ``state``, 1 <= k <= _BLOCK."""
-    return _low_words(_mixed_lanes(state, k), k)
+    return _unpack_lanes(_mixed_lanes(state, k), 8, 2 * k)[::2]
 
 
 def _child_seed_blocks(master_seed: int, n: int):
@@ -143,7 +151,7 @@ def _replicate_draws(seed: int, s: int) -> array | None:
             _HIGH_DRAW_TESTS[key] = test
         if (z + test[0]) & test[1]:
             return None
-    return _low_words(z, s)
+    return _unpack_lanes(z, 8, 2 * s)[::2]
 
 
 def child_seed(master_seed: int, index: int) -> int:

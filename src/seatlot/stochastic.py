@@ -262,13 +262,11 @@ def _allocation_law(quota: QuotaVector, *, average_orders: bool = True,
     else:
         cells = _kernels_py.fixed_order_lengths(nums, den).items()
         total = den
-    lengths: dict[tuple[int, ...], int] = {}
-    for mask, length in cells:
-        if length:
-            seats = _seats_from_mask(quota.floors, mask)
-            lengths[seats] = lengths.get(seats, 0) + length
+    # The seats are the floors plus the mask's bits, so distinct masks give
+    # distinct seat vectors and no two cells share a key.
     return AllocationDistribution(
-        {seats: Fraction(n, total) for seats, n in lengths.items()})
+        {_seats_from_mask(quota.floors, mask): Fraction(length, total)
+         for mask, length in cells if length})
 
 
 def residual_distribution(fracs: Sequence, *, average_orders: bool = True,
@@ -308,6 +306,7 @@ def conditional_sampling_allocate(fracs: Sequence, residual: int,
     """
     fracs = as_fractions(fracs)
     support, nums, total = _conditional_weights(fracs, residual)
+    check_integers((max_attempts,), "max_attempts", 1)
     out = [0] * len(fracs)
     if residual == 0:
         return out
@@ -335,13 +334,14 @@ def _conditional_weights(fracs: tuple[Fraction, ...], residual: int):
     """(support, weights, total weight) of the conditioned sampler: the
     states with positive fraction and their fractions as numerators over
     the quota vector's denominator (so they need not lie in [0, 1), but a
-    negative one is refused).  ``residual`` must not exceed the support."""
+    negative one is refused).  ``residual`` is a count within the support."""
     quota = quota_vector(fracs)
     weights = [f * quota.den + n for f, n in zip(quota.floors, quota.nums)]
     support = tuple(i for i, w in enumerate(weights) if w)
-    if residual < 0 or residual > len(support):
+    if isinstance(residual, int) and not 0 <= residual <= len(support):
         raise InputError(f"cannot pick {residual} distinct states from "
                          f"{len(support)} with positive fraction")
+    check_integers((residual,), "residual", 0)
     nums = tuple(weights[i] for i in support)
     return support, nums, sum(nums)
 
@@ -357,6 +357,7 @@ def conditional_selection_law(fracs: Sequence, residual: int,
     """
     fracs = as_fractions(fracs)
     support, nums, _total = _conditional_weights(fracs, residual)
+    check_integers((max_tuples,), "max_tuples", 1)
     if residual == 0:
         return tuple(Fraction(0) for _ in fracs)
     if math.perm(len(support), residual) > max_tuples:

@@ -10,7 +10,7 @@ from seatlot import (InputError, Problem, compute_quota,
                      feasible_with_lower_bound, problem, quota_vector,
                      satisfies_quota)
 from seatlot.core import (Allocation, QuotaVector, as_fraction,
-                          broadcast_lower_bound, validate_lower_bound)
+                          broadcast_lower_bound)
 
 from oracles import quota_bound_feasible
 
@@ -202,6 +202,8 @@ def test_broadcast_lower_bound():
         broadcast_lower_bound([1, 2], 3)
     with pytest.raises(InputError):
         broadcast_lower_bound(-1, 3)
+    with pytest.raises(InputError, match="True"):
+        broadcast_lower_bound((0, True), 2)
 
 
 def test_lower_bounds_refuse_bools():
@@ -210,8 +212,6 @@ def test_lower_bounds_refuse_bools():
         broadcast_lower_bound(True, 3)
     with pytest.raises(InputError, match="False"):
         broadcast_lower_bound([1, False, 0], 3)
-    with pytest.raises(InputError, match="True"):
-        validate_lower_bound((0, True), 2)
 
 
 def test_ceilings_kept_outside_equality():

@@ -9,6 +9,8 @@ from seatlot import (ConvergenceError, InfeasibleError, InputError,
                      feasible_with_lower_bound, problem, quota_vector,
                      satisfies_quota)
 from seatlot import lowerbound, stochastic
+from seatlot.core import Allocation, broadcast_lower_bound
+from seatlot.divisor import RULES, divisor_with_bounds
 from seatlot.lowerbound import (adjusted_quota_from_values, classify,
                                 equal_representation_quota,
                                 iterate_lower_bound, lower_bound_apportion,
@@ -16,7 +18,7 @@ from seatlot.lowerbound import (adjusted_quota_from_values, classify,
                                 resample_conditional_law,
                                 resample_until_quota, scaled_fractional_quota,
                                 violation_probability_bound)
-from seatlot.montecarlo import simulate
+from seatlot.montecarlo import empirical_distribution, simulate
 from seatlot.stochastic import exact_distribution
 
 from fixtures import RESAMPLE_UNFAIR, TABLE_OFFENDER_PAIRS
@@ -188,6 +190,15 @@ def test_resample_cap_exceeded():
         [F(7, 2), F(5, 2)], [F(1, 2), F(1, 2)])
     with pytest.raises(ConvergenceError):
         resample_until_quota(adj, SeededSource(1), cap=50)
+
+
+@pytest.mark.parametrize("cap", [0, 1.5, "x"])
+def test_resample_refuses_a_cap_that_is_no_count(cap):
+    # 1.5 raised TypeError from range(), and 0 ran no draw and reported
+    # "no quota-satisfying outcome in 0 runs".
+    adj = adjusted_quota_from_values([F(5, 2), F(5, 2)], [F(5, 2), F(5, 2)])
+    with pytest.raises(InputError, match="cap must be a positive integer"):
+        resample_until_quota(adj, SeededSource(3), cap=cap)
 
 
 def test_half_case_union_bound_matches_scheme_law():
@@ -408,6 +419,44 @@ def test_bounded_entry_points_refuse_missing_bounds():
         lower_bound_apportion(prob, None, SeededSource(0))
     with pytest.raises(InputError, match="lower bounds are required"):
         lower_bound_distribution(prob, None)
+
+
+# Quotas 8, 6/5 and 4/5: under a bound of 1 the third state is raised to
+# it, and the first round of rescaling pins the first at its floor.
+BOUNDED = problem((20, 3, 2), 10)
+BOUNDED_QUOTA = compute_quota(BOUNDED)
+
+
+def _same(a, b):
+    # An allocation compares without its audit; the audit holds the trace.
+    return a == b and (not isinstance(a, Allocation) or a.audit == b.audit)
+
+
+@pytest.mark.parametrize("call, none_is_no_bounds", [
+    (lambda b: broadcast_lower_bound(b, 3), False),
+    (lambda b: classify(BOUNDED_QUOTA, b, 10), False),
+    (lambda b: iterate_lower_bound(BOUNDED_QUOTA, b, 10), False),
+    (lambda b: feasible_with_lower_bound(BOUNDED_QUOTA, b, 10), False),
+    (lambda b: lower_bound_apportion(BOUNDED, b, SeededSource(7)), False),
+    (lambda b: lower_bound_distribution(BOUNDED, b), False),
+    (lambda b: divisor_with_bounds(BOUNDED, RULES["hill"], b), False),
+    (lambda b: simulate("stochastic", BOUNDED, 7, 50, b), True),
+    (lambda b: empirical_distribution(BOUNDED, 7, 50, b), True)],
+    ids=["broadcast_lower_bound", "classify", "iterate_lower_bound",
+         "feasible_with_lower_bound", "lower_bound_apportion",
+         "lower_bound_distribution", "divisor_with_bounds", "simulate",
+         "empirical_distribution"])
+def test_every_bounded_entry_point_reads_one_bound_format(call,
+                                                          none_is_no_bounds):
+    # One integer stands for the same integer in every state.  classify,
+    # iterate_lower_bound and feasible_with_lower_bound raised TypeError on
+    # it, and every entry point raised TypeError on a float or an object.
+    assert _same(call(1), call((1, 1, 1)))
+    assert _same(call(0), call([0, 0, 0]))
+    bad = [1.0, object(), [1, 1.0, 1]] + ([] if none_is_no_bounds else [None])
+    for bound in bad:
+        with pytest.raises(InputError):
+            call(bound)
 
 
 def test_zero_bounds_reduce_to_plain_scheme():

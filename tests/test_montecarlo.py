@@ -189,6 +189,33 @@ def test_fairness_test_refuses_a_report_of_another_length(labels, sums,
         fairness_test(report, quota_vector((1, 1)))
 
 
+def test_unlabelled_report_has_a_mean_per_state():
+    # The means were counted by the labels, so an unlabelled report had none.
+    report = SimulationReport("x", 1, 10, (), (5, 3), (5, 3), 0, 0)
+    assert report.means() == (F(1, 2), F(3, 10))
+
+
+NO_REPLICATES = SimulationReport("x", 1, 0, (), (0,), (0,), 0, 0)
+
+
+@pytest.mark.parametrize("read", [
+    lambda r: fairness_test(r, quota_vector([1])), lambda r: r.mean(0),
+    lambda r: r.std_error(0)], ids=["fairness_test", "mean", "std_error"])
+def test_a_report_without_replicates_is_refused(read):
+    # fairness_test passed every state of it, and mean and std_error
+    # divided by zero.
+    with pytest.raises(InputError,
+                       match="replicate count must be a positive integer"):
+        read(NO_REPLICATES)
+
+
+def test_fairness_test_refuses_a_z_that_is_no_rational():
+    # "a" raised ValueError from Fraction().
+    report = SimulationReport("x", 1, 10, (), (10,), (10,), 0, 0)
+    with pytest.raises(InputError, match="z must be a finite rational"):
+        fairness_test(report, quota_vector([1]), z="a")
+
+
 def test_empirical_distribution_matches_exact_law():
     prob = problem((1, 1, 7), 3)
     n = 100_000

@@ -429,9 +429,41 @@ def test_conditional_law_refuses_an_impossible_residual(residual):
 def test_conditional_retry_cap_raises():
     from seatlot.errors import ConvergenceError
 
-    with pytest.raises(ConvergenceError):
+    # The first tuple drawn from seed 3 repeats a state.
+    with pytest.raises(ConvergenceError, match="in 1 attempts"):
         conditional_sampling_allocate([F(1, 2), F(1, 4), F(1, 4)], 2,
-                                      SeededSource(3), max_attempts=0)
+                                      SeededSource(3), max_attempts=1)
+
+
+@pytest.mark.parametrize("residual", [1.5, True])
+def test_conditional_samplers_refuse_a_residual_that_is_no_count(residual):
+    # 1.5 raised TypeError from math.perm, and True was read as 1.
+    with pytest.raises(InputError, match=f"residual must be a non-negative "
+                       f"integer, got {residual}"):
+        conditional_selection_law([F(1, 2), F(1, 2)], residual)
+    with pytest.raises(InputError, match=f"residual must be a non-negative "
+                       f"integer, got {residual}"):
+        conditional_sampling_allocate([F(1, 2), F(1, 2)], residual,
+                                      SeededSource(1))
+
+
+@pytest.mark.parametrize("budget", [0, 2.5, "x"])
+def test_conditional_sampler_refuses_an_attempt_budget_that_is_no_count(
+        budget):
+    # 2.5 raised TypeError from range(); 0 drew nothing and reported that
+    # no tuple was found.
+    with pytest.raises(InputError, match="max_attempts must be a positive "
+                       "integer"):
+        conditional_sampling_allocate([F(1, 2), F(1, 2)], 1, SeededSource(1),
+                                      max_attempts=budget)
+
+
+@pytest.mark.parametrize("budget", [0, 2.5, "x"])
+def test_conditional_law_refuses_a_tuple_budget_that_is_no_count(budget):
+    # "x" raised TypeError from the comparison with math.perm.
+    with pytest.raises(InputError, match="max_tuples must be a positive "
+                       "integer"):
+        conditional_selection_law([F(1, 2), F(1, 2)], 1, max_tuples=budget)
 
 
 def test_single_residual_seat_law_is_categorical():

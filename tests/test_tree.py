@@ -198,12 +198,16 @@ def test_holders_are_found():
     (text("fractional quotas must sum to an integer"),
      ("stochastic", "_integral_quota")),
     (text("quota values must be non-negative"), ("core", "quota_vector")),
-    (text("distinct states from"), ("stochastic", "_conditional_weights"))],
-    ids=["builder", "integral-total", "non-negative-quota", "distinct-states"])
+    (text("distinct states from"), ("stochastic", "_conditional_weights")),
+    (text("lower-bound vector and state list differ in length"),
+     ("core", "broadcast_lower_bound"))],
+    ids=["builder", "integral-total", "non-negative-quota", "distinct-states",
+         "bound-length"])
 def test_one_builder_and_one_integral_check(found, holder):
     # The adjusted quota is built, scheme input checked for an integral
-    # fractional total, a quota value refused for its sign and a conditioned
-    # draw refused for more winners than states, in one function each.
+    # fractional total, a quota value refused for its sign, a conditioned
+    # draw refused for more winners than states and lower bounds read, in
+    # one function each.
     assert [(p.stem, name) for p in PACKAGE.glob("*.py")
             for name in holders(p.read_text(encoding="utf-8"), found)] \
         == [holder]
@@ -263,6 +267,57 @@ def test_one_mask_width():
                          (PACKAGE / "_kernels_native.c").read_text(
                              encoding="utf-8"), re.M)
     assert [int(d) for d in defines] == widths["_kernels_py"]
+
+
+def reads_byte_order(source: str) -> bool:
+    """Whether a module reads ``sys.byteorder`` or swaps an array's bytes."""
+    return any(isinstance(n, ast.Attribute)
+               and n.attr in ("byteorder", "byteswap")
+               for n in ast.walk(ast.parse(source)))
+
+
+def test_byte_order_readers_are_found():
+    assert reads_byte_order("import sys\nBIG = sys.byteorder == 'big'\n")
+    assert reads_byte_order("def f(a):\n    a.byteswap()\n")
+    assert not reads_byte_order("ORDER = 'little'\n")
+
+
+def test_one_lane_reader():
+    # Packed lanes are read back by rng._unpack_lanes alone, so the host's
+    # byte order is read and corrected in rng.py only.
+    assert [p.name for p in PACKAGE.glob("*.py")
+            if reads_byte_order(p.read_text(encoding="utf-8"))] == ["rng.py"]
+
+
+def constant_assignments(source: str) -> list:
+    """The values of the assignments of a module, at any depth, whose right
+    side is arithmetic on literals."""
+    def literal(node):
+        return all(isinstance(n, (ast.Constant, ast.BinOp, ast.UnaryOp,
+                                  ast.operator, ast.unaryop))
+                   for n in ast.walk(node))
+
+    return [eval(compile(ast.Expression(node.value), "<constant>", "eval"),
+                 {"__builtins__": {}})
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assign) and literal(node.value)]
+
+
+def test_constant_assignments_are_found():
+    source = ("A = (1 << 4) - 1\ndef f(x):\n    b = 2 ** 3\n    c = x + 1\n"
+              "D = -'ab'.count('a')\nE = 'x'\n")
+    assert constant_assignments(source) == [15, "x", 8]
+
+
+def test_one_copy_of_the_stream_constants():
+    # The 64-bit mask and the 2**53 grid of the offsets are assigned once,
+    # in rng.py; the kernels import them.
+    stream = {(1 << 64) - 1, 1 << 53}
+    found = {p.name: sorted(v for v in constant_assignments(
+                 p.read_text(encoding="utf-8")) if v in stream)
+             for p in PACKAGE.glob("*.py")}
+    assert {name: values for name, values in found.items() if values} == {
+        "rng.py": [1 << 53, (1 << 64) - 1]}
 
 
 def function(source: str, name: str) -> ast.FunctionDef:
