@@ -37,7 +37,7 @@ from operator import add, floordiv, mod, mul
 from pathlib import Path
 
 from .errors import (ApportionmentError, CapacityError, InfeasibleError,
-                     InputError)
+                     InputError, _digit_limit_error)
 
 # The library modules are imported by the subcommands that run them, so a
 # one-shot run loads only what it needs.  The keys of ``divisor.RULES``, in
@@ -100,8 +100,7 @@ def _quota_texts(floors, nums, den: int, places: int = 6
                 list(map(f"{{}}.{{:0{places}d}}".format, wholes,
                          map(mod, rounded, repeat(scale)))))
     except ValueError as exc:  # past the interpreter's int-to-string limit
-        raise CapacityError(f"cannot print a number of more than "
-                            f"{sys.get_int_max_str_digits()} digits") from exc
+        raise _digit_limit_error() from exc
 
 
 def _rational_texts(num: int, den: int, places: int = 6) -> tuple[str, str]:
@@ -354,7 +353,7 @@ def _apportion_once(prob, method, bounds, src):
         prepared = _prepare(prob, bounds if any(bounds) else None)
         return prepared.draw(src), prepared.quota
     from .core import compute_quota
-    from .divisor import RULES, divisor_with_bounds, resolve_method
+    from .divisor import divisor_with_bounds, resolve_method
 
     quota = compute_quota(prob)
     if not any(bounds):
@@ -363,7 +362,7 @@ def _apportion_once(prob, method, bounds, src):
         raise InputError(
             "lower bounds are supported for the stochastic scheme and "
             "the divisor methods, not for hamilton")
-    return divisor_with_bounds(prob, RULES[method], bounds), quota
+    return divisor_with_bounds(prob, method, bounds), quota
 
 
 def _seat_rows(prob, quota, seats):

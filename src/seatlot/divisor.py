@@ -89,8 +89,11 @@ class DivisorRule:
         return a * den > num * c
 
     def priority(self, pop: int, b: int) -> Optional[Fraction]:
-        """Priority pop/d(b) of a state's next seat after ``b``, squared for
-        rules compared through squares; ``None`` (infinite) when d(b) = 0."""
+        """Priority pop/d(b) of the next seat of a state of population
+        ``pop`` >= 1 after ``b`` >= 0 seats, squared for rules compared
+        through squares; ``None`` (infinite) when d(b) = 0."""
+        check_integers((pop,), "population", 1)
+        check_integers((b,), "seat count", 0)
         num, den = self.threshold(b)
         if self.squared_priority:
             pop *= pop
@@ -112,7 +115,17 @@ RULES: dict[str, DivisorRule] = {rule.name: rule for rule in (
 DETERMINISTIC_METHODS = ("hamilton",) + tuple(RULES)
 
 
-def lambda_allocation(prob: Problem, rule: DivisorRule,
+def _rule(rule) -> DivisorRule:
+    """A ``DivisorRule`` as it is, or the rule in ``RULES`` of that name."""
+    if isinstance(rule, DivisorRule):
+        return rule
+    if isinstance(rule, str) and rule in RULES:
+        return RULES[rule]
+    raise InputError(f"unknown divisor rule {rule!r}; expected a DivisorRule "
+                     f"or a name in RULES, one of {tuple(RULES)}")
+
+
+def lambda_allocation(prob: Problem, rule: DivisorRule | str,
                       divisor) -> tuple[int, ...]:
     """Per-state seats at a fixed price per seat (no tuning).
 
@@ -121,6 +134,7 @@ def lambda_allocation(prob: Problem, rule: DivisorRule,
     up.  Equality keeps the floor.  The price is any positive finite
     rational (int, Fraction, float or text such as ``'7/2'``).
     """
+    rule = _rule(rule)
     price = as_fraction(divisor, "price per seat")
     if price <= 0:
         raise InputError(f"price per seat must be positive, got {price}")
@@ -157,30 +171,7 @@ def _rounded(pops: Sequence[int], rule: DivisorRule, num: int, den: int,
     return seats, total
 
 
-class _Census:
-    """The census-wide values of jump-and-step under one rule, computed
-    once per census: the populations, their total, and the populations
-    raised to the rule's power and scaled by 2**shift for the step's keys,
-    kept per shift.  An Alabama scan walks all its houses on one."""
-
-    __slots__ = ("pops", "total", "_power", "_scaled")
-
-    def __init__(self, pops: Sequence[int], rule: DivisorRule):
-        self.pops = pops
-        self.total = sum(pops)
-        self._power = 2 if rule.squared_priority else 1
-        self._scaled = {}
-
-    def scaled(self, shift: int) -> list[int]:
-        values = self._scaled.get(shift)
-        if values is None:
-            power = self._power
-            values = self._scaled[shift] = [pop ** power << shift
-                                            for pop in self.pops]
-        return values
-
-
-def divisor_apportion(prob: Problem, rule: DivisorRule) -> Allocation:
+def divisor_apportion(prob: Problem, rule: DivisorRule | str) -> Allocation:
     """Tune the price per seat so the rounded seats sum to the house size.
 
     Implemented as exact selection of the house's largest priority values
@@ -191,14 +182,14 @@ def divisor_apportion(prob: Problem, rule: DivisorRule) -> Allocation:
     the next one below it (any price strictly between them reproduces the
     allocation), squared for rules compared through squares.
     """
-    seats, cut_key, next_key = _house(_Census(prob.populations, rule), rule,
-                                      prob.seats, audit=True)
+    rule = _rule(rule)
+    pops = prob.populations
+    seats, cut_key, next_key = _house(pops, rule, prob.seats, audit=True)
     if cut_key is None:
         cut_priority = next_priority = None
     else:
         # A key ends in its state's index: the cut is that state's last
         # seat, the next priority its first withheld one.
-        pops = prob.populations
         cut, nxt = cut_key[3], next_key[3]
         cut_priority = rule.priority(pops[cut], seats[cut] - 1)
         next_priority = rule.priority(pops[nxt], seats[nxt])
@@ -207,21 +198,20 @@ def divisor_apportion(prob: Problem, rule: DivisorRule) -> Allocation:
     return Allocation(seats=tuple(seats), method=rule.name, audit=audit)
 
 
-def _house(census: _Census, rule: DivisorRule, r: int, audit=False):
-    """The rule's seats for a house of ``r`` on ``census``, with the worst
-    granted and the best withheld key as ``_jump_and_step`` gives them
-    (both None when r = 0)."""
-    s = len(census.pops)
+def _house(pops: Sequence[int], rule: DivisorRule, r: int, audit=False):
+    """The rule's seats for a house of ``r``, with the worst granted and the
+    best withheld key as ``_jump_and_step`` gives them (None when r = 0)."""
+    s = len(pops)
     if rule.first_seat_guaranteed and r < s:
         raise InfeasibleError(
             f"{rule.name} grants every state a seat, impossible with "
             f"{r} seats for {s} states")
     if r == 0:
         return [0] * s, None, None
-    return _jump_and_step(census, rule, (0,) * s, range(s), r, audit)
+    return _jump_and_step(pops, rule, (0,) * s, range(s), r, audit)
 
 
-def _jump_price(census: _Census, rule: DivisorRule, floors: Sequence[int],
+def _jump_price(pops: Sequence[int], rule: DivisorRule, floors: Sequence[int],
                 states: Sequence[int], target: int) -> tuple[int, int]:
     """A starting price, as integers (num, den) in no lowest terms, at
     which the seats of ``states``, rounded at the price and raised to their
@@ -233,7 +223,6 @@ def _jump_price(census: _Census, rule: DivisorRule, floors: Sequence[int],
     recomputed over the others.  The price only rises from round to round,
     so a held state stays at its floor.
     """
-    pops = census.pops
     # Twice the split minus one, in lowest terms as on/od: Adams -1, Dean,
     # Hill and Webster 0, Jefferson 1.  Scaling by od keeps every comparison
     # in integers.
@@ -244,7 +233,7 @@ def _jump_price(census: _Census, rule: DivisorRule, floors: Sequence[int],
     left = target
     # States are distinct indices, so as many as there are populations are
     # all of them.
-    weight = (census.total if len(active) == len(pops)
+    weight = (sum(pops) if len(active) == len(pops)
               else sum(pops[i] for i in active))
     num, den = 0, 1
     while True:
@@ -268,8 +257,8 @@ def _jump_price(census: _Census, rule: DivisorRule, floors: Sequence[int],
         active = [i for i in active if i not in held]
 
 
-def _jump_and_step(census: _Census, rule: DivisorRule, floors: Sequence[int],
-                   states: Sequence[int], target: int, audit=False):
+def _jump_and_step(pops: Sequence[int], rule: DivisorRule, floors, states,
+                   target: int, audit=False):
     """Grant ``states`` the seats above their ``floors`` with the best
     priority keys, so that their seats total ``target``.
 
@@ -297,8 +286,8 @@ def _jump_and_step(census: _Census, rule: DivisorRule, floors: Sequence[int],
     ``RULES``); a key whose numerator exceeds it restarts the step from
     the jump's seats with a shift wide enough for that numerator.
     """
-    num, den = _jump_price(census, rule, floors, states, target)
-    start, total = _rounded(census.pops, rule, num, den, floors, states)
+    num, den = _jump_price(pops, rule, floors, states, target)
+    start, total = _rounded(pops, rule, num, den, floors, states)
     if total == target and not audit:
         return start, None, None
     # No state's seats pass its jump seats plus the seats the jump is short.
@@ -306,7 +295,7 @@ def _jump_and_step(census: _Census, rule: DivisorRule, floors: Sequence[int],
     bound = rule.threshold(top)[0]
     while True:
         try:
-            return _step(census, rule, floors, states, target, start, total,
+            return _step(pops, rule, floors, states, target, start, total,
                          bound)
         except _WiderKeys as wider:
             bound = max(wider.args[0], bound * bound)
@@ -316,12 +305,12 @@ class _WiderKeys(Exception):
     """Raised with a threshold numerator above the keys' bound."""
 
 
-def _step(census, rule, floors, states, target, start, total, bound):
+def _step(pops, rule, floors, states, target, start, total, bound):
     # The step of ``_jump_and_step`` from the jump's seats ``start``, with
     # keys scaled for threshold numerators up to ``bound``.
-    pops = census.pops
     threshold = rule.threshold
-    scaled = census.scaled(2 * bound.bit_length())
+    power, shift = 2 if rule.squared_priority else 1, 2 * bound.bit_length()
+    scaled = [pop ** power << shift for pop in pops]
 
     def best_first(i, b):
         # The key of state i's seat after b seats, with its priority times
@@ -365,7 +354,7 @@ def _step(census, rule, floors, states, target, start, total, bound):
     return seats, worst_granted, withheld[0]
 
 
-def divisor_with_bounds(prob: Problem, rule: DivisorRule,
+def divisor_with_bounds(prob: Problem, rule: DivisorRule | str,
                         bounds: int | Sequence[int]) -> Allocation:
     """Current-practice variant: grant each state its minimum, then let the
     divisor method continue from there.
@@ -376,6 +365,7 @@ def divisor_with_bounds(prob: Problem, rule: DivisorRule,
     With a minimum of one seat and the equal-proportions rule this is the
     method used for the US House today.
     """
+    rule = _rule(rule)
     bounds = broadcast_lower_bound(bounds, prob.size)
     granted = sum(bounds)
     if granted > prob.seats:
@@ -391,7 +381,7 @@ def divisor_with_bounds(prob: Problem, rule: DivisorRule,
         raise InfeasibleError(
             "seats remain but every state already meets or exceeds its quota")
     seats, _, _ = _jump_and_step(
-        _Census(prob.populations, rule), rule, bounds, competitors,
+        prob.populations, rule, bounds, competitors,
         residual + sum(bounds[i] for i in competitors))
     return Allocation(seats=tuple(seats), method=f"{rule.name}+bounds")
 
@@ -444,8 +434,7 @@ def resolve_method(method) -> tuple[str, Callable[[Problem], Allocation]]:
     if name == "hamilton":
         return name, hamilton_apportion
     if name in RULES:
-        rule = RULES[name]
-        return name, lambda prob: divisor_apportion(prob, rule)
+        return name, lambda prob: divisor_apportion(prob, name)
     raise InputError(f"unknown deterministic method {name!r}; "
                      f"expected one of {DETERMINISTIC_METHODS}")
 
@@ -478,7 +467,7 @@ def _seat_change(kind: str, method: str, prob: Problem, house_before: int,
 
 # The most house sizes one Alabama scan walks; more are refused with
 # CapacityError before any house is apportioned.  At 50 states a Hamilton
-# scan costs about 10 us per house and a Webster scan 60-90 us (Python
+# scan costs about 10 us per house and a Webster scan 44-50 us (Python
 # 3.11, one core of a shared 2-core machine), so a scan at the ceiling runs
 # for seconds to minutes, not hours.
 ALABAMA_HOUSE_CEILING = 10 ** 6
@@ -508,10 +497,10 @@ def detect_alabama(prob: Problem, method,
     operations and one sort of the remainders, whatever the width; a gap
     in the houses re-seeds the lanes from Hamilton's one-house floor and
     remainder pass.  A divisor method named by one of ``RULES`` runs each
-    house straight through the integer jump-and-step core, on census-wide
-    values computed once per scan (see ``_Census``), with no ``Problem``,
-    ``Allocation`` or audit built per house.  Any other method, a callable
-    too whatever its name, is called once per house on a fresh ``Problem``.
+    house straight through the integer jump-and-step core on the
+    populations, with no ``Problem``, ``Allocation`` or audit built per
+    house.  Any other method, a callable too whatever its name, is called
+    once per house on a fresh ``Problem``.
     """
     name, fn = resolve_method(method)
     if isinstance(r_values, range):
@@ -536,8 +525,7 @@ def detect_alabama(prob: Problem, method,
         losers = _hamilton_losers(pops, rs)
     elif not callable(method) and name in RULES:
         rule = RULES[name]
-        census = _Census(pops, rule)
-        losers = _losers(lambda r: _house(census, rule, r)[0], rs)
+        losers = _losers(lambda r: _house(pops, rule, r)[0], rs)
     else:
         losers = _losers(lambda r: fn(Problem(labels, pops, r)).seats, rs)
     return [_seat_change("alabama", name, prob, r, r + 1, i, before, after)
@@ -688,8 +676,9 @@ def detect_population_paradox(before: Problem, after: Problem,
 
 
 def fair_share_seats(population: int, base: Problem) -> int:
-    """Seats a joining state deserves at the base problem's price per seat,
-    rounded to the nearest integer (halves up)."""
+    """Seats a joining state of positive ``population`` deserves at the base
+    problem's price per seat, rounded to the nearest integer (halves up)."""
+    check_integers((population,), "population", 1)
     total = base.total_population
     return (2 * population * base.seats + total) // (2 * total)
 

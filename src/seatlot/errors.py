@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all seatlot modules."""
 
+import sys
+
 
 class ApportionmentError(Exception):
     """Base class for all seatlot errors."""
@@ -24,6 +26,12 @@ class InfeasibleError(ApportionmentError):
 
 class CapacityError(ApportionmentError):
     """An exact-enumeration routine was asked to exceed its size limit."""
+
+
+def _digit_limit_error() -> CapacityError:
+    """Refusal of a number past the int-to-string digit limit."""
+    return CapacityError(f"cannot print a number of more than "
+                         f"{sys.get_int_max_str_digits()} digits")
 
 
 class ConvergenceError(ApportionmentError):

@@ -20,15 +20,14 @@ simpler, but the resulting expectations are no longer proportional).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (Allocation, Problem, QuotaVector, as_fractions,
                    broadcast_lower_bound, check_integers, quota_vector)
-from .errors import (CapacityError, ConvergenceError, InfeasibleError,
-                     InputError)
+from .errors import (ConvergenceError, InfeasibleError, InputError,
+                     _digit_limit_error)
 from .rng import SeededSource
 from .stochastic import (ENUMERATION_LIMIT, AllocationDistribution,
                          _allocation_law, _integral_quota, _prepare,
@@ -235,9 +234,7 @@ class IterationTrace:
                        "scale": f"{r.scale.numerator}/{r.scale.denominator}",
                        "fixed": list(r.fixed)} for r in self.rounds]
         except ValueError as exc:  # past the int-to-string limit
-            raise CapacityError(
-                "cannot print a number of more than "
-                f"{sys.get_int_max_str_digits()} digits") from exc
+            raise _digit_limit_error() from exc
         return {"rounds": rounds, "final_active": list(self.final_active),
                 "fixed_at_floor": list(self.fixed_at_floor),
                 "feasible": self.feasible, "diagnostics": self.diagnostics}

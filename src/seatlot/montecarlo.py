@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from . import _backend
 from ._kernels_py import MAX_MASK_STATES
 from .core import (Problem, QuotaVector, as_fraction, broadcast_lower_bound,
-                   check_integers, compute_quota)
+                   check_integers, compute_quota, problem)
 from .divisor import resolve_method
 from .errors import CapacityError, InputError
 from .rng import MAX_BOUND, SeededSource, child_seed
@@ -290,6 +290,7 @@ def random_problem(src: SeededSource, *, min_states: int = 1,
     for what, low, high in (("state count", min_states, max_states),
                             ("population", 1, max_population),
                             ("house size", min_seats, max_seats)):
+        check_integers((low, high), f"{what} range end", 0)
         if low > high:
             raise InputError(f"empty {what} range: {low}..{high}")
         if high - low + 1 > MAX_BOUND:
@@ -298,15 +299,16 @@ def random_problem(src: SeededSource, *, min_states: int = 1,
     s = min_states + src.randbelow(max_states - min_states + 1)
     pops = tuple(1 + src.randbelow(max_population) for _ in range(s))
     seats = min_seats + src.randbelow(max_seats - min_seats + 1)
-    labels = tuple(f"S{i + 1}" for i in range(s))
-    return Problem(labels, pops, seats)
+    return problem(pops, seats)
 
 
 def population_move_pair(src: SeededSource, **kwargs) -> ProblemPair:
     """Random pair: same totals, some heads moved from one state to another."""
-    if "max_population" in kwargs and kwargs["max_population"] < 2:
-        raise InputError("a population move needs a max_population of at "
-                         f"least 2, got {kwargs['max_population']!r}")
+    if "max_population" in kwargs:
+        check_integers((kwargs["max_population"],), "population range end", 0)
+        if kwargs["max_population"] < 2:
+            raise InputError("a population move needs a max_population of "
+                             f"at least 2, got {kwargs['max_population']!r}")
     while True:
         before = random_problem(src, min_states=2, **kwargs)
         movable = [i for i, p in enumerate(before.populations) if p >= 2]

@@ -42,9 +42,9 @@ from operator import add
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import _backend, _kernels_py
-from .core import (Allocation, Problem, QuotaVector, as_fractions,
-                   broadcast_lower_bound, check_integers, compute_quota,
-                   quota_vector)
+from .core import (Allocation, Problem, QuotaVector, as_fraction,
+                   as_fractions, broadcast_lower_bound, check_integers,
+                   compute_quota, quota_vector)
 from .errors import (CapacityError, ConvergenceError, InfeasibleError,
                      InputError)
 from .rng import SeededSource, U53_DENOMINATOR
@@ -88,7 +88,7 @@ def systematic_round(fracs: Sequence, u) -> list[int]:
     integer.  The entries always sum to the (integer) total of ``fracs``.
     """
     fracs = as_fractions(fracs)
-    u = Fraction(u)
+    u = as_fraction(u, "offset")
     if not 0 <= u < 1:
         raise InputError(f"offset must lie in [0, 1), got {u}")
     _fractional_quota(fracs)
@@ -194,8 +194,12 @@ class AllocationDistribution:
 
     def __init__(self, probabilities: Mapping[Tuple[int, ...], Fraction]):
         items = sorted(probabilities.items())
+        size = len(items[0][0]) if items else 0
         total = Fraction(0)
         for seats, p in items:
+            if len(seats) != size:
+                raise InputError(f"support vectors differ in length: "
+                                 f"{items[0][0]} and {seats}")
             if p <= 0:
                 raise InputError(f"probabilities must be positive, got {p} for {seats}")
             total += p

@@ -161,6 +161,49 @@ def test_rounds_up_refuses_a_seat_count_that_is_no_count(rule, b):
         rule.rounds_up(0, b)
 
 
+@pytest.mark.parametrize("pop, b", [(5, -1), (-3, 1), (0, 2), (2.5, 1),
+                                    (4, 1.5), (True, 1), (4, True)],
+                         ids=repr)
+@pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.name)
+def test_priority_refuses_a_population_or_seat_count_out_of_range(rule, pop,
+                                                                   b):
+    # webster.priority(5, -1) was -10, and hill.priority(-3, 1) was 9/2: the
+    # square lost the population's sign.
+    with pytest.raises(InputError, match="must be a (positive|non-negative) "
+                                         "integer"):
+        rule.priority(pop, b)
+
+
+@pytest.mark.parametrize("population", [-5, 0, 2.5, True, "7"], ids=repr)
+def test_fair_share_seats_refuses_a_population_below_one(population):
+    # fair_share_seats(-5, base) gave -3 seats, and a population of 0 none.
+    with pytest.raises(InputError, match="population must be a positive"):
+        fair_share_seats(population, problem((10, 20), 12))
+
+
+def _by_rule(call, rule):
+    prob = problem(_census(states=8, seed=5), 60)
+    if call == "apportion":
+        alloc = divisor_apportion(prob, rule)
+        return alloc.seats, alloc.audit, alloc.method
+    if call == "bounds":
+        alloc = divisor_with_bounds(prob, rule, 2)
+        return alloc.seats, alloc.audit, alloc.method
+    return lambda_allocation(prob, rule, 1000)
+
+
+@pytest.mark.parametrize("call", ["apportion", "bounds", "lambda"])
+def test_rule_name_reads_as_its_rule(call):
+    # divisor_apportion(prob, "webster") raised AttributeError; a name in
+    # RULES now gives what its rule gives, and anything else is refused.
+    for name, rule in RULES.items():
+        assert _by_rule(call, name) == _by_rule(call, rule)
+    for bad in (3, None, "nope", ["webster"], "Webster"):
+        with pytest.raises(InputError, match="^unknown divisor rule .*a "
+                                             "DivisorRule or a name in RULES"):
+            _by_rule(call, bad)
+
+
 def test_lambda_allocation_reads_any_rational_price():
     prob = problem((7, 3), 10)
     want = lambda_allocation(prob, RULES["webster"], F(7, 2))
@@ -190,10 +233,8 @@ def test_rule_copy_under_another_name_behaves_the_same():
     s = len(pops)
     for house in (s, 435, 10 ** 6):
         prob = problem(pops, house)
-        assert divisor._jump_price(divisor._Census(pops, copy), copy,
-                                   (0,) * s, range(s), house) \
-            == divisor._jump_price(divisor._Census(pops, adams), adams,
-                                   (0,) * s, range(s), house)
+        assert divisor._jump_price(pops, copy, (0,) * s, range(s), house) \
+            == divisor._jump_price(pops, adams, (0,) * s, range(s), house)
         want, got = divisor_apportion(prob, adams), divisor_apportion(prob, copy)
         assert (got.seats, got.audit) == (want.seats, want.audit)
         assert divisor_with_bounds(prob, copy, 1).seats \
@@ -305,13 +346,13 @@ def jump_misses(monkeypatch):
     misses = []
     jump_and_step = divisor._jump_and_step
 
-    def spy(census, rule, floors, states, target, *audit):
-        price = F(*divisor._jump_price(census, rule, floors, states, target))
-        jump = lambda_allocation(problem(census.pops, target), rule, price)
+    def spy(pops, rule, floors, states, target, *audit):
+        price = F(*divisor._jump_price(pops, rule, floors, states, target))
+        jump = lambda_allocation(problem(pops, target), rule, price)
         miss = sum(max(floors[i], jump[i]) for i in states) - target
         assert abs(miss) < len(states)
         misses.append((any(floors), miss))
-        return jump_and_step(census, rule, floors, states, target, *audit)
+        return jump_and_step(pops, rule, floors, states, target, *audit)
 
     monkeypatch.setattr(divisor, "_jump_and_step", spy)
     return misses

@@ -350,6 +350,27 @@ def test_random_problem_accepts_a_range_of_two_to_the_64():
     assert all(1 <= p <= 2 ** 64 for p in prob.populations)
 
 
+@pytest.mark.parametrize("draw, sizes", [
+    (random_problem, {"max_states": 2.5}),
+    (random_problem, {"min_states": F(1)}),
+    (random_problem, {"max_population": "x"}),
+    (random_problem, {"max_seats": None}),
+    (random_problem, {"min_seats": True}),
+    (house_increase_pair, {"max_seats": 1.5}),
+    (population_move_pair, {"max_population": "x"}),
+    (population_move_pair, {"max_population": 60.0}),
+], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_corpus_builders_refuse_range_ends_that_are_no_integers(draw, sizes):
+    # A float end raised TypeError from randbelow, a text end TypeError
+    # from a comparison, and min_seats=True was read as 1.  The refusal
+    # comes before any draw.
+    src = SeededSource(9)
+    with pytest.raises(InputError, match="range end must be a non-negative "
+                                         "integer"):
+        draw(src, **sizes)
+    assert src.bits53() == SeededSource(9).bits53()
+
+
 @pytest.mark.parametrize("max_population", [1, 0])
 def test_population_move_pair_refuses_populations_that_cannot_move(
         max_population):

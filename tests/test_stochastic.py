@@ -29,6 +29,14 @@ def test_round_hand_examples():
     assert systematic_round([F(0), F(0), F(0)], F(1, 3)) == [0, 0, 0]
 
 
+@pytest.mark.parametrize("u", ["x", None, float("nan"), "1/0", [0]],
+                         ids=repr)
+def test_round_refuses_an_offset_that_is_no_rational(u):
+    # systematic_round([1/2, 1/2], "x") raised ValueError from Fraction(u).
+    with pytest.raises(InputError, match="^offset must be a finite rational"):
+        systematic_round([F(1, 2), F(1, 2)], u)
+
+
 def test_round_rejects_bad_input():
     with pytest.raises(InputError):
         systematic_round([F(1, 2)], F(0))       # total not an integer
@@ -256,6 +264,16 @@ def test_distribution_validates():
         AllocationDistribution({(1,): F(1, 2)})
     with pytest.raises(InputError):
         AllocationDistribution({(1,): F(1, 2), (0,): F(-1, 2)})
+
+
+def test_distribution_refuses_support_vectors_of_unequal_length():
+    # The law was accepted, and its marginal_means() was (3/2,), read off
+    # the first state alone.
+    for law in ({(1,): F(1, 2), (2, 3): F(1, 2)},
+                {(0, 1): F(1, 3), (1,): F(1, 3), (0, 0): F(1, 3)}):
+        with pytest.raises(InputError, match="support vectors differ in "
+                                             "length"):
+            AllocationDistribution(law)
 
 
 def test_distribution_refuses_an_empty_law():

@@ -200,17 +200,42 @@ def test_holders_are_found():
     (text("quota values must be non-negative"), ("core", "quota_vector")),
     (text("distinct states from"), ("stochastic", "_conditional_weights")),
     (text("lower-bound vector and state list differ in length"),
-     ("core", "broadcast_lower_bound"))],
+     ("core", "broadcast_lower_bound")),
+    (text("unknown divisor rule"), ("divisor", "_rule")),
+    (text("cannot print a number of more than"),
+     ("errors", "_digit_limit_error"))],
     ids=["builder", "integral-total", "non-negative-quota", "distinct-states",
-         "bound-length"])
+         "bound-length", "rule-reader", "digit-limit"])
 def test_one_builder_and_one_integral_check(found, holder):
     # The adjusted quota is built, scheme input checked for an integral
     # fractional total, a quota value refused for its sign, a conditioned
-    # draw refused for more winners than states and lower bounds read, in
-    # one function each.
+    # draw refused for more winners than states, lower bounds read, a
+    # divisor rule read and a number past the digit limit refused, in one
+    # function each.
     assert [(p.stem, name) for p in PACKAGE.glob("*.py")
             for name in holders(p.read_text(encoding="utf-8"), found)] \
         == [holder]
+
+
+def stores_on_self(node) -> bool:
+    """An assignment target ``self.<name>``: state kept on an instance."""
+    return (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
+def test_stores_on_self_are_found():
+    source = ("class A:\n    def __init__(self):\n        self.x = 1\n"
+              "class B:\n    def m(self):\n        self.n += 1\n"
+              "class C:\n    def m(self):\n        return self.x\n"
+              "class D:\n    def m(self, other):\n        other.x = 1\n")
+    assert holders(source, stores_on_self) == ["A", "B"]
+
+
+def test_the_divisor_core_keeps_no_state():
+    # The divisor core runs on plain populations: no class of divisor.py
+    # keeps state between calls, as a per-census cache did.
+    assert holders((PACKAGE / "divisor.py").read_text(encoding="utf-8"),
+                   stores_on_self) == []
 
 
 def takers(source: str, parameter: str) -> list[str]:
