@@ -312,13 +312,14 @@ class Emitter:
 
     @staticmethod
     def _table(columns, cells):
-        padded = []
-        for column, values in zip(columns, cells):
-            texts = [str(column), *map(str, values)]
-            padded.append(map(str.ljust, texts, repeat(max(map(len, texts)))))
-        lines = list(map("  ".join, zip(*padded)))
-        lines.insert(1, "-" * len(lines[0]))
-        return "\n".join(lines) + "\n"
+        # One template per block, each column left-aligned to its widest
+        # text, lays out a whole line in one format call.
+        texts = [[str(column), *map(str, values)]
+                 for column, values in zip(columns, cells)]
+        template = "  ".join([f"{{:<{max(map(len, column))}}}"
+                              for column in texts])
+        header, *lines = map(template.format, *texts)
+        return "\n".join([header, "-" * len(header), *lines, ""])
 
     def note(self, text: str):
         if self.fmt == "table":
@@ -340,17 +341,18 @@ class Emitter:
 def _problem_from_args(data_path, seats):
     from .core import Problem
 
-    rows = parse_census(data_path)
-    return Problem(tuple(lab for lab, _ in rows),
-                   tuple(pop for _, pop in rows), seats)
+    labels, populations = zip(*parse_census(data_path))
+    return Problem(labels, populations, seats)
 
 
 def _apportion_once(prob, method, bounds, src):
     """(allocation, problem quota) of one apportion run, which computes the
-    quota once: the draw and the printed table share it."""
+    quota once: the draw and the printed table share it.  The scheme takes
+    ``bounds`` as ``read_lower_bound`` checked them, without a second
+    check."""
     if method == "stochastic":
-        from .stochastic import _prepare
-        prepared = _prepare(prob, bounds if any(bounds) else None)
+        from .stochastic import _prepared
+        prepared = _prepared(prob, bounds if any(bounds) else None)
         return prepared.draw(src), prepared.quota
     from .core import compute_quota
     from .divisor import divisor_with_bounds, resolve_method
@@ -666,7 +668,8 @@ def cmd_table1(args, out) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process and shared
-    by every call, so no caller may change it."""
+    by every call, so no caller may change it.  Its ``subcommands`` maps
+    each subcommand's name to that subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="seatlot",
         description="Exact apportionment: fair seat lottery, divisor methods, "
@@ -746,12 +749,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lower-bound", default=1)
     add_format(p)
     p.set_defaults(func=cmd_table1)
+    parser.subcommands = sub.choices
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, parsed once.  The top-level
+    parser hands every string after a subcommand's name to that
+    subcommand's parser with ``parse_known_args`` and keeps only the name,
+    so the same call is made here directly.  When no subcommand is named
+    first, or its parser leaves strings unparsed, the full parse runs and
+    prints its own usage errors and help."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    subparser = parser.subcommands.get(argv[0]) if argv else None
+    if subparser is not None:
+        args, extras = subparser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args, out)
     except InfeasibleError as exc:

@@ -71,7 +71,7 @@ class Problem:
     seats: int
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
+        object.__setattr__(self, "labels", tuple(map(str, self.labels)))
         object.__setattr__(self, "populations", tuple(self.populations))
         if len(self.labels) != len(self.populations):
             raise InputError("labels and populations differ in length")
@@ -89,6 +89,12 @@ class Problem:
     @property
     def total_population(self) -> int:
         return sum(self.populations)
+
+
+def check_problem(prob) -> None:
+    """Refuse anything but a :class:`Problem` with InputError."""
+    if not isinstance(prob, Problem):
+        raise InputError(f"expected a Problem, got {type(prob).__name__}")
 
 
 def problem(populations: Sequence[int], seats: int,

@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (Allocation, Problem, as_fraction, broadcast_lower_bound,
-                   check_integers, compute_quota)
+                   check_integers, check_problem, compute_quota)
 from .errors import CapacityError, InfeasibleError, InputError
 from .rng import _unpack_lanes
 
@@ -134,6 +134,7 @@ def lambda_allocation(prob: Problem, rule: DivisorRule | str,
     up.  Equality keeps the floor.  The price is any positive finite
     rational (int, Fraction, float or text such as ``'7/2'``).
     """
+    check_problem(prob)
     rule = _rule(rule)
     price = as_fraction(divisor, "price per seat")
     if price <= 0:
@@ -182,6 +183,7 @@ def divisor_apportion(prob: Problem, rule: DivisorRule | str) -> Allocation:
     the next one below it (any price strictly between them reproduces the
     allocation), squared for rules compared through squares.
     """
+    check_problem(prob)
     rule = _rule(rule)
     pops = prob.populations
     seats, cut_key, next_key = _house(pops, rule, prob.seats, audit=True)
@@ -365,6 +367,7 @@ def divisor_with_bounds(prob: Problem, rule: DivisorRule | str,
     With a minimum of one seat and the equal-proportions rule this is the
     method used for the US House today.
     """
+    check_problem(prob)
     rule = _rule(rule)
     bounds = broadcast_lower_bound(bounds, prob.size)
     granted = sum(bounds)
@@ -391,6 +394,7 @@ def hamilton_apportion(prob: Problem) -> Allocation:
 
     Remainder ties go to the larger population, then to the earlier state.
     """
+    check_problem(prob)
     pops = prob.populations
     seats = _largest_remainders(pops, prob.total_population, prob.seats,
                                 _tie_order(pops))
@@ -502,6 +506,7 @@ def detect_alabama(prob: Problem, method,
     house.  Any other method, a callable too whatever its name, is called
     once per house on a fresh ``Problem``.
     """
+    check_problem(prob)
     name, fn = resolve_method(method)
     if isinstance(r_values, range):
         rs = r_values if r_values.step > 0 else r_values[::-1]
@@ -641,6 +646,8 @@ def detect_population_paradox(before: Problem, after: Problem,
     Both problems must share the state list and house size.  Growth is
     compared as the exact ratio new/old population.
     """
+    check_problem(before)
+    check_problem(after)
     if before.labels != after.labels:
         raise InputError("population-paradox check needs identical state lists")
     if before.seats != after.seats:
@@ -679,6 +686,7 @@ def fair_share_seats(population: int, base: Problem) -> int:
     """Seats a joining state of positive ``population`` deserves at the base
     problem's price per seat, rounded to the nearest integer (halves up)."""
     check_integers((population,), "population", 1)
+    check_problem(base)
     total = base.total_population
     return (2 * population * base.seats + total) // (2 * total)
 
@@ -690,6 +698,8 @@ def detect_new_state_paradox(base: Problem, extended: Problem,
     ``extended`` must append exactly one state to ``base`` and enlarge the
     house by that state's fair share at the old price.
     """
+    check_problem(base)
+    check_problem(extended)
     if extended.size != base.size + 1:
         raise InputError("extended problem must add exactly one state")
     if (extended.labels[:-1] != base.labels
@@ -730,6 +740,7 @@ def quota_staying_check(method, corpus: Sequence[Problem]) -> QuotaStayingSummar
     lower = upper = 0
     lower_witness = upper_witness = None
     for prob in corpus:
+        check_problem(prob)
         quota = compute_quota(prob)
         floors, ceilings = quota.floors, quota.ceilings
         seats = fn(prob).seats

@@ -256,7 +256,13 @@ def iterate_lower_bound(quota, bounds: int | Sequence[int],
     """
     quota = quota_vector(quota)
     check_integers((seats,), "seats", 0)
-    bounds = broadcast_lower_bound(bounds, quota.size)
+    return _iterate(quota, broadcast_lower_bound(bounds, quota.size), seats)
+
+
+def _iterate(quota: QuotaVector, bounds: tuple[int, ...],
+             seats: int) -> IterationTrace:
+    """:func:`iterate_lower_bound` on bounds and a house size already
+    checked, so that a bounded draw checks its bounds once."""
     try:
         cls_ = _classify(quota, bounds, seats)
     except InfeasibleError as exc:

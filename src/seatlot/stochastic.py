@@ -167,8 +167,8 @@ def _prepared(prob: Problem, bounds: Optional[tuple[int, ...]]) -> _Prepared:
     quota = compute_quota(prob)
     if bounds is None:
         return _Prepared(quota, quota, None, (0,) * prob.size)
-    from .lowerbound import iterate_lower_bound  # circular
-    trace = iterate_lower_bound(quota, bounds, prob.seats)
+    from .lowerbound import _iterate  # circular
+    trace = _iterate(quota, bounds, prob.seats)
     if not trace.feasible:
         raise InfeasibleError(
             "no allocation satisfies quota with the given bounds: "
@@ -190,9 +190,19 @@ def _seats_from_mask(floors: Sequence[int], mask: int) -> tuple[int, ...]:
 
 
 class AllocationDistribution:
-    """Exact law of an allocation: support vectors with rational masses."""
+    """Exact law of an allocation: support vectors (tuples of seat counts)
+    with exact rational masses (int or Fraction)."""
 
     def __init__(self, probabilities: Mapping[Tuple[int, ...], Fraction]):
+        for seats, p in probabilities.items():
+            if not isinstance(seats, tuple):
+                raise InputError("support vectors must be tuples of seat "
+                                 f"counts, got {seats!r}")
+            if type(p) is not int and not isinstance(p, Fraction):
+                raise InputError("probabilities must be exact rationals (int "
+                                 f"or Fraction), got {p!r} for {seats}")
+        check_integers(itertools.chain.from_iterable(probabilities),
+                       "seat count", 0)
         items = sorted(probabilities.items())
         size = len(items[0][0]) if items else 0
         total = Fraction(0)
@@ -223,7 +233,14 @@ class AllocationDistribution:
     def probability(self, seats: Sequence[int]) -> Fraction:
         return self.probabilities.get(tuple(seats), Fraction(0))
 
+    def _check_state(self, i: int) -> None:
+        check_integers((i,), "state index", 0)
+        size = len(next(iter(self.probabilities)))
+        if i >= size:
+            raise InputError(f"state index must be below {size}, got {i}")
+
     def marginal_mean(self, i: int) -> Fraction:
+        self._check_state(i)
         return sum((p * seats[i] for seats, p in self.probabilities.items()),
                    Fraction(0))
 
@@ -232,6 +249,7 @@ class AllocationDistribution:
         return tuple(self.marginal_mean(i) for i in range(size))
 
     def marginal_law(self, i: int) -> dict[int, Fraction]:
+        self._check_state(i)
         law: dict[int, Fraction] = {}
         for seats, p in self.probabilities.items():
             law[seats[i]] = law.get(seats[i], Fraction(0)) + p

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -7,13 +8,15 @@ import random
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fixtures
-from seatlot import _backend, lowerbound, montecarlo, problem, stochastic
+from seatlot import (_backend, cli, lowerbound, montecarlo, problem,
+                     stochastic)
 from seatlot.cli import (FORMAT_CHOICES, MAX_DIGITS, MAX_SCAN_HOUSES,
                          MAX_SCAN_STATES, MAX_SCAN_TRIALS, RULE_NAMES,
                          Emitter, _rational_texts, decimal_str, fraction_str,
@@ -23,9 +26,13 @@ from seatlot.core import compute_quota
 from seatlot.divisor import ALABAMA_HOUSE_CEILING, RULES, divisor_apportion
 from seatlot.errors import CapacityError, InputError
 from seatlot.montecarlo import REPLICATE_CEILING
+from seatlot.rng import SeededSource
 
 
 TOO_LONG = f"number longer than {MAX_DIGITS} characters"
+# A stochastic apportion of the golden 50-state census (golden_inputs).
+APPORTION = ["apportion", "--data", "c50.csv", "--seats", "435", "--method",
+             "stochastic"]
 
 
 def run_cli(args):
@@ -618,6 +625,26 @@ def test_apportion_renders_without_fractions(fmt, golden_inputs):
     assert codes == [0, 0]
 
 
+def count_core_calls(monkeypatch, name):
+    """The list of argument tuples of every later call to ``core.<name>``,
+    made through any seatlot module that holds it.  The prepared-scheme
+    memo is emptied, so the next draw prepares its problem afresh."""
+    import seatlot
+    calls = []
+    original = getattr(seatlot.core, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("seatlot")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, counting)
+    stochastic._prepared.cache_clear()
+    return calls
+
+
 @pytest.mark.parametrize("extra", [
     ["--method", "stochastic"],
     ["--method", "stochastic", "--lower-bound", "1"],
@@ -625,23 +652,33 @@ def test_apportion_renders_without_fractions(fmt, golden_inputs):
 def test_apportion_computes_the_quota_once(extra, golden_inputs,
                                            monkeypatch):
     # The draw's quota is the one the table prints: a run computes it once.
-    import seatlot
-    calls = []
-    original = seatlot.core.compute_quota
-
-    def counting(prob):
-        calls.append(prob)
-        return original(prob)
-
-    for module in list(sys.modules.values()):
-        if (getattr(module, "__name__", "").startswith("seatlot")
-                and getattr(module, "compute_quota", None) is original):
-            monkeypatch.setattr(module, "compute_quota", counting)
-    stochastic._prepared.cache_clear()
+    calls = count_core_calls(monkeypatch, "compute_quota")
     code, _ = run_cli(["apportion", "--data", "c50.csv", "--seats", "435",
                        *extra])
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bound", ["1", "bounds.csv"])
+def test_bounded_apportion_checks_its_bounds_once(bound, golden_inputs,
+                                                  monkeypatch):
+    # read_lower_bound, stochastic._prepare and iterate_lower_bound each
+    # checked the same bounds: the scheme draws with the bounds read.
+    Path("bounds.csv").write_text(
+        "".join(f"{label},1\n" for label, _ in fixtures.CENSUS_50))
+    calls = count_core_calls(monkeypatch, "broadcast_lower_bound")
+    code, _ = run_cli([*APPORTION, "--lower-bound", bound])
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_a_bounded_library_draw_checks_its_bounds_once(monkeypatch):
+    # _prepare checks the bounds before its memo; iterate_lower_bound
+    # checked them again.
+    prob = problem([pop for _label, pop in fixtures.CENSUS_50], 435)
+    calls = count_core_calls(monkeypatch, "broadcast_lower_bound")
+    lowerbound.lower_bound_apportion(prob, 1, SeededSource(7))
+    assert calls == [(1, 50)]
 
 
 def test_reading_bounds_builds_no_fraction():
@@ -1243,6 +1280,66 @@ def test_parser_output_golden(name, capsys, monkeypatch):
         printed = capsys.readouterr()
         assert (exc.value.code, sha256(printed.out), sha256(printed.err)) \
             == fixtures.CLI_PARSER_GOLDEN[name]
+
+
+PARITY_RUNS = [
+    *GOLDEN_RUNS.values(), *PARSER_RUNS.values(),
+    ["-h", "apportion"], ["apportion", "-h"], ["simulate", "--help"],
+    [*APPORTION, "--bogus"], [*APPORTION, "--bogus", "1"],
+    ["--data", "c50.csv"], [], ["aportion", *APPORTION[1:]],
+    ["APPORTION", *APPORTION[1:]],
+    [*APPORTION, "--lower", "1"], [*APPORTION, "--se", "7"],
+    [*APPORTION, "--"], [*APPORTION, "--", "x"],
+    ["apportion", "--", *APPORTION[1:]], ["--", *APPORTION],
+]
+
+
+def _parsed_run(argv, parse, capsys):
+    """(exit status, output, stdout, stderr, namespaces) of ``main(argv)``
+    when it parses with ``parse``; a parse that exits gives no namespace."""
+    namespaces = []
+
+    def recording(args):
+        namespaces.append(parse(args))
+        return namespaces[-1]
+
+    out = io.StringIO()
+    capsys.readouterr()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_parse_args", recording)
+        try:
+            code = main(argv, out=out)
+        except SystemExit as exc:
+            code = exc.code
+    printed = capsys.readouterr()
+    return code, out.getvalue(), printed.out, printed.err, namespaces
+
+
+@pytest.mark.parametrize("argv", PARITY_RUNS, ids=" ".join)
+def test_main_parses_as_the_full_parser(argv, golden_inputs, capsys,
+                                        monkeypatch):
+    # main hands a call that names a subcommand to that subcommand's parser
+    # alone; status, output, errors, help and namespace are the full
+    # parse's.  A call it parses alone never reaches the top-level parser.
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = cli.build_parser()
+    top_level = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        if self is parser:
+            top_level.append(args)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    one_pass = _parsed_run(argv, cli._parse_args, capsys)
+    alone = not top_level
+    assert one_pass == _parsed_run(argv, parser.parse_args, capsys)
+    *_, stderr, namespaces = one_pass
+    if namespaces:
+        assert namespaces[0].command == argv[0]
+    named = bool(argv) and argv[0] in parser.subcommands
+    assert alone == (named and "unrecognized arguments" not in stderr)
 
 
 # --- one-shot runs ------------------------------------------------------------

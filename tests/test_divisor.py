@@ -204,6 +204,29 @@ def test_rule_name_reads_as_its_rule(call):
             _by_rule(call, bad)
 
 
+NON_PROBLEM_CALLS = {
+    "fair_share_seats": lambda bad: fair_share_seats(5, bad),
+    "lambda_allocation": lambda bad: lambda_allocation(bad, "webster", 2),
+    "quota_staying_check": lambda bad: quota_staying_check("webster", [bad]),
+    "divisor_apportion": lambda bad: divisor_apportion(bad, "webster"),
+    "divisor_with_bounds": lambda bad: divisor_with_bounds(bad, "hill", 1),
+    "hamilton_apportion": hamilton_apportion,
+    "detect_alabama": lambda bad: detect_alabama(bad, "hamilton", range(3)),
+    "detect_population_paradox": lambda bad: detect_population_paradox(
+        bad, problem((2, 3), 4), "hamilton"),
+    "detect_new_state_paradox": lambda bad: detect_new_state_paradox(
+        problem((2, 3), 4), bad, "hamilton"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_PROBLEM_CALLS))
+def test_entry_points_refuse_a_non_problem(name):
+    # The first three raised AttributeError on None.
+    for bad in (None, (2, 3), "2,3"):
+        with pytest.raises(InputError, match="^expected a Problem, got "):
+            NON_PROBLEM_CALLS[name](bad)
+
+
 def test_lambda_allocation_reads_any_rational_price():
     prob = problem((7, 3), 10)
     want = lambda_allocation(prob, RULES["webster"], F(7, 2))

@@ -550,13 +550,13 @@ def test_prepared_problem_bad_bound_after_valid_call():
 
 def test_simulate_prepares_bounded_problem_once(monkeypatch):
     calls = []
-    original = lowerbound.iterate_lower_bound
+    original = lowerbound._iterate
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(lowerbound, "iterate_lower_bound", counting)
+    monkeypatch.setattr(lowerbound, "_iterate", counting)
     stochastic._prepared.cache_clear()
     prob = problem(tuple(100 + 37 * i for i in range(50)), 435)
     report = simulate(lambda p, src: lower_bound_apportion(p, 1, src),

@@ -276,6 +276,30 @@ def test_distribution_refuses_support_vectors_of_unequal_length():
             AllocationDistribution(law)
 
 
+@pytest.mark.parametrize("law, error", [
+    # Accepted: the law's masses were no longer exact.
+    ({(1,): 1.0}, "probabilities must be exact rationals"),
+    ({(1,): F(1, 2), (0,): 0.5}, "probabilities must be exact rationals"),
+    ({(1,): True}, "probabilities must be exact rationals"),
+    # TypeError from <= and from len().
+    ({(1,): "x"}, "probabilities must be exact rationals"),
+    ({1: F(1)}, "support vectors must be tuples of seat counts"),
+    ({(1,): F(1, 2), 2: F(1, 2)}, "support vectors must be tuples"),
+    # Accepted; marginal_means() then raised TypeError.
+    ({("a",): F(1)}, "seat count must be a non-negative integer"),
+    ({(1.0,): F(1)}, "seat count must be a non-negative integer"),
+    ({(-1,): F(1)}, "seat count must be a non-negative integer")])
+def test_distribution_refuses_inexact_masses_and_non_seat_keys(law, error):
+    with pytest.raises(InputError, match=f"^{error}"):
+        AllocationDistribution(law)
+
+
+def test_distribution_takes_integer_and_fraction_masses():
+    law = AllocationDistribution({(0, 2): F(1, 2), (1, 1): F(1, 2)})
+    assert law.marginal_means() == (F(1, 2), F(3, 2))
+    assert AllocationDistribution({(3,): 1}).marginal_means() == (3,)
+
+
 def test_distribution_refuses_an_empty_law():
     # An empty mapping was accepted, and its marginal_means() then raised
     # StopIteration.
@@ -365,6 +389,15 @@ def test_exact_marginals_equal_quota_random_instances():
 def test_marginal_law():
     law = exact_distribution(problem((1, 1, 7), 3))
     assert law.marginal_law(2) == {2: F(2, 3), 3: F(1, 3)}
+
+
+@pytest.mark.parametrize("state", [3, 5, -1, 1.0, True, None])
+def test_marginals_refuse_a_state_outside_the_law(state):
+    # marginal_law(5) and marginal_mean(5) raised IndexError.
+    law = exact_distribution(problem((1, 1, 7), 3))
+    for marginal in (law.marginal_law, law.marginal_mean):
+        with pytest.raises(InputError, match="^state index must be"):
+            marginal(state)
 
 
 # --- conditional sampling counterexample ----------------------------------

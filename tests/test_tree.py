@@ -369,7 +369,7 @@ def test_the_iteration_builds_one_fraction():
     # The lower-bound iteration works on integers: its one Fraction is each
     # round's scale, which the trace keeps.
     body = function((PACKAGE / "lowerbound.py").read_text(encoding="utf-8"),
-                    "iterate_lower_bound")
+                    "_iterate")
     loop = next(n for n in ast.walk(body) if isinstance(n, ast.While))
     assert [count(node, calls_to("Fraction")) for node in (body, loop)] == [1, 1]
 
