@@ -347,15 +347,15 @@ def _problem_from_args(data_path, seats):
 
 def _apportion_once(prob, method, bounds, src):
     """(allocation, problem quota) of one apportion run, which computes the
-    quota once: the draw and the printed table share it.  The scheme takes
-    ``bounds`` as ``read_lower_bound`` checked them, without a second
-    check."""
+    quota once: the draw and the printed table share it.  The scheme and
+    the divisor rules take ``bounds`` as ``read_lower_bound`` checked them,
+    without a second check."""
     if method == "stochastic":
         from .stochastic import _prepared
         prepared = _prepared(prob, bounds if any(bounds) else None)
         return prepared.draw(src), prepared.quota
     from .core import compute_quota
-    from .divisor import divisor_with_bounds, resolve_method
+    from .divisor import RULES, divisor_with_bounds, resolve_method
 
     quota = compute_quota(prob)
     if not any(bounds):
@@ -364,7 +364,9 @@ def _apportion_once(prob, method, bounds, src):
         raise InputError(
             "lower bounds are supported for the stochastic scheme and "
             "the divisor methods, not for hamilton")
-    return divisor_with_bounds(prob, method, bounds), quota
+    # The body behind the readers: the bounds are read.
+    return divisor_with_bounds.__wrapped__(prob, RULES[method],
+                                           bounds), quota
 
 
 def _seat_rows(prob, quota, seats):

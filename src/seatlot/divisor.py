@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import (Allocation, Problem, as_fraction, broadcast_lower_bound,
-                   check_integers, check_problem, compute_quota)
+from .core import (_READERS, Allocation, Problem, as_fraction,
+                   check_integers, compute_quota, entry)
 from .errors import CapacityError, InfeasibleError, InputError
 from .rng import _unpack_lanes
 
@@ -125,6 +125,10 @@ def _rule(rule) -> DivisorRule:
                      f"or a name in RULES, one of {tuple(RULES)}")
 
 
+_READERS.update(rule=_rule)
+
+
+@entry
 def lambda_allocation(prob: Problem, rule: DivisorRule | str,
                       divisor) -> tuple[int, ...]:
     """Per-state seats at a fixed price per seat (no tuning).
@@ -134,14 +138,9 @@ def lambda_allocation(prob: Problem, rule: DivisorRule | str,
     up.  Equality keeps the floor.  The price is any positive finite
     rational (int, Fraction, float or text such as ``'7/2'``).
     """
-    check_problem(prob)
-    rule = _rule(rule)
-    price = as_fraction(divisor, "price per seat")
-    if price <= 0:
-        raise InputError(f"price per seat must be positive, got {price}")
     s = prob.size
-    seats, _ = _rounded(prob.populations, rule, price.numerator,
-                        price.denominator, (0,) * s, range(s))
+    seats, _ = _rounded(prob.populations, rule, divisor.numerator,
+                        divisor.denominator, (0,) * s, range(s))
     return tuple(seats)
 
 
@@ -172,6 +171,7 @@ def _rounded(pops: Sequence[int], rule: DivisorRule, num: int, den: int,
     return seats, total
 
 
+@entry
 def divisor_apportion(prob: Problem, rule: DivisorRule | str) -> Allocation:
     """Tune the price per seat so the rounded seats sum to the house size.
 
@@ -183,8 +183,6 @@ def divisor_apportion(prob: Problem, rule: DivisorRule | str) -> Allocation:
     the next one below it (any price strictly between them reproduces the
     allocation), squared for rules compared through squares.
     """
-    check_problem(prob)
-    rule = _rule(rule)
     pops = prob.populations
     seats, cut_key, next_key = _house(pops, rule, prob.seats, audit=True)
     if cut_key is None:
@@ -356,6 +354,7 @@ def _step(pops, rule, floors, states, target, start, total, bound):
     return seats, worst_granted, withheld[0]
 
 
+@entry
 def divisor_with_bounds(prob: Problem, rule: DivisorRule | str,
                         bounds: int | Sequence[int]) -> Allocation:
     """Current-practice variant: grant each state its minimum, then let the
@@ -367,9 +366,6 @@ def divisor_with_bounds(prob: Problem, rule: DivisorRule | str,
     With a minimum of one seat and the equal-proportions rule this is the
     method used for the US House today.
     """
-    check_problem(prob)
-    rule = _rule(rule)
-    bounds = broadcast_lower_bound(bounds, prob.size)
     granted = sum(bounds)
     if granted > prob.seats:
         raise InfeasibleError(
@@ -389,12 +385,12 @@ def divisor_with_bounds(prob: Problem, rule: DivisorRule | str,
     return Allocation(seats=tuple(seats), method=f"{rule.name}+bounds")
 
 
+@entry
 def hamilton_apportion(prob: Problem) -> Allocation:
     """Largest remainders: floors, then one extra seat per largest fraction.
 
     Remainder ties go to the larger population, then to the earlier state.
     """
-    check_problem(prob)
     pops = prob.populations
     seats = _largest_remainders(pops, prob.total_population, prob.seats,
                                 _tie_order(pops))
@@ -430,6 +426,7 @@ def _floors_and_remainders(pops: Sequence[int], total: int,
             [seats * p % total for p in pops])
 
 
+@entry
 def resolve_method(method) -> tuple[str, Callable[[Problem], Allocation]]:
     """Turn a method name or callable into (name, problem -> Allocation)."""
     if callable(method):
@@ -477,6 +474,36 @@ def _seat_change(kind: str, method: str, prob: Problem, house_before: int,
 ALABAMA_HOUSE_CEILING = 10 ** 6
 
 
+def _houses(r_values) -> Sequence[int]:
+    """The house sizes of an Alabama scan, in increasing order; see
+    :func:`detect_alabama`."""
+    if isinstance(r_values, range):
+        rs = r_values if r_values.step > 0 else r_values[::-1]
+    else:
+        if not isinstance(r_values, Iterable):
+            raise InputError(f"house sizes must be an iterable, got "
+                             f"{type(r_values).__name__}")
+        head = list(itertools.islice(r_values, ALABAMA_HOUSE_CEILING + 1))
+        if len(head) > ALABAMA_HOUSE_CEILING:
+            raise CapacityError(
+                f"an Alabama scan walks at most {ALABAMA_HOUSE_CEILING} house "
+                f"sizes; the iterable yields more")
+        rs = sorted(set(head))
+    if not rs:
+        raise InputError("empty house-size range")
+    # A slice, unlike len(), takes a range of any length.
+    if rs[ALABAMA_HOUSE_CEILING:]:
+        raise CapacityError(
+            f"an Alabama scan walks at most {ALABAMA_HOUSE_CEILING} house "
+            f"sizes; {rs[0]}..{rs[-1]} holds more")
+    check_integers(rs, "seats", 0)
+    return rs
+
+
+_READERS.update(r_values=_houses)
+
+
+@entry
 def detect_alabama(prob: Problem, method,
                    r_values: Iterable[int]) -> list[ParadoxReport]:
     """Find states losing a seat when the house grows by one.
@@ -506,33 +533,16 @@ def detect_alabama(prob: Problem, method,
     house.  Any other method, a callable too whatever its name, is called
     once per house on a fresh ``Problem``.
     """
-    check_problem(prob)
     name, fn = resolve_method(method)
-    if isinstance(r_values, range):
-        rs = r_values if r_values.step > 0 else r_values[::-1]
-    else:
-        head = list(itertools.islice(r_values, ALABAMA_HOUSE_CEILING + 1))
-        if len(head) > ALABAMA_HOUSE_CEILING:
-            raise CapacityError(
-                f"an Alabama scan walks at most {ALABAMA_HOUSE_CEILING} house "
-                f"sizes; the iterable yields more")
-        rs = sorted(set(head))
-    if not rs:
-        raise InputError("empty house-size range")
-    # A slice, unlike len(), takes a range of any length.
-    if rs[ALABAMA_HOUSE_CEILING:]:
-        raise CapacityError(
-            f"an Alabama scan walks at most {ALABAMA_HOUSE_CEILING} house "
-            f"sizes; {rs[0]}..{rs[-1]} holds more")
-    check_integers(rs, "seats", 0)
     labels, pops = prob.labels, prob.populations
     if fn is hamilton_apportion:
-        losers = _hamilton_losers(pops, rs)
+        losers = _hamilton_losers(pops, r_values)
     elif not callable(method) and name in RULES:
         rule = RULES[name]
-        losers = _losers(lambda r: _house(pops, rule, r)[0], rs)
+        losers = _losers(lambda r: _house(pops, rule, r)[0], r_values)
     else:
-        losers = _losers(lambda r: fn(Problem(labels, pops, r)).seats, rs)
+        losers = _losers(lambda r: fn(Problem(labels, pops, r)).seats,
+                         r_values)
     return [_seat_change("alabama", name, prob, r, r + 1, i, before, after)
             for r, i, before, after in losers]
 
@@ -639,6 +649,7 @@ def _hamilton_losers(pops: Sequence[int], rs: Sequence[int]):
         last_r, last = r, seats
 
 
+@entry
 def detect_population_paradox(before: Problem, after: Problem,
                               method) -> list[ParadoxReport]:
     """Find pairs where the faster-growing state loses a seat to the slower.
@@ -646,8 +657,6 @@ def detect_population_paradox(before: Problem, after: Problem,
     Both problems must share the state list and house size.  Growth is
     compared as the exact ratio new/old population.
     """
-    check_problem(before)
-    check_problem(after)
     if before.labels != after.labels:
         raise InputError("population-paradox check needs identical state lists")
     if before.seats != after.seats:
@@ -682,15 +691,15 @@ def detect_population_paradox(before: Problem, after: Problem,
     return reports
 
 
+@entry
 def fair_share_seats(population: int, base: Problem) -> int:
     """Seats a joining state of positive ``population`` deserves at the base
     problem's price per seat, rounded to the nearest integer (halves up)."""
-    check_integers((population,), "population", 1)
-    check_problem(base)
     total = base.total_population
     return (2 * population * base.seats + total) // (2 * total)
 
 
+@entry
 def detect_new_state_paradox(base: Problem, extended: Problem,
                              method) -> list[ParadoxReport]:
     """Find original states whose seats change when a new state joins.
@@ -698,8 +707,6 @@ def detect_new_state_paradox(base: Problem, extended: Problem,
     ``extended`` must append exactly one state to ``base`` and enlarge the
     house by that state's fair share at the old price.
     """
-    check_problem(base)
-    check_problem(extended)
     if extended.size != base.size + 1:
         raise InputError("extended problem must add exactly one state")
     if (extended.labels[:-1] != base.labels
@@ -732,6 +739,7 @@ class QuotaStayingSummary:
     upper_witness: Optional[dict] = None
 
 
+@entry
 def quota_staying_check(method, corpus: Sequence[Problem]) -> QuotaStayingSummary:
     """Count lower/upper quota violations of a method across a corpus."""
     if not corpus:
@@ -740,7 +748,6 @@ def quota_staying_check(method, corpus: Sequence[Problem]) -> QuotaStayingSummar
     lower = upper = 0
     lower_witness = upper_witness = None
     for prob in corpus:
-        check_problem(prob)
         quota = compute_quota(prob)
         floors, ceilings = quota.floors, quota.ceilings
         seats = fn(prob).seats

@@ -24,13 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import (Allocation, Problem, QuotaVector, as_fractions,
-                   broadcast_lower_bound, check_integers, quota_vector)
+from .core import (_READERS, Allocation, Problem, QuotaVector, _instance,
+                   entry)
 from .errors import (ConvergenceError, InfeasibleError, InputError,
                      _digit_limit_error)
 from .rng import SeededSource
 from .stochastic import (ENUMERATION_LIMIT, AllocationDistribution,
-                         _allocation_law, _integral_quota, _prepare,
+                         _allocation_law, _integral_quota, _prepared,
                          _scheme_draw)
 
 
@@ -44,6 +44,7 @@ class StateClassification:
     remaining_seats: int        # seats left after granting small+exact their bounds
 
 
+@entry
 def classify(quota, bounds: int | Sequence[int],
              seats: int) -> StateClassification:
     """Split states into small / exact / surplus against their bounds.
@@ -54,9 +55,7 @@ def classify(quota, bounds: int | Sequence[int],
     upper quota or the bounds alone overflow the house, naming the
     condition.
     """
-    quota = quota_vector(quota)
-    check_integers((seats,), "seats", 0)
-    return _classify(quota, broadcast_lower_bound(bounds, quota.size), seats)
+    return _classify(quota, bounds, seats)
 
 
 def _classify(quota: QuotaVector, bounds: tuple[int, ...],
@@ -113,6 +112,10 @@ class AdjustedQuota:
     offenders: tuple[int, ...]
 
 
+_READERS.update(cls_=_instance(StateClassification),
+                adjusted=_instance(AdjustedQuota))
+
+
 def _adjusted(scale, indices, values, floors, ceilings) -> AdjustedQuota:
     """The AdjustedQuota of ``values`` for the states ``indices``, whose
     original lower and upper quotas are ``floors`` and ``ceilings``."""
@@ -121,6 +124,7 @@ def _adjusted(scale, indices, values, floors, ceilings) -> AdjustedQuota:
                          not offenders, offenders)
 
 
+@entry
 def adjusted_quota_from_values(original, values,
                                indices: Optional[Sequence[int]] = None
                                ) -> AdjustedQuota:
@@ -129,33 +133,38 @@ def adjusted_quota_from_values(original, values,
     Used to audit published tables: offender status and gaps are recomputed
     from the given numbers, no rescaling is performed.
     """
-    original = as_fractions(original)
-    values = as_fractions(values)
     if len(original) != len(values):
         raise InputError("original and adjusted vectors differ in length")
     if indices is None:
         indices = tuple(range(len(original)))
-    else:
-        indices = tuple(indices)
-        if len(indices) != len(original):
-            raise InputError("indices and value vectors differ in length")
+    elif len(indices) != len(original):
+        raise InputError("indices and value vectors differ in length")
     return _adjusted(None, indices, values, tuple(map(math.floor, original)),
                      tuple(map(math.ceil, original)))
 
 
+def _surplus(cls_: StateClassification, quota: QuotaVector):
+    """The surplus states of ``cls_``, which must classify every state of
+    ``quota``."""
+    if sum(map(len, (cls_.small, cls_.exact, cls_.surplus))) != quota.size:
+        raise InputError("classification and quota vector differ in length")
+    return cls_.surplus
+
+
+@entry
 def equal_representation_quota(cls_: StateClassification,
                                quota) -> AdjustedQuota:
     """Round one of :func:`iterate_lower_bound`, as an AdjustedQuota."""
-    quota = quota_vector(quota)
-    if not cls_.surplus:
+    surplus = _surplus(cls_, quota)
+    if not surplus:
         raise InputError("no surplus states to rescale")
     floors, den, rest = quota.floors, quota.den, cls_.remaining_seats
-    nums = [floors[i] * den + quota.nums[i] for i in cls_.surplus]
+    nums = [floors[i] * den + quota.nums[i] for i in surplus]
     total = sum(nums)
-    return _adjusted(Fraction(rest * den, total), cls_.surplus,
+    return _adjusted(Fraction(rest * den, total), surplus,
                      tuple(Fraction(rest * n, total) for n in nums),
-                     tuple(floors[i] for i in cls_.surplus),
-                     tuple(quota.ceilings[i] for i in cls_.surplus))
+                     tuple(floors[i] for i in surplus),
+                     tuple(quota.ceilings[i] for i in surplus))
 
 
 @dataclass(frozen=True)
@@ -175,6 +184,7 @@ class ViolationBound:
     exact_for_single_offender: bool
 
 
+@entry
 def violation_probability_bound(adjusted: AdjustedQuota) -> ViolationBound:
     verbatim = Fraction(0)
     union = Fraction(0)
@@ -240,6 +250,7 @@ class IterationTrace:
                 "feasible": self.feasible, "diagnostics": self.diagnostics}
 
 
+@entry
 def iterate_lower_bound(quota, bounds: int | Sequence[int],
                         seats: int) -> IterationTrace:
     """Run the rescaling iteration to a composite quota vector or a verdict.
@@ -254,9 +265,7 @@ def iterate_lower_bound(quota, bounds: int | Sequence[int],
     The pinned states' floors and numerators leave ``remaining`` and the
     active total by subtraction.
     """
-    quota = quota_vector(quota)
-    check_integers((seats,), "seats", 0)
-    return _iterate(quota, broadcast_lower_bound(bounds, quota.size), seats)
+    return _iterate(quota, bounds, seats)
 
 
 def _iterate(quota: QuotaVector, bounds: tuple[int, ...],
@@ -327,15 +336,7 @@ def _iterate(quota: QuotaVector, bounds: tuple[int, ...],
                               total // g))
 
 
-def _required(bounds):
-    # The bounded entry points need bounds; the unbounded scheme is
-    # ``stochastic_apportion`` / ``exact_distribution``.
-    if bounds is None:
-        raise InputError("lower bounds are required (got None); use 0 for "
-                         "no minimum")
-    return bounds
-
-
+@entry
 def lower_bound_apportion(prob: Problem, bounds: int | Sequence[int],
                           src: SeededSource) -> Allocation:
     """Randomized apportionment honouring per-state minimums.
@@ -344,14 +345,15 @@ def lower_bound_apportion(prob: Problem, bounds: int | Sequence[int],
     the composite quota vector.  The result satisfies quota and the bounds
     with probability one; expected seats equal the composite quota vector.
     """
-    return _prepare(prob, _required(bounds)).draw(src)
+    return _prepared(prob, bounds).draw(src)
 
 
+@entry
 def lower_bound_distribution(prob: Problem, bounds: int | Sequence[int],
                              *, limit: int = ENUMERATION_LIMIT
                              ) -> AllocationDistribution:
     """Exact law of the bounded scheme (small state counts only)."""
-    return _prepare(prob, _required(bounds)).law(limit)
+    return _prepared(prob, bounds).law(limit)
 
 
 def _within_quota(seats, adjusted: AdjustedQuota) -> bool:
@@ -362,6 +364,7 @@ def _within_quota(seats, adjusted: AdjustedQuota) -> bool:
                    adjusted.original_ceilings))
 
 
+@entry
 def resample_until_quota(adjusted: AdjustedQuota, src: SeededSource,
                          cap: int = 10 ** 5) -> Allocation:
     """Rerun the scheme on offender-bearing values until quota holds.
@@ -370,7 +373,8 @@ def resample_until_quota(adjusted: AdjustedQuota, src: SeededSource,
     shifts the expectations away from the values, so the accepted law is
     not fair.  Seats are indexed by ``adjusted.indices``.
     """
-    check_integers((cap,), "cap", 1)
+    if not adjusted.values:
+        raise InputError("permutation length must be at least 1")
     quota = _integral_quota(adjusted.values)
     for attempt in range(1, cap + 1):
         seats, order, u53 = _scheme_draw(quota, src)
@@ -382,6 +386,7 @@ def resample_until_quota(adjusted: AdjustedQuota, src: SeededSource,
     raise ConvergenceError(f"no quota-satisfying outcome in {cap} runs")
 
 
+@entry
 def resample_conditional_law(adjusted: AdjustedQuota,
                              *, limit: int = ENUMERATION_LIMIT
                              ) -> AllocationDistribution:
@@ -407,6 +412,7 @@ class ScaledQuota:
     values: tuple[Fraction, ...]
 
 
+@entry
 def scaled_fractional_quota(quota, cls_: StateClassification) -> ScaledQuota:
     """Shrink surplus states' fractional quotas by one common factor.
 
@@ -414,20 +420,19 @@ def scaled_fractional_quota(quota, cls_: StateClassification) -> ScaledQuota:
     seats.  Simpler than the rescaling iteration but breaks proportional
     expectations; provided for comparison only.
     """
-    quota = quota_vector(quota)
-    fracs = [quota.fractional[i] for i in cls_.surplus]
-    numerator = cls_.remaining_seats - sum(quota.floors[i]
-                                           for i in cls_.surplus)
+    surplus = _surplus(cls_, quota)
+    fracs = [quota.fractional[i] for i in surplus]
+    numerator = cls_.remaining_seats - sum(quota.floors[i] for i in surplus)
     frac_total = sum(fracs, Fraction(0))
     if frac_total == 0:
         if numerator == 0:
-            return ScaledQuota(Fraction(0), cls_.surplus,
-                               tuple(Fraction(0) for _ in cls_.surplus))
+            return ScaledQuota(Fraction(0), surplus,
+                               tuple(Fraction(0) for _ in surplus))
         raise InputError("no fractional quota available to scale")
     factor = Fraction(numerator) / frac_total
     values = tuple(factor * f for f in fracs)
-    bad = [i for i, v in zip(cls_.surplus, values) if not 0 <= v < 1]
+    bad = [i for i, v in zip(surplus, values) if not 0 <= v < 1]
     if bad:
         raise InputError(
             f"scaled fractional quota leaves [0, 1) for states {bad}")
-    return ScaledQuota(factor=factor, indices=cls_.surplus, values=values)
+    return ScaledQuota(factor=factor, indices=surplus, values=values)

@@ -16,12 +16,12 @@ from typing import Optional, Sequence
 
 from . import _backend
 from ._kernels_py import MAX_MASK_STATES
-from .core import (Problem, QuotaVector, as_fraction, broadcast_lower_bound,
-                   check_integers, compute_quota, problem)
+from .core import (_READERS, Problem, QuotaVector, _instance, as_tuple,
+                   check_integers, compute_quota, entry, problem)
 from .divisor import resolve_method
 from .errors import CapacityError, InputError
 from .rng import MAX_BOUND, SeededSource, child_seed
-from .stochastic import (ENUMERATION_LIMIT, _prepare, _seats_from_mask,
+from .stochastic import (ENUMERATION_LIMIT, _prepared, _seats_from_mask,
                          exact_distribution)
 
 # The most replicates one simulate or empirical_distribution call draws;
@@ -51,12 +51,18 @@ class SimulationReport:
         check_integers((self.replicates,), "replicate count", 1)
         return self.replicates
 
+    @property
+    def size(self) -> int:
+        return len(self.seat_sums)
+
+    @entry
     def mean(self, i: int) -> Fraction:
         return Fraction(self.seat_sums[i], self._count())
 
     def means(self) -> tuple[Fraction, ...]:
-        return tuple(self.mean(i) for i in range(len(self.seat_sums)))
+        return tuple(self.mean(i) for i in range(self.size))
 
+    @entry
     def variance(self, i: int) -> Fraction:
         """Sample variance of state i's seats (0 when n < 2)."""
         n = self.replicates
@@ -65,25 +71,26 @@ class SimulationReport:
         return Fraction(n * self.seat_sumsqs[i] - self.seat_sums[i] ** 2,
                         n * (n - 1))
 
+    @entry
     def std_error(self, i: int) -> float:
         return math.sqrt(self.variance(i) / self._count())
 
 
-def _check_run(master_seed, n) -> None:
-    """Refuse a master seed that ``SeededSource`` refuses (a bool or any
-    non-integer), and a replicate count that is not a positive integer or
-    is above ``REPLICATE_CEILING``, before any replicate runs."""
-    SeededSource(master_seed)
+def _replicates(n) -> int:
     check_integers((n,), "replicate count", 1)
     if n > REPLICATE_CEILING:
         raise CapacityError(f"a simulation draws at most {REPLICATE_CEILING} "
                             f"replicates, got {n}")
+    return n
+
+
+_READERS.update(n=_replicates, report=_instance(SimulationReport))
 
 
 def _scheme_batch(prob: Problem, lower_bounds, master_seed: int, n: int):
     """n seeded replicates of the scheme on ``prob`` in one kernel call:
     (prepared problem, kernel result)."""
-    p = _prepare(prob, lower_bounds)
+    p = _prepared(prob, lower_bounds)
     return p, _backend.simulate_batch(
         p.scheme.floors, p.scheme.nums, p.scheme.den, list(p.quota.floors),
         list(p.quota.ceilings), list(p.bounds), master_seed, n, prob.seats)
@@ -116,6 +123,7 @@ def _tally(name: str, prob: Problem, bounds, draws):
     return sums, sumsqs, qviol, bviol, mismatches
 
 
+@entry
 def simulate(method, prob: Problem, master_seed: int, n: int,
              lower_bounds=None) -> SimulationReport:
     """Run n independent replicates of a method and tally exactly.
@@ -128,14 +136,12 @@ def simulate(method, prob: Problem, master_seed: int, n: int,
     replicates with ``CapacityError``, and a seat vector whose length is
     not the state count with ``InputError``.
     """
-    _check_run(master_seed, n)
     if method == "stochastic":
         prepared, (sums, sumsqs, qviol, bviol, mismatches, _masks) = (
             _scheme_batch(prob, lower_bounds, master_seed, n))
         name, scale = prepared.method, 1
     else:
-        bounds = ((0,) * prob.size if lower_bounds is None
-                  else broadcast_lower_bound(lower_bounds, prob.size))
+        bounds = (0,) * prob.size if lower_bounds is None else lower_bounds
         if callable(method):
             name, scale = getattr(method, "__name__", "custom"), 1
             draws = (method(prob, SeededSource(child_seed(master_seed, k)))
@@ -155,11 +161,11 @@ def simulate(method, prob: Problem, master_seed: int, n: int,
         sum_mismatches=scale * mismatches)
 
 
+@entry
 def empirical_distribution(prob: Problem, master_seed: int, n: int,
                            lower_bounds=None) -> dict[tuple[int, ...], int]:
     """Allocation -> count over n seeded replicates of the scheme; the
     master seed and n are checked as by :func:`simulate`."""
-    _check_run(master_seed, n)
     if prob.size > MAX_MASK_STATES:
         raise CapacityError("empirical distribution tracking supports at "
                             f"most {MAX_MASK_STATES} states")
@@ -171,6 +177,7 @@ def empirical_distribution(prob: Problem, master_seed: int, n: int,
                        for mask, count in enumerate(masks) if count))
 
 
+@entry
 def fairness_test(report: SimulationReport, quota: QuotaVector,
                   z=4) -> tuple[bool, ...]:
     """Per-state pass/fail: |empirical mean - quota| <= z standard errors.
@@ -180,7 +187,6 @@ def fairness_test(report: SimulationReport, quota: QuotaVector,
     """
     if not len(report.seat_sums) == len(report.seat_sumsqs) == quota.size:
         raise InputError("report and quota vector differ in length")
-    z = as_fraction(z, "z")
     n = report._count()
     out = []
     for i, q in enumerate(quota.quotas):
@@ -193,6 +199,7 @@ def fairness_test(report: SimulationReport, quota: QuotaVector,
     return tuple(out)
 
 
+@entry
 def stochastic_dominance(lower: dict, upper: dict) -> bool:
     """True iff ``lower`` is stochastically at most ``upper``.
 
@@ -230,6 +237,18 @@ class MonotonicityReport:
         return not self.failures
 
 
+def _kind(kind) -> str:
+    if kind not in ("population_move", "house_increase"):
+        raise InputError(f"unknown monotonicity kind {kind!r}")
+    return kind
+
+
+_read_pair = _instance(ProblemPair)
+_READERS.update(kind=_kind, pairs=lambda pairs: tuple(
+    map(_read_pair, as_tuple(pairs, "pairs"))))
+
+
+@entry
 def monotonicity_scan(pairs: Sequence[ProblemPair], kind: str,
                       *, limit: int = ENUMERATION_LIMIT
                       ) -> MonotonicityReport:
@@ -241,8 +260,6 @@ def monotonicity_scan(pairs: Sequence[ProblemPair], kind: str,
     distributions, not coupled sampling; any failure is recorded with a full
     witness.
     """
-    if kind not in ("population_move", "house_increase"):
-        raise InputError(f"unknown monotonicity kind {kind!r}")
     report = MonotonicityReport(kind=kind)
     for pair in pairs:
         law_before = exact_distribution(pair.before, limit=limit)
@@ -279,6 +296,7 @@ def monotonicity_scan(pairs: Sequence[ProblemPair], kind: str,
     return report
 
 
+@entry
 def random_problem(src: SeededSource, *, min_states: int = 1,
                    max_states: int = 6, max_population: int = 60,
                    max_seats: int = 30, min_seats: int = 0) -> Problem:
@@ -290,7 +308,6 @@ def random_problem(src: SeededSource, *, min_states: int = 1,
     for what, low, high in (("state count", min_states, max_states),
                             ("population", 1, max_population),
                             ("house size", min_seats, max_seats)):
-        check_integers((low, high), f"{what} range end", 0)
         if low > high:
             raise InputError(f"empty {what} range: {low}..{high}")
         if high - low + 1 > MAX_BOUND:
@@ -302,15 +319,16 @@ def random_problem(src: SeededSource, *, min_states: int = 1,
     return problem(pops, seats)
 
 
+@entry
 def population_move_pair(src: SeededSource, **kwargs) -> ProblemPair:
     """Random pair: same totals, some heads moved from one state to another."""
-    if "max_population" in kwargs:
-        check_integers((kwargs["max_population"],), "population range end", 0)
-        if kwargs["max_population"] < 2:
-            raise InputError("a population move needs a max_population of "
-                             f"at least 2, got {kwargs['max_population']!r}")
+    if kwargs.get("max_population", 2) < 2:
+        raise InputError("a population move needs a max_population of "
+                         f"at least 2, got {kwargs['max_population']!r}")
+    # A move needs two states; a caller may ask for more.
+    kwargs["min_states"] = max(2, kwargs.get("min_states", 2))
     while True:
-        before = random_problem(src, min_states=2, **kwargs)
+        before = random_problem(src, **kwargs)
         movable = [i for i, p in enumerate(before.populations) if p >= 2]
         if movable:
             break
@@ -326,6 +344,7 @@ def population_move_pair(src: SeededSource, **kwargs) -> ProblemPair:
     return ProblemPair(before=before, after=after, moved_from=i, moved_to=j)
 
 
+@entry
 def house_increase_pair(src: SeededSource, **kwargs) -> ProblemPair:
     before = random_problem(src, **kwargs)
     after = Problem(before.labels, before.populations, before.seats + 1)

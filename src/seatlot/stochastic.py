@@ -42,9 +42,8 @@ from operator import add
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import _backend, _kernels_py
-from .core import (Allocation, Problem, QuotaVector, as_fraction,
-                   as_fractions, broadcast_lower_bound, check_integers,
-                   compute_quota, quota_vector)
+from .core import (Allocation, Problem, QuotaVector, check_integers,
+                   compute_quota, entry, quota_vector)
 from .errors import (CapacityError, ConvergenceError, InfeasibleError,
                      InputError)
 from .rng import SeededSource, U53_DENOMINATOR
@@ -55,9 +54,9 @@ ENUMERATION_LIMIT = 8
 _ENUMERATION_CEILING = 10
 
 
+@entry
 def random_permutation(n: int, src: SeededSource) -> tuple[int, ...]:
     """Uniform permutation of range(n), deterministic given the source."""
-    check_integers((n,), "permutation length", 1)
     return tuple(src.shuffled_range(n))
 
 
@@ -80,6 +79,7 @@ def _fractional_quota(fracs: Sequence[Fraction]) -> QuotaVector:
     return _integral_quota(fracs)
 
 
+@entry
 def systematic_round(fracs: Sequence, u) -> list[int]:
     """Award residual seats by systematic rounding at exact offset ``u``.
 
@@ -87,8 +87,6 @@ def systematic_round(fracs: Sequence, u) -> list[int]:
     interval of cumulative fractional quota ending at state i contains an
     integer.  The entries always sum to the (integer) total of ``fracs``.
     """
-    fracs = as_fractions(fracs)
-    u = as_fraction(u, "offset")
     if not 0 <= u < 1:
         raise InputError(f"offset must lie in [0, 1), got {u}")
     _fractional_quota(fracs)
@@ -99,6 +97,7 @@ def systematic_round(fracs: Sequence, u) -> list[int]:
                                              range(len(nums))))
 
 
+@entry
 def stochastic_apportion(prob: Problem, src: SeededSource) -> Allocation:
     """One draw of the fair randomized scheme.
 
@@ -106,14 +105,12 @@ def stochastic_apportion(prob: Problem, src: SeededSource) -> Allocation:
     the state ordering used and the uniform offset (as a dyadic rational),
     which replay the draw exactly.
     """
-    return _prepare(prob).draw(src)
+    return _prepared(prob, None).draw(src)
 
 
 def _scheme_draw(quota: QuotaVector, src: SeededSource
                  ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Shuffle, draw, round; returns (seats, ordering, offset numerator)."""
-    if quota.size < 1:
-        raise InputError("permutation length must be at least 1")
     order, u53, flags = _kernels_py.scheme_replicate(src, quota.nums,
                                                      quota.den)
     return tuple(map(add, quota.floors, flags)), tuple(order), u53
@@ -147,23 +144,17 @@ class _Prepared:
         return _allocation_law(self.scheme, limit=limit)
 
 
-def _prepare(prob: Problem, bounds=None) -> _Prepared:
-    """``prob`` prepared for the scheme under per-state minimums ``bounds``
-    (a scalar, one per state, or None for none); infeasible bounds raise
-    :class:`InfeasibleError` with the trace.  The bounds are validated
-    before the memo is read, so a bad bound is refused on every call."""
-    if bounds is not None:
-        bounds = broadcast_lower_bound(bounds, prob.size)
-    return _prepared(prob, bounds)
-
-
 @functools.lru_cache(maxsize=1)
 def _prepared(prob: Problem, bounds: Optional[tuple[int, ...]]) -> _Prepared:
-    """``_prepare`` on validated bounds, kept for the last problem, so that
-    repeated single draws on one problem (``simulate`` with a callable that
-    calls ``lower_bound_apportion``) pay only for the shuffle and the
-    offset: at 50 states that is a quarter of a bounded draw that runs the
-    iteration.  Every value kept is immutable; an exception is not kept."""
+    """``prob`` prepared for the scheme under per-state minimums ``bounds``
+    (one per state as read, or None for none); infeasible bounds raise
+    :class:`InfeasibleError` with the trace.  The bounds are read before
+    the memo, so a bad bound is refused on every call.  The last problem
+    is kept, so that repeated single draws on one problem (``simulate``
+    with a callable that calls ``lower_bound_apportion``) pay only for the
+    shuffle and the offset: at 50 states that is a quarter of a bounded
+    draw that runs the iteration.  Every value kept is immutable; an
+    exception is not kept."""
     quota = compute_quota(prob)
     if bounds is None:
         return _Prepared(quota, quota, None, (0,) * prob.size)
@@ -193,6 +184,7 @@ class AllocationDistribution:
     """Exact law of an allocation: support vectors (tuples of seat counts)
     with exact rational masses (int or Fraction)."""
 
+    @entry
     def __init__(self, probabilities: Mapping[Tuple[int, ...], Fraction]):
         for seats, p in probabilities.items():
             if not isinstance(seats, tuple):
@@ -216,6 +208,7 @@ class AllocationDistribution:
         if total != 1:
             raise InputError(f"probabilities must sum to 1, got {total}")
         self.probabilities: Dict[Tuple[int, ...], Fraction] = dict(items)
+        self.size = size
 
     def __len__(self):
         return len(self.probabilities)
@@ -233,23 +226,16 @@ class AllocationDistribution:
     def probability(self, seats: Sequence[int]) -> Fraction:
         return self.probabilities.get(tuple(seats), Fraction(0))
 
-    def _check_state(self, i: int) -> None:
-        check_integers((i,), "state index", 0)
-        size = len(next(iter(self.probabilities)))
-        if i >= size:
-            raise InputError(f"state index must be below {size}, got {i}")
-
+    @entry
     def marginal_mean(self, i: int) -> Fraction:
-        self._check_state(i)
         return sum((p * seats[i] for seats, p in self.probabilities.items()),
                    Fraction(0))
 
     def marginal_means(self) -> tuple[Fraction, ...]:
-        size = len(next(iter(self.probabilities)))
-        return tuple(self.marginal_mean(i) for i in range(size))
+        return tuple(self.marginal_mean(i) for i in range(self.size))
 
+    @entry
     def marginal_law(self, i: int) -> dict[int, Fraction]:
-        self._check_state(i)
         law: dict[int, Fraction] = {}
         for seats, p in self.probabilities.items():
             law[seats[i]] = law.get(seats[i], Fraction(0)) + p
@@ -265,10 +251,7 @@ def _allocation_law(quota: QuotaVector, *, average_orders: bool = True,
     orderings, so ``limit`` and the ceiling guard it, checked before any
     kernel is called.  The fixed-order law is one sweep of the states with
     a positive fraction, in input order: at most s + 1 cells, for any s.
-    A ``limit`` that is not an integer of at least 1 is refused, whichever
-    law is asked for.
     """
-    check_integers((limit,), "limit", 1)
     nums, den = quota.nums, quota.den
     s = len(nums)
     if average_orders:
@@ -291,6 +274,7 @@ def _allocation_law(quota: QuotaVector, *, average_orders: bool = True,
          for mask, length in cells if length})
 
 
+@entry
 def residual_distribution(fracs: Sequence, *, average_orders: bool = True,
                           limit: int = ENUMERATION_LIMIT) -> AllocationDistribution:
     """Exact law of the residual-seat indicator vector.
@@ -300,10 +284,11 @@ def residual_distribution(fracs: Sequence, *, average_orders: bool = True,
     states are processed in the given fixed order, skipping the shuffle
     step, and any state count is served.
     """
-    return _allocation_law(_fractional_quota(as_fractions(fracs)),
+    return _allocation_law(_fractional_quota(fracs),
                            average_orders=average_orders, limit=limit)
 
 
+@entry
 def exact_distribution(prob: Problem, *,
                        limit: int = ENUMERATION_LIMIT) -> AllocationDistribution:
     """Exact law of the randomized scheme's allocation for a problem.
@@ -312,9 +297,10 @@ def exact_distribution(prob: Problem, *,
     every support vector satisfies quota; this is the sampling-free oracle
     against which the scheme is verified.
     """
-    return _prepare(prob).law(limit)
+    return _prepared(prob, None).law(limit)
 
 
+@entry
 def conditional_sampling_allocate(fracs: Sequence, residual: int,
                                   src: SeededSource,
                                   max_attempts: int = 10 ** 6) -> list[int]:
@@ -326,9 +312,7 @@ def conditional_sampling_allocate(fracs: Sequence, residual: int,
     the law conditioned on distinctness - which is *not* marginally fair;
     see ``conditional_selection_law``.
     """
-    fracs = as_fractions(fracs)
     support, nums, total = _conditional_weights(fracs, residual)
-    check_integers((max_attempts,), "max_attempts", 1)
     out = [0] * len(fracs)
     if residual == 0:
         return out
@@ -360,14 +344,14 @@ def _conditional_weights(fracs: tuple[Fraction, ...], residual: int):
     quota = quota_vector(fracs)
     weights = [f * quota.den + n for f, n in zip(quota.floors, quota.nums)]
     support = tuple(i for i, w in enumerate(weights) if w)
-    if isinstance(residual, int) and not 0 <= residual <= len(support):
+    if not 0 <= residual <= len(support):
         raise InputError(f"cannot pick {residual} distinct states from "
                          f"{len(support)} with positive fraction")
-    check_integers((residual,), "residual", 0)
     nums = tuple(weights[i] for i in support)
     return support, nums, sum(nums)
 
 
+@entry
 def conditional_selection_law(fracs: Sequence, residual: int,
                               max_tuples: int = 10 ** 6) -> tuple[Fraction, ...]:
     """Exact per-state selection probability of the conditioned sampler.
@@ -377,9 +361,7 @@ def conditional_selection_law(fracs: Sequence, residual: int,
     the sampler's integer numerators over one denominator, which cancels in
     the normalization.  Small inputs only; guarded by ``max_tuples``.
     """
-    fracs = as_fractions(fracs)
     support, nums, _total = _conditional_weights(fracs, residual)
-    check_integers((max_tuples,), "max_tuples", 1)
     if residual == 0:
         return tuple(Fraction(0) for _ in fracs)
     if math.perm(len(support), residual) > max_tuples:

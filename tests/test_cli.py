@@ -663,13 +663,16 @@ def test_apportion_computes_the_quota_once(extra, golden_inputs,
 def test_bounded_apportion_checks_its_bounds_once(bound, golden_inputs,
                                                   monkeypatch):
     # read_lower_bound, stochastic._prepare and iterate_lower_bound each
-    # checked the same bounds: the scheme draws with the bounds read.
+    # checked the same bounds, and read_lower_bound and divisor_with_bounds
+    # those of a divisor rule: the draw and the rule take the bounds read.
     Path("bounds.csv").write_text(
         "".join(f"{label},1\n" for label, _ in fixtures.CENSUS_50))
     calls = count_core_calls(monkeypatch, "broadcast_lower_bound")
-    code, _ = run_cli([*APPORTION, "--lower-bound", bound])
-    assert code == 0
-    assert len(calls) == 1
+    for method in ("stochastic", "webster"):
+        before = len(calls)
+        code, _ = run_cli([*APPORTION[:-1], method, "--lower-bound", bound])
+        assert code == 0
+        assert len(calls) - before == 1, method
 
 
 def test_a_bounded_library_draw_checks_its_bounds_once(monkeypatch):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seatlot import (InputError, Problem, compute_quota,
-                     feasible_with_lower_bound, problem, quota_vector,
-                     satisfies_quota)
+                     feasible_with_lower_bound, iterate_lower_bound, problem,
+                     quota_vector, satisfies_quota)
 from seatlot.core import (Allocation, QuotaVector, as_fraction,
                           broadcast_lower_bound)
 
@@ -212,6 +212,22 @@ def test_lower_bounds_refuse_bools():
         broadcast_lower_bound(True, 3)
     with pytest.raises(InputError, match="False"):
         broadcast_lower_bound([1, False, 0], 3)
+
+
+@pytest.mark.parametrize("quota", [
+    QuotaVector((0, 0), (5, 1), 2), QuotaVector((1,), (1,), 0),
+    QuotaVector((1, 2), (0,), 1), QuotaVector((-1, 2), (0, 0), 1),
+    QuotaVector((1, 2), (0, 0), True), QuotaVector([1, 2], [0, 0], 1)],
+    ids=["numerator-at-den", "zero-den", "lengths", "negative-floor",
+         "bool-den", "lists"])
+def test_a_caller_built_quota_vector_is_read_against_its_invariant(quota):
+    # iterate_lower_bound returned a feasible trace for the first, and the
+    # second raised ZeroDivisionError from its quotas.
+    for call in (lambda: quota_vector(quota),
+                 lambda: iterate_lower_bound(quota, 0, 3),
+                 lambda: satisfies_quota((1, 1), quota)):
+        with pytest.raises(InputError, match="^quota "):
+            call()
 
 
 def test_ceilings_kept_outside_equality():

@@ -195,6 +195,16 @@ def test_unlabelled_report_has_a_mean_per_state():
     assert report.means() == (F(1, 2), F(3, 10))
 
 
+@pytest.mark.parametrize("state", [3, -1, True, "x", 1.0, None], ids=repr)
+def test_a_report_refuses_a_state_outside_it(state):
+    # mean(-1) read the last state and mean(True) state 1; mean(3) raised
+    # IndexError and mean("x") TypeError.
+    report = SimulationReport("x", 1, 10, (), (5, 3, 2), (5, 3, 2), 0, 0)
+    for read in (report.mean, report.variance, report.std_error):
+        with pytest.raises(InputError, match="^state index must be"):
+            read(state)
+
+
 NO_REPLICATES = SimulationReport("x", 1, 0, (), (0,), (0,), 0, 0)
 
 
@@ -369,6 +379,12 @@ def test_corpus_builders_refuse_range_ends_that_are_no_integers(draw, sizes):
                                          "integer"):
         draw(src, **sizes)
     assert src.bits53() == SeededSource(9).bits53()
+
+
+def test_population_move_pair_takes_a_state_count_range():
+    # min_states raised TypeError: the pair passed its own min_states too.
+    pair = population_move_pair(SeededSource(8), min_states=4, max_states=5)
+    assert 4 <= pair.before.size <= 5
 
 
 @pytest.mark.parametrize("max_population", [1, 0])

@@ -184,6 +184,12 @@ def text(part):
                          and isinstance(node.value, str) and part in node.value)
 
 
+def starts(head):
+    return lambda node: (isinstance(node, ast.Constant)
+                         and isinstance(node.value, str)
+                         and node.value.startswith(head))
+
+
 def test_holders_are_found():
     source = ("def a():\n    return X(1)\n"
               "def b():\n    return f'ab {1}'\n"
@@ -191,6 +197,7 @@ def test_holders_are_found():
               "class D:\n    def m(self):\n        return X()\n")
     assert holders(source, calls_to("X")) == ["a", "D"]
     assert holders(source, text("ab")) == ["b"]
+    assert holders(source, starts("b")) == []
 
 
 @pytest.mark.parametrize("found, holder", [
@@ -203,15 +210,19 @@ def test_holders_are_found():
      ("core", "broadcast_lower_bound")),
     (text("unknown divisor rule"), ("divisor", "_rule")),
     (text("cannot print a number of more than"),
-     ("errors", "_digit_limit_error"))],
+     ("errors", "_digit_limit_error")),
+    (starts("expected a "), ("core", "_instance")),
+    (text("state index"), ("core", "_state_index"))],
     ids=["builder", "integral-total", "non-negative-quota", "distinct-states",
-         "bound-length", "rule-reader", "digit-limit"])
+         "bound-length", "rule-reader", "digit-limit", "type-reader",
+         "state-index-reader"])
 def test_one_builder_and_one_integral_check(found, holder):
     # The adjusted quota is built, scheme input checked for an integral
     # fractional total, a quota value refused for its sign, a conditioned
     # draw refused for more winners than states, lower bounds read, a
-    # divisor rule read and a number past the digit limit refused, in one
-    # function each.
+    # divisor rule read, a number past the digit limit refused, and an
+    # argument of the wrong type ("expected a Problem") and a state index
+    # read by the reader table, in one function each.
     assert [(p.stem, name) for p in PACKAGE.glob("*.py")
             for name in holders(p.read_text(encoding="utf-8"), found)] \
         == [holder]
