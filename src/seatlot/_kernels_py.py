@@ -24,10 +24,11 @@ Conventions shared by both backends:
 * All randomness is SplitMix64 per :mod:`seatlot.rng`; replicate ``k`` of a
   batch uses the stream seeded by ``child_seed(master_seed, k)``.
 
-Both exact laws, ``averaged_mask_lengths`` and ``fixed_order_lengths``,
-add their cells through one sweep, ``_sweep``.  The averaged law sweeps
-the fixed tail (end, last) of each mirror pair once for all of the pair's
-orderings (see its docstring).  The pure batch, ``simulate_batch``,
+The ordering-averaged law, ``averaged_mask_lengths``, counts every
+ordering at once: a dynamic program over the sets of states placed so far
+keeps the orderings of each offset cell as lanes of one integer (see its
+docstring).  The fixed-order law, ``fixed_order_lengths``, is one sweep of
+one ordering, ``_sweep``.  The pure batch, ``simulate_batch``,
 shuffles and rounds each replicate in one backward pass over its block of
 draws; it runs ``scheme_replicate``, the single-draw replicate, only as
 its exact fallback, and ``flags_mask`` packs that fallback's flags.
@@ -35,17 +36,15 @@ its exact fallback, and ``flags_mask`` packs that fallback's flags.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from collections import defaultdict
 
 from .rng import (_BLOCK, U53_DENOMINATOR, SeededSource,
-                  _child_seed_blocks, _replicate_draws)
+                  _child_seed_blocks, _replicate_draws, _unpack_lanes)
 
 # Winner masks index at most 2**16 cells; _kernels_native.c has the same.
 MAX_MASK_STATES = 16
-# The first state of a group that has none: no bit, no fraction.
-_NO_STATE = (0, 0)
 
 
 def position_from_bits53(u53, den):
@@ -59,78 +58,44 @@ def position_from_bits53(u53, den):
     return (u53 * den + U53_DENOMINATOR - 1) >> 53
 
 
-def _sweep(den, s, groups, acc):
-    """Add every cell length of each ordering to ``acc[winner mask]``.
+def _sweep(den, s, states, acc):
+    """Add every cell length of one ordering of ``states`` to
+    ``acc[winner mask]``: a list of 2**s entries or a ``defaultdict(int)``.
 
-    ``groups`` yields ``(first, rest, tail)``: the orderings
-    ``(first, *middle, *tail)`` for every permutation ``middle`` of
-    ``rest``.  A state is a ``(bit, fraction)`` item, bit = 1 << its
-    input index; ``first = _NO_STATE`` stands for no first state, and with
-    it and an empty ``rest`` the tail is the one ordering swept.  The
-    states of an ordering are all t states with a positive fraction, so
-    its running sums end on a multiple of ``den``.  Masks are in the
-    input-index basis; the cell lengths of one ordering sum to ``den``.
-    ``acc`` is anything that supports ``acc[mask] += length``: a list of
-    2**s entries or a ``collections.defaultdict(int)``.
+    A state is a ``(bit, fraction)`` item, bit = 1 << its input index; the
+    states are all those with a positive fraction, so their running sums
+    end on a multiple of ``den`` and the cell lengths sum to ``den``.
 
-    Sweep.  In one ordering the mask on the first cell (0, b1] follows from
-    the running sums c_k: position k wins iff floor(c_k / den) exceeds
-    floor(c_(k-1) / den).  As the offset passes the breakpoint
-    den - (c_k mod den), k < t - 1, the point u + c_k crosses an integer, so
-    position k gains the seat position k+1 held: the mask XORs both bits.
-    One sort of the breakpoints then yields every cell in order.  Equal
-    breakpoints need no grouping; their toggles compose, and the masks
-    between them get cells of length zero.
-
-    Fixed tail.  The running sum before the tail is the same for every
-    middle, so the tail's breakpoints and wins are found once per group;
-    only the toggle of the tail's first breakpoint depends on the middle,
-    through the state that precedes it.
+    The mask on the first cell (0, b1] follows from the running sums c_k:
+    position k wins iff floor(c_k / den) exceeds floor(c_(k-1) / den).  As
+    the offset passes the breakpoint den - (c_k mod den), k < t - 1, the
+    point u + c_k crosses an integer, so position k gains the seat
+    position k+1 held: the mask XORs both bits.  One sort of the
+    breakpoints then yields every cell in order.  Equal breakpoints need no
+    grouping; their toggles compose, and the masks between them get cells
+    of length zero.
     """
     toggles = (1 << s) - 1
-    for (prev0, r0), rest, tail in groups:
-        # r is the running sum mod den before a state; a key is
-        # breakpoint << s | toggle, so keys sort by breakpoint.  After
-        # ``first`` the running sum is its fraction and its bit precedes
-        # the middle.  end_key is the key of the tail's first state
-        # without the bit of the state before it.
-        r = (r0 + sum(f for _, f in rest)) % den
-        end_key = tail_mask = prev = 0
-        tail_keys = []
-        for bit, f in tail:
-            if r:
-                if prev:
-                    tail_keys.append((den - r) << s | prev | bit)
-                else:
-                    end_key = (den - r) << s | bit
-            r += f
-            if r >= den:
-                r -= den
-                tail_mask |= bit
-            prev = bit
-        for middle in itertools.permutations(rest):
-            r = r0
-            prev = prev0
-            mask = tail_mask
-            keys = tail_keys.copy()
-            for bit, f in middle:
-                if r:
-                    keys.append((den - r) << s | prev | bit)
-                r += f
-                if r >= den:
-                    r -= den
-                    mask |= bit
-                prev = bit
-            if end_key:
-                keys.append(end_key | prev)
-            keys.sort()
-            prev = 0
-            for key in keys:
-                b = key >> s
-                acc[mask] += b - prev
-                mask ^= key & toggles
-                prev = b
-            acc[mask] += den - prev
+    # r is the running sum mod den before a state; a key is
+    # breakpoint << s | toggle, so keys sort by breakpoint.
+    keys = []
+    r = mask = prev = 0
+    for bit, f in states:
+        if r:
+            keys.append((den - r) << s | prev | bit)
+        r += f
+        if r >= den:
+            r -= den
+            mask |= bit
+        prev = bit
+    keys.sort()
+    prev = 0
+    for key in keys:
+        b = key >> s
+        acc[mask] += b - prev
+        mask ^= key & toggles
+        prev = b
+    acc[mask] += den - prev
 
 
 def _live(frac_nums):
@@ -145,7 +110,7 @@ def fixed_order_lengths(frac_nums, den):
     any number of states.  Zero fractions are left out, as in the
     ordering-averaged law; they never win."""
     acc = defaultdict(int)
-    _sweep(den, len(frac_nums), [(_NO_STATE, (), _live(frac_nums))], acc)
+    _sweep(den, len(frac_nums), _live(frac_nums), acc)
     return acc
 
 
@@ -159,27 +124,24 @@ def averaged_mask_lengths(frac_nums, den):
     are in the input-index basis.  Divide by ``den * (s-1)!`` to get
     probabilities.
 
-    The orderings are swept by ``_sweep``.  Three exact shortcuts give
-    the same integers as sweeping every ordering:
+    A state with a zero fraction never wins, so only the s' states with a
+    positive fraction are ordered, the last of them pinned after the h =
+    s' - 1 head states; each such ordering stands for (s-1)!/(s'-1)! of
+    all s.  A head of at most one state has one ordering, for ``_sweep``.
 
-    * Mirror pairs.  Reversing the head of an ordering (last state pinned)
-      and rotating maps the offset u to -u, which turns every segment
-      [a, b) into (a, b].  The two differ only when an endpoint is an
-      integer, which happens at finitely many offsets, so the mirror has
-      the same length per mask.  Only heads with head[0] < head[-1] are
-      swept, one pair (head[0], head[-1]) at a time, each counted twice
-      (for three or more states; a one-state head is its own mirror and
-      is swept once).
-    * Fixed tail.  An ordering of a pair is (first, *middle, end, last).
-      The running sum before ``end`` is f_first plus the middle's total
-      whatever order the middle takes, so the breakpoints and wins of
-      ``end`` and ``last`` are found once per pair, and each ordering
-      sweeps only its t - 3 middle states.
-    * Zero fractions.  A state with a zero fractional part has an empty
-      segment and never wins, so only the s' states with a positive part
-      are ordered; each of their orderings stands for (s-1)!/(s'-1)!
-      orderings with the last state pinned, and with s' = 0 every offset
-      gives the empty mask.
+    Larger heads go through a dynamic program over the sets S of head
+    states placed so far.  State i placed right after S wins exactly when
+    (u + c(S), u + c(S) + f_i) holds a multiple of den: for the offsets u
+    in the cyclic interval (beta(S + i), beta(S)), beta(S) = -c(S) mod
+    den, whatever the order within S.  So the 2**h points beta(S) cut
+    [0, den) into cells, each such interval is a run of whole cells, and
+    the program keeps, per S and winner mask W, the orderings of S that
+    give W on each cell, as lanes of one integer.  Placing i splits them
+    by ``won = v & region`` and ``v - won``.  A lane counts orderings of
+    at most h states, at most h!, so lanes of bits(h!) bits, rounded up to
+    1, 2, 4 or 8 bytes for ``_unpack_lanes``, never carry.  The last state
+    wins on (0, beta(head)) = (0, f_last); each final lane, times its
+    cell's length, adds to its mask.
     """
     s = len(frac_nums)
     if s == 0:
@@ -191,15 +153,53 @@ def averaged_mask_lengths(frac_nums, den):
         acc[0] = den * scale
         return acc
     scale //= math.factorial(len(live) - 1)
-    *head, last = live
-    if len(head) < 2:
-        groups = [(_NO_STATE, (), live)]
+    *head, (last, f_last) = live
+    h = len(head)
+    if h < 2:
+        _sweep(den, s, live, acc)
     else:
-        scale *= 2
-        groups = ((head[a], head[:a] + head[a + 1:b] + head[b + 1:],
-                   (head[b], last))
-                  for a, b in itertools.combinations(range(len(head)), 2))
-    _sweep(den, s, groups, acc)
+        # beta[S] for every set S of head positions, one subset at a time.
+        beta = [0] * (1 << h)
+        for S in range(1, 1 << h):
+            low = S & -S
+            beta[S] = (beta[S ^ low] - head[low.bit_length() - 1][1]) % den
+        cuts = sorted(set(beta))
+        lengths = [b - a for a, b in zip(cuts, cuts[1:] + [den])]
+        size = 1 << ((math.factorial(h).bit_length() - 1) // 8).bit_length()
+        width = 8 * size
+        cell = {b: 1 << width * k for k, b in enumerate(cuts)}
+        # at[S]: the lowest bit of beta(S)'s lane.  The region of S + i is
+        # at[S] - at[S + i], plus all lanes when it wraps past den.
+        at = [cell[b] for b in beta]
+        wrap = (1 << width * len(cuts)) - 1
+        # One layer per head size: set S -> {winner mask W: packed counts}.
+        layer = {0: {0: wrap // ((1 << width) - 1)}}
+        for _ in range(h):
+            after = defaultdict(dict)
+            for S, counts in layer.items():
+                for j, (bit, _f) in enumerate(head):
+                    if S >> j & 1:
+                        continue
+                    T = S | 1 << j
+                    region = at[S] - at[T]
+                    if region < 0:
+                        region += wrap
+                    out = after[T]
+                    for W, v in counts.items():
+                        won = v & region
+                        if won:
+                            out[W | bit] = out.get(W | bit, 0) + won
+                            v -= won
+                        if v:
+                            out[W] = out.get(W, 0) + v
+            layer = after
+        # The last state wins on the cells below beta(head) = f_last.
+        below = lengths[:cuts.index(f_last)]
+        for W, v in layer[(1 << h) - 1].items():
+            counts = _unpack_lanes(v, size, len(cuts))
+            part = sum(map(operator.mul, below, counts))
+            acc[W | last] += part
+            acc[W] += sum(map(operator.mul, lengths, counts)) - part
     if scale != 1:
         acc = [length * scale for length in acc]
     return acc

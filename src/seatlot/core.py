@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property, update_wrapper
 from typing import Optional, Sequence
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, _shown
 from .rng import SeededSource
 
 
@@ -46,7 +46,7 @@ def as_fraction(value, name: str) -> Fraction:
         return Fraction(value)
     except _NOT_RATIONAL as exc:
         raise InputError(
-            f"{name} must be a finite rational, got {value!r}") from exc
+            f"{name} must be a finite rational, got {_shown(value)}") from exc
 
 
 def as_fractions(values: Sequence) -> tuple[Fraction, ...]:
@@ -55,7 +55,8 @@ def as_fractions(values: Sequence) -> tuple[Fraction, ...]:
         return tuple(v if type(v) is Fraction else Fraction(v)
                      for v in values)
     except _NOT_RATIONAL as exc:
-        raise InputError(f"not an exact rational vector: {values!r}") from exc
+        raise InputError(f"not an exact rational vector: "
+                         f"{_shown(values)}") from exc
 
 
 def as_tuple(values, name: str) -> tuple:
@@ -78,7 +79,7 @@ def check_integers(values: Iterable, name: str, least: int) -> None:
             if not isinstance(v, int) or isinstance(v, bool) or v < least:
                 kind = "non-negative" if least == 0 else "positive"
                 raise InputError(
-                    f"{name} must be a {kind} integer, got {v!r}")
+                    f"{name} must be a {kind} integer, got {_shown(v)}")
 
 
 def check_size(value, name: str, least: int) -> int:
@@ -197,7 +198,8 @@ def quota_vector(values: Sequence) -> QuotaVector:
     quotas = as_fractions(values)
     for q in quotas:
         if q.numerator < 0:
-            raise InputError(f"quota values must be non-negative, got {q}")
+            raise InputError(f"quota values must be non-negative, got "
+                             f"{_shown(q, str)}")
     den = math.lcm(*(q.denominator for q in quotas))
     split = [divmod(q.numerator * (den // q.denominator), den) for q in quotas]
     return QuotaVector(tuple(f for f, _ in split), tuple(n for _, n in split),
@@ -274,7 +276,8 @@ def _bounds(bounds, owner) -> tuple[int, ...]:
 def _state_index(i, owner) -> int:
     check_integers((i,), "state index", 0)
     if i >= owner.size:
-        raise InputError(f"state index must be below {owner.size}, got {i}")
+        raise InputError(f"state index must be below {owner.size}, "
+                         f"got {_shown(i, str)}")
     return i
 
 
@@ -304,7 +307,8 @@ def _residual(residual) -> int:
 def _price(divisor) -> Fraction:
     price = as_fraction(divisor, "price per seat")
     if price <= 0:
-        raise InputError(f"price per seat must be positive, got {price}")
+        raise InputError(f"price per seat must be positive, "
+                         f"got {_shown(price, str)}")
     return price
 
 

@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (_READERS, Allocation, Problem, as_fraction,
                    check_integers, compute_quota, entry)
-from .errors import CapacityError, InfeasibleError, InputError
+from .errors import CapacityError, InfeasibleError, InputError, _shown
 from .rng import _unpack_lanes
 
 
@@ -80,7 +80,8 @@ class DivisorRule:
         (exact, as both sides are >= 0: a negative x is refused)."""
         x = as_fraction(x, "entitlement")
         if x < 0:
-            raise InputError(f"entitlement must be non-negative, got {x}")
+            raise InputError(f"entitlement must be non-negative, got "
+                             f"{_shown(x, str)}")
         check_integers((b,), "seat count", 0)
         a, c = x.numerator, x.denominator
         num, den = self.threshold(b)
@@ -121,8 +122,8 @@ def _rule(rule) -> DivisorRule:
         return rule
     if isinstance(rule, str) and rule in RULES:
         return RULES[rule]
-    raise InputError(f"unknown divisor rule {rule!r}; expected a DivisorRule "
-                     f"or a name in RULES, one of {tuple(RULES)}")
+    raise InputError(f"unknown divisor rule {_shown(rule)}; expected a "
+                     f"DivisorRule or a name in RULES, one of {tuple(RULES)}")
 
 
 _READERS.update(rule=_rule)
@@ -716,7 +717,8 @@ def detect_new_state_paradox(base: Problem, extended: Problem,
     if extended.seats != expected:
         raise InputError(
             f"extended house must be {expected} seats "
-            f"(base plus the new state's fair share), got {extended.seats}")
+            f"(base plus the new state's fair share), got "
+            f"{_shown(extended.seats, str)}")
     name, fn = resolve_method(method)
     a_base = fn(base).seats
     a_ext = fn(extended).seats

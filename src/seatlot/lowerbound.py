@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (_READERS, Allocation, Problem, QuotaVector, _instance,
-                   entry)
+                   check_integers, entry)
 from .errors import (ConvergenceError, InfeasibleError, InputError,
                      _digit_limit_error)
 from .rng import SeededSource
@@ -112,8 +112,28 @@ class AdjustedQuota:
     offenders: tuple[int, ...]
 
 
-_READERS.update(cls_=_instance(StateClassification),
-                adjusted=_instance(AdjustedQuota))
+def _adjusted_quota(adjusted) -> AdjustedQuota:
+    """An AdjustedQuota whose indices, values and original floors and
+    ceilings are tuples of one length: of non-negative integers, of exact
+    rationals and of non-negative integers."""
+    _read_adjusted(adjusted)
+    fields = (adjusted.indices, adjusted.values, adjusted.original_floors,
+              adjusted.original_ceilings)
+    if not all(type(f) is tuple and len(f) == len(fields[0])
+               for f in fields):
+        raise InputError("adjusted indices, values, floors and ceilings "
+                         "must be tuples of equal length")
+    check_integers(adjusted.indices, "adjusted index", 0)
+    check_integers(adjusted.original_floors + adjusted.original_ceilings,
+                   "quota bound", 0)
+    if not all(type(v) in (int, Fraction) for v in adjusted.values):
+        raise InputError("adjusted values must be exact rationals (int or "
+                         "Fraction)")
+    return adjusted
+
+
+_read_adjusted = _instance(AdjustedQuota)
+_READERS.update(cls_=_instance(StateClassification), adjusted=_adjusted_quota)
 
 
 def _adjusted(scale, indices, values, floors, ceilings) -> AdjustedQuota:

@@ -16,10 +16,10 @@ from typing import Optional, Sequence
 
 from . import _backend
 from ._kernels_py import MAX_MASK_STATES
-from .core import (_READERS, Problem, QuotaVector, _instance, as_tuple,
-                   check_integers, compute_quota, entry, problem)
+from .core import (_READERS, Problem, QuotaVector, _instance, _state_index,
+                   as_tuple, check_integers, compute_quota, entry, problem)
 from .divisor import resolve_method
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, _shown
 from .rng import MAX_BOUND, SeededSource, child_seed
 from .stochastic import (ENUMERATION_LIMIT, _prepared, _seats_from_mask,
                          exact_distribution)
@@ -30,6 +30,34 @@ from .stochastic import (ENUMERATION_LIMIT, _prepared, _seats_from_mask,
 # lab_replicates, 2 vCPUs), so a call at the ceiling runs for about four
 # minutes, not hours.
 REPLICATE_CEILING = 10 ** 7
+
+
+def _report(report) -> SimulationReport:
+    """A SimulationReport of at least one replicate whose seat sums and
+    sums of squares are tuples of non-negative integers."""
+    _read_report(report)
+    sums, sumsqs = report.seat_sums, report.seat_sumsqs
+    if not type(sums) is type(sumsqs) is tuple:
+        raise InputError("report seat sums and sums of squares must be "
+                         "tuples")
+    check_integers(sums + sumsqs, "seat sum", 0)
+    check_integers((report.replicates,), "replicate count", 1)
+    return report
+
+
+def _report_state(i, report) -> int:
+    """State ``i`` of ``report``, which holds a seat sum and a sum of
+    squares for each state."""
+    if len(_report(report).seat_sums) != len(report.seat_sumsqs):
+        raise InputError("report seat sums and sums of squares differ in "
+                         "length")
+    return _state_index(i, report)
+
+
+# The methods of a report read their state index through its fields; these
+# readers are in place before the methods are defined.
+_READERS.update(dict.fromkeys(("mean.i", "variance.i", "std_error.i"),
+                              _report_state))
 
 
 @dataclass(frozen=True)
@@ -46,18 +74,13 @@ class SimulationReport:
     bound_violations: int
     sum_mismatches: int = 0
 
-    def _count(self) -> int:
-        """The replicate count; no mean exists without replicates."""
-        check_integers((self.replicates,), "replicate count", 1)
-        return self.replicates
-
     @property
     def size(self) -> int:
         return len(self.seat_sums)
 
     @entry
     def mean(self, i: int) -> Fraction:
-        return Fraction(self.seat_sums[i], self._count())
+        return Fraction(self.seat_sums[i], self.replicates)
 
     def means(self) -> tuple[Fraction, ...]:
         return tuple(self.mean(i) for i in range(self.size))
@@ -73,18 +96,19 @@ class SimulationReport:
 
     @entry
     def std_error(self, i: int) -> float:
-        return math.sqrt(self.variance(i) / self._count())
+        return math.sqrt(self.variance(i) / self.replicates)
 
 
 def _replicates(n) -> int:
     check_integers((n,), "replicate count", 1)
     if n > REPLICATE_CEILING:
         raise CapacityError(f"a simulation draws at most {REPLICATE_CEILING} "
-                            f"replicates, got {n}")
+                            f"replicates, got {_shown(n, str)}")
     return n
 
 
-_READERS.update(n=_replicates, report=_instance(SimulationReport))
+_read_report = _instance(SimulationReport)
+_READERS.update(n=_replicates, report=_report)
 
 
 def _scheme_batch(prob: Problem, lower_bounds, master_seed: int, n: int):
@@ -187,7 +211,7 @@ def fairness_test(report: SimulationReport, quota: QuotaVector,
     """
     if not len(report.seat_sums) == len(report.seat_sumsqs) == quota.size:
         raise InputError("report and quota vector differ in length")
-    n = report._count()
+    n = report.replicates
     out = []
     for i, q in enumerate(quota.quotas):
         if n == 1:
@@ -239,7 +263,7 @@ class MonotonicityReport:
 
 def _kind(kind) -> str:
     if kind not in ("population_move", "house_increase"):
-        raise InputError(f"unknown monotonicity kind {kind!r}")
+        raise InputError(f"unknown monotonicity kind {_shown(kind)}")
     return kind
 
 
@@ -324,7 +348,7 @@ def population_move_pair(src: SeededSource, **kwargs) -> ProblemPair:
     """Random pair: same totals, some heads moved from one state to another."""
     if kwargs.get("max_population", 2) < 2:
         raise InputError("a population move needs a max_population of "
-                         f"at least 2, got {kwargs['max_population']!r}")
+                         f"at least 2, got {_shown(kwargs['max_population'])}")
     # A move needs two states; a caller may ask for more.
     kwargs["min_states"] = max(2, kwargs.get("min_states", 2))
     while True:

@@ -38,7 +38,7 @@ import sys
 from array import array
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, _shown
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -195,7 +195,7 @@ class SeededSource:
     def _check_int(value, what: str) -> None:
         """Refuse a bool or a non-integer ``value`` with InputError."""
         if not isinstance(value, int) or isinstance(value, bool):
-            raise InputError(f"{what} must be an integer, got {value!r}")
+            raise InputError(f"{what} must be an integer, got {_shown(value)}")
 
     def __repr__(self):
         return f"SeededSource(seed={self.seed})"

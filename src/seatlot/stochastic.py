@@ -7,22 +7,21 @@ integer.  Every outcome satisfies quota, and each state's expected seats
 equal its quota exactly.
 
 ``exact_distribution`` is the verification oracle: it computes the full
-law of the scheme by enumerating state orderings and, for each ordering,
-partitioning the offset space into the finitely many cells on which the
-allocation is constant.  Cyclic rotations of an ordering induce the same
-law (shifting the offset absorbs the rotation), so only orderings with the
-last state pinned are enumerated.  Within one ordering the kernel sweeps
-the offset once: the allocation changes only where u plus a running sum
-crosses an integer, and there exactly two adjacent states trade a seat, so
-after one sort of these breakpoints each cell follows from the previous
-one; the fixed-order law of ``residual_distribution`` is this sweep of
-the one given ordering.  Reversing the head of an ordering maps u to -u,
-turning every segment [a, b) into (a, b]; the two differ only at finitely
-many offsets, so an ordering and its mirror have the same law and only one
-of each pair is swept, counted twice.  States with a zero fractional part
-never win and are left out of the enumeration, whose total is scaled back
-up to the (s-1)! orderings.  Equality with the all-orderings average and with a
-direct evaluation of every cell of every ordering is covered by tests.
+law of the scheme, over every state ordering and every offset, in exact
+integers.  Cyclic rotations of an ordering induce the same law (shifting
+the offset absorbs the rotation), so only orderings with the last state
+pinned are counted.  Whether a state wins depends only on the offset and
+on the total fraction of the states before it, not on their order, so the
+pure kernel counts all orderings at once: a dynamic program over the sets
+of states placed so far, on the offset cells that those sets' totals cut
+(see ``_kernels_py.averaged_mask_lengths``).  The fixed-order law of
+``residual_distribution`` is one sweep of the one given ordering: the
+allocation changes only where u plus a running sum crosses an integer, so
+one sort of these breakpoints yields every cell.  States with a zero
+fractional part never win and are left out, and the total is scaled back
+up to the (s-1)! orderings.  Equality with a direct evaluation of every
+cell of every ordering, and with the compiled tier's enumeration of the
+orderings, is covered by tests.
 
 ``conditional_sampling_allocate`` implements a tempting but biased
 alternative - draw residual-seat winners independently with probability
@@ -45,12 +44,13 @@ from . import _backend, _kernels_py
 from .core import (Allocation, Problem, QuotaVector, check_integers,
                    compute_quota, entry, quota_vector)
 from .errors import (CapacityError, ConvergenceError, InfeasibleError,
-                     InputError)
+                     InputError, _shown)
 from .rng import SeededSource, U53_DENOMINATOR
 
 ENUMERATION_LIMIT = 8
-# Enumerating s states costs (s-1)! orderings and 2**s mask cells; no limit
-# may raise the state count past this.
+# The exact law of s states has 2**s winner masks and costs (s-1)!
+# orderings on the compiled tier; no limit may raise the state count past
+# this.
 _ENUMERATION_CEILING = 10
 
 
@@ -75,7 +75,8 @@ def _fractional_quota(fracs: Sequence[Fraction]) -> QuotaVector:
     total an integer.  The first entry outside [0, 1) is the one named."""
     for f in fracs:
         if not 0 <= f < 1:
-            raise InputError(f"fractional quotas must lie in [0, 1), got {f}")
+            raise InputError(f"fractional quotas must lie in [0, 1), got "
+                             f"{_shown(f, str)}")
     return _integral_quota(fracs)
 
 
@@ -88,7 +89,7 @@ def systematic_round(fracs: Sequence, u) -> list[int]:
     integer.  The entries always sum to the (integer) total of ``fracs``.
     """
     if not 0 <= u < 1:
-        raise InputError(f"offset must lie in [0, 1), got {u}")
+        raise InputError(f"offset must lie in [0, 1), got {_shown(u, str)}")
     _fractional_quota(fracs)
     # The grid carries the offset as one more entry, which is not rounded.
     grid = quota_vector([*fracs, u])
@@ -189,10 +190,11 @@ class AllocationDistribution:
         for seats, p in probabilities.items():
             if not isinstance(seats, tuple):
                 raise InputError("support vectors must be tuples of seat "
-                                 f"counts, got {seats!r}")
+                                 f"counts, got {_shown(seats)}")
             if type(p) is not int and not isinstance(p, Fraction):
                 raise InputError("probabilities must be exact rationals (int "
-                                 f"or Fraction), got {p!r} for {seats}")
+                                 f"or Fraction), got {_shown(p)} for "
+                                 f"{_shown(seats, str)}")
         check_integers(itertools.chain.from_iterable(probabilities),
                        "seat count", 0)
         items = sorted(probabilities.items())
@@ -201,12 +203,15 @@ class AllocationDistribution:
         for seats, p in items:
             if len(seats) != size:
                 raise InputError(f"support vectors differ in length: "
-                                 f"{items[0][0]} and {seats}")
+                                 f"{_shown(items[0][0], str)} and "
+                                 f"{_shown(seats, str)}")
             if p <= 0:
-                raise InputError(f"probabilities must be positive, got {p} for {seats}")
+                raise InputError(f"probabilities must be positive, got "
+                                 f"{_shown(p, str)} for {_shown(seats, str)}")
             total += p
         if total != 1:
-            raise InputError(f"probabilities must sum to 1, got {total}")
+            raise InputError(f"probabilities must sum to 1, got "
+                             f"{_shown(total, str)}")
         self.probabilities: Dict[Tuple[int, ...], Fraction] = dict(items)
         self.size = size
 
@@ -247,10 +252,12 @@ def _allocation_law(quota: QuotaVector, *, average_orders: bool = True,
     """Exact law of the floors plus the residual seats drawn on the
     fractional parts of ``quota``.
 
-    Every exact law is computed here.  The ordering-averaged law enumerates
-    orderings, so ``limit`` and the ceiling guard it, checked before any
-    kernel is called.  The fixed-order law is one sweep of the states with
-    a positive fraction, in input order: at most s + 1 cells, for any s.
+    Every exact law is computed here.  The ordering-averaged law has 2**s
+    winner masks and costs (s-1)! orderings on the compiled tier and
+    2**(s-1) sets of states on the pure one, so ``limit`` and the ceiling
+    guard it, checked before any kernel is called.  The fixed-order law is one sweep of the
+    states with a positive fraction, in input order: at most s + 1 cells,
+    for any s.
     """
     nums, den = quota.nums, quota.den
     s = len(nums)
@@ -345,8 +352,9 @@ def _conditional_weights(fracs: tuple[Fraction, ...], residual: int):
     weights = [f * quota.den + n for f, n in zip(quota.floors, quota.nums)]
     support = tuple(i for i, w in enumerate(weights) if w)
     if not 0 <= residual <= len(support):
-        raise InputError(f"cannot pick {residual} distinct states from "
-                         f"{len(support)} with positive fraction")
+        raise InputError(
+            f"cannot pick {_shown(residual, str)} distinct states from "
+            f"{len(support)} with positive fraction")
     nums = tuple(weights[i] for i in support)
     return support, nums, sum(nums)
 

@@ -15,14 +15,16 @@ from fractions import Fraction as F
 import pytest
 
 import seatlot
-from seatlot import (CapacityError, SeededSource, broadcast_lower_bound,
-                     classify, compute_quota, equal_representation_quota,
+from seatlot import (CapacityError, InputError, SeededSource,
+                     broadcast_lower_bound, classify, compute_quota,
+                     equal_representation_quota, exact_distribution,
                      house_increase_pair, problem, random_permutation,
                      simulate)
 from seatlot.errors import ApportionmentError
 
 HOSTILE = {"None": None, "True": True, "1.5": 1.5, "'x'": "x", "-1": -1,
-           "()": (), "object()": object(), "10**40": 10 ** 40}
+           "()": (), "object()": object(), "10**40": 10 ** 40,
+           "-10**5000": -10 ** 5000}
 
 CONSTRUCTORS = ("Problem", "Allocation", "AllocationDistribution",
                 "SeededSource")
@@ -175,4 +177,17 @@ def test_hostile_arguments_raise_apportionment_errors():
 def test_a_size_past_the_interpreter_is_a_capacity_error(call):
     # Both raised OverflowError.
     with pytest.raises(CapacityError, match="must be at most "):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: exact_distribution(problem((1, 1, 7), 3)).marginal_law(
+        10 ** 5000), "state index must be below 3, got a positive integer "
+     "of 16610 bits"),
+    (lambda: SeededSource((10 ** 5000,)), "seed must be an integer, got a "
+     "tuple too long to print")], ids=["marginal_law", "seed"])
+def test_a_number_too_long_to_print_is_named_by_its_size(call, message):
+    # Past the interpreter's int-to-str digit limit, printing the refused
+    # value raised ValueError in place of the refusal.
+    with pytest.raises(InputError, match=f"^{message}$"):
         call()

@@ -1,6 +1,7 @@
 """Backend contract: compiled and pure kernels must agree bit-for-bit,
 and the dispatcher must fall back cleanly when magnitudes exceed int64."""
 
+import itertools
 import os
 import shutil
 import subprocess
@@ -91,27 +92,59 @@ def check_against_oracle(kc, nums, den):
             assert backend.averaged_mask_lengths(nums, den, False) == expected
 
 
-def pair_sweep_cases():
-    """(nums, den) on each path of the pair sweep.  One live state cannot
+def head_betas(nums, den):
+    """beta(S) = minus the fractions of S, modulo den, for every set S of
+    head states, keyed by S as a 0/1 tuple.  The head is every state with a
+    positive fraction but the last."""
+    head = [f for f in nums if f][:-1]
+    return {S: -sum(f for f, x in zip(head, S) if x) % den
+            for S in itertools.product((0, 1), repeat=len(head))}
+
+
+def placements(betas):
+    """(beta(S), beta(S + i)) for each set S and head state i outside S."""
+    return [(b, betas[S[:i] + (1,) + S[i + 1:]])
+            for S, b in betas.items() for i, x in enumerate(S) if not x]
+
+
+def prefix_set_cases():
+    """(nums, den, edge) on each edge of the prefix-set program; ``edge``,
+    when given, holds for the case's cut points.  One live state cannot
     occur: a single fraction in (0, den) is no multiple of den."""
-    yield pytest.param([0, 0, 0], 5, id="no-live")
-    # A head of one state: its one ordering is swept once.
-    yield pytest.param([0, 3, 0, 2], 5, id="two-live")
-    # One pair and an empty middle.
-    yield pytest.param([2, 0, 1, 2], 5, id="three-live")
-    # The pair (1, 2) reaches its end, 2, on a multiple of 4, so the end
-    # state has no breakpoint.
-    yield pytest.param([1, 3, 2, 2], 4, id="no-end-key")
-    # Zero fractions among the states and breakpoints tied over den 4.
-    yield pytest.param([1, 0, 2, 1, 2, 0, 3, 3], 4, id="zeros-and-ties")
+    yield pytest.param([0, 0, 0], 5, lambda betas: len(betas) == 1,
+                       id="no-live")
+    # A head of one state has one ordering, which _sweep sweeps.
+    yield pytest.param([0, 3, 0, 2], 5, lambda betas: len(betas) == 2,
+                       id="one-state-head")
+    # beta({0}) = beta({1}) = 2: two sets share a cut point.
+    yield pytest.param([2, 2, 1, 3], 4, lambda betas: len(
+        set(betas.values())) < len(betas), id="coinciding-cuts")
+    # beta({0}) = 1 and beta({0, 1}) = 2: placing state 1 after state 0
+    # wins on (2, 4) and (0, 1), a run of cells that wraps past den.
+    yield pytest.param([3, 3, 3, 3], 4, lambda betas: any(
+        0 < b < a for b, a in placements(betas)), id="wrapping-region")
+    # No head state wins on (0, 4) in any ordering, so that cell's lane
+    # for the empty mask holds 6! = 720, in lanes of 2 bytes.
+    yield pytest.param([1, 1, 1, 1, 1, 1, 4], 10, lambda betas: all(
+        4 <= a < b for b, a in placements(betas) if b),
+        id="lanes-at-h-factorial")
+    den = (1 << 64) + 13
+    nums = [5, den // 3, 2 * den // 5, 4 * den // 7]
+    yield pytest.param(nums + [-sum(nums) % den], den, lambda betas: max(
+        betas.values()) >= 1 << 64, id="den-above-2**64")
+    # Zero fractions among the states and cut points tied over den 4.
+    yield pytest.param([1, 0, 2, 1, 2, 0, 3, 3], 4, lambda betas: len(
+        set(betas.values())) < len(betas), id="zeros-and-ties")
     src = SeededSource(24)
     for s in (7, 8):
         den = 1 + src.randbelow(10 ** 9)
-        yield pytest.param(random_fracs(src, s, den), den, id=f"seeded-{s}")
+        yield pytest.param(random_fracs(src, s, den), den, None,
+                           id=f"seeded-{s}")
 
 
-@pytest.mark.parametrize("nums, den", pair_sweep_cases())
-def test_pair_sweep_matches_oracle(kc, nums, den):
+@pytest.mark.parametrize("nums, den, edge", prefix_set_cases())
+def test_prefix_sets_match_oracle(kc, nums, den, edge):
+    assert edge is None or edge(head_betas(nums, den))
     check_against_oracle(kc, nums, den)
 
 

@@ -11,7 +11,8 @@ from seatlot import (ConvergenceError, InfeasibleError, InputError,
 from seatlot import lowerbound, stochastic
 from seatlot.core import Allocation, broadcast_lower_bound
 from seatlot.divisor import RULES, divisor_with_bounds
-from seatlot.lowerbound import (adjusted_quota_from_values, classify,
+from seatlot.lowerbound import (AdjustedQuota, adjusted_quota_from_values,
+                                classify,
                                 equal_representation_quota,
                                 iterate_lower_bound, lower_bound_apportion,
                                 lower_bound_distribution,
@@ -692,3 +693,19 @@ def test_scaled_fractional_range_error():
     # factor (10 - 1 - 7) / (0.6 + 0.9) = 4/3 pushes 0.9 above 1
     with pytest.raises(InputError):
         scaled_fractional_quota(q, cls_)
+
+
+@pytest.mark.parametrize("fields, match", [
+    ((None, None, None, None), "tuples of equal length"),
+    (((0, 1), (F(1, 2),), (0,), (1,)), "tuples of equal length"),
+    (((0,), (1.5,), (0,), (1,)), "exact rationals"),
+    (((-1,), (F(1, 2),), (0,), (1,)), "adjusted index"),
+    (((0,), (F(1, 2),), (None,), (1,)), "quota bound")],
+    ids=["none", "short-values", "float", "negative-index", "none-floor"])
+def test_an_adjusted_quota_is_read_by_its_fields(fields, match):
+    # AdjustedQuota(None, ...) raised TypeError from zip(None, ...).
+    adjusted = AdjustedQuota(None, *fields, True, ())
+    for read in (violation_probability_bound, resample_conditional_law,
+                 lambda a: resample_until_quota(a, SeededSource(1))):
+        with pytest.raises(InputError, match=match):
+            read(adjusted)

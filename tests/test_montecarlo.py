@@ -219,6 +219,27 @@ def test_a_report_without_replicates_is_refused(read):
         read(NO_REPLICATES)
 
 
+@pytest.mark.parametrize("read, message", [
+    (lambda r: fairness_test(r, quota_vector([1])), "must be tuples"),
+    (lambda r: r.mean(0), "must be tuples"),
+    (lambda r: r.std_error(0), "must be tuples")],
+    ids=["fairness_test", "mean", "std_error"])
+def test_a_report_is_read_by_its_fields(read, message):
+    # A report with no seat sums raised TypeError from len(None).
+    with pytest.raises(InputError, match=message):
+        read(SimulationReport("x", 1, 10, (), None, None, 0, 0))
+
+
+@pytest.mark.parametrize("sums, sumsqs, match", [
+    ((5, 3), (5,), "differ in length"), ((5, "3"), (5, 3), "seat sum"),
+    ((5, 3), (5, -3), "seat sum")], ids=["short-squares", "text", "negative"])
+def test_a_report_state_needs_its_sum_and_square(sums, sumsqs, match):
+    # variance(1) of the short report raised IndexError.
+    report = SimulationReport("x", 1, 10, (), sums, sumsqs, 0, 0)
+    with pytest.raises(InputError, match=match):
+        report.variance(1)
+
+
 def test_fairness_test_refuses_a_z_that_is_no_rational():
     # "a" raised ValueError from Fraction().
     report = SimulationReport("x", 1, 10, (), (10,), (10,), 0, 0)

@@ -410,11 +410,12 @@ def test_sorts_and_cell_adds_are_found():
 
 
 def test_one_cell_sweep():
-    # Both exact laws, the ordering-averaged and the fixed-order one, sort
-    # breakpoint keys and add cell lengths in one function of the pure
-    # tier, so no second sweep body grows beside the pair path.
+    # The pure tier sorts cut points and adds cell lengths in two places:
+    # the one-ordering sweep and the prefix-set program of the averaged
+    # law, so no second body of either grows beside them.
     source = (PACKAGE / "_kernels_py.py").read_text(encoding="utf-8")
-    assert holders(source, sorts) == holders(source, adds_to_acc) == ["_sweep"]
+    assert (holders(source, sorts) == holders(source, adds_to_acc)
+            == ["_sweep", "averaged_mask_lengths"])
 
 
 def module_caches(source: str) -> list[str]:
