@@ -140,8 +140,10 @@ def averaged_mask_lengths(frac_nums, den):
     by ``won = v & region`` and ``v - won``.  A lane counts orderings of
     at most h states, at most h!, so lanes of bits(h!) bits, rounded up to
     1, 2, 4 or 8 bytes for ``_unpack_lanes``, never carry.  The last state
-    wins on (0, beta(head)) = (0, f_last); each final lane, times its
-    cell's length, adds to its mask.
+    wins on (0, beta(head)) = (0, f_last), where every ordering's head wins
+    one seat fewer than above it, so a final mask W has lanes on one side
+    only: one dot product of its lanes with the cell lengths adds to
+    W + last or to W.
     """
     s = len(frac_nums)
     if s == 0:
@@ -158,11 +160,11 @@ def averaged_mask_lengths(frac_nums, den):
     if h < 2:
         _sweep(den, s, live, acc)
     else:
-        # beta[S] for every set S of head positions, one subset at a time.
-        beta = [0] * (1 << h)
-        for S in range(1, 1 << h):
-            low = S & -S
-            beta[S] = (beta[S ^ low] - head[low.bit_length() - 1][1]) % den
+        # beta[S] for every set S of head positions: the sets holding head
+        # state j are those below 2**j, each with bit j added.
+        beta = [0]
+        for _bit, f in head:
+            beta += [(b - f) % den for b in beta]
         cuts = sorted(set(beta))
         lengths = [b - a for a, b in zip(cuts, cuts[1:] + [den])]
         size = 1 << ((math.factorial(h).bit_length() - 1) // 8).bit_length()
@@ -170,36 +172,36 @@ def averaged_mask_lengths(frac_nums, den):
         cell = {b: 1 << width * k for k, b in enumerate(cuts)}
         # at[S]: the lowest bit of beta(S)'s lane.  The region of S + i is
         # at[S] - at[S + i], plus all lanes when it wraps past den.
-        at = [cell[b] for b in beta]
+        at = list(map(cell.__getitem__, beta))
         wrap = (1 << width * len(cuts)) - 1
-        # One layer per head size: set S -> {winner mask W: packed counts}.
-        layer = {0: {0: wrap // ((1 << width) - 1)}}
-        for _ in range(h):
-            after = defaultdict(dict)
-            for S, counts in layer.items():
-                for j, (bit, _f) in enumerate(head):
-                    if S >> j & 1:
-                        continue
-                    T = S | 1 << j
-                    region = at[S] - at[T]
-                    if region < 0:
-                        region += wrap
-                    out = after[T]
-                    for W, v in counts.items():
-                        won = v & region
-                        if won:
-                            out[W | bit] = out.get(W | bit, 0) + won
-                            v -= won
-                        if v:
-                            out[W] = out.get(W, 0) + v
-            layer = after
-        # The last state wins on the cells below beta(head) = f_last.
-        below = lengths[:cuts.index(f_last)]
-        for W, v in layer[(1 << h) - 1].items():
-            counts = _unpack_lanes(v, size, len(cuts))
-            part = sum(map(operator.mul, below, counts))
-            acc[W | last] += part
-            acc[W] += sum(map(operator.mul, lengths, counts)) - part
+        # counts[S]: winner mask W -> packed counts of the orderings of S.
+        # A set's subsets come before it in numeric order.
+        counts = [{} for _ in beta]
+        counts[0][0] = wrap // ((1 << width) - 1)
+        members = [(1 << j, bit) for j, (bit, _f) in enumerate(head)]
+        for S in range((1 << h) - 1):
+            for member, bit in members:
+                if S & member:
+                    continue
+                T = S | member
+                region = at[S] - at[T]
+                if region < 0:
+                    region += wrap
+                out = counts[T]
+                for W, v in counts[S].items():
+                    won = v & region
+                    if won:
+                        out[W | bit] = out.get(W | bit, 0) + won
+                        v -= won
+                    if v:
+                        out[W] = out.get(W, 0) + v
+            counts[S] = None
+        # The lanes below beta(head) = f_last, where the last state wins.
+        below = at[-1] - 1
+        for W, v in counts[-1].items():
+            length = sum(map(operator.mul, lengths,
+                             _unpack_lanes(v, size, len(cuts))))
+            acc[W | last if v & below else W] += length
     if scale != 1:
         acc = [length * scale for length in acc]
     return acc

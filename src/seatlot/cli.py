@@ -436,8 +436,8 @@ def cmd_distribution(args, out) -> int:
     else:
         law = exact_distribution(prob, limit=limit)
     columns = ["allocation", "probability", "probability_decimal"]
-    rows = [(" ".join(str(a) for a in seats), fraction_str(p), decimal_str(p))
-            for seats, p in law.items()]
+    rows = [(" ".join(str(a) for a in seats), *_rational_texts(m, law.total))
+            for seats, m in law.masses.items()]
     emitter.rows(columns, rows, kind="mass")
     means = law.marginal_means()
     emitter.record({

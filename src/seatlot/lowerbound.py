@@ -415,12 +415,11 @@ def resample_conditional_law(adjusted: AdjustedQuota,
     renormalized."""
     quota = _integral_quota(adjusted.values)
     law = _allocation_law(quota, limit=limit)
-    kept = {seats: p for seats, p in law.items()
+    kept = {seats: m for seats, m in law.masses.items()
             if _within_quota(seats, adjusted)}
     if not kept:
         raise InfeasibleError("no quota-satisfying outcome has positive probability")
-    total = sum(kept.values(), Fraction(0))
-    return AllocationDistribution({k: p / total for k, p in kept.items()})
+    return AllocationDistribution._of(kept)
 
 
 @dataclass(frozen=True)

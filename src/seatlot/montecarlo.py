@@ -83,7 +83,7 @@ class SimulationReport:
         return Fraction(self.seat_sums[i], self.replicates)
 
     def means(self) -> tuple[Fraction, ...]:
-        return tuple(self.mean(i) for i in range(self.size))
+        return tuple(map(self.mean, range(_report(self).size)))
 
     @entry
     def variance(self, i: int) -> Fraction:

@@ -7,21 +7,11 @@ integer.  Every outcome satisfies quota, and each state's expected seats
 equal its quota exactly.
 
 ``exact_distribution`` is the verification oracle: it computes the full
-law of the scheme, over every state ordering and every offset, in exact
-integers.  Cyclic rotations of an ordering induce the same law (shifting
-the offset absorbs the rotation), so only orderings with the last state
-pinned are counted.  Whether a state wins depends only on the offset and
-on the total fraction of the states before it, not on their order, so the
-pure kernel counts all orderings at once: a dynamic program over the sets
-of states placed so far, on the offset cells that those sets' totals cut
-(see ``_kernels_py.averaged_mask_lengths``).  The fixed-order law of
-``residual_distribution`` is one sweep of the one given ordering: the
-allocation changes only where u plus a running sum crosses an integer, so
-one sort of these breakpoints yields every cell.  States with a zero
-fractional part never win and are left out, and the total is scaled back
-up to the (s-1)! orderings.  Equality with a direct evaluation of every
-cell of every ordering, and with the compiled tier's enumeration of the
-orderings, is covered by tests.
+law of the scheme, over every state ordering and every offset, as integer
+cell lengths (``_kernels_py`` describes how), and the law keeps them as
+integer masses over one denominator until a probability is read.
+Equality with a direct evaluation of every cell of every ordering, and
+with the compiled tier's enumeration of the orderings, is covered by tests.
 
 ``conditional_sampling_allocate`` implements a tempting but biased
 alternative - draw residual-seat winners independently with probability
@@ -183,7 +173,10 @@ def _seats_from_mask(floors: Sequence[int], mask: int) -> tuple[int, ...]:
 
 class AllocationDistribution:
     """Exact law of an allocation: support vectors (tuples of seat counts)
-    with exact rational masses (int or Fraction)."""
+    with exact rational probabilities, held as integer ``masses`` by support
+    vector over their sum ``total``, reduced by their gcd, so equal laws hold
+    equal masses.  ``probabilities`` and ``items()`` are a Fraction view
+    built when first read; the marginals sum the masses in integers."""
 
     @entry
     def __init__(self, probabilities: Mapping[Tuple[int, ...], Fraction]):
@@ -199,7 +192,6 @@ class AllocationDistribution:
                        "seat count", 0)
         items = sorted(probabilities.items())
         size = len(items[0][0]) if items else 0
-        total = Fraction(0)
         for seats, p in items:
             if len(seats) != size:
                 raise InputError(f"support vectors differ in length: "
@@ -208,49 +200,65 @@ class AllocationDistribution:
             if p <= 0:
                 raise InputError(f"probabilities must be positive, got "
                                  f"{_shown(p, str)} for {_shown(seats, str)}")
-            total += p
-        if total != 1:
+        den = math.lcm(*(p.denominator for _, p in items))
+        self.masses = {seats: p.numerator * (den // p.denominator)
+                       for seats, p in items}
+        if sum(self.masses.values()) != den:
             raise InputError(f"probabilities must sum to 1, got "
-                             f"{_shown(total, str)}")
-        self.probabilities: Dict[Tuple[int, ...], Fraction] = dict(items)
-        self.size = size
+                             f"{_shown(sum(p for _, p in items), str)}")
+        # Lowest-terms denominators over their lcm leave no common factor.
+        self.total, self.size = den, size
+
+    @classmethod
+    def _of(cls, masses: Mapping[Tuple[int, ...], int]):
+        """The law of positive integer ``masses`` over their sum, unchecked."""
+        law = cls.__new__(cls)
+        g = math.gcd(*masses.values())  # which divides their sum
+        law.masses = {seats: m // g for seats, m in sorted(masses.items())}
+        law.total, law.size = sum(law.masses.values()), len(next(iter(masses)))
+        return law
+
+    @functools.cached_property
+    def probabilities(self) -> Dict[Tuple[int, ...], Fraction]:
+        return {seats: Fraction(m, self.total)
+                for seats, m in self.masses.items()}
 
     def __len__(self):
-        return len(self.probabilities)
+        return len(self.masses)
 
     def __eq__(self, other):
         return (isinstance(other, AllocationDistribution)
-                and self.probabilities == other.probabilities)
+                and self.masses == other.masses)
 
     def support(self) -> list[tuple[int, ...]]:
-        return list(self.probabilities)
+        return list(self.masses)
 
     def items(self) -> Iterable[tuple[tuple[int, ...], Fraction]]:
         return self.probabilities.items()
 
     def probability(self, seats: Sequence[int]) -> Fraction:
-        return self.probabilities.get(tuple(seats), Fraction(0))
+        return Fraction(self.masses.get(tuple(seats), 0), self.total)
 
     @entry
     def marginal_mean(self, i: int) -> Fraction:
-        return sum((p * seats[i] for seats, p in self.probabilities.items()),
-                   Fraction(0))
+        return Fraction(sum(m * seats[i] for seats, m in self.masses.items()),
+                        self.total)
 
     def marginal_means(self) -> tuple[Fraction, ...]:
         return tuple(self.marginal_mean(i) for i in range(self.size))
 
     @entry
     def marginal_law(self, i: int) -> dict[int, Fraction]:
-        law: dict[int, Fraction] = {}
-        for seats, p in self.probabilities.items():
-            law[seats[i]] = law.get(seats[i], Fraction(0)) + p
-        return dict(sorted(law.items()))
+        law: dict[int, int] = {}
+        for seats, m in self.masses.items():
+            law[seats[i]] = law.get(seats[i], 0) + m
+        return {a: Fraction(m, self.total) for a, m in sorted(law.items())}
 
 
 def _allocation_law(quota: QuotaVector, *, average_orders: bool = True,
                     limit: int = ENUMERATION_LIMIT) -> AllocationDistribution:
     """Exact law of the floors plus the residual seats drawn on the
-    fractional parts of ``quota``.
+    fractional parts of ``quota``: the cell lengths per winner mask.
 
     Every exact law is computed here.  The ordering-averaged law has 2**s
     winner masks and costs (s-1)! orderings on the compiled tier and
@@ -270,14 +278,12 @@ def _allocation_law(quota: QuotaVector, *, average_orders: bool = True,
                 f"exact enumeration is capped at {_ENUMERATION_CEILING} "
                 f"states whatever the limit, got {s}")
         cells = enumerate(_backend.averaged_mask_lengths(nums, den, True))
-        total = den * (math.factorial(s - 1) if s > 1 else 1)
     else:
         cells = _kernels_py.fixed_order_lengths(nums, den).items()
-        total = den
     # The seats are the floors plus the mask's bits, so distinct masks give
     # distinct seat vectors and no two cells share a key.
-    return AllocationDistribution(
-        {_seats_from_mask(quota.floors, mask): Fraction(length, total)
+    return AllocationDistribution._of(
+        {_seats_from_mask(quota.floors, mask): length
          for mask, length in cells if length})
 
 

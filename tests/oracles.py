@@ -4,12 +4,13 @@ Everything here recomputes results through a different route than the
 library: full-permutation enumeration with midpoint evaluation for the
 scheme's law and with right-endpoint evaluation for its integer cell
 lengths, backtracking enumeration for allocation existence, a
-sort-the-whole-priority-list apportionment with its own threshold formulas,
+merged-priority-list apportionment with its own threshold formulas,
 and largest remainders on Fraction quotas, compared house by house.
 Keeping these separate from the package is the point - a bug would have to
 be made twice, in two different shapes, to go unnoticed.
 """
 
+import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -201,43 +202,48 @@ def oracle_priority(rule_name: str, pop: int, seats_so_far: int):
     raise ValueError(rule_name)
 
 
-def _priority_list(pops, rule_name: str, starts, count: int) -> list:
-    """The next ``count`` seats of every state after its ``starts`` seats,
-    best first: (priority, state) pairs sorted by priority, then larger
-    population, then earlier state.  A priority of None is infinite."""
-    entries = []
-    for i, (pop, start) in enumerate(zip(pops, starts)):
-        for b in range(start, start + count):
-            value = oracle_priority(rule_name, pop, b)
+def _priority_list(pops, rule_name: str, starts, count: int,
+                   states=None) -> list:
+    """The best ``count`` of the next ``count`` seats of each of ``states``
+    (all, by default) after its ``starts`` seats: (priority, state) pairs
+    ordered by priority, then larger population, then earlier state.  A
+    priority of None is infinite.  A state's own priorities fall seat by
+    seat, so the list is a merge of the states' lists, cut at ``count``."""
+    def seats(i):
+        for b in range(starts[i], starts[i] + count):
+            value = oracle_priority(rule_name, pops[i], b)
             if value is None:
-                key = (0, Fraction(0), -pop, i)
+                key = (0, Fraction(0), -pops[i], i)
             else:
-                key = (1, -value, -pop, i)
-            entries.append((key, value, i))
-    entries.sort(key=lambda e: e[0])
-    return [(value, i) for _key, value, i in entries]
+                key = (1, -value, -pops[i], i)
+            yield key, value, i
+
+    if states is None:
+        states = range(len(pops))
+    merged = heapq.merge(*map(seats, states), key=lambda e: e[0])
+    return [(value, i) for _key, value, i in itertools.islice(merged, count)]
 
 
 def priority_list_apportion(prob, rule_name: str) -> tuple:
-    """Apportion by sorting the complete priority list and taking the top
-    seats (ties: larger population first, then earlier state)."""
+    """Apportion by taking the top seats of the merged priority list (ties:
+    larger population first, then earlier state)."""
     seats = [0] * prob.size
     for _value, i in _priority_list(prob.populations, rule_name,
-                                    [0] * prob.size, prob.seats)[:prob.seats]:
+                                    [0] * prob.size, prob.seats):
         seats[i] += 1
     return tuple(seats)
 
 
 def priority_list_cut(prob, rule_name: str) -> tuple:
-    """(last taken, first left) priorities of the complete priority list of
-    a house of at least one seat."""
+    """(last taken, first left) priorities of the merged priority list of a
+    house of at least one seat."""
     entries = _priority_list(prob.populations, rule_name,
                              [0] * prob.size, prob.seats + 1)
     return entries[prob.seats - 1][0], entries[prob.seats][0]
 
 
 def bounded_priority_list_apportion(prob, rule_name: str, bounds):
-    """Every state starts at its bound; the seats left go down the sorted
+    """Every state starts at its bound; the seats left go down the merged
     list of onward priorities of the states whose quota exceeds their bound.
     None when the bounds overfill the house, or seats are left but no
     state's quota exceeds its bound."""
@@ -249,9 +255,9 @@ def bounded_priority_list_apportion(prob, rule_name: str, bounds):
                  for p, b in zip(prob.populations, bounds)]
     if left and not any(competing):
         return None
-    entries = _priority_list(prob.populations, rule_name, bounds, left)
     seats = list(bounds)
-    for _value, i in [e for e in entries if competing[e[1]]][:left]:
+    for _value, i in _priority_list(prob.populations, rule_name, bounds, left,
+                                    [i for i, c in enumerate(competing) if c]):
         seats[i] += 1
     return tuple(seats)
 

@@ -205,6 +205,14 @@ def test_a_report_refuses_a_state_outside_it(state):
             read(state)
 
 
+def test_means_reads_the_report_first():
+    # means() ran no reader: it raised TypeError from len(None).
+    report = SimulationReport("x", 1, 10, (), None, None, 0, 0)
+    with pytest.raises(InputError, match="^report seat sums and sums of "
+                                         "squares must be tuples"):
+        report.means()
+
+
 NO_REPLICATES = SimulationReport("x", 1, 0, (), (0,), (0,), 0, 0)
 
 

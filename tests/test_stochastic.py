@@ -318,6 +318,56 @@ def test_rotation_classes_equal_full_enumeration(fracs):
     assert law.probabilities == oracle
 
 
+def closed(nums, den):
+    """The fractions nums/den and one more that brings their total to an
+    integer."""
+    return [F(n, den) for n in nums + [-sum(nums) % den]]
+
+
+BIG_DEN = 2 ** 64 + 13
+
+
+@pytest.mark.parametrize("fracs", [
+    pytest.param([], id="0-states"),
+    pytest.param([F(0)], id="1-state"),
+    pytest.param([F(1, 2), F(1, 2)], id="2-states"),
+    pytest.param([F(1, 3), F(0), F(2, 3)], id="3-with-a-zero"),
+    pytest.param([F(1, 4)] * 4, id="4-ties"),
+    pytest.param(closed([5, BIG_DEN // 3, 0, 2 * BIG_DEN // 5], BIG_DEN),
+                 id="5-den-above-2**64"),
+    pytest.param([F(1, 3)] * 6, id="6-ties"),
+    pytest.param(closed([1, BIG_DEN // 3, 0, BIG_DEN // 3, 4 * BIG_DEN // 7,
+                         0], BIG_DEN), id="7-den-above-2**64"),
+    pytest.param([F(1, 4), F(0), F(1, 2), F(1, 4), F(1, 2), F(0), F(3, 4),
+                  F(3, 4)], id="8-zeros-and-ties")])
+def test_integer_masses_read_as_the_oracle_law(fracs):
+    # The law holds integer masses over one denominator, reduced by their
+    # gcd and sorted by support vector; its Fraction view is the oracle's
+    # law, and rebuilding the law from the view gives it back.
+    law = residual_distribution(fracs)
+    oracle = full_permutation_distribution(fracs)
+    assert dict(law.items()) == law.probabilities == oracle
+    assert sum(law.masses.values()) == law.total
+    assert math.gcd(law.total, *law.masses.values()) == 1
+    assert list(law.masses) == sorted(oracle)
+    assert AllocationDistribution(law.probabilities) == law
+
+
+def test_laws_over_different_denominators_compare_equal():
+    # The kernel counts (1, 1, 7) at 3 seats over 3 * 2! = 6; a law built
+    # from Fractions, or from masses seven times as large, is the same law.
+    law = exact_distribution(problem((1, 1, 7), 3))
+    scaled = AllocationDistribution._of(
+        {seats: 7 * m for seats, m in law.masses.items()})
+    fractions = AllocationDistribution(
+        {(0, 0, 3): F(1, 3), (0, 1, 2): F(1, 3), (1, 0, 2): F(1, 3)})
+    assert law == scaled == fractions
+    assert (scaled.masses, scaled.total) == (law.masses, law.total) == (
+        {(0, 0, 3): 1, (0, 1, 2): 1, (1, 0, 2): 1}, 3)
+    assert law != AllocationDistribution({(0, 0, 3): 1})
+    assert law != law.probabilities
+
+
 def census_orderings():
     """(ordered fractional parts, floors, quota, bounds, order) of CENSUS_50
     at 435 seats under three seeded orderings, unbounded and with the

@@ -385,6 +385,24 @@ def test_the_iteration_builds_one_fraction():
     assert [count(node, calls_to("Fraction")) for node in (body, loop)] == [1, 1]
 
 
+def test_the_exact_law_builds_fractions_only_when_read():
+    # The exact law stays in integers from the kernel to the distribution;
+    # only the distribution's Fraction view and its marginals build
+    # Fractions, one for each entry read.
+    stochastic = (PACKAGE / "stochastic.py").read_text(encoding="utf-8")
+    kernels = (PACKAGE / "_kernels_py.py").read_text(encoding="utf-8")
+    assert count(function(stochastic, "_allocation_law"),
+                 calls_to("Fraction")) == 0
+    assert count(function(kernels, "averaged_mask_lengths"),
+                 calls_to("Fraction")) == 0
+    law = next(top for top in ast.parse(stochastic).body
+               if isinstance(top, ast.ClassDef)
+               and top.name == "AllocationDistribution")
+    assert [m.name for m in law.body if isinstance(m, ast.FunctionDef)
+            and count(m, calls_to("Fraction"))] == [
+        "probabilities", "probability", "marginal_mean", "marginal_law"]
+
+
 def sorts(node):
     """A call to a ``.sort`` method or to ``sorted``."""
     return isinstance(node, ast.Call) and (
