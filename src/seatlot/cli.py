@@ -607,19 +607,15 @@ def cmd_bound_check(args, out) -> int:
     trace = iterate_lower_bound(qv, bounds, args.seats)
     value_by_state = dict(zip(adj.indices, adj.values))
     gap_by_state = dict(vb.gaps)
+    kinds = {i: kind for kind in ("small", "exact", "surplus")
+             for i in getattr(cls_, kind)}
     columns = ["label", "quota", "class", "rescaled", "offender", "gap_decimal"]
     rows = []
     for i, label in enumerate(labels):
-        if i in cls_.small:
-            kind = "small"
-        elif i in cls_.exact:
-            kind = "exact"
-        else:
-            kind = "surplus"
         value = value_by_state.get(i)
         gap = gap_by_state.get(i)
         rows.append((
-            label, decimal_str(quotas[i]), kind,
+            label, decimal_str(quotas[i]), kinds[i],
             decimal_str(value) if value is not None else "",
             "yes" if i in adj.offenders else
             ("no" if value is not None else ""),

@@ -15,8 +15,9 @@ What counts as a valid argument is decided in one table, ``_READERS``: the
 reader of each public parameter, by name.  :func:`entry` puts a public
 function behind the readers of its parameters, so every public function
 refuses a bad argument with an :class:`ApportionmentError` before its body
-runs.  The private paths the command line and the batch take get values
-already read, and run no reader.
+runs.  A record a public function reads checks its own fields when it is
+built, so its reader checks its type alone.  The private paths the command
+line and the batch take get values already read, and run no reader.
 """
 
 from __future__ import annotations
@@ -92,6 +93,14 @@ def check_size(value, name: str, least: int) -> int:
     return value
 
 
+def _derived(cls, *values):
+    """``cls(*values)`` for values the library derived, which hold its
+    invariant, built without its check (as ``AllocationDistribution._of``)."""
+    record = object.__new__(cls)
+    record.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return record
+
+
 @dataclass(frozen=True)
 class Problem:
     """A set of labelled states with populations, and a house size."""
@@ -134,13 +143,26 @@ class QuotaVector:
     after its first read.  ``residual_seats`` is the number of seats left
     after every floor is granted (-1 when the fractional parts do not total
     an integer), and ``unsatisfied_count`` the number of states still
-    competing for them.  The library builds its quota vectors to hold
-    this; one a caller builds is checked when a public function reads it.
+    competing for them.  A quota vector is checked against this when it
+    is built; the library builds the ones it derives without the check.
     """
 
     floors: tuple[int, ...]
     nums: tuple[int, ...]
     den: int
+
+    def __post_init__(self):
+        floors, nums, den = self.floors, self.nums, self.den
+        if not (type(floors) is type(nums) is tuple
+                and len(floors) == len(nums)):
+            raise InputError("quota floors and numerators must be tuples of "
+                             "equal length")
+        check_integers((den,), "quota denominator", 1)
+        check_integers(floors, "quota floor", 0)
+        check_integers(nums, "quota numerator", 0)
+        if any(n >= den for n in nums):
+            raise InputError("quota numerators must lie below the "
+                             "denominator")
 
     @cached_property
     def quotas(self) -> tuple[Fraction, ...]:
@@ -178,22 +200,10 @@ def quota_vector(values: Sequence) -> QuotaVector:
     Unlike :func:`compute_quota` this does not require the values to sum to
     an integer house size, which allows checks on externally supplied quota
     tables; ``residual_seats`` is -1 when the fractional parts do not total
-    an integer.  A QuotaVector is returned as it is once its floors and
-    numerators are tuples of equal length, its floors non-negative integers
-    and its numerators integers in 0..den-1 for a positive integer den.
+    an integer.  A QuotaVector, checked when it was built, is returned as
+    it is.
     """
     if isinstance(values, QuotaVector):
-        floors, nums, den = values.floors, values.nums, values.den
-        if not (type(floors) is type(nums) is tuple
-                and len(floors) == len(nums)):
-            raise InputError("quota floors and numerators must be tuples of "
-                             "equal length")
-        check_integers((den,), "quota denominator", 1)
-        check_integers(floors, "quota floor", 0)
-        check_integers(nums, "quota numerator", 0)
-        if any(n >= den for n in nums):
-            raise InputError("quota numerators must lie below the "
-                             "denominator")
         return values
     quotas = as_fractions(values)
     for q in quotas:
@@ -202,8 +212,8 @@ def quota_vector(values: Sequence) -> QuotaVector:
                              f"{_shown(q, str)}")
     den = math.lcm(*(q.denominator for q in quotas))
     split = [divmod(q.numerator * (den // q.denominator), den) for q in quotas]
-    return QuotaVector(tuple(f for f, _ in split), tuple(n for _, n in split),
-                       den)
+    return _derived(QuotaVector, tuple(f for f, _ in split),
+                    tuple(n for _, n in split), den)
 
 
 @dataclass(frozen=True)
@@ -304,12 +314,15 @@ def _residual(residual) -> int:
     return residual
 
 
-def _price(divisor) -> Fraction:
-    price = as_fraction(divisor, "price per seat")
-    if price <= 0:
-        raise InputError(f"price per seat must be positive, "
-                         f"got {_shown(price, str)}")
-    return price
+def _rational(name: str, kind: str):
+    """The reader of an exact rational named ``name`` that is ``kind``,
+    positive or non-negative."""
+    def read(value) -> Fraction:
+        x = as_fraction(value, name)
+        if x < 0 or x == 0 and kind == "positive":
+            raise InputError(f"{name} must be {kind}, got {_shown(x, str)}")
+        return x
+    return read
 
 
 # The ranges random_problem draws from, which the pair builders pass on.
@@ -354,7 +367,10 @@ _READERS = {
     "max_attempts": _integer("max_attempts", 1),
     "max_tuples": _integer("max_tuples", 1), "average_orders": bool,
     "u": lambda u: as_fraction(u, "offset"),
-    "z": lambda z: as_fraction(z, "z"), "divisor": _price,
+    "z": lambda z: as_fraction(z, "z"),
+    "divisor": _rational("price per seat", "positive"),
+    "x": _rational("entitlement", "non-negative"),
+    "b": _integer("seat count", 0), "pop": _integer("population", 1),
 }
 _OWNED = ("bounds", "lower_bounds", "i")
 
@@ -409,7 +425,8 @@ def compute_quota(prob: Problem) -> QuotaVector:
     seats, den = prob.seats // g, total // g
     floors, nums = zip(*(divmod(seats * p, den) for p in prob.populations))
     g = math.gcd(den, *nums)
-    return QuotaVector(floors, tuple(n // g for n in nums), den // g)
+    return _derived(QuotaVector, floors, tuple(n // g for n in nums),
+                    den // g)
 
 
 @entry

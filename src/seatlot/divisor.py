@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import (_READERS, Allocation, Problem, as_fraction,
-                   check_integers, compute_quota, entry)
+from .core import (_READERS, Allocation, Problem, check_integers,
+                   compute_quota, entry)
 from .errors import CapacityError, InfeasibleError, InputError, _shown
 from .rng import _unpack_lanes
 
@@ -61,7 +61,10 @@ class DivisorRule:
     entitlement strictly above d(b) rounds up; equality keeps the floor.
     ``rounds_up``, ``priority`` and ``first_seat_guaranteed`` (d(0) = 0) are
     read from the threshold.  ``split``, d(b) - b for large b, only centres
-    the jump's starting price: a wrong value costs time, not seats.
+    the jump's starting price: a wrong value costs time, not seats.  A rule
+    checks when it is built that its split is an exact rational and that
+    ``threshold(0)`` is such a pair with num >= 0; the thresholds after it
+    are the rule's own code, and run unchecked.
     """
 
     name: str
@@ -69,32 +72,41 @@ class DivisorRule:
     squared_priority: bool
     threshold: Callable[[int], tuple[int, int]] = field(compare=False)
 
+    def __post_init__(self):
+        if type(self.split) not in (int, Fraction):
+            raise InputError(f"a rule's split must be an exact rational (int "
+                             f"or Fraction), got {_shown(self.split)}")
+        if not callable(self.threshold):
+            raise InputError(f"a rule's threshold must be callable, got "
+                             f"{type(self.threshold).__name__}")
+        first = self.threshold(0)
+        if type(first) is not tuple or len(first) != 2:
+            raise InputError(f"a rule's threshold must give a pair (num, "
+                             f"den), got {_shown(first)} for 0 seats")
+        check_integers(first[:1], "threshold numerator", 0)
+        check_integers(first[1:], "threshold denominator", 1)
+
     @property
     def first_seat_guaranteed(self) -> bool:
         return self.threshold(0)[0] == 0
 
+    @entry
     def rounds_up(self, x, b: int) -> bool:
         """Whether entitlement ``x`` with ``b`` whole seats rounds to b + 1:
         x > d(b), tested in integers as a**k * den > num * c**k for x = a/c
         and d(b) = num/den, k = 2 for rules compared through squares
         (exact, as both sides are >= 0: a negative x is refused)."""
-        x = as_fraction(x, "entitlement")
-        if x < 0:
-            raise InputError(f"entitlement must be non-negative, got "
-                             f"{_shown(x, str)}")
-        check_integers((b,), "seat count", 0)
         a, c = x.numerator, x.denominator
         num, den = self.threshold(b)
         if self.squared_priority:
             a, c = a * a, c * c
         return a * den > num * c
 
+    @entry
     def priority(self, pop: int, b: int) -> Optional[Fraction]:
         """Priority pop/d(b) of the next seat of a state of population
         ``pop`` >= 1 after ``b`` >= 0 seats, squared for rules compared
         through squares; ``None`` (infinite) when d(b) = 0."""
-        check_integers((pop,), "population", 1)
-        check_integers((b,), "seat count", 0)
         num, den = self.threshold(b)
         if self.squared_priority:
             pop *= pop

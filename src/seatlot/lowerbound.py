@@ -22,12 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .core import (_READERS, Allocation, Problem, QuotaVector, _instance,
-                   check_integers, entry)
+from .core import (_READERS, Allocation, Problem, QuotaVector, _derived,
+                   _instance, check_integers, entry)
 from .errors import (ConvergenceError, InfeasibleError, InputError,
-                     _digit_limit_error)
+                     _digit_limit_error, _shown)
 from .rng import SeededSource
 from .stochastic import (ENUMERATION_LIMIT, AllocationDistribution,
                          _allocation_law, _integral_quota, _prepared,
@@ -36,12 +37,24 @@ from .stochastic import (ENUMERATION_LIMIT, AllocationDistribution,
 
 @dataclass(frozen=True)
 class StateClassification:
-    """Partition of states by quota relative to bound, all comparisons exact."""
+    """Partition of states 0..n-1 by quota relative to bound, all
+    comparisons exact, with a non-negative integer count of seats."""
 
     small: tuple[int, ...]      # quota strictly below bound
     exact: tuple[int, ...]      # quota equal to bound
     surplus: tuple[int, ...]    # quota strictly above bound
     remaining_seats: int        # seats left after granting small+exact their bounds
+
+    def __post_init__(self):
+        parts = (self.small, self.exact, self.surplus)
+        if not all(type(part) is tuple for part in parts):
+            raise InputError("classified states must be tuples")
+        states = sum(parts, ())
+        check_integers(states, "classified state", 0)
+        if sorted(states) != list(range(len(states))):
+            raise InputError(f"classified states must be 0..{len(states) - 1}"
+                             f", each once, got {_shown(states, str)}")
+        check_integers((self.remaining_seats,), "remaining seats", 0)
 
 
 @entry
@@ -87,8 +100,8 @@ def _classify(quota: QuotaVector, bounds: tuple[int, ...],
             f"lower bounds sum to {total_bound} > {seats} seats",
             diagnostics={"condition": "bounds_exceed_house",
                          "total_bound": total_bound, "seats": seats})
-    return StateClassification(tuple(small), tuple(exact), tuple(surplus),
-                               seats - granted)
+    return _derived(StateClassification, tuple(small), tuple(exact),
+                    tuple(surplus), seats - granted)
 
 
 @dataclass(frozen=True)
@@ -100,7 +113,9 @@ class AdjustedQuota:
     quota, so the values sum to the remaining seats exactly.  ``offenders``
     are surplus states whose scaled value fell below their lower quota.
     ``scale`` is None for value sets supplied from outside rather than
-    produced by rescaling.
+    produced by rescaling.  The indices, values and original floors and
+    ceilings are tuples of one length: of non-negative integers, of exact
+    rationals and of non-negative integers.
     """
 
     scale: Optional[Fraction]
@@ -111,29 +126,34 @@ class AdjustedQuota:
     condition_holds: bool
     offenders: tuple[int, ...]
 
+    def __post_init__(self):
+        fields = (self.indices, self.values, self.original_floors,
+                  self.original_ceilings)
+        if not all(type(f) is tuple and len(f) == len(fields[0])
+                   for f in fields):
+            raise InputError("adjusted indices, values, floors and ceilings "
+                             "must be tuples of equal length")
+        check_integers(self.indices, "adjusted index", 0)
+        check_integers(self.original_floors + self.original_ceilings,
+                       "quota bound", 0)
+        if not all(type(v) in (int, Fraction) for v in self.values):
+            raise InputError("adjusted values must be exact rationals (int "
+                             "or Fraction)")
 
-def _adjusted_quota(adjusted) -> AdjustedQuota:
-    """An AdjustedQuota whose indices, values and original floors and
-    ceilings are tuples of one length: of non-negative integers, of exact
-    rationals and of non-negative integers."""
-    _read_adjusted(adjusted)
-    fields = (adjusted.indices, adjusted.values, adjusted.original_floors,
-              adjusted.original_ceilings)
-    if not all(type(f) is tuple and len(f) == len(fields[0])
-               for f in fields):
-        raise InputError("adjusted indices, values, floors and ceilings "
-                         "must be tuples of equal length")
-    check_integers(adjusted.indices, "adjusted index", 0)
-    check_integers(adjusted.original_floors + adjusted.original_ceilings,
-                   "quota bound", 0)
-    if not all(type(v) in (int, Fraction) for v in adjusted.values):
-        raise InputError("adjusted values must be exact rationals (int or "
-                         "Fraction)")
-    return adjusted
+    @cached_property
+    def _quota(self) -> QuotaVector:
+        """The quota vector of the values, which the scheme rounds."""
+        return _integral_quota(self.values)
+
+    def _within_quota(self, seats) -> bool:
+        """Whether every entry of ``seats`` lies between its state's
+        original lower and upper quota."""
+        return all(f <= a <= c for a, f, c in zip(
+            seats, self.original_floors, self.original_ceilings))
 
 
-_read_adjusted = _instance(AdjustedQuota)
-_READERS.update(cls_=_instance(StateClassification), adjusted=_adjusted_quota)
+_READERS.update(cls_=_instance(StateClassification),
+                adjusted=_instance(AdjustedQuota))
 
 
 def _adjusted(scale, indices, values, floors, ceilings) -> AdjustedQuota:
@@ -206,22 +226,12 @@ class ViolationBound:
 
 @entry
 def violation_probability_bound(adjusted: AdjustedQuota) -> ViolationBound:
-    verbatim = Fraction(0)
-    union = Fraction(0)
-    gaps = []
-    for i, v, f in zip(adjusted.indices, adjusted.values,
-                       adjusted.original_floors):
-        if v < f:
-            gap = f - v
-            gaps.append((i, gap))
-            verbatim += max(Fraction(1), gap)
-            union += min(Fraction(1), gap)
+    gaps = tuple((i, f - v) for i, v, f in zip(
+        adjusted.indices, adjusted.values, adjusted.original_floors) if v < f)
     return ViolationBound(
-        verbatim=verbatim,
-        union=union,
-        gaps=tuple(gaps),
-        exact_for_single_offender=len(gaps) <= 1,
-    )
+        verbatim=sum((max(Fraction(1), gap) for _, gap in gaps), Fraction(0)),
+        union=sum((min(Fraction(1), gap) for _, gap in gaps), Fraction(0)),
+        gaps=gaps, exact_for_single_offender=len(gaps) <= 1)
 
 
 @dataclass(frozen=True)
@@ -336,7 +346,8 @@ def _iterate(quota: QuotaVector, bounds: tuple[int, ...],
         if remaining > 0:
             return _trace(None, f"{remaining} seat(s) cannot be granted without "
                           "pushing some state above its upper quota")
-        return _trace(QuotaVector(tuple(composite), (0,) * len(nums), 1))
+        return _trace(_derived(QuotaVector, tuple(composite),
+                               (0,) * len(nums), 1))
     if remaining * den > total:
         # Only a scale above 1 can lift a value over its upper quota.  That
         # never happens for quota vectors derived from a problem (the scale
@@ -351,9 +362,8 @@ def _iterate(quota: QuotaVector, bounds: tuple[int, ...],
     for i in active:
         composite[i], fracs[i] = divmod(remaining * nums[i], total)
     g = math.gcd(total, *fracs)
-    return _trace(QuotaVector(tuple(composite),
-                              tuple([n // g for n in fracs]),
-                              total // g))
+    return _trace(_derived(QuotaVector, tuple(composite),
+                           tuple([n // g for n in fracs]), total // g))
 
 
 @entry
@@ -376,14 +386,6 @@ def lower_bound_distribution(prob: Problem, bounds: int | Sequence[int],
     return _prepared(prob, bounds).law(limit)
 
 
-def _within_quota(seats, adjusted: AdjustedQuota) -> bool:
-    """Whether every entry of ``seats`` lies between its state's original
-    lower and upper quota in ``adjusted``."""
-    return all(f <= a <= c for a, f, c in
-               zip(seats, adjusted.original_floors,
-                   adjusted.original_ceilings))
-
-
 @entry
 def resample_until_quota(adjusted: AdjustedQuota, src: SeededSource,
                          cap: int = 10 ** 5) -> Allocation:
@@ -393,12 +395,10 @@ def resample_until_quota(adjusted: AdjustedQuota, src: SeededSource,
     shifts the expectations away from the values, so the accepted law is
     not fair.  Seats are indexed by ``adjusted.indices``.
     """
-    if not adjusted.values:
-        raise InputError("permutation length must be at least 1")
-    quota = _integral_quota(adjusted.values)
+    quota = adjusted._quota
     for attempt in range(1, cap + 1):
         seats, order, u53 = _scheme_draw(quota, src)
-        if _within_quota(seats, adjusted):
+        if adjusted._within_quota(seats):
             return Allocation(
                 seats=tuple(seats), method="resample-until-quota",
                 seed=src.seed,
@@ -413,10 +413,9 @@ def resample_conditional_law(adjusted: AdjustedQuota,
     """Exact law of ``resample_until_quota``: the scheme's law on the
     adjusted values, restricted to quota-satisfying outcomes and
     renormalized."""
-    quota = _integral_quota(adjusted.values)
-    law = _allocation_law(quota, limit=limit)
+    law = _allocation_law(adjusted._quota, limit=limit)
     kept = {seats: m for seats, m in law.masses.items()
-            if _within_quota(seats, adjusted)}
+            if adjusted._within_quota(seats)}
     if not kept:
         raise InfeasibleError("no quota-satisfying outcome has positive probability")
     return AllocationDistribution._of(kept)
@@ -443,12 +442,9 @@ def scaled_fractional_quota(quota, cls_: StateClassification) -> ScaledQuota:
     fracs = [quota.fractional[i] for i in surplus]
     numerator = cls_.remaining_seats - sum(quota.floors[i] for i in surplus)
     frac_total = sum(fracs, Fraction(0))
-    if frac_total == 0:
-        if numerator == 0:
-            return ScaledQuota(Fraction(0), surplus,
-                               tuple(Fraction(0) for _ in surplus))
+    if frac_total == 0 and numerator:
         raise InputError("no fractional quota available to scale")
-    factor = Fraction(numerator) / frac_total
+    factor = Fraction(numerator) / frac_total if frac_total else Fraction(0)
     values = tuple(factor * f for f in fracs)
     bad = [i for i, v in zip(surplus, values) if not 0 <= v < 1]
     if bad:

@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 from . import _backend
 from ._kernels_py import MAX_MASK_STATES
-from .core import (_READERS, Problem, QuotaVector, _instance, _state_index,
-                   as_tuple, check_integers, compute_quota, entry, problem)
+from .core import (_READERS, Problem, QuotaVector, _instance, as_tuple,
+                   check_integers, compute_quota, entry, problem)
 from .divisor import resolve_method
 from .errors import CapacityError, InputError, _shown
 from .rng import MAX_BOUND, SeededSource, child_seed
@@ -32,37 +32,10 @@ from .stochastic import (ENUMERATION_LIMIT, _prepared, _seats_from_mask,
 REPLICATE_CEILING = 10 ** 7
 
 
-def _report(report) -> SimulationReport:
-    """A SimulationReport of at least one replicate whose seat sums and
-    sums of squares are tuples of non-negative integers."""
-    _read_report(report)
-    sums, sumsqs = report.seat_sums, report.seat_sumsqs
-    if not type(sums) is type(sumsqs) is tuple:
-        raise InputError("report seat sums and sums of squares must be "
-                         "tuples")
-    check_integers(sums + sumsqs, "seat sum", 0)
-    check_integers((report.replicates,), "replicate count", 1)
-    return report
-
-
-def _report_state(i, report) -> int:
-    """State ``i`` of ``report``, which holds a seat sum and a sum of
-    squares for each state."""
-    if len(_report(report).seat_sums) != len(report.seat_sumsqs):
-        raise InputError("report seat sums and sums of squares differ in "
-                         "length")
-    return _state_index(i, report)
-
-
-# The methods of a report read their state index through its fields; these
-# readers are in place before the methods are defined.
-_READERS.update(dict.fromkeys(("mean.i", "variance.i", "std_error.i"),
-                              _report_state))
-
-
 @dataclass(frozen=True)
 class SimulationReport:
-    """Integer-exact summary of n seeded replicates."""
+    """Integer-exact summary of n seeded replicates: at least one, with a
+    seat sum and a sum of squares, non-negative integers, per state."""
 
     method: str
     master_seed: int
@@ -74,6 +47,17 @@ class SimulationReport:
     bound_violations: int
     sum_mismatches: int = 0
 
+    def __post_init__(self):
+        sums, sumsqs = self.seat_sums, self.seat_sumsqs
+        if not type(sums) is type(sumsqs) is tuple:
+            raise InputError("report seat sums and sums of squares must be "
+                             "tuples")
+        check_integers(sums + sumsqs, "seat sum", 0)
+        check_integers((self.replicates,), "replicate count", 1)
+        if len(sums) != len(sumsqs):
+            raise InputError("report seat sums and sums of squares differ in "
+                             "length")
+
     @property
     def size(self) -> int:
         return len(self.seat_sums)
@@ -83,7 +67,7 @@ class SimulationReport:
         return Fraction(self.seat_sums[i], self.replicates)
 
     def means(self) -> tuple[Fraction, ...]:
-        return tuple(map(self.mean, range(_report(self).size)))
+        return tuple(map(self.mean, range(self.size)))
 
     @entry
     def variance(self, i: int) -> Fraction:
@@ -107,8 +91,7 @@ def _replicates(n) -> int:
     return n
 
 
-_read_report = _instance(SimulationReport)
-_READERS.update(n=_replicates, report=_report)
+_READERS.update(n=_replicates, report=_instance(SimulationReport))
 
 
 def _scheme_batch(prob: Problem, lower_bounds, master_seed: int, n: int):
@@ -206,21 +189,16 @@ def fairness_test(report: SimulationReport, quota: QuotaVector,
                   z=4) -> tuple[bool, ...]:
     """Per-state pass/fail: |empirical mean - quota| <= z standard errors.
 
-    The comparison is exact (rational arithmetic on the squared inequality).
-    Zero-variance states pass only on exact equality.
+    The comparison is exact (rational arithmetic on the squared inequality,
+    the squared standard error being the variance over n).  Zero-variance
+    states, and every state of a one-replicate report, pass only on exact
+    equality.
     """
-    if not len(report.seat_sums) == len(report.seat_sumsqs) == quota.size:
+    if report.size != quota.size:
         raise InputError("report and quota vector differ in length")
-    n = report.replicates
-    out = []
-    for i, q in enumerate(quota.quotas):
-        if n == 1:
-            out.append(Fraction(report.seat_sums[i]) == q)
-            continue
-        lhs = (Fraction(report.seat_sums[i]) - n * q) ** 2 * (n - 1)
-        rhs = z * z * (n * report.seat_sumsqs[i] - report.seat_sums[i] ** 2)
-        out.append(lhs <= rhs)
-    return tuple(out)
+    return tuple((report.mean(i) - q) ** 2
+                 <= z * z * report.variance(i) / report.replicates
+                 for i, q in enumerate(quota.quotas))
 
 
 @entry

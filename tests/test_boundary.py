@@ -26,18 +26,18 @@ HOSTILE = {"None": None, "True": True, "1.5": 1.5, "'x'": "x", "-1": -1,
            "()": (), "object()": object(), "10**40": 10 ** 40,
            "-10**5000": -10 ** 5000}
 
+# The records a public function reads check their fields when built.
 CONSTRUCTORS = ("Problem", "Allocation", "AllocationDistribution",
-                "SeededSource")
+                "SeededSource", "AdjustedQuota", "DivisorRule", "QuotaVector",
+                "SimulationReport", "StateClassification")
 # Public classes that are no entry point, with the reason.
 EXEMPT_CLASSES = {
     **dict.fromkeys(
-        ("AdjustedQuota", "DivisorRule", "IterationTrace",
-         "MonotonicityReport", "ParadoxReport", "ProblemPair", "QuotaVector",
-         "ScaledQuota", "SimulationReport", "StateClassification",
-         "ViolationBound"),
-        "a plain result record: it holds what the library built, and a "
-        "function that takes one reads it (a quota vector against its "
-        "invariant)"),
+        ("IterationTrace", "MonotonicityReport", "ParadoxReport",
+         "ScaledQuota", "ViolationBound"),
+        "a result record that no public function reads"),
+    "ProblemPair": "a pair of problems whose fields a scan reads through "
+                   "entry points, which read each problem and state index",
     **dict.fromkeys(
         ("ApportionmentError", "CapacityError", "ConvergenceError",
          "InfeasibleError", "InputError"), "an error the boundary raises"),
@@ -80,6 +80,17 @@ def valid_values():
         "lower": {0: F(1)}, "upper": {1: F(1)}, "min_states": 1,
         "max_states": 4, "max_population": 9, "max_seats": 5,
         "min_seats": 0, "probabilities": {(1,): F(1)}, "audit": None,
+        "floors": (2, 1, 0), "nums": (0, 1, 4), "den": 5, "replicates": 10,
+        "SimulationReport.labels": ("a", "b"), "seat_sums": (5, 3),
+        "seat_sumsqs": (5, 3), "quota_violations": 0, "bound_violations": 0,
+        "sum_mismatches": 0, "scale": F(15, 16),
+        "AdjustedQuota.indices": (0, 1),
+        "AdjustedQuota.values": (F(15, 8), F(9, 8)),
+        "original_floors": (2, 1), "original_ceilings": (2, 2),
+        "condition_holds": False, "offenders": (0,), "small": (2,),
+        "exact": (), "surplus": (0, 1), "remaining_seats": 3,
+        "name": "webster", "split": F(1, 2), "squared_priority": False,
+        "threshold": lambda b: (2 * b + 1, 2),
     }
 
 

@@ -204,6 +204,24 @@ def test_rule_name_reads_as_its_rule(call):
             _by_rule(call, bad)
 
 
+@pytest.mark.parametrize("split, threshold, match", [
+    ("a", lambda b: (b + 1, 1), "split must be an exact rational"),
+    (0.5, lambda b: (b + 1, 1), "split must be an exact rational"),
+    (F(1), None, "threshold must be callable"),
+    (F(1), lambda b: b + 1, r"threshold must give a pair \(num, den\)"),
+    (F(1), lambda b: [b + 1, 1], r"threshold must give a pair \(num, den\)"),
+    (F(1), lambda b: (b - 1, 1), "threshold numerator must be a non-negative"),
+    (F(1), lambda b: (b + 1, 0), "threshold denominator must be a positive"),
+    (F(1), lambda b: (b + 1, True), "threshold denominator must be a pos")],
+    ids=["text-split", "float-split", "no-threshold", "no-pair", "list",
+         "negative-numerator", "zero-denominator", "bool-denominator"])
+def test_a_rule_is_checked_when_built(split, threshold, match):
+    # divisor_apportion raised AttributeError from "a".numerator.
+    with pytest.raises(InputError, match=match):
+        divisor_apportion(problem((3, 5), 4),
+                          divisor.DivisorRule("x", split, False, threshold))
+
+
 NON_PROBLEM_CALLS = {
     "fair_share_seats": lambda bad: fair_share_seats(5, bad),
     "lambda_allocation": lambda bad: lambda_allocation(bad, "webster", 2),
@@ -651,8 +669,9 @@ def test_exact_jump_keys_no_seat_for_a_bounded_house():
 
     census = [pop for _label, pop in CENSUS_50]
     prob = problem(census, 435)
-    seats = divisor_with_bounds(
-        prob, dataclasses.replace(hill, threshold=counted), 1).seats
+    rule = dataclasses.replace(hill, threshold=counted)
+    calls.clear()  # building the rule checked its threshold at 0 seats
+    seats = divisor_with_bounds(prob, rule, 1).seats
     assert seats == divisor_with_bounds(prob, hill, 1).seats
     assert len(calls) == sum(435 * pop > sum(census) for pop in census)
 

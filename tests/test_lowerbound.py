@@ -11,8 +11,8 @@ from seatlot import (ConvergenceError, InfeasibleError, InputError,
 from seatlot import lowerbound, stochastic
 from seatlot.core import Allocation, broadcast_lower_bound
 from seatlot.divisor import RULES, divisor_with_bounds
-from seatlot.lowerbound import (AdjustedQuota, adjusted_quota_from_values,
-                                classify,
+from seatlot.lowerbound import (AdjustedQuota, StateClassification,
+                                adjusted_quota_from_values, classify,
                                 equal_representation_quota,
                                 iterate_lower_bound, lower_bound_apportion,
                                 lower_bound_distribution,
@@ -649,10 +649,28 @@ def test_resample_without_offenders_accepts_first_round():
     assert alloc.audit["rounds"] == 1
 
 
-def test_resample_rejects_empty_and_non_integral_values():
-    with pytest.raises(InputError, match="permutation length"):
-        resample_until_quota(adjusted_quota_from_values([], []),
-                             SeededSource(3))
+def test_resample_of_no_states_draws_what_its_law_holds():
+    # The draw was refused with the text of random_permutation, while the
+    # law of the same values is the point law of the empty allocation.
+    adj = adjusted_quota_from_values([], [])
+    assert resample_conditional_law(adj).masses == {(): 1}
+    assert resample_until_quota(adj, SeededSource(3)).seats == ()
+
+
+def test_resample_builds_the_quota_vector_of_its_values_once(monkeypatch):
+    # Every call rebuilt the quota vector of the same values.
+    built = []
+    monkeypatch.setattr(lowerbound, "_integral_quota",
+                        lambda values: built.append(values)
+                        or stochastic._integral_quota(values))
+    adj = adjusted_quota_from_values([F(5, 2), F(5, 2)], [F(5, 2), F(5, 2)])
+    for seed in range(3):
+        resample_until_quota(adj, SeededSource(seed))
+    resample_conditional_law(adj)
+    assert built == [adj.values]
+
+
+def test_resample_rejects_non_integral_values():
     adj = adjusted_quota_from_values([F(5, 2), F(5, 2)], [F(5, 2), F(9, 4)])
     with pytest.raises(InputError,
                        match=r"must sum to an integer, got 3/4"):
@@ -695,6 +713,24 @@ def test_scaled_fractional_range_error():
         scaled_fractional_quota(q, cls_)
 
 
+@pytest.mark.parametrize("call", [
+    lambda cls_, q: equal_representation_quota(cls_, q),
+    lambda cls_, q: scaled_fractional_quota(q, cls_)],
+    ids=["equal_representation_quota", "scaled_fractional_quota"])
+@pytest.mark.parametrize("fields, match", [
+    (((), (), (0,), None), "remaining seats must be a non-negative integer"),
+    (((), (), (5,), 3), r"classified states must be 0\.\.0, each once"),
+    (((0,), (), (0,), 3), r"classified states must be 0\.\.1, each once"),
+    (((), [], (0,), 3), "classified states must be tuples"),
+    (((), (), (True,), 3), "classified state must be a non-negative")],
+    ids=["no-seat-count", "index-past-the-states", "index-twice", "list",
+         "bool-index"])
+def test_a_classification_is_checked_when_built(call, fields, match):
+    # The first raised TypeError and the second IndexError.
+    with pytest.raises(InputError, match=match):
+        call(StateClassification(*fields), quota_vector([1]))
+
+
 @pytest.mark.parametrize("fields, match", [
     ((None, None, None, None), "tuples of equal length"),
     (((0, 1), (F(1, 2),), (0,), (1,)), "tuples of equal length"),
@@ -704,8 +740,5 @@ def test_scaled_fractional_range_error():
     ids=["none", "short-values", "float", "negative-index", "none-floor"])
 def test_an_adjusted_quota_is_read_by_its_fields(fields, match):
     # AdjustedQuota(None, ...) raised TypeError from zip(None, ...).
-    adjusted = AdjustedQuota(None, *fields, True, ())
-    for read in (violation_probability_bound, resample_conditional_law,
-                 lambda a: resample_until_quota(a, SeededSource(1))):
-        with pytest.raises(InputError, match=match):
-            read(adjusted)
+    with pytest.raises(InputError, match=match):
+        AdjustedQuota(None, *fields, True, ())

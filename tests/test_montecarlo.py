@@ -176,16 +176,18 @@ def test_fairness_test_exact_comparison():
     assert not any(fairness_test(report, shifted))
 
 
-@pytest.mark.parametrize("labels, sums, sumsqs", [
-    ((), (5,), (5,)), (("A", "B"), (5,), (5,)), ((), (5, 5), (5,))],
+@pytest.mark.parametrize("labels, sums, sumsqs, match", [
+    ((), (5,), (5,), "report and quota vector"),
+    (("A", "B"), (5,), (5,), "report and quota vector"),
+    ((), (5, 5), (5,), "report seat sums and sums of squares")],
     ids=["unlabelled", "labelled", "short-squares"])
 def test_fairness_test_refuses_a_report_of_another_length(labels, sums,
-                                                          sumsqs):
+                                                          sumsqs, match):
     # An unlabelled report of one seat sum against a 2-state quota raised
-    # IndexError.
-    report = SimulationReport("stochastic", 1, 10, labels, sums, sumsqs, 0, 0)
-    with pytest.raises(InputError,
-                       match="report and quota vector differ in length"):
+    # IndexError.  A report of unequal sums is refused when it is built.
+    with pytest.raises(InputError, match=f"{match} differ in length"):
+        report = SimulationReport("stochastic", 1, 10, labels, sums, sumsqs,
+                                  0, 0)
         fairness_test(report, quota_vector((1, 1)))
 
 
@@ -207,13 +209,12 @@ def test_a_report_refuses_a_state_outside_it(state):
 
 def test_means_reads_the_report_first():
     # means() ran no reader: it raised TypeError from len(None).
-    report = SimulationReport("x", 1, 10, (), None, None, 0, 0)
     with pytest.raises(InputError, match="^report seat sums and sums of "
                                          "squares must be tuples"):
-        report.means()
+        SimulationReport("x", 1, 10, (), None, None, 0, 0).means()
 
 
-NO_REPLICATES = SimulationReport("x", 1, 0, (), (0,), (0,), 0, 0)
+NO_REPLICATES = ("x", 1, 0, (), (0,), (0,), 0, 0)
 
 
 @pytest.mark.parametrize("read", [
@@ -224,7 +225,7 @@ def test_a_report_without_replicates_is_refused(read):
     # divided by zero.
     with pytest.raises(InputError,
                        match="replicate count must be a positive integer"):
-        read(NO_REPLICATES)
+        read(SimulationReport(*NO_REPLICATES))
 
 
 @pytest.mark.parametrize("read, message", [
@@ -243,9 +244,8 @@ def test_a_report_is_read_by_its_fields(read, message):
     ((5, 3), (5, -3), "seat sum")], ids=["short-squares", "text", "negative"])
 def test_a_report_state_needs_its_sum_and_square(sums, sumsqs, match):
     # variance(1) of the short report raised IndexError.
-    report = SimulationReport("x", 1, 10, (), sums, sumsqs, 0, 0)
     with pytest.raises(InputError, match=match):
-        report.variance(1)
+        SimulationReport("x", 1, 10, (), sums, sumsqs, 0, 0).variance(1)
 
 
 def test_fairness_test_refuses_a_z_that_is_no_rational():

@@ -212,17 +212,25 @@ def test_holders_are_found():
     (text("cannot print a number of more than"),
      ("errors", "_digit_limit_error")),
     (starts("expected a "), ("core", "_instance")),
-    (text("state index"), ("core", "_state_index"))],
+    (text("state index"), ("core", "_state_index")),
+    (text("quota numerators must lie below the denominator"),
+     ("core", "QuotaVector")),
+    (text("report seat sums and sums of squares must be tuples"),
+     ("montecarlo", "SimulationReport")),
+    (text("adjusted values must be exact rationals"),
+     ("lowerbound", "AdjustedQuota"))],
     ids=["builder", "integral-total", "non-negative-quota", "distinct-states",
          "bound-length", "rule-reader", "digit-limit", "type-reader",
-         "state-index-reader"])
+         "state-index-reader", "quota-record", "report-record",
+         "adjusted-record"])
 def test_one_builder_and_one_integral_check(found, holder):
     # The adjusted quota is built, scheme input checked for an integral
     # fractional total, a quota value refused for its sign, a conditioned
     # draw refused for more winners than states, lower bounds read, a
     # divisor rule read, a number past the digit limit refused, and an
     # argument of the wrong type ("expected a Problem") and a state index
-    # read by the reader table, in one function each.
+    # read by the reader table, in one function each.  A quota vector, a
+    # report and an adjusted quota check their fields in their own class.
     assert [(p.stem, name) for p in PACKAGE.glob("*.py")
             for name in holders(p.read_text(encoding="utf-8"), found)] \
         == [holder]
