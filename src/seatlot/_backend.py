@@ -52,25 +52,29 @@ if os.environ.get("SEATLOT_PURE_PYTHON", "0") in ("", "0"):
 ACTIVE = "compiled" if _kernels_c is not None else "pure-python"
 
 # Compiled kernels compute cell positions up to den * (residual + 2),
-# accumulate cell lengths up to den * (s-1)! (the pinned orderings) and
-# seat squares up to n * (house + 1)**2; keep a wide margin below 2**63.
+# accumulate cell lengths up to den * (t-1)! (t live states) and seat
+# squares up to n * (house + 1)**2; keep a wide margin below 2**63.
 _CAP = 1 << 62
 
 
 def averaged_mask_lengths(frac_nums, den, fix_last):
     """Cell length per winner mask, summed over the (s-1)! orderings that
-    pin the last state, or over all s! without ``fix_last``: s times the
-    pinned sum, as rotating an ordering leaves its law unchanged."""
+    pin the last state, or over all s! without ``fix_last``: the kernels'
+    sum over the (t-1)! that pin the last of the t live states, times
+    (s-1)!/(t-1)! as a zero fraction never wins, and s as rotating an
+    ordering leaves its law unchanged."""
     s = len(frac_nums)
+    pinned = math.factorial(max(s - 1 - frac_nums.count(0), 0))
     if (_kernels_c is not None and s <= _kernels_py.MAX_MASK_STATES
-            and den * max(sum(frac_nums) // den + 2,
-                          math.factorial(max(s - 1, 0))) < _CAP):
+            and den * max(sum(frac_nums) // den + 2, pinned) < _CAP):
         lengths = _kernels_c.averaged_mask_lengths(frac_nums, den)
     else:
         lengths = _kernels_py.averaged_mask_lengths(frac_nums, den)
-    if fix_last or s < 2:
+    scale = math.factorial(max(s - 1, 0)) // pinned
+    scale *= 1 if fix_last else max(s, 1)
+    if scale == 1:
         return lengths
-    return [length * s for length in lengths]
+    return [length * scale for length in lengths]
 
 
 def _scheme_fits(scheme_floors, frac_nums, den, n):

@@ -125,29 +125,20 @@ static void sweep_order(i64 t, const i64 *fr, const i64 *order, i64 den,
    segment [a, b) into (a, b]; they differ only at finitely many offsets,
    so a head and its mirror have the same length per mask, and only the
    one with head[0] < head[t-2] is swept (the first, ascending head is one;
-   a one-state head is its own mirror).  A final scale restores the
-   (s-1)! orderings with the last state pinned: (s-1)!/(t-1)!, twice that
-   for t >= 3. */
+   a one-state head is its own mirror).  Doubling the sum for t >= 3 then
+   restores all (t-1)! orderings; _backend.py alone scales beyond them. */
 void averaged_mask_lengths(i64 s, const i64 *fr, i64 den, i64 *acc)
 {
     i64 order[MAX_MASK_STATES] = {0}, counters[MAX_MASK_STATES] = {0};
-    i64 t = 0, head, scale = 1;
+    i64 t = 0, head;
     i64 i, k, tmp;
-    if (s == 0) {
-        acc[0] = den;
-        return;
-    }
     for (i = 0; i < s; i++)
         if (fr[i] != 0)
             order[t++] = i;
-    for (i = t > 0 ? t : 1; i < s; i++)
-        scale *= i; /* (s-1)! / (t-1)! */
     if (t == 0) {
-        acc[0] = den * scale;
+        acc[0] = den;
         return;
     }
-    if (t >= 3)
-        scale *= 2;
     head = t - 1;
     sweep_order(t, fr, order, den, acc);
     i = 0;
@@ -166,9 +157,9 @@ void averaged_mask_lengths(i64 s, const i64 *fr, i64 den, i64 *acc)
             i++;
         }
     }
-    if (scale != 1)
+    if (t >= 3)
         for (i = 0; i < (i64)1 << s; i++)
-            acc[i] *= scale;
+            acc[i] *= 2;
 }
 
 /* totals = {quota violations, bound violations, seat-sum mismatches};

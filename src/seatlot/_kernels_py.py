@@ -115,19 +115,20 @@ def fixed_order_lengths(frac_nums, den):
 
 
 def averaged_mask_lengths(frac_nums, den):
-    """Total cell length per winner mask, summed over the (s-1)! state
-    orderings that keep the last state in the final slot.
+    """Total cell length per winner mask, summed over the (t-1)!
+    orderings of the t states with a positive fraction that keep the last
+    of them in the final slot.
 
     Cyclic rotations of an ordering induce the same allocation law
-    (shifting the offset absorbs the rotation), so these orderings give
-    the law of the scheme; ``_backend`` scales to all s! orderings.  Masks
-    are in the input-index basis.  Divide by ``den * (s-1)!`` to get
+    (shifting the offset absorbs the rotation), and a state with a zero
+    fraction never wins, so these orderings give the law of the scheme;
+    ``_backend`` alone scales the sum to the orderings of all s states.
+    Masks are in the input-index basis.  Divide by ``den * (t-1)!`` to get
     probabilities.
 
-    A state with a zero fraction never wins, so only the s' states with a
-    positive fraction are ordered, the last of them pinned after the h =
-    s' - 1 head states; each such ordering stands for (s-1)!/(s'-1)! of
-    all s.  A head of at most one state has one ordering, for ``_sweep``.
+    The live states are ordered with the last of them pinned after the h =
+    t - 1 head states.  A head of at most one state has one ordering, for
+    ``_sweep``.
 
     Larger heads go through a dynamic program over the sets S of head
     states placed so far.  State i placed right after S wins exactly when
@@ -146,15 +147,11 @@ def averaged_mask_lengths(frac_nums, den):
     W + last or to W.
     """
     s = len(frac_nums)
-    if s == 0:
-        return [den]
     acc = [0] * (1 << s)
-    scale = math.factorial(s - 1)
     live = _live(frac_nums)
     if not live:
-        acc[0] = den * scale
+        acc[0] = den
         return acc
-    scale //= math.factorial(len(live) - 1)
     *head, (last, f_last) = live
     h = len(head)
     if h < 2:
@@ -202,8 +199,6 @@ def averaged_mask_lengths(frac_nums, den):
             length = sum(map(operator.mul, lengths,
                              _unpack_lanes(v, size, len(cuts))))
             acc[W | last if v & below else W] += length
-    if scale != 1:
-        acc = [length * scale for length in acc]
     return acc
 
 

@@ -37,7 +37,7 @@ from operator import add, floordiv, mod, mul
 from pathlib import Path
 
 from .errors import (ApportionmentError, CapacityError, InfeasibleError,
-                     InputError, _digit_limit_error)
+                     InputError, _digit_limit_error, _shown)
 
 # The library modules are imported by the subcommands that run them, so a
 # one-shot run loads only what it needs.  The keys of ``divisor.RULES``, in
@@ -777,7 +777,8 @@ def main(argv=None, out=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         if exc.diagnostics:
-            print(f"diagnostics: {exc.diagnostics}", file=sys.stderr)
+            print(f"diagnostics: {_shown(exc.diagnostics, str)}",
+                  file=sys.stderr)
         return 1
     except (InputError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,9 +45,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import (_READERS, Allocation, Problem, check_integers,
+from .core import (_READERS, Allocation, Problem, _derived, check_integers,
                    compute_quota, entry)
-from .errors import CapacityError, InfeasibleError, InputError, _shown
+from .errors import (CapacityError, InfeasibleError, InputError,
+                     _digit_limit_error, _shown)
 from .rng import _unpack_lanes
 
 
@@ -208,7 +209,7 @@ def divisor_apportion(prob: Problem, rule: DivisorRule | str) -> Allocation:
         next_priority = rule.priority(pops[nxt], seats[nxt])
     audit = {"cut_priority": cut_priority, "next_priority": next_priority,
              "squared": rule.squared_priority}
-    return Allocation(seats=tuple(seats), method=rule.name, audit=audit)
+    return _derived(Allocation, tuple(seats), rule.name, None, audit)
 
 
 def _house(pops: Sequence[int], rule: DivisorRule, r: int, audit=False):
@@ -382,20 +383,18 @@ def divisor_with_bounds(prob: Problem, rule: DivisorRule | str,
     granted = sum(bounds)
     if granted > prob.seats:
         raise InfeasibleError(
-            f"minimum seats sum to {granted} > {prob.seats} seats")
+            f"minimum seats sum to {_shown(granted, str)} > "
+            f"{_shown(prob.seats, str)} seats")
     residual = prob.seats - granted
     total = prob.total_population
     competitors = [i for i, (p, b) in enumerate(zip(prob.populations, bounds))
                    if prob.seats * p > b * total]
     if residual == 0:
-        return Allocation(seats=bounds, method=f"{rule.name}+bounds")
-    if not competitors:
-        raise InfeasibleError(
-            "seats remain but every state already meets or exceeds its quota")
+        return _derived(Allocation, bounds, f"{rule.name}+bounds")
     seats, _, _ = _jump_and_step(
         prob.populations, rule, bounds, competitors,
         residual + sum(bounds[i] for i in competitors))
-    return Allocation(seats=tuple(seats), method=f"{rule.name}+bounds")
+    return _derived(Allocation, tuple(seats), f"{rule.name}+bounds")
 
 
 @entry
@@ -407,7 +406,7 @@ def hamilton_apportion(prob: Problem) -> Allocation:
     pops = prob.populations
     seats = _largest_remainders(pops, prob.total_population, prob.seats,
                                 _tie_order(pops))
-    return Allocation(seats=tuple(seats), method="hamilton")
+    return _derived(Allocation, tuple(seats), "hamilton")
 
 
 def _tie_order(pops: Sequence[int]) -> list[int]:
@@ -508,7 +507,7 @@ def _houses(r_values) -> Sequence[int]:
     if rs[ALABAMA_HOUSE_CEILING:]:
         raise CapacityError(
             f"an Alabama scan walks at most {ALABAMA_HOUSE_CEILING} house "
-            f"sizes; {rs[0]}..{rs[-1]} holds more")
+            f"sizes; {_shown(rs[0], str)}..{_shown(rs[-1], str)} holds more")
     check_integers(rs, "seats", 0)
     return rs
 
@@ -554,8 +553,8 @@ def detect_alabama(prob: Problem, method,
         rule = RULES[name]
         losers = _losers(lambda r: _house(pops, rule, r)[0], r_values)
     else:
-        losers = _losers(lambda r: fn(Problem(labels, pops, r)).seats,
-                         r_values)
+        losers = _losers(
+            lambda r: fn(_derived(Problem, labels, pops, r)).seats, r_values)
     return [_seat_change("alabama", name, prob, r, r + 1, i, before, after)
             for r, i, before, after in losers]
 
@@ -687,6 +686,10 @@ def detect_population_paradox(before: Problem, after: Problem,
             if j == i or a_after[j] <= a_before[j]:
                 continue
             if growth[i] > growth[j]:
+                try:
+                    shown = str(growth[i]), str(growth[j])
+                except ValueError as exc:  # past the int-to-string limit
+                    raise _digit_limit_error() from exc
                 reports.append(ParadoxReport(
                     kind="population", method=name,
                     witness={
@@ -696,8 +699,8 @@ def detect_population_paradox(before: Problem, after: Problem,
                         "seats": before.seats,
                         "loser": i,
                         "gainer": j,
-                        "loser_growth": str(growth[i]),
-                        "gainer_growth": str(growth[j]),
+                        "loser_growth": shown[0],
+                        "gainer_growth": shown[1],
                         "loser_seats": [a_before[i], a_after[i]],
                         "gainer_seats": [a_before[j], a_after[j]],
                     }))
@@ -728,7 +731,7 @@ def detect_new_state_paradox(base: Problem, extended: Problem,
     expected = base.seats + fair_share_seats(extended.populations[-1], base)
     if extended.seats != expected:
         raise InputError(
-            f"extended house must be {expected} seats "
+            f"extended house must be {_shown(expected, str)} seats "
             f"(base plus the new state's fair share), got "
             f"{_shown(extended.seats, str)}")
     name, fn = resolve_method(method)

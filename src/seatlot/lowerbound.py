@@ -97,7 +97,8 @@ def _classify(quota: QuotaVector, bounds: tuple[int, ...],
     total_bound = sum(bounds)
     if total_bound > seats:
         raise InfeasibleError(
-            f"lower bounds sum to {total_bound} > {seats} seats",
+            f"lower bounds sum to {_shown(total_bound, str)} > "
+            f"{_shown(seats, str)} seats",
             diagnostics={"condition": "bounds_exceed_house",
                          "total_bound": total_bound, "seats": seats})
     return _derived(StateClassification, tuple(small), tuple(exact),
@@ -341,11 +342,13 @@ def _iterate(quota: QuotaVector, bounds: tuple[int, ...],
         composite[i] = floors[i]
     if not active:
         if remaining < 0:
-            return _trace(None, f"quota and the bounds force {seats - remaining}"
-                          f" seats but the house has {seats}")
+            return _trace(None, "quota and the bounds force "
+                          f"{_shown(seats - remaining, str)} seats but the "
+                          f"house has {_shown(seats, str)}")
         if remaining > 0:
-            return _trace(None, f"{remaining} seat(s) cannot be granted without "
-                          "pushing some state above its upper quota")
+            return _trace(None, f"{_shown(remaining, str)} seat(s) cannot "
+                          "be granted without pushing some state above its "
+                          "upper quota")
         return _trace(_derived(QuotaVector, tuple(composite),
                                (0,) * len(nums), 1))
     if remaining * den > total:
@@ -399,10 +402,9 @@ def resample_until_quota(adjusted: AdjustedQuota, src: SeededSource,
     for attempt in range(1, cap + 1):
         seats, order, u53 = _scheme_draw(quota, src)
         if adjusted._within_quota(seats):
-            return Allocation(
-                seats=tuple(seats), method="resample-until-quota",
-                seed=src.seed,
-                audit={"rounds": attempt, "indices": list(adjusted.indices)})
+            return _derived(Allocation, seats, "resample-until-quota",
+                            src.seed, {"rounds": attempt,
+                                       "indices": list(adjusted.indices)})
     raise ConvergenceError(f"no quota-satisfying outcome in {cap} runs")
 
 

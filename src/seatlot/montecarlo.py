@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 from . import _backend
 from ._kernels_py import MAX_MASK_STATES
-from .core import (_READERS, Problem, QuotaVector, _instance, as_tuple,
-                   check_integers, compute_quota, entry, problem)
+from .core import (_READERS, Problem, QuotaVector, _derived, _instance,
+                   as_tuple, check_integers, compute_quota, entry, problem)
 from .divisor import resolve_method
 from .errors import CapacityError, InputError, _shown
 from .rng import MAX_BOUND, SeededSource, child_seed
@@ -160,12 +160,10 @@ def simulate(method, prob: Problem, master_seed: int, n: int,
             draws, scale = (fn(prob).seats,), n
         sums, sumsqs, qviol, bviol, mismatches = _tally(name, prob, bounds,
                                                         draws)
-    return SimulationReport(
-        method=name, master_seed=master_seed, replicates=n,
-        labels=prob.labels, seat_sums=tuple(scale * a for a in sums),
-        seat_sumsqs=tuple(scale * a for a in sumsqs),
-        quota_violations=scale * qviol, bound_violations=scale * bviol,
-        sum_mismatches=scale * mismatches)
+    return _derived(SimulationReport, name, master_seed, n, prob.labels,
+                    tuple(scale * a for a in sums),
+                    tuple(scale * a for a in sumsqs), scale * qviol,
+                    scale * bviol, scale * mismatches)
 
 
 @entry
@@ -311,10 +309,12 @@ def random_problem(src: SeededSource, *, min_states: int = 1,
                             ("population", 1, max_population),
                             ("house size", min_seats, max_seats)):
         if low > high:
-            raise InputError(f"empty {what} range: {low}..{high}")
+            raise InputError(f"empty {what} range: {_shown(low, str)}.."
+                             f"{_shown(high, str)}")
         if high - low + 1 > MAX_BOUND:
-            raise InputError(f"{what} range {low}..{high} holds more than "
-                             f"2**64 values")
+            raise InputError(f"{what} range {_shown(low, str)}.."
+                             f"{_shown(high, str)} holds more than 2**64 "
+                             f"values")
     s = min_states + src.randbelow(max_states - min_states + 1)
     pops = tuple(1 + src.randbelow(max_population) for _ in range(s))
     seats = min_seats + src.randbelow(max_seats - min_seats + 1)
@@ -342,12 +342,13 @@ def population_move_pair(src: SeededSource, **kwargs) -> ProblemPair:
     pops = list(before.populations)
     pops[i] -= m
     pops[j] += m
-    after = Problem(before.labels, tuple(pops), before.seats)
+    after = _derived(Problem, before.labels, tuple(pops), before.seats)
     return ProblemPair(before=before, after=after, moved_from=i, moved_to=j)
 
 
 @entry
 def house_increase_pair(src: SeededSource, **kwargs) -> ProblemPair:
     before = random_problem(src, **kwargs)
-    after = Problem(before.labels, before.populations, before.seats + 1)
+    after = _derived(Problem, before.labels, before.populations,
+                     before.seats + 1)
     return ProblemPair(before=before, after=after)

@@ -31,8 +31,8 @@ from operator import add
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import _backend, _kernels_py
-from .core import (Allocation, Problem, QuotaVector, check_integers,
-                   compute_quota, entry, quota_vector)
+from .core import (Allocation, Problem, QuotaVector, _derived,
+                   check_integers, compute_quota, entry, quota_vector)
 from .errors import (CapacityError, ConvergenceError, InfeasibleError,
                      InputError, _shown)
 from .rng import SeededSource, U53_DENOMINATOR
@@ -55,8 +55,8 @@ def _integral_quota(values) -> QuotaVector:
     integer: the scheme rounds them to whole seats."""
     quota = quota_vector(values)
     if quota.residual_seats < 0:
-        raise InputError("fractional quotas must sum to an integer, got "
-                         f"{Fraction(sum(quota.nums), quota.den)}")
+        raise InputError("fractional quotas must sum to an integer, got " +
+                         _shown(Fraction(sum(quota.nums), quota.den), str))
     return quota
 
 
@@ -129,7 +129,7 @@ class _Prepared:
                  "u_denominator": U53_DENOMINATOR}
         if self.trace is not None:
             audit["trace"] = self.trace.audit()
-        return Allocation(seats, self.method, src.seed, audit)
+        return _derived(Allocation, seats, self.method, src.seed, audit)
 
     def law(self, limit: int) -> AllocationDistribution:
         return _allocation_law(self.scheme, limit=limit)

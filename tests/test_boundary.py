@@ -8,6 +8,7 @@ parameters have common names is covered without a new test.
 """
 
 import inspect
+import re
 import signal
 import time
 from fractions import Fraction as F
@@ -15,16 +16,20 @@ from fractions import Fraction as F
 import pytest
 
 import seatlot
-from seatlot import (CapacityError, InputError, SeededSource,
-                     broadcast_lower_bound, classify, compute_quota,
+from seatlot import (CapacityError, InfeasibleError, InputError,
+                     SeededSource, broadcast_lower_bound, classify,
+                     compute_quota, detect_alabama,
+                     detect_new_state_paradox, detect_population_paradox,
                      equal_representation_quota, exact_distribution,
-                     house_increase_pair, problem, random_permutation,
-                     simulate)
+                     house_increase_pair, iterate_lower_bound,
+                     population_move_pair, problem, random_permutation,
+                     random_problem, residual_distribution, simulate)
+from seatlot.divisor import divisor_with_bounds
 from seatlot.errors import ApportionmentError
 
 HOSTILE = {"None": None, "True": True, "1.5": 1.5, "'x'": "x", "-1": -1,
            "()": (), "object()": object(), "10**40": 10 ** 40,
-           "-10**5000": -10 ** 5000}
+           "-10**5000": -10 ** 5000, "10**5000": 10 ** 5000}
 
 # The records a public function reads check their fields when built.
 CONSTRUCTORS = ("Problem", "Allocation", "AllocationDistribution",
@@ -191,14 +196,60 @@ def test_a_size_past_the_interpreter_is_a_capacity_error(call):
         call()
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: exact_distribution(problem((1, 1, 7), 3)).marginal_law(
-        10 ** 5000), "state index must be below 3, got a positive integer "
-     "of 16610 bits"),
-    (lambda: SeededSource((10 ** 5000,)), "seed must be an integer, got a "
-     "tuple too long to print")], ids=["marginal_law", "seed"])
-def test_a_number_too_long_to_print_is_named_by_its_size(call, message):
+H = 10 ** 5000
+BITS = "a positive integer of 16610 bits"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: exact_distribution(problem((1, 1, 7), 3)).marginal_law(H),
+     InputError, f"state index must be below 3, got {BITS}"),
+    (lambda: SeededSource((H,)), InputError,
+     "seed must be an integer, got a tuple too long to print"),
+    (lambda: residual_distribution([F(1, H + 1)]), InputError,
+     "fractional quotas must sum to an integer, got a positive fraction of "
+     "16610 bits"),
+    (lambda: classify([H], [H], H - 1), InfeasibleError,
+     f"lower bounds sum to {BITS} > {BITS} seats"),
+    (lambda: iterate_lower_bound([H], [H], H - 1), None,
+     f"lower bounds sum to {BITS} > {BITS} seats"),
+    (lambda: iterate_lower_bound([H + 1], [0], H), None,
+     f"quota and the bounds force {BITS} seats but the house has {BITS}"),
+    (lambda: iterate_lower_bound([1], [1], H + 1), None,
+     f"{BITS} seat(s) cannot be granted without pushing some state above "
+     "its upper quota"),
+    (lambda: divisor_with_bounds(problem((1, 2), H), "webster", H),
+     InfeasibleError, "minimum seats sum to a positive integer of 16611 bits"
+     f" > {BITS} seats"),
+    (lambda: detect_alabama(problem((3, 5), 4), "hamilton",
+                            range(H, H + 2 * 10 ** 6)), CapacityError,
+     f"an Alabama scan walks at most 1000000 house sizes; {BITS}..{BITS} "
+     "holds more"),
+    (lambda: detect_new_state_paradox(problem((3, 5), H),
+                                      problem((3, 5, 7), 4), "hamilton"),
+     InputError, "extended house must be a positive integer of 16611 bits "
+     "seats (base plus the new state's fair share), got 4"),
+    *((lambda build=build: build(SeededSource(1), max_seats=H), InputError,
+       f"house size range 0..{BITS} holds more than 2**64 values")
+      for build in (random_problem, population_move_pair,
+                    house_increase_pair)),
+    (lambda: detect_population_paradox(
+        problem([p * 10 ** 4400 + 1 for p in (33, 5, 2, 30)], 17),
+        problem([p * 10 ** 4400 + 1 for p in (39, 6, 3, 39)], 17),
+        "hamilton"), CapacityError,
+     "cannot print a number of more than 4300 digits")],
+    ids=["marginal_law", "seed", "residual_distribution", "classify",
+         "iterate-classify", "iterate-forced", "iterate-left",
+         "divisor_with_bounds", "detect_alabama", "new-state",
+         "random_problem", "population_move_pair", "house_increase_pair",
+         "population-witness"])
+def test_a_number_too_long_to_print_is_named_by_its_size(call, error,
+                                                         message):
     # Past the interpreter's int-to-str digit limit, printing the refused
-    # value raised ValueError in place of the refusal.
-    with pytest.raises(InputError, match=f"^{message}$"):
+    # value raised ValueError in place of the refusal.  The iteration
+    # reports infeasibility in its trace (error None), and a witness too
+    # long to print is refused as a result is.
+    if error is None:
+        assert call().diagnostics == message
+        return
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

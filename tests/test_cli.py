@@ -728,6 +728,34 @@ def test_long_numbers_exit_2_in_a_fresh_interpreter(name, fresh_python,
         == (2, b"", error)
 
 
+# Two rows of 4,300 nines as bounds: their sum has 4,301 digits.
+LONG_SUMS = {
+    "bound-check": (
+        ["bound-check", "--quotas", "c.csv", "--lower-bound", "c.csv",
+         "--seats", "1"],
+        "infeasible: lower bounds sum to a positive integer of 14286 bits > 1"
+        " seats\ndiagnostics: a dict too long to print\n"),
+    "webster-bounds": (
+        ["apportion", "--data", "c.csv", "--seats", "1", "--method",
+         "webster", "--lower-bound", "c.csv"],
+        "infeasible: minimum seats sum to a positive integer of 14286 bits > "
+        "1 seats\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_SUMS))
+def test_long_infeasible_sums_exit_1_in_a_fresh_interpreter(name,
+                                                            fresh_python,
+                                                            tmp_path):
+    # Printing the sum, and then the diagnostics that hold it, raised
+    # ValueError past the digit limit: a traceback in place of the refusal.
+    argv, error = LONG_SUMS[name]
+    (tmp_path / "c.csv").write_text("A,{0}\nB,{0}\n".format("9" * 4300))
+    proc = fresh_python("-m", "seatlot.cli", *argv, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) \
+        == (1, b"", error)
+
+
 @pytest.mark.parametrize("argv, error", [
     (["apportion", "--data", "a.csv", "b.csv", "--seats", "7", "--method",
       "stochastic", "--reuse-stream"],
@@ -736,8 +764,12 @@ def test_long_numbers_exit_2_in_a_fresh_interpreter(name, fresh_python,
       "--n", "10", "--seed", "1", "--lower-bound", "1"],
      "simulate supports lower bounds with --method stochastic"),
     (["table1", "--data", "empty"], "no census files (*.csv) in empty"),
+    # Every quota equals its bound.
+    (["bound-check", "--quotas", "a.csv", "--lower-bound", "a.csv",
+      "--seats", "5"], "no state's quota exceeds its bound; nothing to "
+     "rescale"),
 ], ids=["reuse-stream-sizes", "simulate-bounds-deterministic",
-        "table1-no-csv"])
+        "table1-no-csv", "bound-check-no-surplus"])
 def test_cli_refusals_exit_2(argv, error, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a.csv").write_text("A,2\nB,3\n")
@@ -963,6 +995,17 @@ def test_paradox_scan_out_of_range_sizes_are_usage_errors(extra, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_paradox_scan_skips_alabama_instances_a_rule_cannot_seat():
+    # Adams seats every state, so at most 3 seats seat no instance of 4 or
+    # 5 states: those are skipped and not counted.
+    code, out = run_cli(["paradox-scan", "--kind", "alabama", "--method",
+                         "adams", "--trials", "20", "--max-seats", "3",
+                         "--format", "json-lines"])
+    assert code == 0
+    summary = json.loads(out.splitlines()[-1])
+    assert 0 < summary["instances"] < 20
+
+
 @pytest.mark.parametrize("kind, extra", [
     ("population", ["--max-growth", str(2 ** 64)]),
     ("population", ["--max-population", str(2 ** 64 + 1)]),
@@ -1145,6 +1188,9 @@ def test_table1_synthetic_directory(tmp_path):
     # A small-state-plus-offender shape, and a clean decade.
     (census_dir / "1950.csv").write_text("Tiny,1\nMid,5\nBig,10\n")
     (census_dir / "1960.csv").write_text("A,5\nB,3\nC,2\n")
+    # Every quota equals its bound: no surplus state to rescale.
+    (census_dir / "1970.csv").write_text("".join(f"S{i},7\n"
+                                                 for i in range(8)))
     code, out = run_cli(["table1", "--data", str(census_dir), "--seats", "8",
                          "--lower-bound", "1", "--format", "json-lines"])
     assert code == 0
@@ -1156,6 +1202,8 @@ def test_table1_synthetic_directory(tmp_path):
     assert by_year["1950"][0]["quota"] == "5.000"
     assert by_year["1950"][0]["rescaled_quota"] == "4.667"
     assert by_year["1960"][0]["state"] == "none"
+    assert [(r["small_states"], r["state"]) for r in by_year["1970"]] \
+        == [(0, "none")]
     code, _ = run_cli(["table1", "--data", str(tmp_path / "missing")])
     assert code == 2
 

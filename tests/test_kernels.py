@@ -2,6 +2,7 @@
 and the dispatcher must fall back cleanly when magnitudes exceed int64."""
 
 import itertools
+import math
 import os
 import shutil
 import subprocess
@@ -60,6 +61,19 @@ def test_averaged_mask_lengths_agreement(kc):
         nums = random_fracs(src, s, den) if s else []
         assert (kpy.averaged_mask_lengths(nums, den)
                 == kc.averaged_mask_lengths(nums, den))
+
+
+@pytest.mark.parametrize("nums, den", [
+    ([0, 0, 0], 5), ([0, 3, 0, 2], 5), ([0, 2, 0, 3, 4, 0], 9),
+    ([1, 0, 2, 1, 2, 0, 3, 3], 4)], ids=["t=0", "t=2", "t=3", "t=6"])
+def test_kernels_sum_over_the_live_orderings(kc, nums, den):
+    # Each tier sums over the (t-1)! orderings of the t states with a
+    # positive fraction that pin the last of them; the zero fractions are
+    # counted by the dispatcher alone.
+    t = len(nums) - nums.count(0)
+    for kernels in (kpy, kc):
+        assert (sum(kernels.averaged_mask_lengths(nums, den))
+                == den * math.factorial(max(t - 1, 0)))
 
 
 @st.composite
@@ -308,6 +322,13 @@ def test_dispatcher_bounds_only_the_pinned_sum(compiled_calls):
     assert (backend.averaged_mask_lengths(nums, den, False)
             == [3 * n for n in kpy.averaged_mask_lengths(nums, den)])
     assert compiled_calls == ["averaged_mask_lengths"]
+
+
+def test_compiled_kernels_refuse_what_their_buffers_cannot_hold(kc):
+    with pytest.raises(ValueError, match="supports at most 16 states"):
+        kc.averaged_mask_lengths([0] * 17, 1)
+    with pytest.raises(ValueError, match="^expected 2 values, got 1$"):
+        kc.simulate_batch([1, 2], [0, 0], 1, [1], [1, 2], [0, 0], 0, 1, 3)
 
 
 def test_backend_name_reported():

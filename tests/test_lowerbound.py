@@ -670,6 +670,15 @@ def test_resample_builds_the_quota_vector_of_its_values_once(monkeypatch):
     assert built == [adj.values]
 
 
+def test_resample_law_refuses_values_with_no_outcome_within_quota():
+    # Values (1/2, 5/2) round to (0, 3) or (1, 2); quota asks 2 or 3 seats
+    # of state 0.
+    adj = adjusted_quota_from_values([F(5, 2), F(1, 2)], [F(1, 2), F(5, 2)])
+    with pytest.raises(InfeasibleError, match="^no quota-satisfying "
+                                              "outcome has positive"):
+        resample_conditional_law(adj)
+
+
 def test_resample_rejects_non_integral_values():
     adj = adjusted_quota_from_values([F(5, 2), F(5, 2)], [F(5, 2), F(9, 4)])
     with pytest.raises(InputError,
@@ -703,6 +712,16 @@ def test_scaled_fractional_spread_factor():
     scaled = scaled_fractional_quota(q, cls_)
     assert scaled.factor == 2
     assert scaled.values == (F(4, 5), F(1, 5))
+
+
+def test_scaled_fractional_refuses_when_no_fraction_is_left():
+    # The surplus states' quotas 3 and 2 are whole and exceed the 4 seats
+    # left to them.
+    q = quota_vector([3, 2, F(1, 2), F(1, 2)])
+    cls_ = classify(q, (0, 0, 1, 1), 6)
+    with pytest.raises(InputError, match="^no fractional quota available "
+                                         "to scale$"):
+        scaled_fractional_quota(q, cls_)
 
 
 def test_scaled_fractional_range_error():

@@ -125,6 +125,21 @@ def test_simulate_rejects_non_integer_n(method, n):
         simulate(method, problem((1, 2), 1), 0, n)
 
 
+def test_empirical_distribution_refuses_more_states_than_a_mask_holds():
+    with pytest.raises(CapacityError, match="^empirical distribution "
+                                            "tracking supports at most 16 "):
+        empirical_distribution(problem([1] * 17, 17), 0, 1)
+
+
+def test_one_replicate_has_no_variance():
+    # Every state of a one-replicate report passes fairness_test only on
+    # exact equality.
+    report = simulate("stochastic", problem((2, 3), 7), 1, 1)
+    assert [report.variance(i) for i in range(2)] == [0, 0]
+    assert fairness_test(report, compute_quota(problem((2, 3), 7))) \
+        == (False, False)
+
+
 @pytest.mark.parametrize("n", [0, -5, True, 2.5])
 def test_empirical_distribution_rejects_bad_n(n):
     # It used to return an empty tally.
@@ -367,9 +382,39 @@ def test_house_increase_deterministic_integer_case():
     assert report.ok
 
 
+def test_population_move_scan_records_a_failure_witness():
+    # A "move" from state 1 to state 0 that in fact swaps the populations
+    # raises the law of state 1 and lowers that of state 0: both fail.
+    pair = ProblemPair(problem((5, 3), 4), problem((3, 5), 4),
+                       moved_from=1, moved_to=0)
+    report = monotonicity_scan([pair], "population_move")
+    witness = {"before_populations": [5, 3], "after_populations": [3, 5],
+               "seats": (4, 4)}
+    assert report.failures == [
+        {"state": 1, "direction": "after_at_most_before", **witness},
+        {"state": 0, "direction": "after_at_least_before", **witness}]
+
+
 def test_monotonicity_scan_validates_kind():
     with pytest.raises(InputError):
         monotonicity_scan([], "shrink")
+
+
+@pytest.mark.parametrize("after", [problem((5, 4), 5), problem((5, 3), 6)],
+                         ids=["populations", "two-seats"])
+def test_house_increase_scan_refuses_a_pair_that_is_no_increase(after):
+    pair = ProblemPair(problem((5, 3), 4), after)
+    with pytest.raises(InputError, match="^house_increase pairs must share "
+                                         "populations and differ by one"):
+        monotonicity_scan([pair], "house_increase")
+
+
+@pytest.mark.parametrize("draw", [house_increase_pair, population_move_pair])
+def test_pair_builders_refuse_an_unknown_range(draw):
+    src = SeededSource(9)
+    with pytest.raises(InputError, match="^unknown problem range 'seats'$"):
+        draw(src, seats=5)
+    assert src.bits53() == SeededSource(9).bits53()
 
 
 @pytest.mark.parametrize("sizes", [

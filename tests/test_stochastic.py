@@ -509,6 +509,19 @@ def test_conditional_law_fixture():
     assert max(gaps) > F(1, 1000)
 
 
+def test_conditional_samplers_at_residual_zero_pick_no_state():
+    fracs = [F(1, 2), F(1, 2), F(0)]
+    assert conditional_sampling_allocate(fracs, 0, SeededSource(9)) \
+        == [0, 0, 0]
+    assert conditional_selection_law(fracs, 0) == (0, 0, 0)
+
+
+def test_conditional_law_refuses_more_tuples_than_its_cap():
+    # 5 * 4 = 20 ordered pairs of distinct states.
+    with pytest.raises(CapacityError, match="^too many ordered tuples"):
+        conditional_selection_law([F(2, 5)] * 5, 2, max_tuples=19)
+
+
 def test_conditional_samplers_refuse_negative_fractions():
     # A negative fraction used to be dropped from the support silently.
     fracs = ["-1/2", "3/2"]

@@ -236,6 +236,20 @@ def test_one_builder_and_one_integral_check(found, holder):
         == [holder]
 
 
+@pytest.mark.parametrize("record, callers", [
+    ("Allocation", []), ("SimulationReport", []),
+    ("Problem", [("cli", "_problem_from_args"), ("cli", "cmd_paradox_scan"),
+                 ("core", "problem")])],
+    ids=["allocation", "report", "problem"])
+def test_derived_records_are_built_unchecked(record, callers):
+    # The library builds the records it derives through core._derived.  A
+    # checked constructor runs only in problem(), on a caller's values, and
+    # in the command line.
+    assert [(p.stem, name) for p in sorted(PACKAGE.glob("*.py"))
+            for name in holders(p.read_text(encoding="utf-8"),
+                                calls_to(record))] == callers
+
+
 def stores_on_self(node) -> bool:
     """An assignment target ``self.<name>``: state kept on an instance."""
     return (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
